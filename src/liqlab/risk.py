@@ -54,6 +54,43 @@ class PricePathCategory(enum.Enum):
     FALL_FLUCTUATION = "fall-fluctuation"
 
 
+def _target_exposures(
+    borrowers: Iterable[Position], target: Asset, oracle: OracleSnapshot, params: RiskParams
+) -> list:
+    """Per holder of ``target`` as collateral: total collateral value,
+    borrowing capacity and debt value, and the target's collateral value,
+    LT-weighted collateral value and debt value (None when not owed)."""
+    exposures = []
+    price = oracle.price(target)  # fail early when the target is unpriced
+    for borrower in borrowers:
+        if target not in borrower.collateral:
+            continue
+        values = position_values(borrower, oracle, params)
+        target_value = borrower.collateral[target] * price
+        target_debt = borrower.debt[target] * price if target in borrower.debt else None
+        exposures.append(
+            (
+                values.c,
+                values.bc,
+                values.d,
+                target_value,
+                target_value * params.threshold(target),
+                target_debt,
+            )
+        )
+    return exposures
+
+
+def _liquidatable_collateral(exposures: list, decline_pct: Dec) -> Dec:
+    lc = ZERO
+    for c, bc, d, target_value, target_bc, target_debt in exposures:
+        bc_adj = bc - target_bc * decline_pct
+        d_adj = d if target_debt is None else d - target_debt * decline_pct
+        if bc_adj < d_adj:
+            lc = lc + (c - target_value * decline_pct)
+    return lc
+
+
 def sensitivity(
     borrowers: Iterable[Position],
     target: Asset,
@@ -72,29 +109,9 @@ def sensitivity(
     """
     if not ZERO <= decline_pct <= Dec(1):
         raise ValueError(f"decline percentage outside [0, 1]: {decline_pct}")
-    oracle.price(target)  # fail early when the target is unpriced
-
-    lc = ZERO
-    for borrower in borrowers:
-        if target not in borrower.collateral:
-            continue
-        c_total = ZERO
-        bc_total = ZERO
-        for asset, amount in borrower.collateral.items():
-            value = amount * oracle.price(asset)
-            c_total = c_total + value
-            bc_total = bc_total + value * params.threshold(asset)
-        target_value = borrower.collateral[target] * oracle.price(target)
-        c_adj = c_total - target_value * decline_pct
-        bc_adj = bc_total - (target_value * params.threshold(target)) * decline_pct
-        d_adj = ZERO
-        for asset, amount in borrower.debt.items():
-            d_adj = d_adj + amount * oracle.price(asset)
-        if target in borrower.debt:
-            d_adj = d_adj - (borrower.debt[target] * oracle.price(target)) * decline_pct
-        if bc_adj < d_adj:
-            lc = lc + c_adj
-    return lc
+    return _liquidatable_collateral(
+        _target_exposures(borrowers, target, oracle, params), decline_pct
+    )
 
 
 def sensitivity_curve(
@@ -104,14 +121,23 @@ def sensitivity_curve(
     oracle: OracleSnapshot,
     params: RiskParams,
 ) -> list:
-    """Evaluate sensitivity at decline fractions k/steps for k = 0..steps."""
+    """Evaluate sensitivity at decline fractions k/steps for k = 0..steps.
+
+    The borrowers are valued once; each step only scales the target's
+    shares by the decline, with the same roundings as :func:`sensitivity`.
+    """
     if steps < 2:
         raise ValueError(f"steps must be >= 2: {steps}")
+    exposures = _target_exposures(borrowers, target, oracle, params)
     points = []
     for k in range(steps + 1):
         decline = Dec(k) / Dec(steps)
-        lc = sensitivity(borrowers, target, decline, oracle, params)
-        points.append(SensitivityPoint(decline_pct=decline, liquidatable_collateral_usd=lc))
+        points.append(
+            SensitivityPoint(
+                decline_pct=decline,
+                liquidatable_collateral_usd=_liquidatable_collateral(exposures, decline),
+            )
+        )
     return points
 
 

@@ -12,10 +12,16 @@ Engine rules, in order of application per block:
 * The block's oracle snapshot is applied, then the total collateral value is
   recorded (pre-action), then agents act in list order, scanning positions
   in scenario order.
+* A position is valued once and the values are reused until they can
+  change: every position is re-valued after a block whose prices differ
+  from the previous block's, and a position alone after its own balances
+  change (a liquidation or an auction settlement).
 * Fixed-spread agents act only when the net profit (gross minus gas and
-  flash fee) is strictly positive; every call is flash-wrapped, and a
-  flash revert leaves the position untouched and unlogged. A call that the
-  engine would refuse (shortfalls, lost eligibility) is simply not sent.
+  flash fee) is strictly positive. The net profit follows from the repay
+  amount alone, so an unprofitable call is never sent. Every call is
+  flash-wrapped; gas is never negative, so a call with positive net profit
+  always clears the flash fee and never reverts. A call that the engine
+  would refuse (shortfalls, lost eligibility) is simply not sent.
 * Positions with an open auction are off-limits to fixed-spread agents.
 * With ``one_liquidation_per_block`` set, at most one liquidation lands per
   position per block, so a two-step agent's second call executes in the
@@ -129,7 +135,6 @@ class Scenario:
     gas_fee_usd: Dec = ZERO
     flash_fee_rate: Dec = ZERO
     one_liquidation_per_block: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "assets", tuple(self.assets))
@@ -250,6 +255,8 @@ class _Run:
         self.scenario = scenario
         self.positions = {p.owner: p for p in scenario.positions}
         self.order = [p.owner for p in scenario.positions]
+        # owner -> PositionValues at the current prices; see _values
+        self.value_cache = {}
         self.events = []
         self.volume = {}
         self.open_auctions = {}
@@ -257,6 +264,22 @@ class _Run:
         self.liquidated_this_block = set()
 
     # -- helpers -------------------------------------------------------------
+
+    def _values(self, owner, oracle):
+        """The owner's position values at the current block's prices.
+
+        Entries are dropped when the position changes (``_set_position``)
+        and all at once when a block's prices differ from the last block's.
+        """
+        values = self.value_cache.get(owner)
+        if values is None:
+            values = position_values(self.positions[owner], oracle, self.scenario.params)
+            self.value_cache[owner] = values
+        return values
+
+    def _set_position(self, owner, position):
+        self.positions[owner] = position
+        self.value_cache.pop(owner, None)
 
     def _choose_pair(self, position: Position, oracle: OracleSnapshot):
         """Largest-value debt and collateral assets, ties broken by symbol."""
@@ -288,25 +311,29 @@ class _Run:
         return repay
 
     def _try_fixed_spread(self, block, oracle, owner, debt_asset, collateral_asset, repay, agent_id):
-        """Execute one flash-wrapped call; returns True when an event landed."""
+        """Execute one flash-wrapped call; returns True when an event landed.
+
+        The call is only sent when its net profit, which depends on the repay
+        amount alone, is strictly positive. Gas is never negative, so such a
+        call also clears the flash loan's fee.
+        """
         scenario = self.scenario
         if repay <= ZERO:
             return False
-        position = self.positions[owner]
-        call = LiquidationCall(owner, debt_asset, collateral_asset, repay)
-        try:
-            receipt = execute_liquidation_call(position, call, oracle, scenario.params)
-        except LiqlabError:
-            return False  # the transaction would revert, so it is not sent
-        gross = receipt.liquidator_profit_usd
-        wrapped = flash_wrap(gross, repay, scenario.flash_fee_rate)
-        if isinstance(wrapped, Revert):
-            return False
+        # the receipt's own expression for the liquidator's profit
+        gross = repay * (ONE + scenario.params.ls) - repay
         fees = scenario.gas_fee_usd + repay * scenario.flash_fee_rate
         net = gross - fees
         if net <= ZERO:
             return False
-        self.positions[owner] = receipt.position_after
+        call = LiquidationCall(owner, debt_asset, collateral_asset, repay)
+        try:
+            receipt = execute_liquidation_call(
+                self.positions[owner], call, oracle, scenario.params
+            )
+        except LiqlabError:
+            return False  # the transaction would revert, so it is not sent
+        self._set_position(owner, receipt.position_after)
         self.liquidated_this_block.add(owner)
         self.events.append(
             LiquidationEvent(
@@ -339,7 +366,7 @@ class _Run:
             if self._blocked(owner):
                 continue
             position = self.positions[owner]
-            values = position_values(position, oracle, params)
+            values = self._values(owner, oracle)
             if not is_liquidatable(values):
                 continue
             pair = self._choose_pair(position, oracle)
@@ -362,7 +389,7 @@ class _Run:
             if self._blocked(owner):
                 continue
             position = self.positions[owner]
-            values = position_values(position, oracle, params)
+            values = self._values(owner, oracle)
             if not is_liquidatable(values):
                 continue
             pair = self._choose_pair(position, oracle)
@@ -381,7 +408,7 @@ class _Run:
             if self._blocked(owner) or (agent.agent_id, owner) in self.pending_second:
                 continue
             position = self.positions[owner]
-            values = position_values(position, oracle, params)
+            values = self._values(owner, oracle)
             if not is_liquidatable(values):
                 continue
             pair = self._choose_pair(position, oracle)
@@ -405,7 +432,7 @@ class _Run:
                 self.pending_second[(agent.agent_id, owner)] = plan.repay2
                 continue
             position = self.positions[owner]
-            values = position_values(position, oracle, params)
+            values = self._values(owner, oracle)
             if not is_liquidatable(values):
                 continue
             repay2 = self._capped_repay(
@@ -417,13 +444,12 @@ class _Run:
             )
 
     def _act_auction_bidder(self, agent, block, oracle):
-        params = self.scenario.params
         for owner in self.order:
             if owner in self.open_auctions:
                 continue
             if self.scenario.one_liquidation_per_block and owner in self.liquidated_this_block:
                 continue
-            values = position_values(self.positions[owner], oracle, params)
+            values = self._values(owner, oracle)
             if not is_liquidatable(values):
                 continue
             self.open_auctions[owner] = start_auction(
@@ -449,7 +475,6 @@ class _Run:
             self.open_auctions[owner] = place_bid(self.open_auctions[owner], bid)
 
     def _settle_auctions(self, block, oracle):
-        params = self.scenario.params
         for owner in list(self.open_auctions):
             auction = self.open_auctions[owner]
             if check_termination(auction, block) is None:
@@ -458,10 +483,10 @@ class _Run:
             del self.open_auctions[owner]
             if auction.best_bid is None:
                 continue  # expired worthless; position stays liquidatable
-            values_now = position_values(self.positions[owner], oracle, params)
+            values_now = self._values(owner, oracle)
             settlement = finalize(auction, values_now)
-            self.positions[owner] = _apply_settlement(
-                self.positions[owner], settlement, values_now
+            self._set_position(
+                owner, _apply_settlement(self.positions[owner], settlement, values_now)
             )
             self.liquidated_this_block.add(owner)
             gross = settlement.winner_profit_usd
@@ -484,12 +509,15 @@ class _Run:
 
     def run(self) -> EventLog:
         scenario = self.scenario
+        prices = None
         for block in range(scenario.blocks + 1):
             oracle = scenario.price_path[block]
+            if oracle.prices != prices:
+                self.value_cache.clear()
+                prices = oracle.prices
             total = ZERO
             for owner in self.order:
-                for asset, amount in self.positions[owner].collateral.items():
-                    total = total + amount * oracle.price(asset)
+                total = total + self._values(owner, oracle).c
             self.volume[block] = total
             self.liquidated_this_block = set()
             for agent in scenario.agents:
@@ -576,6 +604,21 @@ def _dec_field(raw, field_name) -> Dec:
         raise InvalidScenarioError(field_name, str(exc)) from None
 
 
+def _shaped(value, kind, field_name):
+    """``value`` when it is a ``kind`` (dict or list), else InvalidScenarioError."""
+    if not isinstance(value, kind):
+        expected = "an object" if kind is dict else "a list"
+        raise InvalidScenarioError(field_name, f"must be {expected}")
+    return value
+
+
+def _identifier(entry: dict, key: str, field_name: str) -> str:
+    value = entry.get(key)
+    if not isinstance(value, str) or not value:
+        raise InvalidScenarioError(field_name, "missing or not a non-empty string")
+    return value
+
+
 def load_scenario(source) -> Scenario:
     """Build a Scenario from a JSON document (path, JSON text, or dict).
 
@@ -599,13 +642,12 @@ def load_scenario(source) -> Scenario:
         raise InvalidScenarioError("<root>", "scenario document must be a JSON object")
 
     assets = {}
-    for i, entry in enumerate(doc.get("assets", [])):
-        symbol = entry.get("symbol")
-        if not symbol:
-            raise InvalidScenarioError(f"assets[{i}].symbol", "missing")
+    for i, entry in enumerate(_shaped(doc.get("assets", []), list, "assets")):
+        entry = _shaped(entry, dict, f"assets[{i}]")
+        symbol = _identifier(entry, "symbol", f"assets[{i}].symbol")
         try:
             assets[symbol] = Asset(symbol=symbol, decimals=int(entry.get("decimals", 18)))
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:
             raise InvalidScenarioError(f"assets[{i}]", str(exc)) from None
 
     def lookup(symbol, field_name):
@@ -618,7 +660,7 @@ def load_scenario(source) -> Scenario:
         raise InvalidScenarioError("params", "missing or not an object")
     lt = {
         lookup(sym, f"params.lt.{sym}"): _dec_field(value, f"params.lt.{sym}")
-        for sym, value in params_doc.get("lt", {}).items()
+        for sym, value in _shaped(params_doc.get("lt", {}), dict, "params.lt").items()
     }
     try:
         params = RiskParams(
@@ -631,21 +673,24 @@ def load_scenario(source) -> Scenario:
         raise InvalidScenarioError("params", str(exc)) from None
 
     positions = []
-    for i, entry in enumerate(doc.get("positions", [])):
-        owner = entry.get("owner")
-        if not owner:
-            raise InvalidScenarioError(f"positions[{i}].owner", "missing")
+    for i, entry in enumerate(_shaped(doc.get("positions", []), list, "positions")):
+        entry = _shaped(entry, dict, f"positions[{i}]")
+        owner = _identifier(entry, "owner", f"positions[{i}].owner")
         collateral = {
             lookup(sym, f"positions[{i}].collateral.{sym}"): _dec_field(
                 value, f"positions[{i}].collateral.{sym}"
             )
-            for sym, value in entry.get("collateral", {}).items()
+            for sym, value in _shaped(
+                entry.get("collateral", {}), dict, f"positions[{i}].collateral"
+            ).items()
         }
         debt = {
             lookup(sym, f"positions[{i}].debt.{sym}"): _dec_field(
                 value, f"positions[{i}].debt.{sym}"
             )
-            for sym, value in entry.get("debt", {}).items()
+            for sym, value in _shaped(
+                entry.get("debt", {}), dict, f"positions[{i}].debt"
+            ).items()
         }
         try:
             positions.append(Position(owner=owner, collateral=collateral, debt=debt))
@@ -675,10 +720,9 @@ def load_scenario(source) -> Scenario:
             raise InvalidScenarioError(f"price_path.{block}", str(exc)) from None
 
     agents = []
-    for i, entry in enumerate(doc.get("agents", [])):
-        agent_id = entry.get("id")
-        if not agent_id:
-            raise InvalidScenarioError(f"agents[{i}].id", "missing")
+    for i, entry in enumerate(_shaped(doc.get("agents", []), list, "agents")):
+        entry = _shaped(entry, dict, f"agents[{i}]")
+        agent_id = _identifier(entry, "id", f"agents[{i}].id")
         policy_name = str(entry.get("policy", "")).replace("_", "-")
         try:
             kind = PolicyKind(policy_name)
@@ -687,23 +731,23 @@ def load_scenario(source) -> Scenario:
                 f"agents[{i}].policy", f"unknown policy {entry.get('policy')!r}"
             ) from None
         script = []
-        for j, raw_bid in enumerate(entry.get("script", [])):
+        raw_script = _shaped(entry.get("script", []), list, f"agents[{i}].script")
+        for j, raw_bid in enumerate(raw_script):
             where = f"agents[{i}].script[{j}]"
+            raw_bid = _shaped(raw_bid, dict, where)
             if not isinstance(raw_bid.get("time"), int):
                 raise InvalidScenarioError(f"{where}.time", "must be an integer")
-            if not raw_bid.get("bidder"):
-                raise InvalidScenarioError(f"{where}.bidder", "missing")
+            bidder = _identifier(raw_bid, "bidder", f"{where}.bidder")
+            amount = _dec_field(raw_bid.get("amount"), f"{where}.amount")
+            borrower = raw_bid.get("borrower")
+            if borrower is not None:
+                borrower = _identifier(raw_bid, "borrower", f"{where}.borrower")
             script.append(
-                ScriptedBid(
-                    time=raw_bid["time"],
-                    bidder=raw_bid["bidder"],
-                    amount=_dec_field(raw_bid.get("amount"), f"{where}.amount"),
-                    borrower=raw_bid.get("borrower"),
-                )
+                ScriptedBid(time=raw_bid["time"], bidder=bidder, amount=amount, borrower=borrower)
             )
         agents.append(AgentPolicy(agent_id=agent_id, kind=kind, script=tuple(script)))
 
-    auction_doc = doc.get("auction_config", {})
+    auction_doc = _shaped(doc.get("auction_config", {}), dict, "auction_config")
     try:
         auction_config = AuctionConfig(
             auction_length=int(auction_doc.get("auction_length", 6)),
@@ -712,7 +756,7 @@ def load_scenario(source) -> Scenario:
                 auction_doc.get("min_increment", "0.03"), "auction_config.min_increment"
             ),
         )
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise InvalidScenarioError("auction_config", str(exc)) from None
 
     scenario = Scenario(
@@ -726,7 +770,6 @@ def load_scenario(source) -> Scenario:
         gas_fee_usd=_dec_field(doc.get("gas_fee_usd", "0"), "gas_fee_usd"),
         flash_fee_rate=_dec_field(doc.get("flash_fee_rate", "0"), "flash_fee_rate"),
         one_liquidation_per_block=bool(doc.get("one_liquidation_per_block", False)),
-        seed=int(doc.get("seed", 0)),
     )
     validate_scenario(scenario)
     return scenario

@@ -1,10 +1,13 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from liqlab.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 ETH_DROP = str(FIXTURES / "eth_price_drop.json")
+BIDDER = {"id": "keeper", "policy": "auction-bidder"}
 
 
 class TestStrategyCommand:
@@ -103,6 +106,46 @@ class TestSimulateCommand:
         rc = main(["simulate", "--scenario", str(bad)])
         assert rc == 1
         assert "price_path" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, path, value",
+        [
+            ("assets[0]", ("assets",), [1]),
+            ("positions[0]", ("positions",), ["x"]),
+            ("params.lt", ("params", "lt"), []),
+            ("auction_config", ("auction_config",), []),
+            ("agents[0].script[0]", ("agents",), [{**BIDDER, "script": [1]}]),
+            ("agents[0].script", ("agents",), [{**BIDDER, "script": {}}]),
+            ("positions[0].owner", ("positions", 0, "owner"), ["x"]),
+            ("agents[0].id", ("agents", 0, "id"), ["x"]),
+            (
+                "agents[0].script[0].borrower",
+                ("agents",),
+                [{**BIDDER, "script": [{"time": 0, "bidder": "b", "amount": "1", "borrower": []}]}],
+            ),
+        ],
+    )
+    def test_malformed_shape_names_the_field(self, tmp_path, capsys, field, path, value):
+        doc = json.loads(Path(ETH_DROP).read_text())
+        *outer, key = path
+        target = doc
+        for part in outer:
+            target = target[part]
+        target[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["simulate", "--scenario", str(bad)]) == 1
+        assert f"invalid scenario: {field}: " in capsys.readouterr().err
+
+    def test_seed_key_is_ignored(self, tmp_path, capsys):
+        doc = json.loads(Path(ETH_DROP).read_text())
+        doc["seed"] = "x"
+        scenario = tmp_path / "seeded.json"
+        scenario.write_text(json.dumps(doc))
+        assert main(["simulate", "--scenario", str(scenario)]) == 0
+        assert main(["simulate", "--scenario", ETH_DROP]) == 0
+        first, second = capsys.readouterr().out.split("block,", 2)[1:]
+        assert first == second
 
 
 class TestSensitivityCommand:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -24,6 +26,8 @@ from liqlab.errors import (
     PathLengthMismatchError,
     ZeroDebtError,
 )
+
+from test_acceptance import _brute_force_lc, _random_portfolio
 
 ETH = Asset("ETH")
 USDC = Asset("USDC", decimals=6)
@@ -128,6 +132,25 @@ class TestSensitivityCurve:
         _, oracle, params = eth_borrower()
         with pytest.raises(ValueError):
             sensitivity_curve([], ETH, 1, oracle, params)
+
+    def test_points_equal_per_step_sensitivity_and_brute_force(self):
+        rng = random.Random(606)
+        owing_holders = 0
+        for _ in range(60):
+            positions, oracle, params = _random_portfolio(rng)
+            target = rng.choice(sorted(oracle.prices, key=lambda a: a.symbol))
+            owing_holders += sum(
+                target in p.collateral and target in p.debt for p in positions
+            )
+            # k/steps must have at most two decimals, as in acceptance 06, for
+            # the brute-force route to stay exact
+            steps = rng.choice((2, 4, 5, 10, 20, 25))
+            for point in sensitivity_curve(positions, target, steps, oracle, params):
+                decline = point.decline_pct
+                lc = point.liquidatable_collateral_usd
+                assert lc == sensitivity(positions, target, decline, oracle, params)
+                assert lc == _brute_force_lc(positions, target, decline, oracle, params)
+        assert owing_holders > 0
 
 
 class TestBadDebt:

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import liqlab.sim
 from liqlab import (
     AgentPolicy,
     Asset,
@@ -263,3 +264,95 @@ def test_scripted_bid_against_missing_auction_is_a_scenario_error():
     agents = (replace(scenario.agents[0], script=bad_script),)
     with pytest.raises(InvalidScenarioError, match="ghost"):
         run_scenario(replace(scenario, agents=agents))
+
+
+def sparse_wbtc_doc(blocks=5):
+    """ETH and WBTC holders; only WBTC moves, at block 3."""
+    return {
+        "assets": [{"symbol": "ETH"}, {"symbol": "WBTC", "decimals": 8}, {"symbol": "USDC"}],
+        "params": {"lt": {"ETH": "0.8", "WBTC": "0.7"}, "ls": "0.1", "cf": "0.5"},
+        "positions": [
+            {"owner": "eth-holder", "collateral": {"ETH": "3"}, "debt": {"USDC": "5000"}},
+            {"owner": "btc-holder", "collateral": {"WBTC": "1"}, "debt": {"USDC": "30000"}},
+        ],
+        "price_path": {
+            "0": {"ETH": "3000", "WBTC": "50000", "USDC": "1"},
+            "3": {"WBTC": "40000"},
+        },
+        "agents": [{"id": "liq", "policy": "up-to-close-factor"}],
+        "blocks": blocks,
+    }
+
+
+class TestIncrementalValuation:
+    def test_position_is_revalued_when_only_its_asset_moves(self):
+        log = run_scenario(load_scenario(sparse_wbtc_doc()))
+        assert [(e.block, e.borrower) for e in log.events] == [(3, "btc-holder")]
+        assert log.events[0].repaid_usd == Dec(15000)
+        assert log.collateral_volume_by_block[2] == Dec(59000)
+        assert log.collateral_volume_by_block[3] == Dec(49000)
+        assert log.collateral_volume_by_block[4] == Dec(49000) - Dec(16500)
+
+    def test_second_agent_sees_the_first_agents_liquidation(self):
+        base = eth_drop_scenario()
+        oracle = replace(base.price_path[0], prices={ETH: Dec(2900), USDC: Dec(1)})
+        agents = tuple(
+            AgentPolicy(agent_id=name, kind=PolicyKind.UP_TO_CLOSE_FACTOR) for name in "ab"
+        )
+        scenario = replace(base, price_path={0: oracle}, blocks=0, agents=agents)
+        log = run_scenario(scenario)
+        # a repays CF * 8400; b then sees the debt halved, not the stale 8400
+        assert [(e.liquidator, e.repaid_usd, e.seized_usd) for e in log.events] == [
+            ("a", Dec(4200), Dec(4620)),
+            ("b", Dec(2100), Dec(2310)),
+        ]
+
+    @pytest.mark.parametrize("moves, valuations", [({}, 3), ({"7": {"ETH": "3400"}}, 6)])
+    def test_healthy_positions_are_valued_once_per_price_change(
+        self, monkeypatch, moves, valuations
+    ):
+        doc = sparse_wbtc_doc(blocks=10)
+        doc["price_path"] = {"0": {"ETH": "3500", "WBTC": "50000", "USDC": "1"}, **moves}
+        doc["positions"].append({"owner": "idle", "collateral": {"WBTC": "1"}})
+        doc["agents"] = [
+            {"id": "cf", "policy": "up-to-close-factor"},
+            {"id": "two-step", "policy": "optimal-two-step"},
+            {"id": "keeper", "policy": "auction-bidder"},
+        ]
+        scenario = load_scenario(doc)
+        calls = []
+        real = liqlab.sim.position_values
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(liqlab.sim, "position_values", counting)
+        log = run_scenario(scenario)
+        assert log.events == ()
+        assert len(calls) == valuations
+
+    def test_gas_unprofitable_call_is_never_sent(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an unprofitable call reached the engine")
+
+        monkeypatch.setattr(liqlab.sim, "execute_liquidation_call", refuse)
+        scenario = replace(eth_drop_scenario(), gas_fee_usd=Dec(500))
+        assert run_scenario(scenario).events == ()
+
+    @pytest.mark.parametrize(
+        "gas, flash_rate", [("420", "0"), ("210", "0.05"), ("0", "0.1")]
+    )
+    def test_zero_net_profit_is_not_logged(self, gas, flash_rate):
+        # the worked example's only call repays 4200 for a gross profit of 420
+        scenario = replace(
+            eth_drop_scenario(), gas_fee_usd=Dec(gas), flash_fee_rate=Dec(flash_rate)
+        )
+        log = run_scenario(scenario)
+        assert log.events == ()
+        assert log.final_positions == scenario.positions
+
+    def test_smallest_positive_net_profit_is_logged(self):
+        gas = Dec(420) - Dec.from_raw(1)
+        (event,) = run_scenario(replace(eth_drop_scenario(), gas_fee_usd=gas)).events
+        assert event.net_profit_usd == Dec.from_raw(1)
