@@ -70,10 +70,8 @@ from .sim import (
     LiquidationEvent,
     Mechanism,
     PolicyKind,
-    Revert,
     Scenario,
     ScriptedBid,
-    flash_wrap,
     load_scenario,
     profit_volume_ratio,
     run_scenario,

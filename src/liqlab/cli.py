@@ -69,6 +69,16 @@ def _kv_output(rows, as_json: bool, out: str | None, stamp: bool) -> None:
     _emit(_stamp_line(stamp) + text, out)
 
 
+def _records_output(fields, records, as_json: bool, out: str | None, stamp: bool) -> None:
+    """One row per record: CSV under a header line, or a JSON list of objects."""
+    if as_json:
+        text = json.dumps([dict(zip(fields, record)) for record in records], indent=2) + "\n"
+    else:
+        lines = [",".join(fields)] + [",".join(record) for record in records]
+        text = "\n".join(lines) + "\n"
+    _emit(_stamp_line(stamp) + text, out)
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -164,19 +174,8 @@ def _cmd_sensitivity(args) -> int:
     points = sensitivity_curve(
         scenario.positions, by_symbol[args.asset], args.steps, oracle, scenario.params
     )
-    lines = ["decline_pct,lc_usd"]
-    lines += [f"{p.decline_pct},{p.liquidatable_collateral_usd}" for p in points]
-    if args.json:
-        text = json.dumps(
-            [
-                {"decline_pct": str(p.decline_pct), "lc_usd": str(p.liquidatable_collateral_usd)}
-                for p in points
-            ],
-            indent=2,
-        ) + "\n"
-    else:
-        text = "\n".join(lines) + "\n"
-    _emit(_stamp_line(args.stamp) + text, args.out)
+    records = [(str(p.decline_pct), str(p.liquidatable_collateral_usd)) for p in points]
+    _records_output(("decline_pct", "lc_usd"), records, args.json, args.out, args.stamp)
     return 0
 
 
@@ -192,19 +191,10 @@ def _cmd_bad_debt_scan(args) -> int:
             continue  # positions without debt are not classified
         verdict = classify_bad_debt(position, args.fee, oracle)
         records.append(
-            {
-                "position_id": position.owner,
-                "class": verdict.kind.value,
-                "locked_usd": str(verdict.locked_collateral_usd),
-            }
+            (position.owner, verdict.kind.value, str(verdict.locked_collateral_usd))
         )
-    if args.json:
-        text = json.dumps(records, indent=2) + "\n"
-    else:
-        lines = ["position_id,class,locked_usd"]
-        lines += [f"{r['position_id']},{r['class']},{r['locked_usd']}" for r in records]
-        text = "\n".join(lines) + "\n"
-    _emit(_stamp_line(args.stamp) + text, args.out)
+    fields = ("position_id", "class", "locked_usd")
+    _records_output(fields, records, args.json, args.out, args.stamp)
     return 0
 
 

@@ -3,7 +3,9 @@
 A scenario is a closed world: assets, risk parameters, borrower positions,
 a complete block-indexed price path, and a fixed list of liquidator agents.
 Running it is a pure function of the scenario value; two runs produce
-byte-identical serialized logs.
+byte-identical serialized logs. A ``Scenario`` is validated when it is
+constructed (``validate_scenario``), so an invalid one cannot exist and a
+run does not validate again.
 
 Engine rules, in order of application per block:
 
@@ -18,14 +20,16 @@ Engine rules, in order of application per block:
   change (a liquidation or an auction settlement).
 * Fixed-spread agents act only when the net profit (gross minus gas and
   flash fee) is strictly positive. The net profit follows from the repay
-  amount alone, so an unprofitable call is never sent. Every call is
-  flash-wrapped; gas is never negative, so a call with positive net profit
-  always clears the flash fee and never reverts. A call that the engine
-  would refuse (shortfalls, lost eligibility) is simply not sent.
+  amount alone, so a call is sent only when it is profitable; that is also
+  the flash-loan rule, since gas is never negative and a call that clears
+  gas and fee always repays its flash loan. A call that the engine would
+  refuse (shortfalls, lost eligibility) is simply not sent.
 * Positions with an open auction are off-limits to fixed-spread agents.
 * With ``one_liquidation_per_block`` set, at most one liquidation lands per
   position per block, so a two-step agent's second call executes in the
-  next block (re-capped against the then-current state).
+  next block (re-capped, and its asset pair re-chosen, against the
+  then-current state). Without the rule the second call follows at once
+  on the first call's asset pair.
 * Open auctions are checked for termination after agents act; settled
   auctions update the borrower position (tend: whole lot seized, debt
   reduced proportionally by the payment; dent: debt cleared, collateral
@@ -40,7 +44,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 from .auction import (
     AuctionConfig,
@@ -123,6 +127,8 @@ EVENT_FIELDS = (
 
 @dataclass(frozen=True)
 class Scenario:
+    """A validated scenario: construction raises InvalidScenarioError."""
+
     assets: tuple
     params: RiskParams
     positions: tuple
@@ -141,27 +147,7 @@ class Scenario:
         object.__setattr__(self, "positions", tuple(self.positions))
         object.__setattr__(self, "price_path", dict(self.price_path))
         object.__setattr__(self, "agents", tuple(self.agents))
-
-
-@dataclass(frozen=True)
-class Revert:
-    """Flash-loan failure: the wrapped liquidation never happened."""
-
-    reason: str = "flash-loan-unprofitable"
-
-
-def flash_wrap(
-    event_gross_profit: Dec, repay_usd: Dec, flash_fee_rate: Dec
-) -> Union[Dec, Revert]:
-    """Net profit after the flash-loan fee, or a Revert when not positive."""
-    if repay_usd <= ZERO:
-        raise ValueError(f"flash-wrapped repay must be > 0: {repay_usd}")
-    if flash_fee_rate < ZERO:
-        raise ValueError(f"flash fee rate must be >= 0: {flash_fee_rate}")
-    net = event_gross_profit - repay_usd * flash_fee_rate
-    if net > ZERO:
-        return net
-    return Revert()
+        validate_scenario(self)
 
 
 @dataclass(frozen=True)
@@ -296,43 +282,50 @@ class _Run:
             return None
         return debt_asset, collateral_asset
 
-    def _capped_repay(self, position, oracle, debt_asset, collateral_asset, desired):
-        """Clamp a desired repay to what the engine would accept."""
-        params = self.scenario.params
+    def _liquidate(self, block, oracle, agent_id, owner, desired=None, pair=None):
+        """One fixed-spread call on ``owner``; the pair used if an event landed.
+
+        Nothing happens to a blocked or healthy position. The repay is
+        ``desired`` capped at the close factor (the cap itself when
+        ``desired`` is None), at the outstanding value of the debt asset and
+        at what the collateral asset can pay at ``1 + LS``. ``pair`` defaults
+        to ``_choose_pair``. The call is sent only when its net profit, which
+        depends on the repay amount alone, is strictly positive.
+        """
+        if self._blocked(owner):
+            return None
+        values = self._values(owner, oracle)
+        if not is_liquidatable(values):
+            return None
+        position = self.positions[owner]
+        if pair is None:
+            pair = self._choose_pair(position, oracle)
+            if pair is None:
+                return None
+        debt_asset, collateral_asset = pair
+        scenario = self.scenario
+        params = scenario.params
         outstanding = position.debt.get(debt_asset, ZERO) * oracle.price(debt_asset)
         collateral_value = position.collateral.get(collateral_asset, ZERO) * oracle.price(
             collateral_asset
         )
-        cap = collateral_value / (ONE + params.ls)
-        repay = desired
-        for bound in (outstanding, cap):
-            if bound < repay:
+        repay = max_repay(values, params)
+        for bound in (desired, outstanding, collateral_value / (ONE + params.ls)):
+            if bound is not None and bound < repay:
                 repay = bound
-        return repay
-
-    def _try_fixed_spread(self, block, oracle, owner, debt_asset, collateral_asset, repay, agent_id):
-        """Execute one flash-wrapped call; returns True when an event landed.
-
-        The call is only sent when its net profit, which depends on the repay
-        amount alone, is strictly positive. Gas is never negative, so such a
-        call also clears the flash loan's fee.
-        """
-        scenario = self.scenario
         if repay <= ZERO:
-            return False
+            return None
         # the receipt's own expression for the liquidator's profit
-        gross = repay * (ONE + scenario.params.ls) - repay
+        gross = repay * (ONE + params.ls) - repay
         fees = scenario.gas_fee_usd + repay * scenario.flash_fee_rate
         net = gross - fees
         if net <= ZERO:
-            return False
+            return None
         call = LiquidationCall(owner, debt_asset, collateral_asset, repay)
         try:
-            receipt = execute_liquidation_call(
-                self.positions[owner], call, oracle, scenario.params
-            )
+            receipt = execute_liquidation_call(position, call, oracle, params)
         except LiqlabError:
-            return False  # the transaction would revert, so it is not sent
+            return None  # the transaction would revert, so it is not sent
         self._set_position(owner, receipt.position_after)
         self.liquidated_this_block.add(owner)
         self.events.append(
@@ -348,7 +341,7 @@ class _Run:
                 net_profit_usd=net,
             )
         )
-        return True
+        return pair
 
     def _blocked(self, owner):
         if owner in self.open_auctions:
@@ -361,93 +354,39 @@ class _Run:
     # -- policies ------------------------------------------------------------
 
     def _act_close_factor(self, agent, block, oracle):
-        params = self.scenario.params
         for owner in self.order:
-            if self._blocked(owner):
-                continue
-            position = self.positions[owner]
-            values = self._values(owner, oracle)
-            if not is_liquidatable(values):
-                continue
-            pair = self._choose_pair(position, oracle)
-            if pair is None:
-                continue
-            debt_asset, collateral_asset = pair
-            repay = self._capped_repay(
-                position, oracle, debt_asset, collateral_asset, max_repay(values, params)
-            )
-            self._try_fixed_spread(
-                block, oracle, owner, debt_asset, collateral_asset, repay, agent.agent_id
-            )
+            self._liquidate(block, oracle, agent.agent_id, owner)
 
     def _act_two_step(self, agent, block, oracle):
         params = self.scenario.params
         # pending second calls scheduled by this agent in an earlier block
         for key in [k for k in self.pending_second if k[0] == agent.agent_id]:
             planned = self.pending_second.pop(key)
-            _, owner = key
-            if self._blocked(owner):
-                continue
-            position = self.positions[owner]
-            values = self._values(owner, oracle)
-            if not is_liquidatable(values):
-                continue
-            pair = self._choose_pair(position, oracle)
-            if pair is None:
-                continue
-            debt_asset, collateral_asset = pair
-            repay = self._capped_repay(
-                position, oracle, debt_asset, collateral_asset,
-                min(planned, max_repay(values, params)),
-            )
-            self._try_fixed_spread(
-                block, oracle, owner, debt_asset, collateral_asset, repay, agent.agent_id
-            )
+            self._liquidate(block, oracle, agent.agent_id, key[1], planned)
         # new two-step plans
         for owner in self.order:
             if self._blocked(owner) or (agent.agent_id, owner) in self.pending_second:
                 continue
-            position = self.positions[owner]
             values = self._values(owner, oracle)
             if not is_liquidatable(values):
                 continue
-            pair = self._choose_pair(position, oracle)
+            pair = self._choose_pair(self.positions[owner], oracle)
             if pair is None:
                 continue
-            debt_asset, collateral_asset = pair
             try:
-                plan = optimal_repays(
-                    values.c, values.d, params.threshold(collateral_asset), params
-                )
+                plan = optimal_repays(values.c, values.d, params.threshold(pair[1]), params)
             except LiqlabError:
                 continue
-            repay1 = self._capped_repay(
-                position, oracle, debt_asset, collateral_asset, plan.repay1
-            )
-            if not self._try_fixed_spread(
-                block, oracle, owner, debt_asset, collateral_asset, repay1, agent.agent_id
-            ):
+            if not self._liquidate(block, oracle, agent.agent_id, owner, plan.repay1, pair):
                 continue
             if self.scenario.one_liquidation_per_block:
                 self.pending_second[(agent.agent_id, owner)] = plan.repay2
-                continue
-            position = self.positions[owner]
-            values = self._values(owner, oracle)
-            if not is_liquidatable(values):
-                continue
-            repay2 = self._capped_repay(
-                position, oracle, debt_asset, collateral_asset,
-                min(plan.repay2, max_repay(values, params)),
-            )
-            self._try_fixed_spread(
-                block, oracle, owner, debt_asset, collateral_asset, repay2, agent.agent_id
-            )
+            else:
+                self._liquidate(block, oracle, agent.agent_id, owner, plan.repay2, pair)
 
     def _act_auction_bidder(self, agent, block, oracle):
         for owner in self.order:
-            if owner in self.open_auctions:
-                continue
-            if self.scenario.one_liquidation_per_block and owner in self.liquidated_this_block:
+            if self._blocked(owner):
                 continue
             values = self._values(owner, oracle)
             if not is_liquidatable(values):
@@ -563,24 +502,27 @@ def _apply_settlement(position: Position, settlement, values_now) -> Position:
 
 
 def run_scenario(scenario: Scenario) -> EventLog:
-    """Run a validated scenario to completion; pure in the scenario value."""
-    validate_scenario(scenario)
+    """Run a scenario to completion; pure in the scenario value.
+
+    A ``Scenario`` is validated when it is constructed, so this does not
+    validate again. A fixed-spread call is sent only when its net profit
+    after gas and flash fee is strictly positive.
+    """
     return _Run(scenario).run()
 
 
-def profit_volume_ratio(
-    log: EventLog, collateral_volume_by_block: Mapping[int, Dec], period: Sequence[int]
-) -> Dec:
+def profit_volume_ratio(log: EventLog, period: Sequence[int]) -> Dec:
     """Accumulated gross liquidation profit over the period divided by the
-    period's average collateral volume."""
+    period's average collateral volume, as recorded in the log."""
     blocks = list(period)
     if not blocks:
         raise ValueError("period is empty")
+    volume = log.collateral_volume_by_block
     total_volume = ZERO
     for block in blocks:
-        if block not in collateral_volume_by_block:
+        if block not in volume:
             raise ValueError(f"no collateral volume recorded for block {block}")
-        total_volume = total_volume + collateral_volume_by_block[block]
+        total_volume = total_volume + volume[block]
     average = total_volume / Dec(len(blocks))
     if average == ZERO:
         raise ZeroVolumeError("average collateral volume over the period is zero")
@@ -759,7 +701,7 @@ def load_scenario(source) -> Scenario:
     except (ValueError, TypeError) as exc:
         raise InvalidScenarioError("auction_config", str(exc)) from None
 
-    scenario = Scenario(
+    return Scenario(
         assets=tuple(assets.values()),
         params=params,
         positions=tuple(positions),
@@ -771,5 +713,3 @@ def load_scenario(source) -> Scenario:
         flash_fee_rate=_dec_field(doc.get("flash_fee_rate", "0"), "flash_fee_rate"),
         one_liquidation_per_block=bool(doc.get("one_liquidation_per_block", False)),
     )
-    validate_scenario(scenario)
-    return scenario

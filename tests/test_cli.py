@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import liqlab.sim
 from liqlab.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -64,6 +65,18 @@ class TestSimulateCommand:
         assert main(["simulate", "--scenario", ETH_DROP]) == 0
         second = capsys.readouterr().out
         assert first == second
+
+    def test_scenario_is_validated_once(self, monkeypatch, capsys):
+        calls = []
+        real = liqlab.sim.validate_scenario
+
+        def counting(scenario):
+            calls.append(scenario)
+            return real(scenario)
+
+        monkeypatch.setattr(liqlab.sim, "validate_scenario", counting)
+        assert main(["simulate", "--scenario", ETH_DROP]) == 0
+        assert len(calls) == 1
 
     def test_jsonl_output(self, capsys):
         assert main(["simulate", "--scenario", ETH_DROP, "--json"]) == 0
@@ -159,6 +172,17 @@ class TestSensitivityCommand:
         # at a 50% ETH decline the single borrower is under water
         assert lines[3] == "0.5,5250"
 
+    def test_curve_json(self, capsys):
+        args = ["sensitivity", "--scenario", ETH_DROP, "--asset", "ETH", "--steps", "2"]
+        assert main(args + ["--json"]) == 0
+        assert capsys.readouterr().out == (
+            "[\n"
+            '  {\n    "decline_pct": "0",\n    "lc_usd": "0"\n  },\n'
+            '  {\n    "decline_pct": "0.5",\n    "lc_usd": "5250"\n  },\n'
+            '  {\n    "decline_pct": "1",\n    "lc_usd": "0"\n  }\n'
+            "]\n"
+        )
+
     def test_unknown_asset(self, capsys):
         assert main(["sensitivity", "--scenario", ETH_DROP, "--asset", "BTC"]) == 1
 
@@ -249,7 +273,8 @@ class TestClassifyPathCommand:
 
 
 class TestBadDebtScanCommand:
-    def test_three_way_classification(self, tmp_path, capsys):
+    @pytest.fixture
+    def scenario(self, tmp_path):
         doc = {
             "assets": [{"symbol": "DAI"}],
             "params": {"lt": {"DAI": "0.75"}, "ls": "0.08", "cf": "0.5"},
@@ -263,9 +288,12 @@ class TestBadDebtScanCommand:
             "agents": [],
             "blocks": 0,
         }
-        scenario = tmp_path / "scan.json"
-        scenario.write_text(json.dumps(doc))
-        rc = main(["bad-debt-scan", "--scenario", str(scenario), "--fee", "100"])
+        path = tmp_path / "scan.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_three_way_classification(self, scenario, capsys):
+        rc = main(["bad-debt-scan", "--scenario", scenario, "--fee", "100"])
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "position_id,class,locked_usd"
@@ -273,6 +301,17 @@ class TestBadDebtScanCommand:
         assert lines[2] == "p2,type-ii,150"
         assert lines[3] == "p3,not-bad,0"
         assert len(lines) == 4  # the debt-free p4 is not classified
+
+    def test_json_output(self, scenario, capsys):
+        rc = main(["bad-debt-scan", "--scenario", scenario, "--fee", "100", "--json"])
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            "[\n"
+            '  {\n    "position_id": "p1",\n    "class": "type-i",\n    "locked_usd": "90"\n  },\n'
+            '  {\n    "position_id": "p2",\n    "class": "type-ii",\n    "locked_usd": "150"\n  },\n'
+            '  {\n    "position_id": "p3",\n    "class": "not-bad",\n    "locked_usd": "0"\n  }\n'
+            "]\n"
+        )
 
 
 class TestLogging:

@@ -10,11 +10,9 @@ from liqlab import (
     Dec,
     Mechanism,
     PolicyKind,
-    Revert,
     RiskParams,
     Scenario,
     ScriptedBid,
-    flash_wrap,
     load_scenario,
     profit_volume_ratio,
     run_scenario,
@@ -32,24 +30,6 @@ USDC = Asset("USDC", decimals=6)
 
 def eth_drop_scenario() -> Scenario:
     return load_scenario(str(FIXTURES / "eth_price_drop.json"))
-
-
-class TestFlashWrap:
-    def test_profitable_liquidation_pays_the_fee(self):
-        assert flash_wrap(Dec(420), Dec(4200), Dec("0.0009")) == Dec("416.22")
-
-    def test_zero_rate_is_a_free_loan(self):
-        assert flash_wrap(Dec(420), Dec(4200), Dec(0)) == Dec(420)
-
-    def test_unprofitable_liquidation_reverts(self):
-        result = flash_wrap(Dec(3), Dec(4200), Dec("0.0009"))
-        assert isinstance(result, Revert)
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            flash_wrap(Dec(1), Dec(0), Dec(0))
-        with pytest.raises(ValueError):
-            flash_wrap(Dec(1), Dec(1), Dec(-1))
 
 
 class TestWorkedExampleScenario:
@@ -121,8 +101,37 @@ class TestTwoStepScenario:
             per_block_positions[(event.block, event.borrower)] += 1
         assert all(count == 1 for count in per_block_positions.values())
 
+    def test_immediate_second_call_keeps_the_first_calls_pair(self):
+        # the first call seizes ETH down to 1000 - 635.29 USD, below the 900
+        # USD of WBTC, yet the second call still seizes ETH: all of it
+        doc = {
+            "assets": [
+                {"symbol": "ETH"},
+                {"symbol": "WBTC", "decimals": 8},
+                {"symbol": "USDC", "decimals": 6},
+            ],
+            "params": {"lt": {"ETH": "0.8", "WBTC": "0.75"}, "ls": "0.08", "cf": "0.5"},
+            "positions": [
+                {
+                    "owner": "p",
+                    "collateral": {"ETH": "1", "WBTC": "0.02"},
+                    "debt": {"USDC": "1600"},
+                }
+            ],
+            "price_path": {"0": {"ETH": "1000", "WBTC": "45000", "USDC": "1"}},
+            "agents": [{"id": "two-step", "policy": "optimal-two-step"}],
+            "blocks": 0,
+        }
+        log = run_scenario(load_scenario(doc))
+        assert [e.block for e in log.events] == [0, 0]
+        second = log.events[1]
+        assert second.repaid_usd == Dec("337.690631808278866667")
+        assert second.seized_usd == Dec("364.705882352941176")
+        (position,) = log.final_positions
+        assert position.collateral == {Asset("WBTC", decimals=8): Dec("0.02")}
+
     def test_flash_revert_leaves_positions_untouched(self):
-        # a 10% flash fee dwarfs the 8% spread, so every call reverts
+        # a 10% flash fee dwarfs the 8% spread, so no call is profitable or sent
         scenario = replace(
             load_scenario(str(FIXTURES / "two_step.json")), flash_fee_rate=Dec("0.1")
         )
@@ -167,29 +176,36 @@ class TestDeterminism:
 class TestProfitVolumeRatio:
     def test_worked_example_ratio(self):
         log = run_scenario(eth_drop_scenario())
-        ratio = profit_volume_ratio(log, {1: Dec(9900)}, range(1, 2))
+        assert log.collateral_volume_by_block[1] == Dec(9900)
+        ratio = profit_volume_ratio(log, range(1, 2))
         assert ratio == Dec("0.042424242424242424")
 
     def test_no_events_is_zero(self):
         log = run_scenario(replace(eth_drop_scenario(), agents=()))
-        ratio = profit_volume_ratio(log, log.collateral_volume_by_block, range(0, 2))
+        ratio = profit_volume_ratio(log, range(0, 2))
         assert ratio == Dec(0)
 
     def test_homogeneity(self):
         log = run_scenario(eth_drop_scenario())
-        base = profit_volume_ratio(log, {1: Dec(9900)}, range(1, 2))
-        halved = profit_volume_ratio(log, {1: Dec(19800)}, range(1, 2))
+        base = profit_volume_ratio(
+            replace(log, collateral_volume_by_block={1: Dec(9900)}), range(1, 2)
+        )
+        halved = profit_volume_ratio(
+            replace(log, collateral_volume_by_block={1: Dec(19800)}), range(1, 2)
+        )
         assert halved == base / Dec(2)
 
     def test_zero_volume_rejected(self):
         log = run_scenario(replace(eth_drop_scenario(), agents=()))
         with pytest.raises(ZeroVolumeError):
-            profit_volume_ratio(log, {0: Dec(0)}, range(0, 1))
+            profit_volume_ratio(
+                replace(log, collateral_volume_by_block={0: Dec(0)}), range(0, 1)
+            )
 
     def test_empty_period_rejected(self):
         log = run_scenario(eth_drop_scenario())
         with pytest.raises(ValueError):
-            profit_volume_ratio(log, {}, range(0, 0))
+            profit_volume_ratio(replace(log, collateral_volume_by_block={}), range(0, 0))
 
 
 class TestScenarioLoader:
@@ -256,6 +272,11 @@ class TestScenarioLoader:
         doc["params"]["lt"]["ETH"] = "0.95"
         with pytest.raises(InvalidScenarioError, match="0.95"):
             load_scenario(doc)
+
+    def test_scenario_is_validated_on_construction(self):
+        scenario = load_scenario(self.base_doc())
+        with pytest.raises(InvalidScenarioError, match="blocks"):
+            replace(scenario, blocks=-1)
 
 
 def test_scripted_bid_against_missing_auction_is_a_scenario_error():
