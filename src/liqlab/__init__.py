@@ -16,11 +16,9 @@ from .core import (
     PositionValues,
     RiskParams,
     collateralization_ratio,
-    ensure_valid_params,
     health_factor,
     is_liquidatable,
     position_values,
-    validate_params,
 )
 from .fixed_spread import (
     LiquidationCall,

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .errors import MissingPriceError, MissingThresholdError, InvalidParamsError
+from .errors import MissingPriceError, MissingThresholdError
 from .fixedpoint import Dec, ZERO, ONE
 
 
@@ -48,13 +48,26 @@ class OracleSnapshot:
             raise MissingPriceError(asset.symbol) from None
 
 
+def spread_prerequisite(subject: str, threshold: Dec, ls: Dec) -> Optional[str]:
+    """None when LT*(1+LS) < 1 strictly, else the reason, naming ``subject``.
+
+    This is the prerequisite for a fixed-spread liquidation to be able to
+    raise the health factor.
+    """
+    product = threshold * (ONE + ls)
+    if product < ONE:
+        return None
+    return f"LT*(1+LS) must be < 1: {subject} has {threshold}*(1+{ls}) = {product}"
+
+
 @dataclass(frozen=True)
 class RiskParams:
     """Per-asset liquidation thresholds plus protocol-level spread and close factor.
 
     Construction enforces the range invariants (0 < LT < 1, LS >= 0,
-    0 < CF <= 1). The stronger validity prerequisite LT*(1+LS) < 1 is a
-    separate check, see :func:`validate_params`.
+    0 < CF <= 1) and then, asset by asset in symbol order, the validity
+    prerequisite LT*(1+LS) < 1 (see :func:`spread_prerequisite`), so an
+    invalid set of parameters cannot exist.
 
     ``cf_per_debt_asset`` switches the close-factor cap from the aggregate
     debt value to the outstanding value of the repaid debt asset.
@@ -76,6 +89,10 @@ class RiskParams:
             raise ValueError(f"liquidation spread must be >= 0: {self.ls}")
         if not ZERO < self.cf <= ONE:
             raise ValueError(f"close factor outside (0, 1]: {self.cf}")
+        for asset in sorted(self.lt, key=lambda a: a.symbol):
+            reason = spread_prerequisite(f"asset {asset.symbol}", self.lt[asset], self.ls)
+            if reason is not None:
+                raise ValueError(reason)
 
     def threshold(self, asset: Asset) -> Dec:
         try:
@@ -162,30 +179,3 @@ def is_liquidatable(values: PositionValues) -> bool:
     the division's rounding at the boundary.
     """
     return values.d > ZERO and values.bc < values.d
-
-
-def validate_params(params: RiskParams) -> Optional[str]:
-    """Return None when params are valid, else a reason string.
-
-    Validity requires LT*(1+LS) < 1 strictly for every asset (the prerequisite
-    for a fixed-spread liquidation to be able to raise the health factor) and
-    0 < CF <= 1.
-    """
-    if not ZERO < params.cf <= ONE:
-        return f"close factor outside (0, 1]: {params.cf}"
-    one_plus_ls = ONE + params.ls
-    for asset, threshold in sorted(params.lt.items(), key=lambda item: item[0].symbol):
-        product = threshold * one_plus_ls
-        if product >= ONE:
-            return (
-                f"LT*(1+LS) must be < 1: asset {asset.symbol} has "
-                f"{threshold}*(1+{params.ls}) = {product}"
-            )
-    return None
-
-
-def ensure_valid_params(params: RiskParams) -> None:
-    """Raise InvalidParamsError when validate_params reports a problem."""
-    reason = validate_params(params)
-    if reason is not None:
-        raise InvalidParamsError(reason)

@@ -18,7 +18,6 @@ from .core import (
     Position,
     PositionValues,
     RiskParams,
-    ensure_valid_params,
     is_liquidatable,
     position_values,
 )
@@ -72,7 +71,6 @@ def execute_liquidation_call(
     DebtAssetShortfallError, or CollateralShortfallError when the call would
     be refused; refusal leaves the input position untouched.
     """
-    ensure_valid_params(params)
     values = position_values(position, oracle, params)
     if not is_liquidatable(values):
         raise NotLiquidatableError(

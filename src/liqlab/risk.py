@@ -171,8 +171,12 @@ def scan_unprofitable(
     oracle: OracleSnapshot,
     params: RiskParams,
 ) -> list:
-    """Liquidatable positions whose best single-call bonus CF*d*LS cannot
-    cover the transaction fee, with that bonus."""
+    """Liquidatable positions whose best single-call bonus CF*d*LS does not
+    exceed the transaction fee, with that bonus.
+
+    A bonus equal to the fee is flagged: it leaves a net profit of zero, and
+    the scenario engine sends a call only when its net profit is positive.
+    """
     if fee_usd < ZERO:
         raise ValueError(f"fee must be >= 0: {fee_usd}")
     out = []
@@ -181,7 +185,7 @@ def scan_unprofitable(
         if not is_liquidatable(values):
             continue
         bonus = params.cf * values.d * params.ls
-        if bonus < fee_usd:
+        if bonus <= fee_usd:
             out.append((position, bonus))
     return out
 

@@ -63,7 +63,6 @@ from .core import (
     RiskParams,
     is_liquidatable,
     position_values,
-    validate_params,
 )
 from .errors import InvalidScenarioError, LiqlabError, ZeroVolumeError
 from .fixed_spread import LiquidationCall, execute_liquidation_call, max_repay
@@ -195,9 +194,6 @@ class EventLog:
 
 def validate_scenario(scenario: Scenario) -> None:
     """Raise InvalidScenarioError naming the offending field."""
-    reason = validate_params(scenario.params)
-    if reason is not None:
-        raise InvalidScenarioError("params", reason)
     if scenario.blocks < 0:
         raise InvalidScenarioError("blocks", f"must be >= 0: {scenario.blocks}")
     if scenario.gas_fee_usd < ZERO:
@@ -365,7 +361,7 @@ class _Run:
             self._liquidate(block, oracle, agent.agent_id, key[1], planned)
         # new two-step plans
         for owner in self.order:
-            if self._blocked(owner) or (agent.agent_id, owner) in self.pending_second:
+            if self._blocked(owner):
                 continue
             values = self._values(owner, oracle)
             if not is_liquidatable(values):
@@ -411,7 +407,13 @@ class _Run:
                     "agents.script", f"no open auction for borrower {owner!r}"
                 )
             bid = Bid(bidder=scripted.bidder, amount=scripted.amount, time=scripted.time)
-            self.open_auctions[owner] = place_bid(self.open_auctions[owner], bid)
+            try:
+                self.open_auctions[owner] = place_bid(self.open_auctions[owner], bid)
+            except LiqlabError as exc:
+                raise InvalidScenarioError(
+                    "agents.script",
+                    f"bid at time {scripted.time} by {scripted.bidder!r} refused: {exc}",
+                ) from None
 
     def _settle_auctions(self, block, oracle):
         for owner in list(self.open_auctions):
@@ -542,7 +544,7 @@ def _dec_field(raw, field_name) -> Dec:
         raise InvalidScenarioError(field_name, "decimals must be strings, not floats")
     try:
         return Dec(raw)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise InvalidScenarioError(field_name, str(exc)) from None
 
 
@@ -589,7 +591,7 @@ def load_scenario(source) -> Scenario:
         symbol = _identifier(entry, "symbol", f"assets[{i}].symbol")
         try:
             assets[symbol] = Asset(symbol=symbol, decimals=int(entry.get("decimals", 18)))
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise InvalidScenarioError(f"assets[{i}]", str(exc)) from None
 
     def lookup(symbol, field_name):
@@ -698,7 +700,7 @@ def load_scenario(source) -> Scenario:
                 auction_doc.get("min_increment", "0.03"), "auction_config.min_increment"
             ),
         )
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise InvalidScenarioError("auction_config", str(exc)) from None
 
     return Scenario(

@@ -31,8 +31,8 @@ from .core import (
     OracleSnapshot,
     Position,
     RiskParams,
-    ensure_valid_params,
     position_values,
+    spread_prerequisite,
 )
 from .errors import (
     InvalidParamsError,
@@ -75,17 +75,17 @@ class TwoStepResult(NamedTuple):
     realized_profit_usd: Dec
 
 
-def _check_scalar_params(lt: Dec, params: RiskParams) -> None:
+def optimal_repays(c: Dec, d: Dec, lt: Dec, params: RiskParams) -> StrategyPlan:
+    """Closed-form two-step repay amounts for a position worth (c, d).
+
+    ``lt`` comes from the caller, not from ``params``, so it is checked here:
+    InvalidParamsError unless 0 < LT < 1 and LT*(1+LS) < 1.
+    """
     if not ZERO < lt < ONE:
         raise InvalidParamsError(f"liquidation threshold outside (0, 1): {lt}")
-    product = lt * (ONE + params.ls)
-    if product >= ONE:
-        raise InvalidParamsError(f"LT*(1+LS) must be < 1, got {product}")
-
-
-def optimal_repays(c: Dec, d: Dec, lt: Dec, params: RiskParams) -> StrategyPlan:
-    """Closed-form two-step repay amounts for a position worth (c, d)."""
-    _check_scalar_params(lt, params)
+    reason = spread_prerequisite("the collateral threshold", lt, params.ls)
+    if reason is not None:
+        raise InvalidParamsError(reason)
     if not lt * c < d:
         raise NotLiquidatableError(f"position is healthy: LT*C = {lt * c} >= D = {d}")
     r_star = (d - lt * c) / (ONE - lt * (ONE + params.ls))
@@ -152,7 +152,6 @@ def execute_two_step(
     ``collateral_asset``, so that pair must be large enough to cover both
     legs. Engine errors propagate.
     """
-    ensure_valid_params(params)
     values = position_values(position, oracle, params)
     lt = params.threshold(collateral_asset)
     plan = optimal_repays(values.c, values.d, lt, params)

@@ -34,6 +34,11 @@ class TestStrategyCommand:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    def test_out_of_range_decimal_is_validation_error(self, capsys):
+        assert main(["strategy", "--c", "9" * 80] + self.ARGS[3:]) == 1
+        err = capsys.readouterr().err
+        assert "--c" in err and "Traceback" not in err
+
 
 class TestValidateParamsCommand:
     def test_violation_names_the_product(self, capsys):
@@ -136,6 +141,8 @@ class TestSimulateCommand:
                 ("agents",),
                 [{**BIDDER, "script": [{"time": 0, "bidder": "b", "amount": "1", "borrower": []}]}],
             ),
+            ("auction_config", ("auction_config",), {"auction_length": float("inf")}),
+            ("assets[0]", ("assets", 0, "decimals"), float("inf")),
         ],
     )
     def test_malformed_shape_names_the_field(self, tmp_path, capsys, field, path, value):
@@ -149,6 +156,16 @@ class TestSimulateCommand:
         bad.write_text(json.dumps(doc))
         assert main(["simulate", "--scenario", str(bad)]) == 1
         assert f"invalid scenario: {field}: " in capsys.readouterr().err
+
+    def test_refused_scripted_bid_names_the_script(self, tmp_path, capsys):
+        doc = json.loads((FIXTURES / "auction.json").read_text())
+        doc["agents"][0]["script"][0]["amount"] = "100000"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["simulate", "--scenario", str(bad)]) == 1
+        assert "invalid scenario: agents.script: bid at time 0 by 'alice' refused: " in (
+            capsys.readouterr().err
+        )
 
     def test_seed_key_is_ignored(self, tmp_path, capsys):
         doc = json.loads(Path(ETH_DROP).read_text())

@@ -12,7 +12,6 @@ from liqlab import (
     health_factor,
     is_liquidatable,
     position_values,
-    validate_params,
 )
 from liqlab.errors import MissingPriceError, MissingThresholdError
 
@@ -129,21 +128,23 @@ class TestValidateParams:
         # close factor 0.5 with spreads 5..15% and thresholds up to 0.8
         for spread in ("0.05", "0.08", "0.1", "0.15"):
             params = RiskParams(lt={ETH: Dec("0.8")}, ls=Dec(spread), cf=Dec("0.5"))
-            assert validate_params(params) is None
+            assert params.threshold(ETH) == Dec("0.8")
 
     def test_product_below_one_required(self):
-        ok = RiskParams(lt={ETH: Dec("0.75")}, ls=Dec("0.08"), cf=Dec("0.5"))
-        assert validate_params(ok) is None
-        ok = RiskParams(lt={ETH: Dec("0.8")}, ls=Dec("0.1"), cf=Dec("0.5"))
-        assert validate_params(ok) is None
-        bad = RiskParams(lt={ETH: Dec("0.95")}, ls=Dec("0.10"), cf=Dec("0.5"))
-        reason = validate_params(bad)
-        assert reason is not None
-        assert "ETH" in reason and "1.045" in reason
+        RiskParams(lt={ETH: Dec("0.75")}, ls=Dec("0.08"), cf=Dec("0.5"))
+        RiskParams(lt={ETH: Dec("0.8")}, ls=Dec("0.1"), cf=Dec("0.5"))
+        with pytest.raises(ValueError, match=r"asset ETH has 0\.95\*\(1\+0\.1\) = 1\.045"):
+            RiskParams(lt={ETH: Dec("0.95")}, ls=Dec("0.10"), cf=Dec("0.5"))
 
     def test_boundary_product_exactly_one_rejected(self):
-        bad = RiskParams(lt={ETH: Dec("0.8")}, ls=Dec("0.25"), cf=Dec("0.5"))
-        assert validate_params(bad) is not None
+        with pytest.raises(ValueError, match=r"must be < 1: asset ETH has .* = 1$"):
+            RiskParams(lt={ETH: Dec("0.8")}, ls=Dec("0.25"), cf=Dec("0.5"))
+
+    def test_product_checked_after_ranges_in_symbol_order(self):
+        with pytest.raises(ValueError, match="close factor"):
+            RiskParams(lt={ETH: Dec("0.95")}, ls=Dec("0.1"), cf=Dec(2))
+        with pytest.raises(ValueError, match="asset DAI has"):
+            RiskParams(lt={ETH: Dec("0.95"), DAI: Dec("0.95")}, ls=Dec("0.1"), cf=Dec("0.5"))
 
 
 # bounded digit budgets keep every product below 18 fractional digits, so the
@@ -169,8 +170,9 @@ def test_bc_never_exceeds_c_and_liquidatable_implies_d_above_bc(col, debt):
         prices={**{a: p for a, (_, p, _) in col_assets.items()},
                 **{a: p for a, (_, p) in debt_assets.items()}}
     )
+    # valuation ignores LS; LS = 0 makes every threshold in (0, 1) valid
     params = RiskParams(
-        lt={a: t for a, (_, _, t) in col_assets.items()}, ls=Dec("0.05"), cf=Dec("0.5")
+        lt={a: t for a, (_, _, t) in col_assets.items()}, ls=Dec(0), cf=Dec("0.5")
     )
     values = position_values(position, oracle, params)
     assert values.bc <= values.c
@@ -189,7 +191,7 @@ def test_health_factor_invariant_under_uniform_price_scaling(
     amount, price, debt_amount, threshold, k
 ):
     position = Position("p", collateral={ETH: amount}, debt={USDC: debt_amount})
-    params = RiskParams(lt={ETH: threshold}, ls=Dec("0.05"), cf=Dec("0.5"))
+    params = RiskParams(lt={ETH: threshold}, ls=Dec(0), cf=Dec("0.5"))  # as above
     base = OracleSnapshot(prices={ETH: price, USDC: Dec(1)})
     scaled = OracleSnapshot(prices={ETH: price * Dec(k), USDC: Dec(k)})
     hf_base = health_factor(position_values(position, base, params))

@@ -21,7 +21,6 @@ from liqlab.errors import (
     CloseFactorExceededError,
     CollateralShortfallError,
     DebtAssetShortfallError,
-    InvalidParamsError,
     NotLiquidatableError,
 )
 from liqlab.fixedpoint import ULP
@@ -183,15 +182,6 @@ class TestRefusals:
                 position, LiquidationCall("p", DEB, sliver, Dec(10)), oracle, params
             )
         assert position == snapshot
-
-    def test_invalid_params_rejected(self):
-        position = Position("p", collateral={COL: Dec(103)}, debt={DEB: Dec(100)})
-        oracle = OracleSnapshot(prices={COL: Dec(1), DEB: Dec(1)})
-        params = RiskParams(lt={COL: Dec("0.95")}, ls=Dec("0.10"), cf=Dec("0.5"))
-        with pytest.raises(InvalidParamsError):
-            execute_liquidation_call(
-                position, LiquidationCall("p", DEB, COL, Dec(1)), oracle, params
-            )
 
     def test_zero_repay_rejected_at_construction(self):
         with pytest.raises(ValueError):

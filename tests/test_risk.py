@@ -218,6 +218,12 @@ class TestScanUnprofitable:
         _, bonus = result[0]
         assert bonus == Dec(80)  # 0.5 * 2000 * 0.08
 
+    def test_bonus_equal_to_fee_is_reported(self):
+        # net profit 0: the scenario engine would not send this call either
+        result = self.setup(80)
+        assert len(result) == 1
+        assert result[0][1] == Dec(80)
+
     def test_bonus_covering_fee_is_excluded(self):
         assert self.setup(10) == []
 

@@ -1,7 +1,9 @@
+import json
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import liqlab.sim
 from liqlab import (
@@ -26,6 +28,13 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 ETH = Asset("ETH")
 USDC = Asset("USDC", decimals=6)
+
+
+def _set_leaf(doc, path, value):
+    *outer, key = path
+    for part in outer:
+        doc = doc[part]
+    doc[key] = value
 
 
 def eth_drop_scenario() -> Scenario:
@@ -273,6 +282,22 @@ class TestScenarioLoader:
         with pytest.raises(InvalidScenarioError, match="0.95"):
             load_scenario(doc)
 
+    @pytest.mark.parametrize(
+        "field, path",
+        [
+            ("params.ls", ("params", "ls")),
+            ("positions[0].debt.DAI", ("positions", 0, "debt", "DAI")),
+            ("price_path.0.GEM", ("price_path", "0", "GEM")),
+            ("agents[0].script[0].amount", ("agents", 0, "script", 0, "amount")),
+        ],
+    )
+    def test_out_of_range_decimal_names_the_field(self, field, path):
+        doc = json.loads((FIXTURES / "auction.json").read_text())
+        _set_leaf(doc, path, "9" * 80)  # beyond the 2**255 fixed-point magnitude
+        with pytest.raises(InvalidScenarioError) as info:
+            load_scenario(doc)
+        assert info.value.field == field
+
     def test_scenario_is_validated_on_construction(self):
         scenario = load_scenario(self.base_doc())
         with pytest.raises(InvalidScenarioError, match="blocks"):
@@ -285,6 +310,65 @@ def test_scripted_bid_against_missing_auction_is_a_scenario_error():
     agents = (replace(scenario.agents[0], script=bad_script),)
     with pytest.raises(InvalidScenarioError, match="ghost"):
         run_scenario(replace(scenario, agents=agents))
+
+
+def test_scripted_bid_that_does_not_fit_its_auction_names_the_script():
+    doc = json.loads((FIXTURES / "auction.json").read_text())
+    doc["agents"][0]["script"][0]["amount"] = "100000"
+    with pytest.raises(InvalidScenarioError) as info:
+        run_scenario(load_scenario(doc))
+    assert info.value.field == "agents.script"
+    assert info.value.problem == (
+        "bid at time 0 by 'alice' refused: tend bid 100000 exceeds tab 100"
+    )
+
+
+def _decimal_leaves(node, path=()):
+    """Paths to every decimal string in a scenario document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _decimal_leaves(value, path + (key,))
+        elif isinstance(value, str):
+            try:
+                Dec(value)
+            except ValueError:
+                continue
+            yield path + (key,)
+
+
+FIXTURE_DOCS = {
+    name: json.loads((FIXTURES / f"{name}.json").read_text())
+    for name in ("eth_price_drop", "two_step", "auction")
+}
+DECIMAL_LEAVES = [
+    (name, path) for name, doc in FIXTURE_DOCS.items() for path in _decimal_leaves(doc)
+]
+# integers up to 80 digits reach past the 2**255 fixed-point magnitude
+big_integers = st.integers(min_value=-(10**80), max_value=10**80)
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | big_integers
+    | big_integers.map(str)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(leaf=st.sampled_from(DECIMAL_LEAVES), value=json_values)
+def test_any_json_value_in_a_decimal_field_loads_or_names_the_problem(leaf, value):
+    name, path = leaf
+    doc = json.loads(json.dumps(FIXTURE_DOCS[name]))
+    _set_leaf(doc, path, value)
+    try:
+        assert isinstance(load_scenario(doc), Scenario)
+    except InvalidScenarioError:
+        pass
 
 
 def sparse_wbtc_doc(blocks=5):
