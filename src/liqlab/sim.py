@@ -12,12 +12,16 @@ Engine rules, in order of application per block:
 * Blocks 0..``blocks`` inclusive are processed in order. Auction clocks tick
   in block units (one block = one time unit).
 * The block's oracle snapshot is applied, then the total collateral value is
-  recorded (pre-action), then agents act in list order, scanning positions
-  in scenario order.
+  recorded (pre-action), then agents act in list order. Each agent visits,
+  in scenario order, only the positions that were liquidatable at the
+  block's start; a position that is healthy then cannot be liquidated before
+  the next block, since only a liquidation or a settlement changes balances.
 * A position is valued once and the values are reused until they can
   change: every position is re-valued after a block whose prices differ
   from the previous block's, and a position alone after its own balances
-  change (a liquidation or an auction settlement).
+  change (a liquidation or an auction settlement). A block that changes no
+  price and follows no balance change records the previous block's volume
+  and keeps its list of liquidatable positions.
 * Fixed-spread agents act only when the net profit (gross minus gas and
   flash fee) is strictly positive. The net profit follows from the repay
   amount alone, so a call is sent only when it is profitable; that is also
@@ -239,6 +243,10 @@ class _Run:
         self.order = [p.owner for p in scenario.positions]
         # owner -> PositionValues at the current prices; see _values
         self.value_cache = {}
+        # liquidatable owners in scenario order as of the last _scan, which
+        # is stale after a price or position change
+        self.liquidatable = []
+        self.stale = True
         self.events = []
         self.volume = {}
         self.open_auctions = {}
@@ -262,6 +270,19 @@ class _Run:
     def _set_position(self, owner, position):
         self.positions[owner] = position
         self.value_cache.pop(owner, None)
+        self.stale = True
+
+    def _scan(self, oracle) -> Dec:
+        """Note the liquidatable positions; return the total collateral value."""
+        self.liquidatable = []
+        total = ZERO
+        for owner in self.order:
+            values = self._values(owner, oracle)
+            total = total + values.c
+            if is_liquidatable(values):
+                self.liquidatable.append(owner)
+        self.stale = False
+        return total
 
     def _choose_pair(self, position: Position, oracle: OracleSnapshot):
         """Largest-value debt and collateral assets, ties broken by symbol."""
@@ -350,7 +371,7 @@ class _Run:
     # -- policies ------------------------------------------------------------
 
     def _act_close_factor(self, agent, block, oracle):
-        for owner in self.order:
+        for owner in self.liquidatable:
             self._liquidate(block, oracle, agent.agent_id, owner)
 
     def _act_two_step(self, agent, block, oracle):
@@ -360,7 +381,7 @@ class _Run:
             planned = self.pending_second.pop(key)
             self._liquidate(block, oracle, agent.agent_id, key[1], planned)
         # new two-step plans
-        for owner in self.order:
+        for owner in self.liquidatable:
             if self._blocked(owner):
                 continue
             values = self._values(owner, oracle)
@@ -381,7 +402,7 @@ class _Run:
                 self._liquidate(block, oracle, agent.agent_id, owner, plan.repay2, pair)
 
     def _act_auction_bidder(self, agent, block, oracle):
-        for owner in self.order:
+        for owner in self.liquidatable:
             if self._blocked(owner):
                 continue
             values = self._values(owner, oracle)
@@ -455,11 +476,10 @@ class _Run:
             oracle = scenario.price_path[block]
             if oracle.prices != prices:
                 self.value_cache.clear()
+                self.stale = True
                 prices = oracle.prices
-            total = ZERO
-            for owner in self.order:
-                total = total + self._values(owner, oracle).c
-            self.volume[block] = total
+            # Dec addition is exact, so a carried volume equals a re-summed one
+            self.volume[block] = self._scan(oracle) if self.stale else self.volume[block - 1]
             self.liquidated_this_block = set()
             for agent in scenario.agents:
                 if agent.kind is PolicyKind.UP_TO_CLOSE_FACTOR:
@@ -556,6 +576,14 @@ def _shaped(value, kind, field_name):
     return value
 
 
+def _integer(raw, field_name) -> int:
+    """``raw`` when it is a JSON integer (not a bool, not a float), else
+    InvalidScenarioError."""
+    if not isinstance(raw, int) or isinstance(raw, bool):
+        raise InvalidScenarioError(field_name, f"must be an integer: {raw!r}")
+    return raw
+
+
 def _identifier(entry: dict, key: str, field_name: str) -> str:
     value = entry.get(key)
     if not isinstance(value, str) or not value:
@@ -589,10 +617,11 @@ def load_scenario(source) -> Scenario:
     for i, entry in enumerate(_shaped(doc.get("assets", []), list, "assets")):
         entry = _shaped(entry, dict, f"assets[{i}]")
         symbol = _identifier(entry, "symbol", f"assets[{i}].symbol")
+        decimals = _integer(entry.get("decimals", 18), f"assets[{i}].decimals")
         try:
-            assets[symbol] = Asset(symbol=symbol, decimals=int(entry.get("decimals", 18)))
-        except (ValueError, TypeError, OverflowError) as exc:
-            raise InvalidScenarioError(f"assets[{i}]", str(exc)) from None
+            assets[symbol] = Asset(symbol=symbol, decimals=decimals)
+        except ValueError as exc:
+            raise InvalidScenarioError(f"assets[{i}].decimals", str(exc)) from None
 
     def lookup(symbol, field_name):
         if symbol not in assets:
@@ -641,9 +670,7 @@ def load_scenario(source) -> Scenario:
         except ValueError as exc:
             raise InvalidScenarioError(f"positions[{i}]", str(exc)) from None
 
-    blocks = doc.get("blocks")
-    if not isinstance(blocks, int) or isinstance(blocks, bool) or blocks < 0:
-        raise InvalidScenarioError("blocks", f"must be a non-negative integer: {blocks!r}")
+    blocks = _integer(doc.get("blocks"), "blocks")  # Scenario rejects blocks < 0
 
     path_doc = doc.get("price_path")
     if not isinstance(path_doc, dict) or "0" not in path_doc:
@@ -679,28 +706,32 @@ def load_scenario(source) -> Scenario:
         for j, raw_bid in enumerate(raw_script):
             where = f"agents[{i}].script[{j}]"
             raw_bid = _shaped(raw_bid, dict, where)
-            if not isinstance(raw_bid.get("time"), int):
-                raise InvalidScenarioError(f"{where}.time", "must be an integer")
+            time = _integer(raw_bid.get("time"), f"{where}.time")
             bidder = _identifier(raw_bid, "bidder", f"{where}.bidder")
             amount = _dec_field(raw_bid.get("amount"), f"{where}.amount")
+            if amount <= ZERO:
+                raise InvalidScenarioError(f"{where}.amount", f"must be > 0: {amount}")
             borrower = raw_bid.get("borrower")
             if borrower is not None:
                 borrower = _identifier(raw_bid, "borrower", f"{where}.borrower")
             script.append(
-                ScriptedBid(time=raw_bid["time"], bidder=bidder, amount=amount, borrower=borrower)
+                ScriptedBid(time=time, bidder=bidder, amount=amount, borrower=borrower)
             )
         agents.append(AgentPolicy(agent_id=agent_id, kind=kind, script=tuple(script)))
 
     auction_doc = _shaped(doc.get("auction_config", {}), dict, "auction_config")
+    auction_length = _integer(
+        auction_doc.get("auction_length", 6), "auction_config.auction_length"
+    )
+    bid_duration = _integer(auction_doc.get("bid_duration", 5), "auction_config.bid_duration")
+    min_increment = _dec_field(
+        auction_doc.get("min_increment", "0.03"), "auction_config.min_increment"
+    )
     try:
         auction_config = AuctionConfig(
-            auction_length=int(auction_doc.get("auction_length", 6)),
-            bid_duration=int(auction_doc.get("bid_duration", 5)),
-            min_increment=_dec_field(
-                auction_doc.get("min_increment", "0.03"), "auction_config.min_increment"
-            ),
+            auction_length=auction_length, bid_duration=bid_duration, min_increment=min_increment
         )
-    except (ValueError, TypeError, OverflowError) as exc:
+    except ValueError as exc:
         raise InvalidScenarioError("auction_config", str(exc)) from None
 
     return Scenario(

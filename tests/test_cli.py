@@ -141,8 +141,12 @@ class TestSimulateCommand:
                 ("agents",),
                 [{**BIDDER, "script": [{"time": 0, "bidder": "b", "amount": "1", "borrower": []}]}],
             ),
-            ("auction_config", ("auction_config",), {"auction_length": float("inf")}),
-            ("assets[0]", ("assets", 0, "decimals"), float("inf")),
+            (
+                "auction_config.auction_length",
+                ("auction_config",),
+                {"auction_length": float("inf")},
+            ),
+            ("assets[0].decimals", ("assets", 0, "decimals"), float("inf")),
         ],
     )
     def test_malformed_shape_names_the_field(self, tmp_path, capsys, field, path, value):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -181,6 +184,26 @@ class TestDeterminism:
         assert first.to_jsonl().encode() == second.to_jsonl().encode()
         assert first == second
 
+    def test_same_bytes_across_processes_and_hash_seeds(self, tmp_path):
+        names = ["eth_price_drop", "two_step", "auction"]
+        src = Path(liqlab.sim.__file__).resolve().parent.parent
+        outputs = []
+        for hash_seed in ("0", "12345"):
+            out_dir = tmp_path / hash_seed
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src))
+            for fmt in ([], ["--json"]):
+                argv = [sys.executable, "-m", "liqlab.cli", "simulate", *fmt]
+                for name in names:
+                    argv += ["--scenario", str(FIXTURES / f"{name}.json")]
+                subprocess.run([*argv, "--out-dir", str(out_dir)], env=env, check=True)
+            outputs.append({f.name: f.read_bytes() for f in out_dir.iterdir()})
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0]) == 2 * len(names)
+        for name in names:
+            log = run_scenario(load_scenario(str(FIXTURES / f"{name}.json")))
+            assert outputs[0][f"{name}.csv"] == log.to_csv().encode()
+            assert outputs[0][f"{name}.jsonl"] == log.to_jsonl().encode()
+
 
 class TestProfitVolumeRatio:
     def test_worked_example_ratio(self):
@@ -303,6 +326,32 @@ class TestScenarioLoader:
         with pytest.raises(InvalidScenarioError, match="blocks"):
             replace(scenario, blocks=-1)
 
+    @pytest.mark.parametrize("amount", ["0", "-1"])
+    def test_scripted_bid_amount_must_be_positive(self, amount):
+        doc = json.loads((FIXTURES / "auction.json").read_text())
+        doc["agents"][0]["script"][0]["amount"] = amount
+        with pytest.raises(InvalidScenarioError, match=f"must be > 0: {amount}") as info:
+            load_scenario(doc)
+        assert info.value.field == "agents[0].script[0].amount"
+
+    @pytest.mark.parametrize(
+        "field, path, value",
+        [
+            ("auction_config.auction_length", ("auction_config", "auction_length"), 1.5),
+            ("auction_config.bid_duration", ("auction_config", "bid_duration"), 3.0),
+            ("agents[0].script[0].time", ("agents", 0, "script", 0, "time"), True),
+            ("assets[0].decimals", ("assets", 0, "decimals"), True),
+            ("assets[0].decimals", ("assets", 0, "decimals"), 18.0),
+            ("blocks", ("blocks",), False),
+        ],
+    )
+    def test_integer_fields_must_be_json_integers(self, field, path, value):
+        doc = json.loads((FIXTURES / "auction.json").read_text())
+        _set_leaf(doc, path, value)
+        with pytest.raises(InvalidScenarioError, match="must be an integer") as info:
+            load_scenario(doc)
+        assert info.value.field == field
+
 
 def test_scripted_bid_against_missing_auction_is_a_scenario_error():
     scenario = load_scenario(str(FIXTURES / "auction.json"))
@@ -389,6 +438,32 @@ def sparse_wbtc_doc(blocks=5):
     }
 
 
+def _three_healthy_positions_three_agents(moves) -> Scenario:
+    """Three healthy positions over 11 blocks, one agent of each policy."""
+    doc = sparse_wbtc_doc(blocks=10)
+    doc["price_path"] = {"0": {"ETH": "3500", "WBTC": "50000", "USDC": "1"}, **moves}
+    doc["positions"].append({"owner": "idle", "collateral": {"WBTC": "1"}})
+    doc["agents"] = [
+        {"id": "cf", "policy": "up-to-close-factor"},
+        {"id": "two-step", "policy": "optimal-two-step"},
+        {"id": "keeper", "policy": "auction-bidder"},
+    ]
+    return load_scenario(doc)
+
+
+def _count_calls(monkeypatch, name):
+    """Wrap ``liqlab.sim.<name>`` so each call is appended to the returned list."""
+    calls = []
+    real = getattr(liqlab.sim, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(liqlab.sim, name, counting)
+    return calls
+
+
 class TestIncrementalValuation:
     def test_position_is_revalued_when_only_its_asset_moves(self):
         log = run_scenario(load_scenario(sparse_wbtc_doc()))
@@ -416,26 +491,39 @@ class TestIncrementalValuation:
     def test_healthy_positions_are_valued_once_per_price_change(
         self, monkeypatch, moves, valuations
     ):
-        doc = sparse_wbtc_doc(blocks=10)
-        doc["price_path"] = {"0": {"ETH": "3500", "WBTC": "50000", "USDC": "1"}, **moves}
-        doc["positions"].append({"owner": "idle", "collateral": {"WBTC": "1"}})
-        doc["agents"] = [
-            {"id": "cf", "policy": "up-to-close-factor"},
-            {"id": "two-step", "policy": "optimal-two-step"},
-            {"id": "keeper", "policy": "auction-bidder"},
-        ]
-        scenario = load_scenario(doc)
-        calls = []
-        real = liqlab.sim.position_values
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(liqlab.sim, "position_values", counting)
-        log = run_scenario(scenario)
+        calls = _count_calls(monkeypatch, "position_values")
+        log = run_scenario(_three_healthy_positions_three_agents(moves))
         assert log.events == ()
         assert len(calls) == valuations
+
+    @pytest.mark.parametrize("moves, checks", [({}, 3), ({"7": {"ETH": "3400"}}, 6)])
+    def test_healthy_positions_are_checked_once_per_price_change(
+        self, monkeypatch, moves, checks
+    ):
+        calls = _count_calls(monkeypatch, "is_liquidatable")
+        log = run_scenario(_three_healthy_positions_three_agents(moves))
+        assert log.events == ()
+        assert len(calls) == checks
+        eth_price = Dec(3400) if moves else Dec(3500)
+        assert log.collateral_volume_by_block[10] == Dec(3) * eth_price + Dec(100000)
+
+    def test_position_a_settlement_leaves_liquidatable_is_auctioned_again(self):
+        # GEM doubles at block 2, so the auctioned vault is healthy when the
+        # positions are next checked; the tend settlement at block 4 takes
+        # all its collateral for 80 of its 100 debt, and a new auction opens
+        doc = json.loads((FIXTURES / "auction.json").read_text())
+        doc["price_path"]["2"] = {"GEM": "2"}
+        doc["agents"][0]["script"] = [
+            {"time": 0, "bidder": "alice", "amount": "40"},
+            {"time": 1, "bidder": "bob", "amount": "80"},
+            {"time": 6, "bidder": "carol", "amount": "10"},
+        ]
+        doc["blocks"] = 9
+        log = run_scenario(load_scenario(doc))
+        assert [(e.block, e.liquidator, e.repaid_usd, e.seized_usd) for e in log.events] == [
+            (4, "bob", Dec(80), Dec(220)),
+            (9, "carol", Dec(10), Dec(0)),
+        ]
 
     def test_gas_unprofitable_call_is_never_sent(self, monkeypatch):
         def refuse(*args):
