@@ -46,6 +46,16 @@ def _dec(text: str) -> Dec:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1: {value}")
+    return value
+
+
 def _stamp_line(enabled: bool) -> str:
     if not enabled:
         return ""
@@ -145,7 +155,7 @@ def _cmd_simulate(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     suffix = ".jsonl" if args.json else ".csv"
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+    with concurrent.futures.ThreadPoolExecutor(max_workers=min(args.jobs, len(paths))) as pool:
         futures = {
             pool.submit(_run_one_scenario, path, args.json): path for path in paths
         }
@@ -278,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = commands.add_parser("simulate", help="run scenario files and write event logs")
     sim.add_argument("--scenario", action="append", required=True, help="scenario JSON file")
     sim.add_argument("--out-dir", default=None, help="output directory for multiple scenarios")
-    sim.add_argument("--jobs", type=int, default=1, help="parallel scenario runs")
+    sim.add_argument("--jobs", type=_positive_int, default=1, help="parallel scenario runs")
     _add_common(sim)
     sim.set_defaults(handler=_cmd_simulate)
 

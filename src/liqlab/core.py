@@ -3,6 +3,23 @@
 All money amounts are ``Dec`` values. Collateral and debt balances are kept
 in native asset units; USD values are obtained through an oracle snapshot.
 Functions here are pure and never mutate their inputs.
+
+Every valuation goes through one kernel, :func:`value_sums`, which returns a
+position's collateral value ``c``, borrowing capacity ``bc`` and debt value
+``d`` as scaled integers (``Dec.raw``), without building a ``Dec`` per term.
+It makes exactly the roundings that ``Dec`` arithmetic makes: each asset's
+value is ``amount * price`` rounded half-even to 18 digits, each ``bc`` term
+is that rounded value times the asset's LT, rounded again, and the sums are
+exact integer additions. Its results therefore equal, digit for digit,
+those of the ``Dec`` loop ``value = amount * price; c = c + value;
+bc = bc + value * LT``.
+
+Overflow stays explicit. That ``Dec`` loop checks every product and partial
+sum against 2**255. Here every term is non-negative and each ``bc`` term is
+at most its value, so every intermediate is at most the running ``c`` (or
+``d``). Checking the running sum after each asset therefore raises
+``OverflowError`` exactly where the ``Dec`` loop did, before the next
+asset's price or threshold is looked up.
 """
 
 from __future__ import annotations
@@ -11,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .errors import MissingPriceError, MissingThresholdError
-from .fixedpoint import Dec, ZERO, ONE
+from .fixedpoint import SCALE, Dec, ZERO, ONE, _checked, _round_div
 
 
 @dataclass(frozen=True)
@@ -142,20 +159,38 @@ class PositionValues:
         if not ZERO <= self.bc <= self.c:
             raise ValueError(f"borrowing capacity outside [0, c]: bc={self.bc}, c={self.c}")
 
+    @classmethod
+    def from_sums(cls, sums: tuple) -> "PositionValues":
+        """Wrap the raw ``(c, bc, d)`` that :func:`value_sums` returns."""
+        c, bc, d = sums
+        return cls(c=Dec.from_raw(c), d=Dec.from_raw(d), bc=Dec.from_raw(bc))
+
+
+def priced_total(amounts: Mapping[Asset, Dec], oracle: OracleSnapshot) -> int:
+    """Scaled-int USD value of native ``amounts``: the sum of amount*price,
+    each product rounded half-even as ``Dec`` multiplication rounds it."""
+    total = 0
+    for asset, amount in amounts.items():
+        total = _checked(total + _round_div(amount.raw * oracle.price(asset).raw, SCALE))
+    return total
+
+
+def value_sums(position: Position, oracle: OracleSnapshot, params: RiskParams) -> tuple:
+    """The valuation kernel: scaled-int ``(c, bc, d)`` of a position at the
+    snapshot, with c = sum(col*price), bc = sum(col*price*LT) and
+    d = sum(debt*price); see the module docstring for its roundings."""
+    c = bc = 0
+    for asset, amount in position.collateral.items():
+        value = _round_div(amount.raw * oracle.price(asset).raw, SCALE)
+        c = _checked(c + value)
+        bc += _round_div(value * params.threshold(asset).raw, SCALE)
+    return c, bc, priced_total(position.debt, oracle)
+
 
 def position_values(position: Position, oracle: OracleSnapshot, params: RiskParams) -> PositionValues:
     """Value a position at the snapshot: c = sum(col*price), d = sum(debt*price),
     bc = sum(col*price*LT)."""
-    c = ZERO
-    bc = ZERO
-    for asset, amount in position.collateral.items():
-        value = amount * oracle.price(asset)
-        c = c + value
-        bc = bc + value * params.threshold(asset)
-    d = ZERO
-    for asset, amount in position.debt.items():
-        d = d + amount * oracle.price(asset)
-    return PositionValues(c=c, d=d, bc=bc)
+    return PositionValues.from_sums(value_sums(position, oracle, params))
 
 
 def collateralization_ratio(values: PositionValues) -> Optional[Dec]:

@@ -21,9 +21,11 @@ from .core import (
     RiskParams,
     is_liquidatable,
     position_values,
+    priced_total,
+    value_sums,
 )
 from .errors import EmptyPathError, PathLengthMismatchError, ZeroDebtError
-from .fixedpoint import Dec, ZERO
+from .fixedpoint import SCALE, Dec, ZERO, _round_div
 
 
 @dataclass(frozen=True)
@@ -57,38 +59,42 @@ class PricePathCategory(enum.Enum):
 def _target_exposures(
     borrowers: Iterable[Position], target: Asset, oracle: OracleSnapshot, params: RiskParams
 ) -> list:
-    """Per holder of ``target`` as collateral: total collateral value,
-    borrowing capacity and debt value, and the target's collateral value,
-    LT-weighted collateral value and debt value (None when not owed)."""
+    """Per holder of ``target`` as collateral, as scaled ints: total
+    collateral value, borrowing capacity and debt value, and the target's
+    collateral value, LT-weighted collateral value and debt value (None when
+    not owed). Each is rounded as ``Dec`` multiplication rounds it."""
     exposures = []
-    price = oracle.price(target)  # fail early when the target is unpriced
+    price = oracle.price(target).raw  # fail early when the target is unpriced
     for borrower in borrowers:
         if target not in borrower.collateral:
             continue
-        values = position_values(borrower, oracle, params)
-        target_value = borrower.collateral[target] * price
-        target_debt = borrower.debt[target] * price if target in borrower.debt else None
-        exposures.append(
-            (
-                values.c,
-                values.bc,
-                values.d,
-                target_value,
-                target_value * params.threshold(target),
-                target_debt,
-            )
-        )
+        c, bc, d = value_sums(borrower, oracle, params)
+        target_value = _round_div(borrower.collateral[target].raw * price, SCALE)
+        target_debt = None
+        if target in borrower.debt:
+            target_debt = _round_div(borrower.debt[target].raw * price, SCALE)
+        target_bc = _round_div(target_value * params.threshold(target).raw, SCALE)
+        exposures.append((c, bc, d, target_value, target_bc, target_debt))
     return exposures
 
 
 def _liquidatable_collateral(exposures: list, decline_pct: Dec) -> Dec:
-    lc = ZERO
+    """Sum of post-decline collateral value over the exposures whose
+    post-decline borrowing capacity falls strictly below their debt.
+
+    Every term ``x * decline_pct`` is rounded as ``Dec`` multiplication
+    rounds it. Each exposure's term is at least 0 (``decline_pct <= 1``), so
+    checking the total alone raises ``OverflowError`` whenever a running
+    ``Dec`` sum would have.
+    """
+    k = decline_pct.raw
+    lc = 0
     for c, bc, d, target_value, target_bc, target_debt in exposures:
-        bc_adj = bc - target_bc * decline_pct
-        d_adj = d if target_debt is None else d - target_debt * decline_pct
+        bc_adj = bc - _round_div(target_bc * k, SCALE)
+        d_adj = d if target_debt is None else d - _round_div(target_debt * k, SCALE)
         if bc_adj < d_adj:
-            lc = lc + (c - target_value * decline_pct)
-    return lc
+            lc += c - _round_div(target_value * k, SCALE)
+    return Dec.from_raw(lc)
 
 
 def sensitivity(
@@ -150,12 +156,8 @@ def classify_bad_debt(position: Position, fee_usd: Dec, oracle: OracleSnapshot) 
     """
     if fee_usd < ZERO:
         raise ValueError(f"fee must be >= 0: {fee_usd}")
-    c = ZERO
-    for asset, amount in position.collateral.items():
-        c = c + amount * oracle.price(asset)
-    d = ZERO
-    for asset, amount in position.debt.items():
-        d = d + amount * oracle.price(asset)
+    c = Dec.from_raw(priced_total(position.collateral, oracle))
+    d = Dec.from_raw(priced_total(position.debt, oracle))
     if d == ZERO:
         raise ZeroDebtError(f"position {position.owner!r} has no debt")
     if c < d:

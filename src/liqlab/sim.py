@@ -13,15 +13,22 @@ Engine rules, in order of application per block:
   in block units (one block = one time unit).
 * The block's oracle snapshot is applied, then the total collateral value is
   recorded (pre-action), then agents act in list order. Each agent visits,
-  in scenario order, only the positions that were liquidatable at the
-  block's start; a position that is healthy then cannot be liquidated before
-  the next block, since only a liquidation or a settlement changes balances.
+  in scenario order, only the positions that were liquidatable and held
+  collateral at the block's start; a position that is healthy then cannot
+  be liquidated before the next block, since only a liquidation or a
+  settlement changes balances. A liquidatable position with no collateral
+  left has nothing to seize or to sell: it is type-I bad debt, which no
+  agent acts on and no auction opens for.
 * A position is valued once and the values are reused until they can
   change: every position is re-valued after a block whose prices differ
   from the previous block's, and a position alone after its own balances
   change (a liquidation or an auction settlement). A block that changes no
   price and follows no balance change records the previous block's volume
-  and keeps its list of liquidatable positions.
+  and keeps its list of liquidatable positions. The engine caches each
+  position's raw ``(c, bc, d)`` from the valuation kernel
+  (``core.value_sums``), sums and compares those integers in the scan, and
+  builds ``PositionValues`` only for a liquidatable position a policy acts
+  on.
 * Fixed-spread agents act only when the net profit (gross minus gas and
   flash fee) is strictly positive. The net profit follows from the repay
   amount alone, so a call is sent only when it is profitable; that is also
@@ -65,8 +72,8 @@ from .core import (
     OracleSnapshot,
     Position,
     RiskParams,
-    is_liquidatable,
-    position_values,
+    PositionValues,
+    value_sums,
 )
 from .errors import InvalidScenarioError, LiqlabError, ZeroVolumeError
 from .fixed_spread import LiquidationCall, execute_liquidation_call, max_repay
@@ -241,8 +248,10 @@ class _Run:
         self.scenario = scenario
         self.positions = {p.owner: p for p in scenario.positions}
         self.order = [p.owner for p in scenario.positions]
-        # owner -> PositionValues at the current prices; see _values
-        self.value_cache = {}
+        # owner -> raw (c, bc, d) at the current prices, and owner -> the
+        # PositionValues built from them once a policy needs them; see _sums
+        self.sums = {}
+        self.values = {}
         # liquidatable owners in scenario order as of the last _scan, which
         # is stale after a price or position change
         self.liquidatable = []
@@ -255,34 +264,54 @@ class _Run:
 
     # -- helpers -------------------------------------------------------------
 
-    def _values(self, owner, oracle):
-        """The owner's position values at the current block's prices.
+    def _sums(self, owner, oracle):
+        """The owner's raw ``(c, bc, d)`` at the current block's prices.
 
         Entries are dropped when the position changes (``_set_position``)
         and all at once when a block's prices differ from the last block's.
+        A position is liquidatable iff ``bc < d``: ``bc`` is never negative,
+        so that also means ``d > 0``. The policies act on it only while it
+        also holds collateral (``c > 0``): with none left there is nothing to
+        seize or to sell, and the position is type-I bad debt.
         """
-        values = self.value_cache.get(owner)
+        sums = self.sums.get(owner)
+        if sums is None:
+            sums = value_sums(self.positions[owner], oracle, self.scenario.params)
+            self.sums[owner] = sums
+        return sums
+
+    def _values(self, owner, oracle) -> PositionValues:
+        values = self.values.get(owner)
         if values is None:
-            values = position_values(self.positions[owner], oracle, self.scenario.params)
-            self.value_cache[owner] = values
+            values = PositionValues.from_sums(self._sums(owner, oracle))
+            self.values[owner] = values
         return values
+
+    def _liquidatable_values(self, owner, oracle) -> Optional[PositionValues]:
+        """The owner's position values while it is liquidatable and holds
+        collateral, else None."""
+        c, bc, d = self._sums(owner, oracle)
+        return self._values(owner, oracle) if c and bc < d else None
 
     def _set_position(self, owner, position):
         self.positions[owner] = position
-        self.value_cache.pop(owner, None)
+        self.sums.pop(owner, None)
+        self.values.pop(owner, None)
         self.stale = True
 
     def _scan(self, oracle) -> Dec:
-        """Note the liquidatable positions; return the total collateral value."""
+        """Note the liquidatable positions that hold collateral; return the
+        total collateral value."""
         self.liquidatable = []
-        total = ZERO
+        total = 0
         for owner in self.order:
-            values = self._values(owner, oracle)
-            total = total + values.c
-            if is_liquidatable(values):
+            c, bc, d = self._sums(owner, oracle)
+            total += c
+            if c and bc < d:
                 self.liquidatable.append(owner)
         self.stale = False
-        return total
+        # every c is >= 0, so checking the total alone catches any overflow
+        return Dec.from_raw(total)
 
     def _choose_pair(self, position: Position, oracle: OracleSnapshot):
         """Largest-value debt and collateral assets, ties broken by symbol."""
@@ -311,8 +340,8 @@ class _Run:
         """
         if self._blocked(owner):
             return None
-        values = self._values(owner, oracle)
-        if not is_liquidatable(values):
+        values = self._liquidatable_values(owner, oracle)
+        if values is None:
             return None
         position = self.positions[owner]
         if pair is None:
@@ -384,8 +413,8 @@ class _Run:
         for owner in self.liquidatable:
             if self._blocked(owner):
                 continue
-            values = self._values(owner, oracle)
-            if not is_liquidatable(values):
+            values = self._liquidatable_values(owner, oracle)
+            if values is None:
                 continue
             pair = self._choose_pair(self.positions[owner], oracle)
             if pair is None:
@@ -405,8 +434,8 @@ class _Run:
         for owner in self.liquidatable:
             if self._blocked(owner):
                 continue
-            values = self._values(owner, oracle)
-            if not is_liquidatable(values):
+            values = self._liquidatable_values(owner, oracle)
+            if values is None:
                 continue
             self.open_auctions[owner] = start_auction(
                 values, self.scenario.auction_config, now=block
@@ -475,7 +504,8 @@ class _Run:
         for block in range(scenario.blocks + 1):
             oracle = scenario.price_path[block]
             if oracle.prices != prices:
-                self.value_cache.clear()
+                self.sums.clear()
+                self.values.clear()
                 self.stale = True
                 prices = oracle.prices
             # Dec addition is exact, so a carried volume equals a re-summed one

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 from pathlib import Path
 
@@ -105,6 +106,28 @@ class TestSimulateCommand:
         assert rc == 0
         names = sorted(p.name for p in out_dir.iterdir())
         assert names == ["auction.csv", "eth_price_drop.csv", "two_step.csv"]
+
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_jobs_below_one_is_a_flag_error(self, tmp_path, capsys, jobs):
+        out_dir = tmp_path / "logs"
+        argv = ["simulate", "--scenario", ETH_DROP, "--out-dir", str(out_dir), "--jobs", jobs]
+        assert main(argv) == 1
+        assert "argument --jobs: " in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_jobs_pool_is_capped_at_the_scenario_count(self, tmp_path, monkeypatch):
+        workers = []
+        real = concurrent.futures.ThreadPoolExecutor
+
+        def recording(max_workers):
+            workers.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
+        argv = ["simulate", "--scenario", ETH_DROP, "--scenario", str(FIXTURES / "two_step.json"),
+                "--out-dir", str(tmp_path), "--jobs", "8"]
+        assert main(argv) == 0
+        assert workers == [2]
 
     def test_multiple_scenarios_require_out_dir(self, capsys):
         rc = main(["simulate", "--scenario", ETH_DROP, "--scenario", ETH_DROP])
@@ -333,6 +356,24 @@ class TestBadDebtScanCommand:
             '  {\n    "position_id": "p3",\n    "class": "not-bad",\n    "locked_usd": "0"\n  }\n'
             "]\n"
         )
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["simulate"],
+        ["sensitivity", "--asset", "ETH"],
+        ["bad-debt-scan", "--fee", "0"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_collateral_worth_more_than_2_255_is_a_validation_error(tmp_path, capsys, command):
+    doc = json.loads(Path(ETH_DROP).read_text())
+    doc["positions"][0]["collateral"]["ETH"] = "5" + "0" * 58
+    path = tmp_path / "whale.json"
+    path.write_text(json.dumps(doc))
+    assert main([command[0], "--scenario", str(path), *command[1:]]) == 1
+    assert "exceeds 2**255" in capsys.readouterr().err
 
 
 class TestLogging:

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from liqlab import (
     Asset,
@@ -13,6 +13,7 @@ from liqlab import (
     is_liquidatable,
     position_values,
 )
+from liqlab.core import value_sums
 from liqlab.errors import MissingPriceError, MissingThresholdError
 
 ETH = Asset("ETH")
@@ -197,3 +198,103 @@ def test_health_factor_invariant_under_uniform_price_scaling(
     hf_base = health_factor(position_values(position, base, params))
     hf_scaled = health_factor(position_values(position, scaled, params))
     assert hf_base == hf_scaled
+
+
+def _dec_loop_sums(position, oracle, params):
+    """Raw (c, bc, d) summed with plain Dec arithmetic, or "overflow"."""
+    try:
+        c = bc = d = Dec(0)
+        for asset, amount in position.collateral.items():
+            value = amount * oracle.price(asset)
+            c = c + value
+            bc = bc + value * params.threshold(asset)
+        for asset, amount in position.debt.items():
+            d = d + amount * oracle.price(asset)
+    except OverflowError:
+        return "overflow"
+    return c.raw, bc.raw, d.raw
+
+
+def _kernel_sums(position, oracle, params):
+    try:
+        return value_sums(position, oracle, params)
+    except OverflowError:
+        return "overflow"
+
+
+# all 18 fractional digits drawn, so that products carry digits to round
+fractions = st.lists(st.integers(0, 9), min_size=18, max_size=18).map(
+    lambda digits: int("".join(map(str, digits)))
+)
+
+
+def _fine(wholes):
+    """Decimals with a whole part drawn from ``wholes`` and 18 fractional digits."""
+    return st.builds(lambda whole, fraction: Dec.from_raw(whole * 10**18 + fraction),
+                     wholes, fractions)
+
+
+# the large amounts are worth more than 2**255 raw at most prices
+fine_amounts = _fine(st.one_of(st.integers(0, 10**9), st.integers(10**56, 5 * 10**58)))
+fine_prices = _fine(st.integers(0, 10**6)).filter(lambda price: price > Dec(0))
+fine_thresholds = fractions.filter(lambda raw: raw > 0).map(Dec.from_raw)
+
+
+@settings(max_examples=300)
+@given(
+    col=st.lists(st.tuples(fine_amounts, fine_prices, fine_thresholds), min_size=1, max_size=3),
+    debt=st.lists(st.tuples(fine_amounts, fine_prices), min_size=1, max_size=3),
+)
+# bc must be taken on the rounded value: rounding amount*price*LT once gives
+# one ulp less here
+@example(
+    col=[(Dec("12.011110020000113418"), Dec("521099.0002000000003"), Dec("0.10004400110010481"))],
+    debt=[(Dec(1), Dec(1))],
+)
+def test_kernel_equals_the_dec_loop(col, debt):
+    col_assets = {Asset(f"C{i}"): entry for i, entry in enumerate(col)}
+    debt_assets = {Asset(f"D{i}"): entry for i, entry in enumerate(debt)}
+    position = Position(
+        "p",
+        collateral={a: amount for a, (amount, _, _) in col_assets.items()},
+        debt={a: amount for a, (amount, _) in debt_assets.items()},
+    )
+    oracle = OracleSnapshot(
+        prices={**{a: p for a, (_, p, _) in col_assets.items()},
+                **{a: p for a, (_, p) in debt_assets.items()}}
+    )
+    params = RiskParams(  # LS = 0 makes every threshold in (0, 1) valid
+        lt={a: t for a, (_, _, t) in col_assets.items()}, ls=Dec(0), cf=Dec("0.5")
+    )
+    expected = _dec_loop_sums(position, oracle, params)
+    assert _kernel_sums(position, oracle, params) == expected
+    if expected != "overflow":
+        values = position_values(position, oracle, params)
+        assert (values.c.raw, values.bc.raw, values.d.raw) == expected
+
+
+class TestValuationOverflow:
+    # 5 * 10**58 ETH is representable; at 3500 USD it is worth more than 2**255 raw
+    HUGE = Dec("5" + "0" * 58)
+    PARAMS = RiskParams(lt={ETH: Dec("0.8")}, ls=Dec("0.1"), cf=Dec("0.5"))
+
+    def test_position_values_raises(self):
+        position = Position("whale", collateral={ETH: self.HUGE}, debt={USDC: Dec(1)})
+        oracle = OracleSnapshot(prices={ETH: Dec(3500), USDC: Dec(1)})
+        with pytest.raises(OverflowError, match=r"exceeds 2\*\*255"):
+            position_values(position, oracle, self.PARAMS)
+
+    def test_debt_overflow_raises(self):
+        position = Position("whale", collateral={ETH: Dec(1)}, debt={USDC: self.HUGE})
+        oracle = OracleSnapshot(prices={ETH: Dec(3500), USDC: Dec(3500)})
+        with pytest.raises(OverflowError, match=r"exceeds 2\*\*255"):
+            position_values(position, oracle, self.PARAMS)
+
+    def test_overflow_is_raised_before_a_later_asset_is_priced(self):
+        # the Dec loop fails on the first asset's value, before it looks up
+        # the unpriced second asset, and so must the kernel
+        position = Position("whale", collateral={ETH: self.HUGE, DAI: Dec(1)})
+        oracle = OracleSnapshot(prices={ETH: Dec(3500)})
+        params = RiskParams(lt={ETH: Dec("0.8"), DAI: Dec("0.8")}, ls=Dec(0), cf=Dec("0.5"))
+        with pytest.raises(OverflowError):
+            position_values(position, oracle, params)

@@ -153,6 +153,30 @@ class TestSensitivityCurve:
         assert owing_holders > 0
 
 
+class TestRiskScanOverflow:
+    PARAMS = RiskParams(lt={ETH: Dec("0.8")}, ls=Dec("0.05"), cf=Dec("0.5"))
+    ORACLE = OracleSnapshot(prices={ETH: Dec(3500), USDC: Dec(1)})
+
+    def test_position_worth_more_than_2_255_overflows(self):
+        whale = Position("whale", collateral={ETH: Dec("5" + "0" * 58)}, debt={USDC: Dec(1)})
+        with pytest.raises(OverflowError, match=r"exceeds 2\*\*255"):
+            sensitivity_curve([whale], ETH, 4, self.ORACLE, self.PARAMS)
+        with pytest.raises(OverflowError, match=r"exceeds 2\*\*255"):
+            classify_bad_debt(whale, Dec(0), self.ORACLE)
+
+    def test_liquidatable_collateral_summed_past_2_255_overflows(self):
+        # each book entry fits, but the two liquidatable ones do not add up
+        oracle = OracleSnapshot(prices={ETH: Dec(1), USDC: Dec(1)})
+        big = Dec("3" + "0" * 58)
+        book = [
+            Position(f"b{i}", collateral={ETH: big}, debt={USDC: Dec("29" + "0" * 57)})
+            for i in range(2)
+        ]
+        sensitivity_curve(book[:1], ETH, 4, oracle, self.PARAMS)
+        with pytest.raises(OverflowError, match=r"exceeds 2\*\*255"):
+            sensitivity_curve(book, ETH, 4, oracle, self.PARAMS)
+
+
 class TestBadDebt:
     ORACLE = OracleSnapshot(prices={DAI: Dec(1)})
 

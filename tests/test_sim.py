@@ -12,12 +12,14 @@ import liqlab.sim
 from liqlab import (
     AgentPolicy,
     Asset,
+    BadDebtKind,
     Dec,
     Mechanism,
     PolicyKind,
     RiskParams,
     Scenario,
     ScriptedBid,
+    classify_bad_debt,
     load_scenario,
     profit_volume_ratio,
     run_scenario,
@@ -203,6 +205,23 @@ class TestDeterminism:
             log = run_scenario(load_scenario(str(FIXTURES / f"{name}.json")))
             assert outputs[0][f"{name}.csv"] == log.to_csv().encode()
             assert outputs[0][f"{name}.jsonl"] == log.to_jsonl().encode()
+
+
+@pytest.mark.parametrize(
+    "collateral", [["5" + "0" * 58], ["3" + "0" * 58, "3" + "0" * 58]],
+    ids=["one-position", "volume-sum"],
+)
+def test_collateral_worth_more_than_2_255_overflows(collateral):
+    # one position worth more than 2**255 raw, or two whose block volume is
+    doc = json.loads((FIXTURES / "eth_price_drop.json").read_text())
+    doc["price_path"]["0"]["ETH"] = "3500" if len(collateral) == 1 else "1"
+    doc["positions"] = [
+        {"owner": f"whale-{i}", "collateral": {"ETH": amount}, "debt": {"USDC": "1"}}
+        for i, amount in enumerate(collateral)
+    ]
+    scenario = load_scenario(doc)
+    with pytest.raises(OverflowError, match=r"exceeds 2\*\*255"):
+        run_scenario(scenario)
 
 
 class TestProfitVolumeRatio:
@@ -456,9 +475,9 @@ def _count_calls(monkeypatch, name):
     calls = []
     real = getattr(liqlab.sim, name)
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(liqlab.sim, name, counting)
     return calls
@@ -491,7 +510,7 @@ class TestIncrementalValuation:
     def test_healthy_positions_are_valued_once_per_price_change(
         self, monkeypatch, moves, valuations
     ):
-        calls = _count_calls(monkeypatch, "position_values")
+        calls = _count_calls(monkeypatch, "value_sums")
         log = run_scenario(_three_healthy_positions_three_agents(moves))
         assert log.events == ()
         assert len(calls) == valuations
@@ -500,30 +519,58 @@ class TestIncrementalValuation:
     def test_healthy_positions_are_checked_once_per_price_change(
         self, monkeypatch, moves, checks
     ):
-        calls = _count_calls(monkeypatch, "is_liquidatable")
+        calls = _count_calls(monkeypatch, "value_sums")
+        built = _count_calls(monkeypatch, "PositionValues")
         log = run_scenario(_three_healthy_positions_three_agents(moves))
         assert log.events == ()
+        # the scan checks the raw sums; no policy needs a healthy position's values
         assert len(calls) == checks
+        assert built == []
         eth_price = Dec(3400) if moves else Dec(3500)
         assert log.collateral_volume_by_block[10] == Dec(3) * eth_price + Dec(100000)
 
-    def test_position_a_settlement_leaves_liquidatable_is_auctioned_again(self):
+    def test_settlement_that_leaves_no_collateral_opens_no_auction(self):
         # GEM doubles at block 2, so the auctioned vault is healthy when the
         # positions are next checked; the tend settlement at block 4 takes
-        # all its collateral for 80 of its 100 debt, and a new auction opens
+        # all its collateral for 80 of its 100 debt. The vault is then
+        # liquidatable with nothing to sell: type-I bad debt, not a new lot
         doc = json.loads((FIXTURES / "auction.json").read_text())
         doc["price_path"]["2"] = {"GEM": "2"}
         doc["agents"][0]["script"] = [
             {"time": 0, "bidder": "alice", "amount": "40"},
             {"time": 1, "bidder": "bob", "amount": "80"},
-            {"time": 6, "bidder": "carol", "amount": "10"},
         ]
         doc["blocks"] = 9
-        log = run_scenario(load_scenario(doc))
+        scenario = load_scenario(doc)
+        log = run_scenario(scenario)
         assert [(e.block, e.liquidator, e.repaid_usd, e.seized_usd) for e in log.events] == [
             (4, "bob", Dec(80), Dec(220)),
-            (9, "carol", Dec(10), Dec(0)),
         ]
+        (vault,) = log.final_positions
+        assert vault.collateral == {} and vault.debt == {Asset("DAI"): Dec(20)}
+        verdict = classify_bad_debt(vault, Dec(0), scenario.price_path[9])
+        assert verdict.kind is BadDebtKind.TYPE_I
+        # so a later bid has no auction to join
+        doc["agents"][0]["script"].append({"time": 6, "bidder": "carol", "amount": "10"})
+        with pytest.raises(InvalidScenarioError, match="while 0 auctions are open"):
+            run_scenario(load_scenario(doc))
+
+    def test_call_that_seizes_all_collateral_leaves_no_lot_to_auction(self, monkeypatch):
+        # repay = c / (1 + LS) = 100 seizes all 110 ETH; the auction bidder
+        # acts next in the same block and must not open an auction on nothing
+        doc = json.loads((FIXTURES / "eth_price_drop.json").read_text())
+        doc["positions"][0] = {
+            "owner": "drained", "collateral": {"ETH": "110"}, "debt": {"USDC": "300"}
+        }
+        doc["price_path"] = {"0": {"ETH": "1", "USDC": "1"}}
+        doc["agents"].append({"id": "keeper", "policy": "auction-bidder"})
+        starts = _count_calls(monkeypatch, "start_auction")
+        log = run_scenario(load_scenario(doc))
+        assert [(e.block, e.repaid_usd, e.seized_usd) for e in log.events] == [
+            (0, Dec(100), Dec(110)),
+        ]
+        assert log.final_positions[0].collateral == {}
+        assert starts == []
 
     def test_gas_unprofitable_call_is_never_sent(self, monkeypatch):
         def refuse(*args):

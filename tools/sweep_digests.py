@@ -1,0 +1,131 @@
+"""Print one SHA-256 digest per run of the byte-identical output sweep.
+
+The sweep runs the benchmark workload generators (``bench/workloads.py``,
+imported read-only) for seeds 0-19 of both workloads, each under every
+combination of ``one_liquidation_per_block`` on/off, ``cf_per_debt_asset``
+on/off and a gas fee of 0 or 20 USD, plus the scenario fixtures. Each run's
+digest covers the event log as CSV and JSONL, the collateral volume series
+and the final positions, or the error that ended the run. For crash-cascade
+runs and the fixtures it also covers the sensitivity curve and the bad-debt
+verdicts, or their errors.
+
+Run from anywhere; liqlab is imported from ``src/`` of this checkout:
+
+    python3 tools/sweep_digests.py > digests.txt
+    python3 tools/sweep_digests.py | diff tools/sweep_digests.txt -
+
+Any change to liqlab that must keep outputs byte-identical must reproduce
+``tools/sweep_digests.txt`` exactly.
+"""
+
+from __future__ import annotations
+
+import copy
+import hashlib
+import itertools
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "bench"))
+
+import workloads  # noqa: E402
+from liqlab import (  # noqa: E402
+    Dec,
+    classify_bad_debt,
+    load_scenario,
+    run_scenario,
+    sensitivity_curve,
+)
+
+SEEDS = range(20)
+FIXTURES = ("eth_price_drop", "two_step", "auction")
+FIXTURE_STEPS = 20
+FIXTURE_FEE = "10"
+
+
+def _outcome(fn) -> str:
+    """fn()'s text, or the type and message of the exception it raised."""
+    try:
+        return fn()
+    except Exception as exc:  # the digest records errors as outputs
+        return f"error {type(exc).__name__}: {exc}\n"
+
+
+def _amounts(amounts) -> str:
+    return " ".join(f"{asset.symbol}={amount}" for asset, amount in
+                    sorted(amounts.items(), key=lambda item: item[0].symbol))
+
+
+def _run(scenario) -> str:
+    log = run_scenario(scenario)
+    lines = [log.to_csv(), log.to_jsonl()]
+    lines += [f"volume {block} {value}\n" for block, value in
+              sorted(log.collateral_volume_by_block.items())]
+    lines += [f"position {p.owner} | {_amounts(p.collateral)} | {_amounts(p.debt)}\n"
+              for p in log.final_positions]
+    return "".join(lines)
+
+
+def _risk(scenario, target: str, steps: int, fee: str, scan_block: int) -> str:
+    asset = next(a for a in scenario.assets if a.symbol == target)
+    points = sensitivity_curve(scenario.positions, asset, steps, scenario.price_path[0],
+                               scenario.params)
+    lines = [f"sensitivity {target} {p.decline_pct} {p.liquidatable_collateral_usd}\n"
+             for p in points]
+    oracle = scenario.price_path[scan_block]
+    for position in scenario.positions:
+        if position.debt:
+            verdict = classify_bad_debt(position, Dec(fee), oracle)
+            lines.append(f"bad-debt {scan_block} {position.owner} {verdict.kind.value} "
+                         f"{verdict.locked_collateral_usd}\n")
+    return "".join(lines)
+
+
+def digest(doc: dict, risk=()) -> str:
+    """SHA-256 of one run's outputs; ``risk`` holds (target, steps, fee, block)
+    tuples of the risk scans to add."""
+    try:
+        scenario = load_scenario(doc)
+    except Exception as exc:  # the digest records errors as outputs
+        text = f"error {type(exc).__name__}: {exc}\n"
+    else:
+        text = _outcome(lambda: _run(scenario))
+        for args in risk:
+            text += _outcome(lambda: _risk(scenario, *args))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def runs():
+    """(run key, scenario document, risk scans) for every run of the sweep."""
+    for name in FIXTURES:
+        doc = json.loads((ROOT / "fixtures" / f"{name}.json").read_text(encoding="utf-8"))
+        targets = sorted({sym for p in doc["positions"] for sym in p.get("collateral", {})})
+        scans = [(t, FIXTURE_STEPS, FIXTURE_FEE, block) for t in targets
+                 for block in sorted({0, doc["blocks"]})]
+        yield f"fixture/{name}", doc, scans
+    for name, generator in sorted(workloads.GENERATORS.items()):
+        for seed in SEEDS:
+            workload = generator(seed)
+            for olpb, cfpa, gas in itertools.product((0, 1), (0, 1), ("0", "20")):
+                doc = copy.deepcopy(workload.scenario)
+                doc["one_liquidation_per_block"] = bool(olpb)
+                doc["params"] = dict(doc["params"], cf_per_debt_asset=bool(cfpa))
+                doc["gas_fee_usd"] = gas
+                scans = []
+                if workload.target:
+                    scans = [(workload.target, workload.shape.steps, workload.fee,
+                              workload.scan_block)]
+                yield f"{name}/seed{seed:02d}/olpb{olpb}/cfpa{cfpa}/gas{gas}", doc, scans
+
+
+def main() -> int:
+    for key, doc, scans in runs():
+        print(key, digest(doc, scans), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
