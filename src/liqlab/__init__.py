@@ -23,6 +23,7 @@ from .core import (
 from .fixed_spread import (
     LiquidationCall,
     LiquidationReceipt,
+    check_liquidation_call,
     execute_liquidation_call,
     max_repay,
 )

@@ -21,10 +21,10 @@ from pathlib import Path
 
 from .auction import Auction, AuctionConfig, Bid, apply_termination, finalize, place_bid
 from .core import Asset, PositionValues, RiskParams
-from .errors import LiqlabError
+from .errors import InvalidScenarioError, LiqlabError
 from .fixedpoint import Dec, ZERO
 from .risk import classify_bad_debt, classify_price_path, sensitivity_curve
-from .sim import load_scenario, run_scenario
+from .sim import _identifier, _integer, _shaped, load_scenario, run_scenario
 from .strategy import mitigation_threshold, optimal_repays, strategy_profits
 
 log = logging.getLogger("liqlab")
@@ -243,10 +243,15 @@ def _cmd_auction_replay(args) -> int:
         print("error: bid script must be a JSON array", file=sys.stderr)
         return 1
     for i, entry in enumerate(script):
+        # the scenario loader's rules for a scripted bid's time and bidder
         try:
-            bid = Bid(
-                bidder=entry["bidder"], amount=Dec(entry["amount"]), time=int(entry["time"])
-            )
+            entry = _shaped(entry, dict, "entry")
+            time = _integer(entry.get("time"), "time")
+            bidder = _identifier(entry, "bidder", "bidder")
+            bid = Bid(bidder=bidder, amount=Dec(entry["amount"]), time=time)
+        except InvalidScenarioError as exc:
+            print(f"error: script[{i}]: {exc.field} {exc.problem}", file=sys.stderr)
+            return 1
         except (KeyError, ValueError, TypeError) as exc:
             print(f"error: script[{i}]: {exc}", file=sys.stderr)
             return 1

@@ -47,10 +47,9 @@ class Asset:
 
 @dataclass(frozen=True)
 class OracleSnapshot:
-    """Per-asset USD prices at a block height. Every price must be positive."""
+    """Per-asset USD prices at one block. Every price must be positive."""
 
     prices: Mapping[Asset, Dec]
-    block: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "prices", dict(self.prices))

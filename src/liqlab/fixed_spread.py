@@ -6,6 +6,13 @@ value and converted to native units at the snapshot price, which keeps
 cross-asset arithmetic exact. A call that cannot be satisfied fails
 atomically: the position is returned untouched (no partial seizure, no
 clamping of the seized amount).
+
+The protocol's rules live in one pure function, :func:`check_liquidation_call`.
+Given the position's values, it returns the receipt or the refusal (one of
+four ``LiqlabError`` subclasses) as a value, so a caller that already holds
+the values, such as the scenario engine, neither re-values the position nor
+catches. :func:`execute_liquidation_call` is the raising form: it values the
+position, checks the call and raises the refusal.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from .errors import (
     CloseFactorExceededError,
     CollateralShortfallError,
     DebtAssetShortfallError,
+    LiqlabError,
     NotLiquidatableError,
 )
 from .fixedpoint import Dec, ONE, ZERO
@@ -59,21 +67,24 @@ def max_repay(values: PositionValues, params: RiskParams) -> Dec:
     return params.cf * values.d
 
 
-def execute_liquidation_call(
+def check_liquidation_call(
     position: Position,
+    values: PositionValues,
     call: LiquidationCall,
     oracle: OracleSnapshot,
     params: RiskParams,
-) -> LiquidationReceipt:
-    """Apply one fixed-spread liquidation call and return the receipt.
+) -> LiquidationReceipt | LiqlabError:
+    """The protocol's answer to one fixed-spread call, without raising.
 
-    Raises NotLiquidatableError, CloseFactorExceededError,
-    DebtAssetShortfallError, or CollateralShortfallError when the call would
-    be refused; refusal leaves the input position untouched.
+    ``values`` must be ``position_values(position, oracle, params)``; the
+    caller passes them so a position it has valued already is not valued
+    again. Returns the receipt, or the refusal unraised: a
+    NotLiquidatableError, CloseFactorExceededError, DebtAssetShortfallError
+    or CollateralShortfallError. Any other error (a missing price, say) is
+    raised. The input position is never changed.
     """
-    values = position_values(position, oracle, params)
     if not is_liquidatable(values):
-        raise NotLiquidatableError(
+        return NotLiquidatableError(
             f"position {position.owner!r} is not liquidatable (bc={values.bc}, d={values.d})"
         )
 
@@ -87,11 +98,11 @@ def execute_liquidation_call(
         else max_repay(values, params)
     )
     if call.repay_value_usd > cap:
-        raise CloseFactorExceededError(
+        return CloseFactorExceededError(
             f"repay {call.repay_value_usd} exceeds close-factor cap {cap}"
         )
     if call.repay_value_usd > outstanding_value:
-        raise DebtAssetShortfallError(
+        return DebtAssetShortfallError(
             f"repay {call.repay_value_usd} exceeds outstanding "
             f"{call.debt_asset.symbol} debt value {outstanding_value}"
         )
@@ -101,7 +112,7 @@ def execute_liquidation_call(
     seized_native = seized_value / collateral_price
     available = position.collateral.get(call.collateral_asset, ZERO)
     if seized_native > available:
-        raise CollateralShortfallError(
+        return CollateralShortfallError(
             f"seizing {seized_native} {call.collateral_asset.symbol} exceeds "
             f"available {available}"
         )
@@ -126,3 +137,23 @@ def execute_liquidation_call(
         liquidator_profit_usd=seized_value - call.repay_value_usd,
         position_after=position_after,
     )
+
+
+def execute_liquidation_call(
+    position: Position,
+    call: LiquidationCall,
+    oracle: OracleSnapshot,
+    params: RiskParams,
+) -> LiquidationReceipt:
+    """Apply one fixed-spread liquidation call and return the receipt.
+
+    Values the position and raises the refusal that
+    :func:`check_liquidation_call` returns, if any; refusal leaves the input
+    position untouched.
+    """
+    outcome = check_liquidation_call(
+        position, position_values(position, oracle, params), call, oracle, params
+    )
+    if isinstance(outcome, LiqlabError):
+        raise outcome
+    return outcome

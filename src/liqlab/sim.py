@@ -33,8 +33,10 @@ Engine rules, in order of application per block:
   flash fee) is strictly positive. The net profit follows from the repay
   amount alone, so a call is sent only when it is profitable; that is also
   the flash-loan rule, since gas is never negative and a call that clears
-  gas and fee always repays its flash loan. A call that the engine would
-  refuse (shortfalls, lost eligibility) is simply not sent.
+  gas and fee always repays its flash loan. The profitable call is then
+  checked against the protocol's rules with the position's cached values
+  (``fixed_spread.check_liquidation_call``); a call the protocol refuses
+  (close-factor cap, debt or collateral shortfall) is simply not sent.
 * Positions with an open auction are off-limits to fixed-spread agents.
 * With ``one_liquidation_per_block`` set, at most one liquidation lands per
   position per block, so a two-step agent's second call executes in the
@@ -76,7 +78,7 @@ from .core import (
     value_sums,
 )
 from .errors import InvalidScenarioError, LiqlabError, ZeroVolumeError
-from .fixed_spread import LiquidationCall, execute_liquidation_call, max_repay
+from .fixed_spread import LiquidationCall, check_liquidation_call, max_repay
 from .fixedpoint import Dec, ONE, ZERO
 from .strategy import optimal_repays
 
@@ -368,10 +370,9 @@ class _Run:
         if net <= ZERO:
             return None
         call = LiquidationCall(owner, debt_asset, collateral_asset, repay)
-        try:
-            receipt = execute_liquidation_call(position, call, oracle, params)
-        except LiqlabError:
-            return None  # the transaction would revert, so it is not sent
+        receipt = check_liquidation_call(position, values, call, oracle, params)
+        if isinstance(receipt, LiqlabError):
+            return None  # the protocol refuses the call, so it is not sent
         self._set_position(owner, receipt.position_after)
         self.liquidated_this_block.add(owner)
         self.events.append(
@@ -614,6 +615,13 @@ def _integer(raw, field_name) -> int:
     return raw
 
 
+def _boolean(raw, field_name) -> bool:
+    """``raw`` when it is a JSON boolean, else InvalidScenarioError."""
+    if not isinstance(raw, bool):
+        raise InvalidScenarioError(field_name, f"must be true or false: {raw!r}")
+    return raw
+
+
 def _identifier(entry: dict, key: str, field_name: str) -> str:
     value = entry.get(key)
     if not isinstance(value, str) or not value:
@@ -670,7 +678,9 @@ def load_scenario(source) -> Scenario:
             lt=lt,
             ls=_dec_field(params_doc.get("ls", "0"), "params.ls"),
             cf=_dec_field(params_doc.get("cf", "1"), "params.cf"),
-            cf_per_debt_asset=bool(params_doc.get("cf_per_debt_asset", False)),
+            cf_per_debt_asset=_boolean(
+                params_doc.get("cf_per_debt_asset", False), "params.cf_per_debt_asset"
+            ),
         )
     except ValueError as exc:
         raise InvalidScenarioError("params", str(exc)) from None
@@ -716,7 +726,7 @@ def load_scenario(source) -> Scenario:
                 value, f"price_path.{block}.{sym}"
             )
         try:
-            price_path[block] = OracleSnapshot(prices=dict(current), block=block)
+            price_path[block] = OracleSnapshot(prices=dict(current))
         except ValueError as exc:
             raise InvalidScenarioError(f"price_path.{block}", str(exc)) from None
 
@@ -774,5 +784,7 @@ def load_scenario(source) -> Scenario:
         auction_config=auction_config,
         gas_fee_usd=_dec_field(doc.get("gas_fee_usd", "0"), "gas_fee_usd"),
         flash_fee_rate=_dec_field(doc.get("flash_fee_rate", "0"), "flash_fee_rate"),
-        one_liquidation_per_block=bool(doc.get("one_liquidation_per_block", False)),
+        one_liquidation_per_block=_boolean(
+            doc.get("one_liquidation_per_block", False), "one_liquidation_per_block"
+        ),
     )

@@ -283,6 +283,37 @@ class TestAuctionReplayCommand:
         assert rc == 1
         assert "no bids" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"time": 1.9, "bidder": "a"}, "time must be an integer: 1.9"),
+            ({"time": True, "bidder": "a"}, "time must be an integer: True"),
+            ({"time": "3", "bidder": "a"}, "time must be an integer: '3'"),
+            ({"bidder": "a"}, "time must be an integer: None"),
+            ({"time": 3, "bidder": ""}, "bidder missing or not a non-empty string"),
+            ({"time": 3, "bidder": 7}, "bidder missing or not a non-empty string"),
+            (5, "entry must be an object"),
+        ],
+    )
+    def test_bid_script_entries_follow_the_scenario_rules(
+        self, tmp_path, capsys, entry, message
+    ):
+        if isinstance(entry, dict):
+            entry = dict(entry, amount="40")
+        script = tmp_path / "bids.json"
+        script.write_text(json.dumps([entry]))
+        rc = main(
+            [
+                "auction-replay",
+                "--c", "110", "--d", "100",
+                "--auction-length", "100",
+                "--bid-duration", "50",
+                "--script", str(script),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: script[0]: {message}\n"
+
 
 class TestClassifyPathCommand:
     def test_fall_rise_fixture(self, capsys):

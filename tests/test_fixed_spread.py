@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from liqlab import (
     Asset,
@@ -11,6 +11,7 @@ from liqlab import (
     Position,
     PositionValues,
     RiskParams,
+    check_liquidation_call,
     execute_liquidation_call,
     health_factor,
     is_liquidatable,
@@ -21,6 +22,7 @@ from liqlab.errors import (
     CloseFactorExceededError,
     CollateralShortfallError,
     DebtAssetShortfallError,
+    LiqlabError,
     NotLiquidatableError,
 )
 from liqlab.fixedpoint import ULP
@@ -239,3 +241,76 @@ def test_value_conservation_exact():
         position, LiquidationCall("alice", USDC, ETH, Dec(4200)), oracle, params
     )
     assert receipt.repaid_value_usd + receipt.liquidator_profit_usd == receipt.seized_value_usd
+
+
+SLIVER = Asset("SLIVER")
+OTHER = Asset("OTHER")
+REFUSALS = (
+    NotLiquidatableError,
+    CloseFactorExceededError,
+    DebtAssetShortfallError,
+    CollateralShortfallError,
+)
+
+
+def _hundredths(n: int) -> Dec:
+    return Dec(n) / Dec(100)
+
+
+# amounts, prices and rates are in hundredths; the pair picks the call's debt
+# asset (DEB, OTHER) and collateral asset (COL, SLIVER)
+@given(
+    collateral=st.tuples(st.integers(0, 20000), st.integers(0, 500)),
+    debt=st.tuples(st.integers(0, 20000), st.integers(0, 20000)),
+    prices=st.tuples(*[st.integers(50, 500)] * 4),
+    lt=st.integers(50, 85),
+    ls=st.integers(0, 15),
+    cf=st.integers(1, 100),
+    per_asset=st.booleans(),
+    pair=st.tuples(st.integers(0, 1), st.integers(0, 1)),
+    repay=st.integers(1, 20000),
+)
+@settings(max_examples=300)
+# one example per outcome: healthy, over the close factor, over the chosen
+# debt asset, over the chosen collateral asset, and a call that lands
+@example((20000, 0), (10000, 0), (100, 100, 100, 100), 80, 10, 50, False, (0, 0), 1000)
+@example((11000, 0), (10000, 0), (100, 100, 100, 100), 80, 10, 50, False, (0, 0), 5001)
+@example((12500, 0), (3000, 9000), (100, 100, 100, 100), 75, 8, 50, False, (0, 0), 4000)
+@example((12000, 100), (10000, 0), (100, 100, 100, 100), 75, 8, 50, False, (0, 1), 1000)
+@example((11000, 0), (10000, 0), (100, 100, 100, 100), 80, 10, 50, True, (0, 0), 4000)
+def test_check_answers_as_execute_does(
+    collateral, debt, prices, lt, ls, cf, per_asset, pair, repay
+):
+    collateral_assets, debt_assets = (COL, SLIVER), (DEB, OTHER)
+    position = Position(
+        "p",
+        collateral=dict(zip(collateral_assets, map(_hundredths, collateral))),
+        debt=dict(zip(debt_assets, map(_hundredths, debt))),
+    )
+    oracle = OracleSnapshot(
+        prices=dict(zip(collateral_assets + debt_assets, map(_hundredths, prices)))
+    )
+    params = RiskParams(
+        lt={COL: _hundredths(lt), SLIVER: _hundredths(lt)},
+        ls=_hundredths(ls),
+        cf=_hundredths(cf),
+        cf_per_debt_asset=per_asset,
+    )
+    call = LiquidationCall(
+        "p", debt_assets[pair[0]], collateral_assets[pair[1]], _hundredths(repay)
+    )
+    snapshot = Position("p", dict(position.collateral), dict(position.debt))
+
+    outcome = check_liquidation_call(
+        position, position_values(position, oracle, params), call, oracle, params
+    )
+    assert position == snapshot
+    try:
+        receipt = execute_liquidation_call(position, call, oracle, params)
+    except LiqlabError as exc:
+        assert type(exc) in REFUSALS
+        assert type(outcome) is type(exc)
+        assert str(outcome) == str(exc)
+    else:
+        assert outcome == receipt
+    assert position == snapshot

@@ -371,6 +371,27 @@ class TestScenarioLoader:
             load_scenario(doc)
         assert info.value.field == field
 
+    @pytest.mark.parametrize("value", ["false", "no", 2, 0, None])
+    @pytest.mark.parametrize(
+        "field, path",
+        [
+            ("one_liquidation_per_block", ("one_liquidation_per_block",)),
+            ("params.cf_per_debt_asset", ("params", "cf_per_debt_asset")),
+        ],
+    )
+    def test_boolean_fields_must_be_json_booleans(self, field, path, value):
+        doc = json.loads((FIXTURES / "eth_price_drop.json").read_text())
+        _set_leaf(doc, path, value)
+        with pytest.raises(InvalidScenarioError) as info:
+            load_scenario(doc)
+        assert info.value.field == field
+        assert info.value.problem == f"must be true or false: {value!r}"
+
+    def test_omitted_boolean_fields_are_false(self):
+        scenario = eth_drop_scenario()
+        assert scenario.one_liquidation_per_block is False
+        assert scenario.params.cf_per_debt_asset is False
+
 
 def test_scripted_bid_against_missing_auction_is_a_scenario_error():
     scenario = load_scenario(str(FIXTURES / "auction.json"))
@@ -576,9 +597,33 @@ class TestIncrementalValuation:
         def refuse(*args):
             raise AssertionError("an unprofitable call reached the engine")
 
-        monkeypatch.setattr(liqlab.sim, "execute_liquidation_call", refuse)
+        monkeypatch.setattr(liqlab.sim, "check_liquidation_call", refuse)
         scenario = replace(eth_drop_scenario(), gas_fee_usd=Dec(500))
         assert run_scenario(scenario).events == ()
+
+    @staticmethod
+    def two_debt_asset_doc(per_asset):
+        # the worked example with its 8400 of debt split 6000 USDC + 2400 DAI:
+        # the agent repays cf*d = 4200 of USDC, over cf*6000 = 3000 per asset
+        doc = json.loads((FIXTURES / "eth_price_drop.json").read_text())
+        doc["assets"].append({"symbol": "DAI"})
+        doc["positions"][0]["debt"] = {"USDC": "6000", "DAI": "2400"}
+        doc["price_path"]["0"]["DAI"] = "1"
+        doc["params"]["cf_per_debt_asset"] = per_asset
+        return doc
+
+    def test_call_over_the_per_asset_close_factor_is_not_sent(self):
+        scenario = load_scenario(self.two_debt_asset_doc(True))
+        log = run_scenario(scenario)
+        assert log.events == ()
+        assert log.final_positions == scenario.positions
+        assert log.collateral_volume_by_block == {0: Dec(10500), 1: Dec(9900)}
+
+    def test_same_call_lands_under_the_aggregate_close_factor(self):
+        log = run_scenario(load_scenario(self.two_debt_asset_doc(False)))
+        assert [(e.block, e.repaid_usd, e.seized_usd) for e in log.events] == [
+            (1, Dec(4200), Dec(4620)),
+        ]
 
     @pytest.mark.parametrize(
         "gas, flash_rate", [("420", "0"), ("210", "0.05"), ("0", "0.1")]
