@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import datetime
+import functools
 import json
 import logging
 import os
@@ -286,7 +287,10 @@ def _add_common(sub):
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``liqlab`` parser, built once per process; parsing leaves it
+    unchanged, so every ``main`` call reuses it."""
     parser = _Parser(prog="liqlab", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
 

@@ -33,7 +33,13 @@ from .fixedpoint import SCALE, Dec, ZERO, ONE, _checked, _round_div
 
 @dataclass(frozen=True)
 class Asset:
-    """A currency identified by symbol; ``decimals`` is native-unit metadata."""
+    """A currency identified by symbol; ``decimals`` is native-unit metadata.
+
+    Assets key every balance, price and threshold mapping, so the hash of
+    ``(symbol, decimals)`` is computed once, on construction. A pickled
+    asset is rebuilt from its fields, so its hash is that of the process
+    that loads it.
+    """
 
     symbol: str
     decimals: int = 18
@@ -43,6 +49,13 @@ class Asset:
             raise ValueError("asset symbol must be non-empty")
         if not 0 <= self.decimals <= 18:
             raise ValueError(f"asset decimals out of range [0, 18]: {self.decimals}")
+        object.__setattr__(self, "_hash", hash((self.symbol, self.decimals)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return (Asset, (self.symbol, self.decimals))
 
 
 @dataclass(frozen=True)

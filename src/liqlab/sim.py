@@ -37,6 +37,12 @@ Engine rules, in order of application per block:
   checked against the protocol's rules with the position's cached values
   (``fixed_spread.check_liquidation_call``); a call the protocol refuses
   (close-factor cap, debt or collateral shortfall) is simply not sent.
+* Fixed-spread agents skip a liquidatable position outright when no call on
+  it can profit (``cannot_clear_fees``): every repay is at most the
+  close-factor cap ``R``, and ``R*(LS - flash fee rate) < gas`` bounds the
+  net profit of every such repay at zero or less. The scan decides this
+  once per valuation; auction bidders still visit the position, and a
+  skipped call is one that would not have been sent.
 * Positions with an open auction are off-limits to fixed-spread agents.
 * With ``one_liquidation_per_block`` set, at most one liquidation lands per
   position per block, so a two-step agent's second call executes in the
@@ -79,7 +85,7 @@ from .core import (
 )
 from .errors import InvalidScenarioError, LiqlabError, ZeroVolumeError
 from .fixed_spread import LiquidationCall, check_liquidation_call, max_repay
-from .fixedpoint import Dec, ONE, ZERO
+from .fixedpoint import SCALE, Dec, ONE, ZERO
 from .strategy import optimal_repays
 
 
@@ -243,6 +249,26 @@ def validate_scenario(scenario: Scenario) -> None:
                 )
 
 
+def cannot_clear_fees(
+    values: PositionValues, params: RiskParams, gas_fee_usd: Dec, flash_fee_rate: Dec
+) -> bool:
+    """True when no fixed-spread call on a position with these values can
+    have a net profit above zero, whatever its repay.
+
+    The engine never repays more than ``R = max_repay(values, params)``. For
+    a repay ``0 < r <= R`` its net profit is ``r*(1+LS) - r - (gas + r*f)``,
+    where ``f`` is the flash-fee rate. Each of the two products is off its
+    exact value by at most half a unit in the 18th digit, so the net is at
+    most ``r*(LS - f) - gas`` plus one unit, and the net is a whole number
+    of units. Hence ``R*(LS - f) < gas`` (compared exactly on scaled
+    integers) means a net of zero or less for every such ``r``, whatever
+    the sign of ``LS - f``. With ``f`` = 0 this is the paper's unprofitable
+    liquidation: the bonus ``R*LS`` does not exceed the fee.
+    """
+    cap = max_repay(values, params)
+    return cap.raw * (params.ls.raw - flash_fee_rate.raw) < gas_fee_usd.raw * SCALE
+
+
 class _Run:
     """Mutable state of one scenario execution."""
 
@@ -255,8 +281,10 @@ class _Run:
         self.sums = {}
         self.values = {}
         # liquidatable owners in scenario order as of the last _scan, which
-        # is stale after a price or position change
+        # is stale after a price or position change, and the subset on which
+        # some fixed-spread call can clear its fees (see cannot_clear_fees)
         self.liquidatable = []
+        self.fixed_spread_targets = []
         self.stale = True
         self.events = []
         self.volume = {}
@@ -302,15 +330,29 @@ class _Run:
         self.stale = True
 
     def _scan(self, oracle) -> Dec:
-        """Note the liquidatable positions that hold collateral; return the
-        total collateral value."""
+        """Note the liquidatable positions that hold collateral, and those of
+        them a fixed-spread call can profit from; return the total collateral
+        value.
+
+        The second list stays valid until the next scan: within a block a
+        position's debt only falls, and so does its close-factor cap.
+        """
+        scenario = self.scenario
         self.liquidatable = []
+        self.fixed_spread_targets = []
         total = 0
         for owner in self.order:
             c, bc, d = self._sums(owner, oracle)
             total += c
             if c and bc < d:
                 self.liquidatable.append(owner)
+                if not cannot_clear_fees(
+                    self._values(owner, oracle),
+                    scenario.params,
+                    scenario.gas_fee_usd,
+                    scenario.flash_fee_rate,
+                ):
+                    self.fixed_spread_targets.append(owner)
         self.stale = False
         # every c is >= 0, so checking the total alone catches any overflow
         return Dec.from_raw(total)
@@ -401,7 +443,7 @@ class _Run:
     # -- policies ------------------------------------------------------------
 
     def _act_close_factor(self, agent, block, oracle):
-        for owner in self.liquidatable:
+        for owner in self.fixed_spread_targets:
             self._liquidate(block, oracle, agent.agent_id, owner)
 
     def _act_two_step(self, agent, block, oracle):
@@ -411,7 +453,7 @@ class _Run:
             planned = self.pending_second.pop(key)
             self._liquidate(block, oracle, agent.agent_id, key[1], planned)
         # new two-step plans
-        for owner in self.liquidatable:
+        for owner in self.fixed_spread_targets:
             if self._blocked(owner):
                 continue
             values = self._liquidatable_values(owner, oracle)

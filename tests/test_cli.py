@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import liqlab.sim
-from liqlab.cli import main
+from liqlab.cli import build_parser, main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 ETH_DROP = str(FIXTURES / "eth_price_drop.json")
@@ -437,3 +437,46 @@ class TestParserBehavior:
         out = capsys.readouterr().out
         for flag in ("--c", "--d", "--lt", "--ls", "--cf", "--json", "--out"):
             assert flag in out
+
+
+class TestRepeatedMainCalls:
+    """One parser serves every ``main`` call of a process; no call may leak
+    state into the next."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_appended_scenarios_start_empty_each_call(self, tmp_path, capsys):
+        two_step = str(FIXTURES / "two_step.json")
+        argv = ["simulate", "--scenario", ETH_DROP, "--scenario", two_step]
+        assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "eth_price_drop.csv", "two_step.csv",
+        ]
+        capsys.readouterr()
+        # one --scenario and no --out-dir: fine only if the list was not carried over
+        assert main(["simulate", "--scenario", ETH_DROP]) == 0
+        out, err = capsys.readouterr()
+        assert out == (tmp_path / "eth_price_drop.csv").read_text()
+        assert err == ""
+
+    def test_flag_error_then_valid_call(self, capsys):
+        assert main(["strategy", "--c", "x", *TestStrategyCommand.ARGS[3:]]) == 1
+        assert "argument --c" in capsys.readouterr().err
+        assert main(TestStrategyCommand.ARGS) == 0
+        out, err = capsys.readouterr()
+        assert "repay1,32.8947" in out and err == ""
+        assert main(["simulate", "--jobs", "0", "--scenario", ETH_DROP]) == 1
+        capsys.readouterr()
+        assert main(["simulate", "--scenario", ETH_DROP, "--json"]) == 0
+        assert capsys.readouterr().out.startswith('{"block":1,')
+
+    def test_help_then_valid_call_and_help_again(self, capsys):
+        assert main(["--help"]) == 0
+        first = capsys.readouterr().out
+        assert main(["simulate", "--help"]) == 0
+        assert "--scenario" in capsys.readouterr().out
+        assert main(["simulate", "--scenario", ETH_DROP]) == 0
+        assert "fixed-spread,4200,4620" in capsys.readouterr().out
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out == first

@@ -1,3 +1,10 @@
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -26,6 +33,52 @@ def test_asset_validation():
         Asset("ETH", decimals=19)
     with pytest.raises(ValueError):
         Asset("")
+
+
+class TestAssetIdentity:
+    def test_equal_assets_hash_equal(self):
+        assert Asset("ETH") == Asset("ETH", decimals=18)
+        assert hash(Asset("ETH")) == hash(Asset("ETH", decimals=18))
+        assert hash(Asset("ETH")) == hash(("ETH", 18))
+        assert Asset("ETH") != Asset("ETH", decimals=6)
+        assert {Asset("USDC", decimals=6): 1}[USDC] == 1
+
+    def test_fields_and_repr_are_unchanged(self):
+        assert [f.name for f in dataclasses.fields(ETH)] == ["symbol", "decimals"]
+        assert repr(USDC) == "Asset(symbol='USDC', decimals=6)"
+        assert dataclasses.replace(ETH, decimals=8) == Asset("ETH", decimals=8)
+        assert hash(dataclasses.replace(ETH, decimals=8)) == hash(Asset("ETH", 8))
+        assert sorted([USDC, ETH, DAI], key=lambda a: a.symbol) == [DAI, ETH, USDC]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ETH.symbol = "WETH"
+
+    def test_pickle_round_trip_across_hash_seeds(self, tmp_path):
+        # written under one hash seed and read under another: the loaded
+        # assets must key the loaded dict and a freshly built one
+        src = Path(__file__).resolve().parent.parent / "src"
+        blob = tmp_path / "assets.pickle"
+        write = (
+            "import pickle, sys\n"
+            "from liqlab import Asset, Dec\n"
+            "prices = {Asset('ETH'): Dec(3000), Asset('USDC', 6): Dec(1)}\n"
+            "open(sys.argv[1], 'wb').write(pickle.dumps((Asset('ETH'), prices)))\n"
+        )
+        read = (
+            "import pickle, sys\n"
+            "from liqlab import Asset, Dec\n"
+            "eth, prices = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+            "assert hash(eth) == hash(Asset('ETH'))\n"
+            "assert prices[Asset('ETH')] == Dec(3000)\n"
+            "assert prices[Asset('USDC', 6)] == Dec(1)\n"
+            "assert prices[eth] == Dec(3000)\n"
+            "assert {Asset('ETH'): 'fresh'}[eth] == 'fresh'\n"
+        )
+        for seed, code in (("0", write), ("12345", read)):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+            subprocess.run([sys.executable, "-c", code, str(blob)], env=env, check=True)
+        eth, prices = pickle.loads(blob.read_bytes())
+        assert eth == ETH and hash(eth) == hash(ETH)
+        assert prices[ETH] == Dec(3000)
 
 
 def test_position_normalization_drops_zero_entries():

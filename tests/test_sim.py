@@ -1,12 +1,13 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, note, settings, strategies as st
 
 import liqlab.sim
 from liqlab import (
@@ -18,14 +19,18 @@ from liqlab import (
     PolicyKind,
     RiskParams,
     Scenario,
+    PositionValues,
     ScriptedBid,
     classify_bad_debt,
     load_scenario,
+    max_repay,
     profit_volume_ratio,
     run_scenario,
+    scan_unprofitable,
     strategy_profits,
 )
 from liqlab.errors import InvalidScenarioError, ZeroVolumeError
+from liqlab.sim import cannot_clear_fees
 
 from helpers import TOL9, rel_close
 
@@ -641,3 +646,183 @@ class TestIncrementalValuation:
         gas = Dec(420) - Dec.from_raw(1)
         (event,) = run_scenario(replace(eth_drop_scenario(), gas_fee_usd=gas)).events
         assert event.net_profit_usd == Dec.from_raw(1)
+
+
+# -- the bound that skips fixed-spread calls no repay can profit from --------
+
+SCALE = 10**18
+ONE = Dec(1)
+
+
+def _engine_net(repay: Dec, ls: Dec, gas: Dec, flash_rate: Dec) -> Dec:
+    """``sim._Run._liquidate``'s own net-profit expression."""
+    gross = repay * (ONE + ls) - repay
+    return gross - (gas + repay * flash_rate)
+
+
+@st.composite
+def _bound_inputs(draw):
+    cf = draw(st.integers(1, SCALE))
+    ls = draw(st.one_of(st.just(0), st.integers(0, SCALE // 2)))
+    flash = draw(st.one_of(
+        st.just(0), st.just(ls), st.integers(0, SCALE // 2),
+        st.integers(max(ls - 3, 0), ls + 3),
+    ))
+    d = draw(st.one_of(st.integers(1, 10**6), st.integers(1, 10**30)))
+    cap = Dec.from_raw(cf) * Dec.from_raw(d)
+    # gas at, just under and just over the cap's exact bonus, or anywhere
+    edge = max(cap.raw * (ls - flash) // SCALE, 0)
+    gas = draw(st.one_of(
+        st.just(0), st.integers(max(edge - 2, 0), edge + 2), st.integers(0, 10**24),
+    ))
+    return cf, ls, flash, d, gas
+
+
+@settings(max_examples=400, deadline=None)
+@given(_bound_inputs(), st.randoms(use_true_random=False))
+# the worked example: cap 4200, bonus exactly 420 = gas, so net <= 0
+@example((SCALE // 2, SCALE // 10, 0, 8400 * SCALE, 420 * SCALE), random.Random(0))
+# gas 0 with the flash fee above the spread: every repay loses
+@example((SCALE // 2, SCALE // 10, SCALE // 10 + 1, 8400 * SCALE, 0), random.Random(0))
+def test_skipped_positions_have_no_profitable_repay(inputs, rng):
+    cf, ls, flash, d, gas = (Dec.from_raw(raw) for raw in inputs)
+    params = RiskParams(lt={}, ls=ls, cf=cf)
+    values = PositionValues(c=d, d=d, bc=Dec(0))
+    cap = max_repay(values, params)
+    skip = cannot_clear_fees(values, params, gas, flash)
+    note(f"cap={cap} skip={skip}")
+    if not skip:
+        return
+    for repay in {cap.raw, cap.raw - 1, rng.randint(1, max(cap.raw, 1))} - {0}:
+        assert _engine_net(Dec.from_raw(repay), ls, gas, flash) <= Dec(0), repay
+
+
+def test_bound_does_not_skip_a_rounding_gain():
+    # one unit of repay at LS = f = 0.5 and no gas: the gross rounds up to
+    # one unit and the flash fee down to zero, so the net is +1 unit
+    ls = flash = Dec("0.5")
+    values = PositionValues(c=Dec(1), d=Dec.from_raw(1), bc=Dec(0))
+    params = RiskParams(lt={}, ls=ls, cf=Dec(1))
+    assert _engine_net(max_repay(values, params), ls, Dec(0), flash) == Dec.from_raw(1)
+    assert not cannot_clear_fees(values, params, Dec(0), flash)
+
+
+def _cap_below_gas_scenario(agents):
+    """The worked example with gas 500: at block 1 the close-factor cap of
+    4200 earns a bonus of 420, so no fixed-spread call can clear the gas."""
+    doc = json.loads((FIXTURES / "eth_price_drop.json").read_text())
+    doc["gas_fee_usd"] = "500"
+    doc["agents"] = agents
+    return load_scenario(doc)
+
+
+class TestUnprofitableSkip:
+    def test_fixed_spread_agents_make_no_attempt_and_the_bidder_still_auctions(
+        self, monkeypatch
+    ):
+        scenario = _cap_below_gas_scenario([
+            {"id": "cf", "policy": "up-to-close-factor"},
+            {"id": "two-step", "policy": "optimal-two-step"},
+            {"id": "keeper", "policy": "auction-bidder"},
+        ])
+        attempts = []
+        real = liqlab.sim._Run._liquidate
+
+        def counting(self, *args, **kwargs):
+            attempts.append(args)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(liqlab.sim._Run, "_liquidate", counting)
+        checks = _count_calls(monkeypatch, "check_liquidation_call")
+        plans = _count_calls(monkeypatch, "optimal_repays")
+        starts = _count_calls(monkeypatch, "start_auction")
+        log = run_scenario(scenario)
+        assert (attempts, checks, plans) == ([], [], [])
+        assert log.events == ()
+        # block 1's only auction, over the whole liquidatable position
+        ((values, config),) = starts
+        assert (values.c, values.d) == (Dec(9900), Dec(8400))
+
+    def test_one_unit_less_gas_is_not_skipped(self, monkeypatch):
+        # the two-step plan's first repay (4000) cannot clear the gas, but
+        # the cap can, so the position is planned and the cap's call lands
+        plans = _count_calls(monkeypatch, "optimal_repays")
+        agents = [
+            {"id": "two-step", "policy": "optimal-two-step"},
+            {"id": "cf", "policy": "up-to-close-factor"},
+        ]
+        scenario = replace(
+            _cap_below_gas_scenario(agents), gas_fee_usd=Dec(420) - Dec.from_raw(1)
+        )
+        log = run_scenario(scenario)
+        assert len(plans) == 1
+        assert [(e.block, e.liquidator, e.repaid_usd) for e in log.events] == [
+            (1, "cf", Dec(4200)),
+        ]
+
+    def test_skipped_owners_are_the_papers_unprofitable_liquidations(self, monkeypatch):
+        # twelve ETH-backed positions of different sizes on a falling price;
+        # gas 12, LS 0.1, CF 0.5 and no flash fee
+        positions = [
+            {"owner": f"p{i:02d}", "collateral": {"ETH": str(Dec(debt) / Dec(2000))},
+             "debt": {"USDC": debt}}
+            for i, debt in enumerate(
+                ["20", "60", "120", "200", "239.99", "240", "240.01", "300", "480",
+                 "900", "2000", "5000"]
+            )
+        ]
+        doc = {
+            "assets": [{"symbol": "ETH"}, {"symbol": "USDC", "decimals": 6}],
+            "params": {"lt": {"ETH": "0.8"}, "ls": "0.1", "cf": "0.5"},
+            "positions": positions,
+            "price_path": {str(b): {"ETH": str(2000 - 150 * b), "USDC": "1"}
+                           for b in range(9)},
+            "agents": [{"id": "cf", "policy": "up-to-close-factor"},
+                       {"id": "two-step", "policy": "optimal-two-step"}],
+            "gas_fee_usd": "12",
+            "blocks": 8,
+        }
+        scenario = load_scenario(doc)
+        scans = []
+        real = liqlab.sim._Run._scan
+
+        def recording(self, oracle):
+            volume = real(self, oracle)
+            skipped = [o for o in self.liquidatable if o not in self.fixed_spread_targets]
+            scans.append((oracle, list(self.positions.values()), skipped))
+            return volume
+
+        monkeypatch.setattr(liqlab.sim._Run, "_scan", recording)
+        log = run_scenario(scenario)
+        assert log.events
+        skipped_any = set()
+        for oracle, positions_now, skipped in scans:
+            flagged = {
+                p.owner for p, _ in scan_unprofitable(
+                    positions_now, scenario.gas_fee_usd, oracle, scenario.params
+                )
+            }
+            assert set(skipped) <= flagged
+            skipped_any.update(skipped)
+        # block 0: a bonus under 12 is skipped; a bonus of exactly 12 (p05) is
+        # flagged but left to the engine's own net <= 0 test
+        assert scans[0][2] == ["p00", "p01", "p02", "p03", "p04"]
+        # and positions that liquidations shrank join them later
+        assert len(skipped_any) > 6
+
+    def test_skipped_position_is_not_planned(self):
+        # LS 0 and LT one unit under 1: the two-step plan for this debt
+        # would divide by 1e-18 and overflow, but with gas 1 and no spread
+        # no call can clear its fee, so the position is never planned
+        doc = {
+            "assets": [{"symbol": "ETH"}, {"symbol": "USDC"}],
+            "params": {"lt": {"ETH": "0.999999999999999999"}, "ls": "0", "cf": "0.5"},
+            "positions": [{"owner": "whale", "collateral": {"ETH": "1" + "0" * 45},
+                           "debt": {"USDC": "1" + "0" * 46}}],
+            "price_path": {"0": {"ETH": "1", "USDC": "1"}},
+            "agents": [{"id": "two-step", "policy": "optimal-two-step"}],
+            "gas_fee_usd": "1",
+            "blocks": 0,
+        }
+        log = run_scenario(load_scenario(doc))
+        assert log.events == ()

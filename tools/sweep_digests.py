@@ -3,7 +3,7 @@
 The sweep runs the benchmark workload generators (``bench/workloads.py``,
 imported read-only) for seeds 0-19 of both workloads, each under every
 combination of ``one_liquidation_per_block`` on/off, ``cf_per_debt_asset``
-on/off and a gas fee of 0 or 20 USD, plus the scenario fixtures. Each run's
+on/off and a gas fee of 0, 5 or 20 USD, plus the scenario fixtures. Each run's
 digest covers the event log as CSV and JSONL, the collateral volume series
 and the final positions, or the error that ended the run. For crash-cascade
 runs and the fixtures it also covers the sensitivity curve and the bad-debt
@@ -109,7 +109,7 @@ def runs():
     for name, generator in sorted(workloads.GENERATORS.items()):
         for seed in SEEDS:
             workload = generator(seed)
-            for olpb, cfpa, gas in itertools.product((0, 1), (0, 1), ("0", "20")):
+            for olpb, cfpa, gas in itertools.product((0, 1), (0, 1), ("0", "5", "20")):
                 doc = copy.deepcopy(workload.scenario)
                 doc["one_liquidation_per_block"] = bool(olpb)
                 doc["params"] = dict(doc["params"], cf_per_debt_asset=bool(cfpa))
