@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .auction import Auction, AuctionConfig, Bid, apply_termination, finalize, place_bid
 from .core import Asset, PositionValues, RiskParams
-from .errors import InvalidScenarioError, LiqlabError
+from .errors import InvalidScenarioError, LiqlabError, ZeroSecondLiquidationError
 from .fixedpoint import Dec, ZERO
 from .risk import classify_bad_debt, classify_price_path, sensitivity_curve
 from .sim import _identifier, _integer, _shaped, load_scenario, run_scenario
@@ -105,8 +105,11 @@ def _cmd_strategy(args) -> int:
         ("profit_close_factor", str(profits.profit_close_factor)),
         ("delta_r", str(profits.delta_r)),
     ]
-    if plan.repay2 > ZERO:
+    try:
         mitigation = mitigation_threshold(profits, plan, params)
+    except ZeroSecondLiquidationError:
+        pass  # no second-call profit, so no threshold to report
+    else:
         rows += [
             ("profit_o1", str(mitigation.profit_o1)),
             ("profit_o2", str(mitigation.profit_o2)),
@@ -222,9 +225,10 @@ def _cmd_classify_path(args) -> int:
                 return 1
     category = classify_price_path(prices, args.liquidation_price)
     if args.json:
-        _emit(json.dumps({"category": category.value}) + "\n", args.out)
+        text = json.dumps({"category": category.value}) + "\n"
     else:
-        _emit(category.value + "\n", args.out)
+        text = category.value + "\n"
+    _emit(_stamp_line(args.stamp) + text, args.out)
     return 0
 
 

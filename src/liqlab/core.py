@@ -4,7 +4,7 @@ All money amounts are ``Dec`` values. Collateral and debt balances are kept
 in native asset units; USD values are obtained through an oracle snapshot.
 Functions here are pure and never mutate their inputs.
 
-Every valuation goes through one kernel, :func:`value_sums`, which returns a
+Every valuation goes through one kernel, :func:`sum_terms`, which returns a
 position's collateral value ``c``, borrowing capacity ``bc`` and debt value
 ``d`` as scaled integers (``Dec.raw``), without building a ``Dec`` per term.
 It makes exactly the roundings that ``Dec`` arithmetic makes: each asset's
@@ -13,6 +13,14 @@ is that rounded value times the asset's LT, rounded again, and the sums are
 exact integer additions. Its results therefore equal, digit for digit,
 those of the ``Dec`` loop ``value = amount * price; c = c + value;
 bc = bc + value * LT``.
+
+The kernel reads its terms as ``(key, raw amount)`` pairs and looks prices
+and thresholds up by key, so one loop serves two key layouts.
+:func:`value_sums` and :func:`priced_total` key by ``Asset`` and look up
+through the oracle and the parameters, which raise ``MissingPriceError`` and
+``MissingThresholdError`` for an absent entry. The scenario engine numbers
+its assets once and keys by slot, into plain lists of raw prices and
+thresholds that it has checked to be complete.
 
 Overflow stays explicit. That ``Dec`` loop checks every product and partial
 sum against 2**255. Here every term is non-negative and each ``bc`` term is
@@ -28,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .errors import MissingPriceError, MissingThresholdError
-from .fixedpoint import SCALE, Dec, ZERO, ONE, _checked, _round_div
+from .fixedpoint import SCALE, Dec, ZERO, ONE, _BOUND, _checked
 
 
 @dataclass(frozen=True)
@@ -178,25 +186,74 @@ class PositionValues:
         return cls(c=Dec.from_raw(c), d=Dec.from_raw(d), bc=Dec.from_raw(bc))
 
 
+_HALF = SCALE // 2
+
+
+def sum_terms(collateral, debt, prices, thresholds) -> tuple:
+    """The valuation kernel: scaled-int ``(c, bc, d)`` with c = sum(col*price),
+    bc = sum(col*price*LT) and d = sum(debt*price).
+
+    ``collateral`` and ``debt`` are ``(key, raw amount)`` pairs; ``prices[key]``
+    and ``thresholds[key]`` are raw. See the module docstring for the
+    roundings and the overflow checks. Each product is rounded half-even as
+    ``fixedpoint._round_div`` rounds it, written out here because this loop
+    is the engine's hot path.
+    """
+    c = bc = d = 0
+    for key, amount in collateral:
+        value, rest = divmod(amount * prices[key], SCALE)
+        if rest > _HALF or (rest == _HALF and value & 1):
+            value += 1
+        c += value
+        if c >= _BOUND:
+            _checked(c)
+        term, rest = divmod(value * thresholds[key], SCALE)
+        if rest > _HALF or (rest == _HALF and term & 1):
+            term += 1
+        bc += term
+    for key, amount in debt:
+        value, rest = divmod(amount * prices[key], SCALE)
+        if rest > _HALF or (rest == _HALF and value & 1):
+            value += 1
+        d += value
+        if d >= _BOUND:
+            _checked(d)
+    return c, bc, d
+
+
+class _RawLookup:
+    """``lookup(key).raw`` behind ``[key]``, so the kernel reads an oracle's
+    prices or a parameter set's thresholds, and their missing-entry errors,
+    in its own order."""
+
+    __slots__ = ("_lookup",)
+
+    def __init__(self, lookup):
+        self._lookup = lookup
+
+    def __getitem__(self, key) -> int:
+        return self._lookup(key).raw
+
+
+def _raw_terms(amounts: Mapping[Asset, Dec]):
+    return [(asset, amount.raw) for asset, amount in amounts.items()]
+
+
 def priced_total(amounts: Mapping[Asset, Dec], oracle: OracleSnapshot) -> int:
     """Scaled-int USD value of native ``amounts``: the sum of amount*price,
     each product rounded half-even as ``Dec`` multiplication rounds it."""
-    total = 0
-    for asset, amount in amounts.items():
-        total = _checked(total + _round_div(amount.raw * oracle.price(asset).raw, SCALE))
-    return total
+    return sum_terms((), _raw_terms(amounts), _RawLookup(oracle.price), None)[2]
 
 
 def value_sums(position: Position, oracle: OracleSnapshot, params: RiskParams) -> tuple:
-    """The valuation kernel: scaled-int ``(c, bc, d)`` of a position at the
-    snapshot, with c = sum(col*price), bc = sum(col*price*LT) and
-    d = sum(debt*price); see the module docstring for its roundings."""
-    c = bc = 0
-    for asset, amount in position.collateral.items():
-        value = _round_div(amount.raw * oracle.price(asset).raw, SCALE)
-        c = _checked(c + value)
-        bc += _round_div(value * params.threshold(asset).raw, SCALE)
-    return c, bc, priced_total(position.debt, oracle)
+    """Scaled-int ``(c, bc, d)`` of a position at the snapshot, through the
+    kernel :func:`sum_terms`."""
+    return sum_terms(
+        _raw_terms(position.collateral),
+        _raw_terms(position.debt),
+        _RawLookup(oracle.price),
+        _RawLookup(params.threshold),
+    )
 
 
 def position_values(position: Position, oracle: OracleSnapshot, params: RiskParams) -> PositionValues:

@@ -20,15 +20,21 @@ Engine rules, in order of application per block:
   left has nothing to seize or to sell: it is type-I bad debt, which no
   agent acts on and no auction opens for.
 * A position is valued once and the values are reused until they can
-  change: every position is re-valued after a block whose prices differ
-  from the previous block's, and a position alone after its own balances
-  change (a liquidation or an auction settlement). A block that changes no
-  price and follows no balance change records the previous block's volume
-  and keeps its list of liquidatable positions. The engine caches each
-  position's raw ``(c, bc, d)`` from the valuation kernel
-  (``core.value_sums``), sums and compares those integers in the scan, and
-  builds ``PositionValues`` only for a liquidatable position a policy acts
-  on.
+  change: every position is re-valued after a block that moves the price
+  of any asset the positions reference, and a position alone after its own
+  balances change (a liquidation or an auction settlement). A block that
+  moves no such price and follows no balance change records the previous
+  block's volume and keeps its list of liquidatable positions.
+* Valuation runs on a slot-indexed raw book. The assets the positions
+  reference are numbered once (slots); a run holds one list of raw prices
+  per re-pricing, indexed by slot, and the raw thresholds likewise. Each
+  position is compiled into ``(slot, raw amount)`` terms, in the order of
+  its balances, when it is first valued and again after its balances
+  change. The valuation kernel (``core.sum_terms``) turns terms and lists
+  into the position's raw ``(c, bc, d)``, which the engine caches, sums and
+  compares in the scan. Validation guarantees a price for every slot at
+  every block and a threshold for every collateral slot, so no lookup on
+  this path can fail.
 * Fixed-spread agents act only when the net profit (gross minus gas and
   flash fee) is strictly positive. The net profit follows from the repay
   amount alone, so a call is sent only when it is profitable; that is also
@@ -41,8 +47,10 @@ Engine rules, in order of application per block:
   it can profit (``cannot_clear_fees``): every repay is at most the
   close-factor cap ``R``, and ``R*(LS - flash fee rate) < gas`` bounds the
   net profit of every such repay at zero or less. The scan decides this
-  once per valuation; auction bidders still visit the position, and a
-  skipped call is one that would not have been sent.
+  once per valuation, on the raw debt value; auction bidders still visit
+  the position, and a skipped call is one that would not have been sent.
+  The scan builds no ``PositionValues`` and no ``Dec`` per position: they
+  are built only for a liquidatable position a policy acts on.
 * Positions with an open auction are off-limits to fixed-spread agents.
 * With ``one_liquidation_per_block`` set, at most one liquidation lands per
   position per block, so a two-step agent's second call executes in the
@@ -81,11 +89,11 @@ from .core import (
     Position,
     RiskParams,
     PositionValues,
-    value_sums,
+    sum_terms,
 )
 from .errors import InvalidScenarioError, LiqlabError, ZeroVolumeError
 from .fixed_spread import LiquidationCall, check_liquidation_call, max_repay
-from .fixedpoint import SCALE, Dec, ONE, ZERO
+from .fixedpoint import SCALE, Dec, ONE, ZERO, _round_div
 from .strategy import optimal_repays
 
 
@@ -228,15 +236,12 @@ def validate_scenario(scenario: Scenario) -> None:
     if len(agent_ids) != len(set(agent_ids)):
         raise InvalidScenarioError("agents", "duplicate agent identifiers")
 
-    referenced = set()
-    for position in scenario.positions:
-        referenced.update(position.collateral)
-        referenced.update(position.debt)
+    referenced = sorted(_referenced_assets(scenario.positions), key=lambda a: a.symbol)
     for block in range(scenario.blocks + 1):
         snapshot = scenario.price_path.get(block)
         if snapshot is None:
             raise InvalidScenarioError("price_path", f"missing snapshot for block {block}")
-        for asset in sorted(referenced, key=lambda a: a.symbol):
+        for asset in referenced:
             if asset not in snapshot.prices:
                 raise InvalidScenarioError(
                     "price_path", f"block {block} misses price for {asset.symbol}"
@@ -249,13 +254,23 @@ def validate_scenario(scenario: Scenario) -> None:
                 )
 
 
-def cannot_clear_fees(
-    values: PositionValues, params: RiskParams, gas_fee_usd: Dec, flash_fee_rate: Dec
-) -> bool:
-    """True when no fixed-spread call on a position with these values can
-    have a net profit above zero, whatever its repay.
+def _referenced_assets(positions) -> dict:
+    """The assets the positions hold or owe, in order of first mention."""
+    referenced = {}
+    for position in positions:
+        referenced.update(dict.fromkeys(position.collateral))
+        referenced.update(dict.fromkeys(position.debt))
+    return referenced
 
-    The engine never repays more than ``R = max_repay(values, params)``. For
+
+def cannot_clear_fees(
+    d: int, params: RiskParams, gas_fee_usd: Dec, flash_fee_rate: Dec
+) -> bool:
+    """True when no fixed-spread call on a position whose raw debt value is
+    ``d`` can have a net profit above zero, whatever its repay.
+
+    The engine never repays more than ``R = max_repay(values, params)``,
+    ``CF*d`` rounded half-even, which is computed here on the raw ``d``. For
     a repay ``0 < r <= R`` its net profit is ``r*(1+LS) - r - (gas + r*f)``,
     where ``f`` is the flash-fee rate. Each of the two products is off its
     exact value by at most half a unit in the 18th digit, so the net is at
@@ -265,8 +280,8 @@ def cannot_clear_fees(
     the sign of ``LS - f``. With ``f`` = 0 this is the paper's unprofitable
     liquidation: the bonus ``R*LS`` does not exceed the fee.
     """
-    cap = max_repay(values, params)
-    return cap.raw * (params.ls.raw - flash_fee_rate.raw) < gas_fee_usd.raw * SCALE
+    cap = _round_div(params.cf.raw * d, SCALE)
+    return cap * (params.ls.raw - flash_fee_rate.raw) < gas_fee_usd.raw * SCALE
 
 
 class _Run:
@@ -276,6 +291,17 @@ class _Run:
         self.scenario = scenario
         self.positions = {p.owner: p for p in scenario.positions}
         self.order = [p.owner for p in scenario.positions]
+        # the raw book: asset -> slot for every referenced asset, the raw
+        # thresholds and the current block's raw prices by slot, and owner ->
+        # compiled (slot, raw amount) collateral and debt terms
+        self.assets = list(_referenced_assets(scenario.positions))
+        self.slots = {asset: slot for slot, asset in enumerate(self.assets)}
+        lt = scenario.params.lt
+        # a debt-only asset needs no threshold: the kernel reads thresholds
+        # for collateral terms alone
+        self.thresholds = [lt[a].raw if a in lt else None for a in self.assets]
+        self.prices = None
+        self.terms = {}
         # owner -> raw (c, bc, d) at the current prices, and owner -> the
         # PositionValues built from them once a policy needs them; see _sums
         self.sums = {}
@@ -294,11 +320,30 @@ class _Run:
 
     # -- helpers -------------------------------------------------------------
 
-    def _sums(self, owner, oracle):
+    def _reprice(self, oracle) -> None:
+        """Take the block's raw prices; on any change, every cached valuation
+        goes stale."""
+        prices = [oracle.prices[asset].raw for asset in self.assets]
+        if prices != self.prices:
+            self.prices = prices
+            self.sums.clear()
+            self.values.clear()
+            self.stale = True
+
+    def _compile(self, position: Position) -> tuple:
+        """The position's ``(slot, raw amount)`` collateral and debt terms."""
+        slots = self.slots
+        return (
+            tuple((slots[asset], amount.raw) for asset, amount in position.collateral.items()),
+            tuple((slots[asset], amount.raw) for asset, amount in position.debt.items()),
+        )
+
+    def _sums(self, owner):
         """The owner's raw ``(c, bc, d)`` at the current block's prices.
 
         Entries are dropped when the position changes (``_set_position``)
-        and all at once when a block's prices differ from the last block's.
+        and all at once when a block's raw price list differs from the last
+        one (``_reprice``).
         A position is liquidatable iff ``bc < d``: ``bc`` is never negative,
         so that also means ``d > 0``. The policies act on it only while it
         also holds collateral (``c > 0``): with none left there is nothing to
@@ -306,30 +351,33 @@ class _Run:
         """
         sums = self.sums.get(owner)
         if sums is None:
-            sums = value_sums(self.positions[owner], oracle, self.scenario.params)
-            self.sums[owner] = sums
+            terms = self.terms.get(owner)
+            if terms is None:
+                terms = self.terms[owner] = self._compile(self.positions[owner])
+            sums = self.sums[owner] = sum_terms(*terms, self.prices, self.thresholds)
         return sums
 
-    def _values(self, owner, oracle) -> PositionValues:
+    def _values(self, owner) -> PositionValues:
         values = self.values.get(owner)
         if values is None:
-            values = PositionValues.from_sums(self._sums(owner, oracle))
+            values = PositionValues.from_sums(self._sums(owner))
             self.values[owner] = values
         return values
 
-    def _liquidatable_values(self, owner, oracle) -> Optional[PositionValues]:
+    def _liquidatable_values(self, owner) -> Optional[PositionValues]:
         """The owner's position values while it is liquidatable and holds
         collateral, else None."""
-        c, bc, d = self._sums(owner, oracle)
-        return self._values(owner, oracle) if c and bc < d else None
+        c, bc, d = self._sums(owner)
+        return self._values(owner) if c and bc < d else None
 
     def _set_position(self, owner, position):
         self.positions[owner] = position
+        self.terms.pop(owner, None)
         self.sums.pop(owner, None)
         self.values.pop(owner, None)
         self.stale = True
 
-    def _scan(self, oracle) -> Dec:
+    def _scan(self) -> Dec:
         """Note the liquidatable positions that hold collateral, and those of
         them a fixed-spread call can profit from; return the total collateral
         value.
@@ -342,15 +390,12 @@ class _Run:
         self.fixed_spread_targets = []
         total = 0
         for owner in self.order:
-            c, bc, d = self._sums(owner, oracle)
+            c, bc, d = self._sums(owner)
             total += c
             if c and bc < d:
                 self.liquidatable.append(owner)
                 if not cannot_clear_fees(
-                    self._values(owner, oracle),
-                    scenario.params,
-                    scenario.gas_fee_usd,
-                    scenario.flash_fee_rate,
+                    d, scenario.params, scenario.gas_fee_usd, scenario.flash_fee_rate
                 ):
                     self.fixed_spread_targets.append(owner)
         self.stale = False
@@ -384,7 +429,7 @@ class _Run:
         """
         if self._blocked(owner):
             return None
-        values = self._liquidatable_values(owner, oracle)
+        values = self._liquidatable_values(owner)
         if values is None:
             return None
         position = self.positions[owner]
@@ -456,7 +501,7 @@ class _Run:
         for owner in self.fixed_spread_targets:
             if self._blocked(owner):
                 continue
-            values = self._liquidatable_values(owner, oracle)
+            values = self._liquidatable_values(owner)
             if values is None:
                 continue
             pair = self._choose_pair(self.positions[owner], oracle)
@@ -477,7 +522,7 @@ class _Run:
         for owner in self.liquidatable:
             if self._blocked(owner):
                 continue
-            values = self._liquidatable_values(owner, oracle)
+            values = self._liquidatable_values(owner)
             if values is None:
                 continue
             self.open_auctions[owner] = start_auction(
@@ -508,7 +553,7 @@ class _Run:
                     f"bid at time {scripted.time} by {scripted.bidder!r} refused: {exc}",
                 ) from None
 
-    def _settle_auctions(self, block, oracle):
+    def _settle_auctions(self, block):
         for owner in list(self.open_auctions):
             auction = self.open_auctions[owner]
             if check_termination(auction, block) is None:
@@ -517,7 +562,7 @@ class _Run:
             del self.open_auctions[owner]
             if auction.best_bid is None:
                 continue  # expired worthless; position stays liquidatable
-            values_now = self._values(owner, oracle)
+            values_now = self._values(owner)
             settlement = finalize(auction, values_now)
             self._set_position(
                 owner, _apply_settlement(self.positions[owner], settlement, values_now)
@@ -543,16 +588,11 @@ class _Run:
 
     def run(self) -> EventLog:
         scenario = self.scenario
-        prices = None
         for block in range(scenario.blocks + 1):
             oracle = scenario.price_path[block]
-            if oracle.prices != prices:
-                self.sums.clear()
-                self.values.clear()
-                self.stale = True
-                prices = oracle.prices
+            self._reprice(oracle)
             # Dec addition is exact, so a carried volume equals a re-summed one
-            self.volume[block] = self._scan(oracle) if self.stale else self.volume[block - 1]
+            self.volume[block] = self._scan() if self.stale else self.volume[block - 1]
             self.liquidated_this_block = set()
             for agent in scenario.agents:
                 if agent.kind is PolicyKind.UP_TO_CLOSE_FACTOR:
@@ -561,7 +601,7 @@ class _Run:
                     self._act_two_step(agent, block, oracle)
                 else:
                     self._act_auction_bidder(agent, block, oracle)
-            self._settle_auctions(block, oracle)
+            self._settle_auctions(block)
         return EventLog(
             events=tuple(self.events),
             collateral_volume_by_block=self.volume,

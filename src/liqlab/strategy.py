@@ -40,7 +40,7 @@ from .errors import (
     ZeroSecondLiquidationError,
 )
 from .fixed_spread import LiquidationCall, LiquidationReceipt, execute_liquidation_call
-from .fixedpoint import Dec, ONE, ULP, ZERO
+from .fixedpoint import SCALE, Dec, ONE, ULP, ZERO, _round_div
 
 
 @dataclass(frozen=True)
@@ -88,10 +88,16 @@ def optimal_repays(c: Dec, d: Dec, lt: Dec, params: RiskParams) -> StrategyPlan:
         raise InvalidParamsError(reason)
     if not lt * c < d:
         raise NotLiquidatableError(f"position is healthy: LT*C = {lt * c} >= D = {d}")
-    r_star = (d - lt * c) / (ONE - lt * (ONE + params.ls))
+    # r* is compared with the cap as a raw quotient, rounded as Dec division
+    # rounds it: a quotient past the Dec range (LT*(1+LS) within a few units
+    # of 1) exceeds the cap, so it gives the clamped plan instead of an
+    # OverflowError. Both operands are positive here.
+    numerator = d - lt * c
+    denominator = ONE - lt * (ONE + params.ls)
+    r_star = _round_div(numerator.raw * SCALE, denominator.raw)
     cap = params.cf * d
-    clamped = r_star > cap
-    repay1 = cap if clamped else r_star - ULP
+    clamped = r_star > cap.raw
+    repay1 = cap if clamped else Dec.from_raw(r_star) - ULP
     repay2 = params.cf * (d - repay1)
     return StrategyPlan(repay1=repay1, repay2=repay2, clamped=clamped)
 
@@ -125,12 +131,16 @@ def mitigation_threshold(
     when only one liquidation per position is permitted per block.
 
     alpha_threshold = (profit_c - profit_o1) / profit_o2. A value <= 0 means
-    the strategy is rational at any mining power, >= 1 means never.
+    the strategy is rational at any mining power, >= 1 means never. The
+    threshold is undefined, and ZeroSecondLiquidationError is raised, when
+    the second call repays nothing or earns nothing (LS = 0, say).
     """
     if plan.repay2 <= ZERO:
         raise ZeroSecondLiquidationError("second repay is zero; threshold undefined")
     profit_o1 = params.ls * plan.repay1
     profit_o2 = params.ls * plan.repay2
+    if profit_o2 == ZERO:
+        raise ZeroSecondLiquidationError("second liquidation earns nothing; threshold undefined")
     alpha = (profits.profit_close_factor - profit_o1) / profit_o2
     return MitigationAnalysis(
         profit_o1=profit_o1, profit_o2=profit_o2, alpha_threshold=alpha

@@ -35,6 +35,17 @@ class TestStrategyCommand:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    def test_closed_form_past_the_dec_range_is_clamped(self, capsys):
+        rc = main([
+            "strategy", "--c", "1" + "0" * 45, "--d", "1" + "0" * 46,
+            "--lt", "0.999999999999999999", "--ls", "0", "--cf", "0.5",
+        ])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "clamped,true\n" in out
+        # LS 0: the second call earns nothing, so no mitigation threshold
+        assert "alpha_threshold" not in out
+
     def test_out_of_range_decimal_is_validation_error(self, capsys):
         assert main(["strategy", "--c", "9" * 80] + self.ARGS[3:]) == 1
         err = capsys.readouterr().err
@@ -338,6 +349,21 @@ class TestClassifyPathCommand:
         )
         assert rc == 0
         assert json.loads(capsys.readouterr().out) == {"category": "fall-rise"}
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_stamp_line_comes_first(self, capsys, fmt):
+        argv = [
+            "classify-path",
+            "--input", str(FIXTURES / "path_fall_rise.csv"),
+            "--liquidation-price", "100",
+            *fmt,
+        ]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main(argv + ["--stamp"]) == 0
+        stamp, rest = capsys.readouterr().out.split("\n", 1)
+        assert stamp.startswith("# generated ")
+        assert rest == plain
 
     def test_bad_line_reports_position(self, tmp_path, capsys):
         path = tmp_path / "prices.csv"

@@ -16,7 +16,9 @@ from liqlab import (
     BadDebtKind,
     Dec,
     Mechanism,
+    OracleSnapshot,
     PolicyKind,
+    Position,
     RiskParams,
     Scenario,
     PositionValues,
@@ -24,11 +26,13 @@ from liqlab import (
     classify_bad_debt,
     load_scenario,
     max_repay,
+    position_values,
     profit_volume_ratio,
     run_scenario,
     scan_unprofitable,
     strategy_profits,
 )
+from liqlab.core import value_sums
 from liqlab.errors import InvalidScenarioError, ZeroVolumeError
 from liqlab.sim import cannot_clear_fees
 
@@ -536,7 +540,7 @@ class TestIncrementalValuation:
     def test_healthy_positions_are_valued_once_per_price_change(
         self, monkeypatch, moves, valuations
     ):
-        calls = _count_calls(monkeypatch, "value_sums")
+        calls = _count_calls(monkeypatch, "sum_terms")
         log = run_scenario(_three_healthy_positions_three_agents(moves))
         assert log.events == ()
         assert len(calls) == valuations
@@ -545,7 +549,7 @@ class TestIncrementalValuation:
     def test_healthy_positions_are_checked_once_per_price_change(
         self, monkeypatch, moves, checks
     ):
-        calls = _count_calls(monkeypatch, "value_sums")
+        calls = _count_calls(monkeypatch, "sum_terms")
         built = _count_calls(monkeypatch, "PositionValues")
         log = run_scenario(_three_healthy_positions_three_agents(moves))
         assert log.events == ()
@@ -684,13 +688,18 @@ def _bound_inputs(draw):
 @example((SCALE // 2, SCALE // 10, 0, 8400 * SCALE, 420 * SCALE), random.Random(0))
 # gas 0 with the flash fee above the spread: every repay loses
 @example((SCALE // 2, SCALE // 10, SCALE // 10 + 1, 8400 * SCALE, 0), random.Random(0))
+# a cap of 1.5 units rounds half-even to 2, so at LS 1 its bonus of 2 units
+# meets a gas of 2 units: not skipped (a cap rounded down to 1 would be)
+@example((SCALE // 2, SCALE, 0, 3, 2), random.Random(0))
 def test_skipped_positions_have_no_profitable_repay(inputs, rng):
     cf, ls, flash, d, gas = (Dec.from_raw(raw) for raw in inputs)
     params = RiskParams(lt={}, ls=ls, cf=cf)
     values = PositionValues(c=d, d=d, bc=Dec(0))
     cap = max_repay(values, params)
-    skip = cannot_clear_fees(values, params, gas, flash)
+    skip = cannot_clear_fees(values.d.raw, params, gas, flash)
     note(f"cap={cap} skip={skip}")
+    # the integer screen is the test on the Dec cap that the engine repays up to
+    assert skip == (cap.raw * (ls.raw - flash.raw) < gas.raw * SCALE)
     if not skip:
         return
     for repay in {cap.raw, cap.raw - 1, rng.randint(1, max(cap.raw, 1))} - {0}:
@@ -704,7 +713,22 @@ def test_bound_does_not_skip_a_rounding_gain():
     values = PositionValues(c=Dec(1), d=Dec.from_raw(1), bc=Dec(0))
     params = RiskParams(lt={}, ls=ls, cf=Dec(1))
     assert _engine_net(max_repay(values, params), ls, Dec(0), flash) == Dec.from_raw(1)
-    assert not cannot_clear_fees(values, params, Dec(0), flash)
+    assert not cannot_clear_fees(values.d.raw, params, Dec(0), flash)
+
+
+def _whale_doc(gas):
+    """LS 0 and LT one unit under 1: the two-step plan's closed-form first
+    repay for this debt is 9e45 / 1e-18, past the Dec range."""
+    return {
+        "assets": [{"symbol": "ETH"}, {"symbol": "USDC"}],
+        "params": {"lt": {"ETH": "0.999999999999999999"}, "ls": "0", "cf": "0.5"},
+        "positions": [{"owner": "whale", "collateral": {"ETH": "1" + "0" * 45},
+                       "debt": {"USDC": "1" + "0" * 46}}],
+        "price_path": {"0": {"ETH": "1", "USDC": "1"}},
+        "agents": [{"id": "two-step", "policy": "optimal-two-step"}],
+        "gas_fee_usd": gas,
+        "blocks": 0,
+    }
 
 
 def _cap_below_gas_scenario(agents):
@@ -784,14 +808,20 @@ class TestUnprofitableSkip:
         }
         scenario = load_scenario(doc)
         scans = []
-        real = liqlab.sim._Run._scan
+        oracles = []
+        real_reprice, real_scan = liqlab.sim._Run._reprice, liqlab.sim._Run._scan
 
-        def recording(self, oracle):
-            volume = real(self, oracle)
+        def noting(self, oracle):
+            oracles.append(oracle)
+            real_reprice(self, oracle)
+
+        def recording(self):
+            volume = real_scan(self)
             skipped = [o for o in self.liquidatable if o not in self.fixed_spread_targets]
-            scans.append((oracle, list(self.positions.values()), skipped))
+            scans.append((oracles[-1], list(self.positions.values()), skipped))
             return volume
 
+        monkeypatch.setattr(liqlab.sim._Run, "_reprice", noting)
         monkeypatch.setattr(liqlab.sim._Run, "_scan", recording)
         log = run_scenario(scenario)
         assert log.events
@@ -811,18 +841,103 @@ class TestUnprofitableSkip:
         assert len(skipped_any) > 6
 
     def test_skipped_position_is_not_planned(self):
-        # LS 0 and LT one unit under 1: the two-step plan for this debt
-        # would divide by 1e-18 and overflow, but with gas 1 and no spread
-        # no call can clear its fee, so the position is never planned
-        doc = {
-            "assets": [{"symbol": "ETH"}, {"symbol": "USDC"}],
-            "params": {"lt": {"ETH": "0.999999999999999999"}, "ls": "0", "cf": "0.5"},
-            "positions": [{"owner": "whale", "collateral": {"ETH": "1" + "0" * 45},
-                           "debt": {"USDC": "1" + "0" * 46}}],
-            "price_path": {"0": {"ETH": "1", "USDC": "1"}},
-            "agents": [{"id": "two-step", "policy": "optimal-two-step"}],
-            "gas_fee_usd": "1",
-            "blocks": 0,
-        }
-        log = run_scenario(load_scenario(doc))
+        # with gas 1 and no spread no call can clear its fee, so the
+        # position is never planned
+        log = run_scenario(load_scenario(_whale_doc("1")))
         assert log.events == ()
+
+    def test_plan_past_the_dec_range_is_clamped_and_not_sent(self, monkeypatch):
+        # with gas 0 the position is planned: the closed form is past the Dec
+        # range, so the plan repays the cap, which at LS 0 nets 0 and is not sent
+        plans = _count_calls(monkeypatch, "optimal_repays")
+        log = run_scenario(load_scenario(_whale_doc("0")))
+        assert len(plans) == 1
+        assert log.events == ()
+
+    def test_skipped_position_builds_no_position_values(self, monkeypatch):
+        # block 1 of the worked example is liquidatable but cannot clear gas
+        # 500; with only fixed-spread agents nothing needs its values
+        scenario = _cap_below_gas_scenario([
+            {"id": "cf", "policy": "up-to-close-factor"},
+            {"id": "two-step", "policy": "optimal-two-step"},
+        ])
+        built = []
+        real = PositionValues.__post_init__
+
+        def counting(self):
+            built.append(self)
+            real(self)
+
+        monkeypatch.setattr(PositionValues, "__post_init__", counting)
+        log = run_scenario(scenario)
+        assert log.events == ()
+        assert log.collateral_volume_by_block == {0: Dec(10500), 1: Dec(9900)}
+        assert built == []
+
+
+# -- the slot-indexed raw book against fresh valuations ----------------------
+
+_BOOK_ASSETS = (Asset("A"), Asset("B", decimals=8), Asset("D", decimals=6))  # D: debt only
+_BOOK_PARAMS = RiskParams(
+    lt={_BOOK_ASSETS[0]: Dec("0.8"), _BOOK_ASSETS[1]: Dec("0.7")}, ls=Dec("0.1"), cf=Dec("0.5")
+)
+_book_amounts = st.integers(0, 10**24).map(Dec.from_raw)
+_book_prices = st.integers(1, 10**22).map(Dec.from_raw)
+
+
+@st.composite
+def _agentless_scenarios(draw):
+    assets = _BOOK_ASSETS[:2] if draw(st.booleans()) else _BOOK_ASSETS[:1]
+    assets += _BOOK_ASSETS[2:]
+    collateral_assets, debt_assets = assets[:-1], (assets[0], assets[-1])
+    positions = [
+        Position(
+            f"p{i}",
+            collateral={a: draw(_book_amounts) for a in collateral_assets},
+            debt={a: draw(_book_amounts) for a in debt_assets},
+        )
+        for i in range(draw(st.integers(1, 4)))
+    ]
+    prices = {a: draw(_book_prices) for a in assets}
+    path = {0: OracleSnapshot(prices=prices)}
+    blocks = draw(st.integers(0, 6))
+    for block in range(1, blocks + 1):
+        # a repeated block, or one asset (the debt-only one included) moves
+        moved = draw(st.none() | st.sampled_from(assets))
+        if moved is not None:
+            prices = {**prices, moved: draw(_book_prices)}
+        path[block] = OracleSnapshot(prices=prices)
+    return Scenario(
+        assets=assets, params=_BOOK_PARAMS, positions=positions, price_path=path,
+        agents=(), blocks=blocks,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_agentless_scenarios())
+def test_recorded_volume_equals_a_fresh_sum_every_block(scenario):
+    log = run_scenario(scenario)
+    for block in range(scenario.blocks + 1):
+        oracle = scenario.price_path[block]
+        fresh = Dec(0)
+        for position in scenario.positions:
+            fresh = fresh + position_values(position, oracle, scenario.params).c
+        assert log.collateral_volume_by_block[block] == fresh, block
+
+
+def test_position_passing_2_255_at_a_later_block_raises_the_kernels_overflow():
+    # worth just under 2**255 raw at block 0; ETH doubles at block 1
+    doc = json.loads((FIXTURES / "eth_price_drop.json").read_text())
+    doc["positions"] = [
+        {"owner": "small", "collateral": {"ETH": "1"}, "debt": {"USDC": "1"}},
+        {"owner": "whale", "collateral": {"USDC": "1000", "ETH": "5" + "0" * 58},
+         "debt": {"USDC": "1"}},
+    ]
+    doc["params"]["lt"]["USDC"] = "0.5"
+    doc["price_path"] = {"0": {"ETH": "1", "USDC": "1"}, "1": {"ETH": "2"}}
+    scenario = load_scenario(doc)
+    with pytest.raises(OverflowError) as expected:
+        value_sums(scenario.positions[1], scenario.price_path[1], scenario.params)
+    with pytest.raises(OverflowError) as raised:
+        run_scenario(scenario)
+    assert str(raised.value) == str(expected.value)

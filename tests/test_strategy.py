@@ -24,7 +24,7 @@ from liqlab.errors import (
     NotLiquidatableError,
     ZeroSecondLiquidationError,
 )
-from liqlab.fixedpoint import ULP
+from liqlab.fixedpoint import ONE, ULP
 
 from helpers import TOL6, TOL9, TOL12, assert_close, rel_close, unclamped_instance
 
@@ -63,6 +63,13 @@ class TestOptimalRepays:
         assert plan.clamped
         assert plan.repay1 == Dec(50)
         assert plan.repay2 == Dec(25)
+
+    def test_closed_form_past_the_dec_range_is_clamped(self):
+        # LT one unit under 1 and LS 0: r* = 9e45 / 1e-18 is past 2**255 raw,
+        # so far over CF*D = 5e45 that the plan is clamped, not an overflow
+        params = RiskParams(lt={}, ls=Dec(0), cf=Dec("0.5"))
+        plan = optimal_repays(Dec(10**45), Dec(10**46), ONE - ULP, params)
+        assert plan == StrategyPlan(repay1=Dec(5 * 10**45), repay2=Dec(25 * 10**44), clamped=True)
 
     def test_healthy_position_refused(self):
         with pytest.raises(NotLiquidatableError):
@@ -146,6 +153,14 @@ class TestMitigation:
         )
         analysis = mitigation_threshold(profits, plan, params)
         assert analysis.alpha_threshold <= Dec(0)
+
+    def test_second_call_that_earns_nothing_is_refused(self):
+        # LS 0: profit_o2 is 0, so alpha = (profit_c - profit_o1) / 0
+        params = RiskParams(lt={}, ls=Dec(0), cf=Dec("0.5"))
+        plan = optimal_repays(Dec(125), Dec(100), Dec("0.75"), params)
+        profits = strategy_profits(Dec(125), Dec(100), Dec("0.75"), params)
+        with pytest.raises(ZeroSecondLiquidationError, match="earns nothing"):
+            mitigation_threshold(profits, plan, params)
 
     def test_zero_second_repay_refused(self):
         plan = StrategyPlan(repay1=Dec(20), repay2=Dec(0), clamped=False)
