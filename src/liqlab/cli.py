@@ -5,7 +5,8 @@ Output goes to stdout as CSV by default; ``--json`` switches the format and
 strings, and outputs carry no timestamps unless ``--stamp`` is given, so
 identical inputs produce byte-identical outputs. Exit codes: 0 success,
 1 validation error, 2 I/O error. Diagnostics go to stderr only; set
-LIQLAB_LOG={error|info|debug} to control verbosity.
+LIQLAB_LOG={error|info|debug} to control verbosity; at debug, ``simulate``
+also logs the wall time of each scenario's load, run and serialize phases.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import logging
 import os
 import sys
+import time
 from pathlib import Path
 
 from .auction import Auction, AuctionConfig, Bid, apply_termination, finalize, place_bid
@@ -141,10 +143,21 @@ def _cmd_validate_params(args) -> int:
 
 
 def _run_one_scenario(path: str, as_json: bool) -> str:
+    """The scenario's event log as text; logs each phase's wall time at
+    debug level."""
+    start = time.perf_counter()
     scenario = load_scenario(path)
+    loaded = time.perf_counter()
     logbook = run_scenario(scenario)
+    ran = time.perf_counter()
+    text = logbook.to_jsonl() if as_json else logbook.to_csv()
+    done = time.perf_counter()
     log.info("scenario %s: %d events", path, len(logbook.events))
-    return logbook.to_jsonl() if as_json else logbook.to_csv()
+    log.debug(
+        "scenario %s: load_s=%.6f run_s=%.6f serialize_s=%.6f",
+        path, loaded - start, ran - loaded, done - ran,
+    )
+    return text
 
 
 def _cmd_simulate(args) -> int:

@@ -25,6 +25,14 @@ Engine rules, in order of application per block:
   balances change (a liquidation or an auction settlement). A block that
   moves no such price and follows no balance change records the previous
   block's volume and keeps its list of liquidatable positions.
+* Re-pricing goes by snapshot identity first. ``load_scenario`` builds one
+  ``OracleSnapshot`` per price change (block 0 and each block that
+  overrides a price) and gives every other block the previous block's
+  object, so ``validate_scenario`` checks a shared snapshot once and a
+  block whose snapshot is the one priced last costs the engine nothing.
+  A distinct snapshot, as in a programmatic ``Scenario`` or after an
+  override that repeats a price, is compared by its raw prices, so equal
+  prices still move nothing.
 * Valuation runs on a slot-indexed raw book. The assets the positions
   reference are numbered once (slots); a run holds one list of raw prices
   per re-pricing, indexed by slot, and the raw thresholds likewise. Each
@@ -237,10 +245,14 @@ def validate_scenario(scenario: Scenario) -> None:
         raise InvalidScenarioError("agents", "duplicate agent identifiers")
 
     referenced = sorted(_referenced_assets(scenario.positions), key=lambda a: a.symbol)
+    checked = None
     for block in range(scenario.blocks + 1):
         snapshot = scenario.price_path.get(block)
         if snapshot is None:
             raise InvalidScenarioError("price_path", f"missing snapshot for block {block}")
+        if snapshot is checked:
+            continue  # shared with the block before, which passed
+        checked = snapshot
         for asset in referenced:
             if asset not in snapshot.prices:
                 raise InvalidScenarioError(
@@ -300,6 +312,7 @@ class _Run:
         # a debt-only asset needs no threshold: the kernel reads thresholds
         # for collateral terms alone
         self.thresholds = [lt[a].raw if a in lt else None for a in self.assets]
+        self.oracle = None
         self.prices = None
         self.terms = {}
         # owner -> raw (c, bc, d) at the current prices, and owner -> the
@@ -322,7 +335,11 @@ class _Run:
 
     def _reprice(self, oracle) -> None:
         """Take the block's raw prices; on any change, every cached valuation
-        goes stale."""
+        goes stale. A block that shares the snapshot priced last costs
+        nothing."""
+        if oracle is self.oracle:
+            return
+        self.oracle = oracle
         prices = [oracle.prices[asset].raw for asset in self.assets]
         if prices != self.prices:
             self.prices = prices
@@ -704,6 +721,17 @@ def _boolean(raw, field_name) -> bool:
     return raw
 
 
+def _is_block_key(key) -> bool:
+    """True for a block number as ``str(block)`` writes it: ASCII digits,
+    no sign and no leading zero."""
+    return (
+        isinstance(key, str)
+        and key.isascii()
+        and key.isdigit()
+        and (key == "0" or key[0] != "0")
+    )
+
+
 def _identifier(entry: dict, key: str, field_name: str) -> str:
     value = entry.get(key)
     if not isinstance(value, str) or not value:
@@ -716,7 +744,13 @@ def load_scenario(source) -> Scenario:
 
     Decimals are strings. ``price_path`` may be sparse: blocks after 0
     inherit any price they do not override (block 0 must price every asset
-    the positions reference).
+    the positions reference). Its keys are block numbers in plain decimal,
+    as ``str(block)`` writes them; any other key (``"1.0"``, ``"01"``, ``"-1"``,
+    ``"x"``) is an InvalidScenarioError, since no block could read it. A key
+    past ``blocks`` is allowed and ignored, and so is its content. A new
+    ``OracleSnapshot`` is built only at block 0 and at each block whose
+    override object is non-empty; every other block shares the previous
+    block's snapshot object.
     """
     if isinstance(source, dict):
         doc = source
@@ -797,8 +831,12 @@ def load_scenario(source) -> Scenario:
     path_doc = doc.get("price_path")
     if not isinstance(path_doc, dict) or "0" not in path_doc:
         raise InvalidScenarioError("price_path", "must be an object with a block-0 entry")
+    for key in path_doc:
+        if not _is_block_key(key):
+            raise InvalidScenarioError("price_path", f"key {key!r} is not a block number")
     price_path = {}
     current = {}
+    snapshot = None
     for block in range(blocks + 1):
         overrides = path_doc.get(str(block), {})
         if not isinstance(overrides, dict):
@@ -807,10 +845,12 @@ def load_scenario(source) -> Scenario:
             current[lookup(sym, f"price_path.{block}.{sym}")] = _dec_field(
                 value, f"price_path.{block}.{sym}"
             )
-        try:
-            price_path[block] = OracleSnapshot(prices=dict(current))
-        except ValueError as exc:
-            raise InvalidScenarioError(f"price_path.{block}", str(exc)) from None
+        if overrides or snapshot is None:
+            try:
+                snapshot = OracleSnapshot(prices=current)  # copies current
+            except ValueError as exc:
+                raise InvalidScenarioError(f"price_path.{block}", str(exc)) from None
+        price_path[block] = snapshot
 
     agents = []
     for i, entry in enumerate(_shaped(doc.get("agents", []), list, "agents")):

@@ -446,6 +446,32 @@ class TestLogging:
         assert main(["simulate", "--scenario", ETH_DROP]) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("as_json", [[], ["--json"]])
+    def test_debug_logs_phase_timings_and_leaves_output_unchanged(
+        self, tmp_path, capsys, monkeypatch, as_json
+    ):
+        monkeypatch.delenv("LIQLAB_LOG", raising=False)
+        plain = tmp_path / "plain.log"
+        assert main(["simulate", "--scenario", ETH_DROP, "--out", str(plain), *as_json]) == 0
+        assert capsys.readouterr().err == ""
+
+        monkeypatch.setenv("LIQLAB_LOG", "debug")
+        debug = tmp_path / "debug.log"
+        assert main(["simulate", "--scenario", ETH_DROP, "--out", str(debug), *as_json]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert debug.read_bytes() == plain.read_bytes()
+        (line,) = [line for line in captured.err.splitlines() if line.startswith("DEBUG")]
+        assert ETH_DROP in line
+        phases = dict(field.split("=") for field in line.split() if "=" in field)
+        assert list(phases) == ["load_s", "run_s", "serialize_s"]
+        assert all(float(seconds) >= 0 for seconds in phases.values())
+
+    def test_phase_timings_are_off_at_info(self, capsys, monkeypatch):
+        monkeypatch.setenv("LIQLAB_LOG", "info")
+        assert main(["simulate", "--scenario", ETH_DROP]) == 0
+        assert "load_s=" not in capsys.readouterr().err
+
 
 class TestParserBehavior:
     def test_unknown_flag_is_validation_error(self, capsys):

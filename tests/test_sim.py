@@ -941,3 +941,225 @@ def test_position_passing_2_255_at_a_later_block_raises_the_kernels_overflow():
     with pytest.raises(OverflowError) as raised:
         run_scenario(scenario)
     assert str(raised.value) == str(expected.value)
+
+
+# -- one oracle snapshot per price change ------------------------------------
+
+WBTC = Asset("WBTC", decimals=8)
+
+
+class TestSharedSnapshots:
+    def test_quiet_blocks_share_one_snapshot_and_override_blocks_do_not(self):
+        doc = sparse_wbtc_doc(blocks=6)
+        doc["price_path"].update({"1": {}, "5": {"WBTC": "40000"}})
+        path = load_scenario(doc).price_path
+        # blocks 0-2 (1 overrides nothing), then 3-4, then 5-6
+        assert path[1] is path[0] and path[2] is path[0]
+        assert path[3] is not path[2] and path[4] is path[3]
+        # an override that repeats a price is a new, equal snapshot
+        assert path[5] is not path[4] and path[5] == path[4] and path[6] is path[5]
+        assert path[3].prices == {ETH: Dec(3000), WBTC: Dec(40000), Asset("USDC"): Dec(1)}
+
+    def test_one_snapshot_is_built_per_price_change(self, monkeypatch):
+        built = []
+        real = OracleSnapshot.__post_init__
+
+        def counting(snapshot):
+            built.append(snapshot)
+            real(snapshot)
+
+        monkeypatch.setattr(OracleSnapshot, "__post_init__", counting)
+        path = load_scenario(sparse_wbtc_doc(blocks=40)).price_path
+        assert len(built) == 2 and len({id(s) for s in path.values()}) == 2
+
+    @pytest.mark.parametrize("moves, snapshots", [({}, 1), ({"7": {"ETH": "3400"}}, 2)])
+    def test_quiet_blocks_are_neither_validated_nor_repriced(self, moves, snapshots):
+        reads = []
+
+        class CountingPrices(dict):
+            def __contains__(self, asset):
+                reads.append(("validate", asset.symbol))
+                return super().__contains__(asset)
+
+            def __getitem__(self, asset):
+                reads.append(("reprice", asset.symbol))
+                return super().__getitem__(asset)
+
+        scenario = _three_healthy_positions_three_agents(moves)
+        for snapshot in {id(s): s for s in scenario.price_path.values()}.values():
+            object.__setattr__(snapshot, "prices", CountingPrices(snapshot.prices))
+        scenario = replace(scenario)  # validated again, on the counting snapshots
+        log = run_scenario(scenario)
+        assert log.events == ()
+        # the three referenced assets are looked up once per snapshot, not per block
+        assert sorted(reads) == sorted(
+            (step, asset) for step in ("validate", "reprice")
+            for asset in ("ETH", "WBTC", "USDC") for _ in range(snapshots)
+        )
+
+    @pytest.mark.parametrize("moves", [{}, {"4": {"ETH": "2000"}}])
+    def test_distinct_equal_snapshots_run_like_shared_ones(self, monkeypatch, moves):
+        doc = sparse_wbtc_doc(blocks=8)
+        doc["price_path"].update(moves)
+        doc["agents"].append({"id": "two-step", "policy": "optimal-two-step"})
+        shared = load_scenario(doc)
+        distinct = replace(shared, price_path={
+            block: OracleSnapshot(prices=snapshot.prices)
+            for block, snapshot in shared.price_path.items()
+        })
+        assert distinct == shared
+        assert len({id(s) for s in distinct.price_path.values()}) == 9
+        logs, counts = [], []
+        for scenario in (shared, distinct):
+            calls = _count_calls(monkeypatch, "sum_terms")
+            logs.append(run_scenario(scenario))
+            counts.append(len(calls))
+            monkeypatch.undo()
+        assert logs[0].events  # the agents act
+        assert _log_digest(logs[1]) == _log_digest(logs[0])
+        assert counts[1] == counts[0]
+
+
+class TestSnapshotValidation:
+    def test_unpriced_asset_is_reported_at_block_zero(self):
+        doc = sparse_wbtc_doc(blocks=6)
+        del doc["price_path"]["0"]["USDC"]
+        with pytest.raises(InvalidScenarioError) as info:
+            load_scenario(doc)
+        assert info.value.field == "price_path"
+        assert info.value.problem == "block 0 misses price for USDC"
+
+    def test_distinct_snapshot_missing_a_price_is_reported_at_its_block(self):
+        scenario = load_scenario(sparse_wbtc_doc(blocks=6))
+        path = dict(scenario.price_path)
+        path[4] = OracleSnapshot(prices={ETH: Dec(3000), WBTC: Dec(40000)})
+        with pytest.raises(InvalidScenarioError) as info:
+            replace(scenario, price_path=path)
+        assert info.value.problem == "block 4 misses price for USDC"
+        del path[5]
+        with pytest.raises(InvalidScenarioError) as info:
+            replace(scenario, price_path=path)
+        assert info.value.problem == "block 4 misses price for USDC"
+        path[4] = path[3]
+        with pytest.raises(InvalidScenarioError) as info:
+            replace(scenario, price_path=path)
+        assert info.value.problem == "missing snapshot for block 5"
+
+    @pytest.mark.parametrize(
+        "override, field, problem",
+        [
+            ({"ETH": "0"}, "price_path.4", "oracle price for ETH must be > 0"),
+            ({"ETH": "-2"}, "price_path.4", "oracle price for ETH must be > 0"),
+            ({"ETH": 2.5}, "price_path.4.ETH", "decimals must be strings, not floats"),
+            ({"GEM": "1"}, "price_path.4.GEM", "unknown asset 'GEM'"),
+            (["ETH"], "price_path.4", "must be an object"),
+        ],
+    )
+    def test_bad_override_at_block_k_names_that_block(self, override, field, problem):
+        doc = sparse_wbtc_doc(blocks=6)
+        doc["price_path"]["4"] = override
+        with pytest.raises(InvalidScenarioError) as info:
+            load_scenario(doc)
+        assert (info.value.field, info.value.problem) == (field, problem)
+
+
+class TestPricePathKeys:
+    @pytest.mark.parametrize(
+        "key", ["1.0", "01", "00", "-1", "+1", "x", "", " 1", "1 ", "1e1", "٣", "²"]
+    )
+    def test_a_key_no_block_can_read_is_rejected(self, key):
+        doc = sparse_wbtc_doc(blocks=6)
+        doc["price_path"][key] = {"ETH": "1"}
+        with pytest.raises(InvalidScenarioError) as info:
+            load_scenario(doc)
+        assert info.value.field == "price_path"
+        assert info.value.problem == f"key {key!r} is not a block number"
+
+    def test_a_non_string_key_of_a_dict_document_is_rejected(self):
+        doc = sparse_wbtc_doc(blocks=6)
+        doc["price_path"][2] = {"ETH": "1"}
+        with pytest.raises(InvalidScenarioError, match="key 2 is not a block number"):
+            load_scenario(doc)
+
+    def test_keys_past_the_horizon_are_ignored_with_their_content(self):
+        doc = sparse_wbtc_doc(blocks=6)
+        expected = load_scenario(doc)
+        doc["price_path"].update({"7": {"ETH": "0"}, "1000": {"GEM": 1.5}, "9" * 50: []})
+        assert load_scenario(doc) == expected
+
+
+_path_prices = {
+    "ETH": st.sampled_from(["1500", "1900", "2100", "2500", "3000", "3500"]),
+    "WBTC": st.sampled_from(["30000", "38000", "42000", "45000", "50000"]),
+}
+
+
+@st.composite
+def _sparse_paths(draw):
+    """A sparse price path over the sparse_wbtc_doc book, some overrides
+    empty and some repeating the current price."""
+    blocks = draw(st.integers(0, 10))
+    path = {"0": {"ETH": draw(_path_prices["ETH"]), "WBTC": draw(_path_prices["WBTC"]),
+                  "USDC": "1"}}
+    for block in range(1, blocks + 1):
+        moved = draw(st.sets(st.sampled_from(sorted(_path_prices)), max_size=2))
+        if moved or draw(st.booleans()):
+            path[str(block)] = {sym: draw(_path_prices[sym]) for sym in sorted(moved)}
+    return blocks, path
+
+
+def _dense(blocks, path):
+    """The same path with every block pricing every asset."""
+    dense, current = {}, {}
+    for block in range(blocks + 1):
+        current.update(path.get(str(block), {}))
+        dense[str(block)] = dict(current)
+    return dense
+
+
+def _log_digest(log):
+    return (
+        log.to_csv(),
+        log.to_jsonl(),
+        log.collateral_volume_by_block,
+        log.final_positions,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sparse_paths(), st.booleans())
+def test_sparse_path_and_its_dense_expansion_give_the_same_run(sparse, one_per_block):
+    blocks, path = sparse
+    doc = sparse_wbtc_doc(blocks=blocks)
+    doc["agents"].append({"id": "two-step", "policy": "optimal-two-step"})
+    doc["one_liquidation_per_block"] = one_per_block
+    doc["price_path"] = path
+    sparse_scenario = load_scenario(doc)
+    doc["price_path"] = _dense(blocks, path)
+    dense_scenario = load_scenario(doc)
+    assert sparse_scenario == dense_scenario
+    assert _log_digest(run_scenario(sparse_scenario)) == _log_digest(
+        run_scenario(dense_scenario)
+    )
+
+
+_path_keys = st.sampled_from(["0", "1", "2", "3", "01", "1.0", "-1", "x"]) | st.text(max_size=3)
+_path_entries = json_values | st.dictionaries(
+    st.sampled_from(["ETH", "USDC", "WBTC", "DAI", "GEM"]) | st.text(max_size=3),
+    json_values,
+    max_size=3,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(sorted(FIXTURE_DOCS)),
+    path=json_values | st.dictionaries(_path_keys, _path_entries, max_size=4),
+)
+def test_any_json_price_path_loads_or_names_the_problem(name, path):
+    doc = json.loads(json.dumps(FIXTURE_DOCS[name]))
+    doc["price_path"] = path
+    try:
+        assert isinstance(load_scenario(doc), Scenario)
+    except InvalidScenarioError:
+        pass
