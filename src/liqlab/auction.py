@@ -122,21 +122,26 @@ def start_auction(values: PositionValues, config: AuctionConfig, now: int) -> Au
     )
 
 
-def check_termination(auction: Auction, now: int) -> Optional[TerminationReason]:
-    """Report why the auction is over at ``now``, or None while it is open.
+def deadline(auction: Auction) -> int:
+    """The first time at which an open auction is over: the auction length
+    after its start or the bid duration after its last bid, whichever comes
+    first. An auction with no bids can only expire through the length."""
+    end = auction.start_time + auction.config.auction_length
+    if auction.last_bid_time is not None:
+        end = min(end, auction.last_bid_time + auction.config.bid_duration)
+    return end
 
-    An auction with no bids can only expire through the auction length.
-    """
+
+def check_termination(auction: Auction, now: int) -> Optional[TerminationReason]:
+    """Report why the auction is over at ``now``, or None while it is open,
+    that is before its ``deadline``."""
     if auction.termination_reason is not None:
         return auction.termination_reason
+    if now < deadline(auction):
+        return None
     if now - auction.start_time >= auction.config.auction_length:
         return TerminationReason.AUCTION_LENGTH
-    if (
-        auction.last_bid_time is not None
-        and now - auction.last_bid_time >= auction.config.bid_duration
-    ):
-        return TerminationReason.BID_DURATION
-    return None
+    return TerminationReason.BID_DURATION
 
 
 def place_bid(auction: Auction, bid: Bid) -> Auction:

@@ -69,6 +69,17 @@ Engine rules, in order of application per block:
   auctions update the borrower position (tend: whole lot seized, debt
   reduced proportionally by the payment; dent: debt cleared, collateral
   scaled down to the refund fraction) and are logged as auction events.
+  An auction ends at its ``auction.deadline``: the auction length after its
+  start or the bid duration after its last bid, whichever comes first.
+* A block in which nothing can change is idle: it records the previous
+  block's volume and runs no agent and no settlement. A block is idle when
+  it does not re-price, the block before it changed nothing (no position
+  change, auction start, accepted bid or termination), no scripted bid is
+  timed at it and no open auction reaches its deadline at it. Agents that
+  retry the same calls on unchanged state meet the same refusals, so
+  skipping them changes nothing. A pending second call needs no condition
+  of its own: it is due in the block right after its first call landed,
+  and that block follows a position change.
 
 Liquidator proceeds are marked to the oracle instantly; gas is a flat USD
 fee per transaction and interest never accrues.
@@ -87,6 +98,7 @@ from .auction import (
     Phase,
     apply_termination,
     check_termination,
+    deadline,
     finalize,
     place_bid,
     start_auction,
@@ -325,6 +337,19 @@ class _Run:
         self.liquidatable = []
         self.fixed_spread_targets = []
         self.stale = True
+        # bumped by every change of auction state: a start, an accepted bid
+        # and a termination; a position change sets ``stale`` instead
+        self.changes = 0
+        # the earliest deadline among the open auctions, as of the last block
+        # that changed an auction
+        self.next_deadline = scenario.blocks + 1
+        # block -> auction bidder's agent_id -> its scripted bids at that block
+        self.scripted = {}
+        for agent in scenario.agents:
+            if agent.kind is PolicyKind.AUCTION_BIDDER:
+                for bid in agent.script:
+                    bucket = self.scripted.setdefault(bid.time, {})
+                    bucket.setdefault(agent.agent_id, []).append(bid)
         self.events = []
         self.volume = {}
         self.open_auctions = {}
@@ -545,9 +570,8 @@ class _Run:
             self.open_auctions[owner] = start_auction(
                 values, self.scenario.auction_config, now=block
             )
-        for scripted in agent.script:
-            if scripted.time != block:
-                continue
+            self.changes += 1
+        for scripted in self.scripted.get(block, {}).get(agent.agent_id, ()):
             owner = scripted.borrower
             if owner is None:
                 if len(self.open_auctions) != 1:
@@ -569,14 +593,20 @@ class _Run:
                     "agents.script",
                     f"bid at time {scripted.time} by {scripted.bidder!r} refused: {exc}",
                 ) from None
+            self.changes += 1
 
     def _settle_auctions(self, block):
+        # next_deadline bounds the auctions open at the block's start, and one
+        # started or bid on in this block ends after it
+        if block < self.next_deadline:
+            return
         for owner in list(self.open_auctions):
             auction = self.open_auctions[owner]
             if check_termination(auction, block) is None:
                 continue
             auction = apply_termination(auction, block)
             del self.open_auctions[owner]
+            self.changes += 1
             if auction.best_bid is None:
                 continue  # expired worthless; position stays liquidatable
             values_now = self._values(owner)
@@ -605,11 +635,22 @@ class _Run:
 
     def run(self) -> EventLog:
         scenario = self.scenario
+        changes = None  # self.changes at the start of the last block run
         for block in range(scenario.blocks + 1):
             oracle = scenario.price_path[block]
             self._reprice(oracle)
-            # Dec addition is exact, so a carried volume equals a re-summed one
-            self.volume[block] = self._scan() if self.stale else self.volume[block - 1]
+            if self.stale:
+                self.volume[block] = self._scan()
+            else:
+                # Dec addition is exact, so a carried volume equals a re-summed one
+                self.volume[block] = self.volume[block - 1]
+                if (
+                    changes == self.changes
+                    and block < self.next_deadline
+                    and block not in self.scripted
+                ):
+                    continue  # an idle block
+            changes = self.changes
             self.liquidated_this_block = set()
             for agent in scenario.agents:
                 if agent.kind is PolicyKind.UP_TO_CLOSE_FACTOR:
@@ -619,6 +660,10 @@ class _Run:
                 else:
                     self._act_auction_bidder(agent, block, oracle)
             self._settle_auctions(block)
+            if changes != self.changes:
+                self.next_deadline = min(
+                    map(deadline, self.open_auctions.values()), default=scenario.blocks + 1
+                )
         return EventLog(
             events=tuple(self.events),
             collateral_volume_by_block=self.volume,

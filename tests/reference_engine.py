@@ -1,0 +1,350 @@
+"""A naive reference for ``liqlab.sim.run_scenario``, for differential tests.
+
+This is the first form of the scenario engine, ported to today's API and
+kept naive on purpose: every block re-sums the collateral volume, every
+agent visits every position and values it afresh with ``position_values``,
+every open auction is checked for termination, and a call the protocol
+refuses is raised by ``execute_liquidation_call`` and caught. It has no
+cache, no slots, no fee bound, no snapshot sharing and no idle blocks, so
+whatever the engine skips or reuses, this recomputes.
+
+It applies the deliberate behaviour changes made since that first form
+(``git show 2da9f50:src/liqlab/sim.py``), each marked with its commit where
+it applies. It must give the engine's event log, volume series and final
+positions, or raise the engine's error, on every valid scenario whose
+magnitudes stay well inside the ``Dec`` range.
+"""
+
+from __future__ import annotations
+
+from liqlab import (
+    Bid,
+    Dec,
+    OracleSnapshot,
+    Position,
+    apply_termination,
+    check_termination,
+    execute_liquidation_call,
+    finalize,
+    is_liquidatable,
+    max_repay,
+    optimal_repays,
+    place_bid,
+    position_values,
+    start_auction,
+)
+from liqlab.auction import Phase
+from liqlab.errors import InvalidScenarioError, LiqlabError
+from liqlab.fixed_spread import LiquidationCall
+from liqlab.fixedpoint import ONE, ZERO
+from liqlab.sim import EventLog, LiquidationEvent, Mechanism, PolicyKind, Scenario
+
+
+def run_reference(scenario: Scenario) -> EventLog:
+    return _Run(scenario).run()
+
+
+class _Run:
+    """Mutable state of one scenario execution."""
+
+    def __init__(self, scenario: Scenario):
+        self.scenario = scenario
+        self.positions = {p.owner: p for p in scenario.positions}
+        self.order = [p.owner for p in scenario.positions]
+        self.events = []
+        self.volume = {}
+        self.open_auctions = {}
+        self.pending_second = {}  # (agent_id, owner) -> planned second repay
+        self.liquidated_this_block = set()
+
+    # -- helpers -------------------------------------------------------------
+
+    def _choose_pair(self, position: Position, oracle: OracleSnapshot):
+        """Largest-value debt and collateral assets, ties broken by symbol."""
+        def best(amounts):
+            ranked = sorted(
+                amounts.items(),
+                key=lambda item: (item[1] * oracle.price(item[0]), item[0].symbol),
+            )
+            return ranked[-1][0] if ranked else None
+
+        debt_asset = best(position.debt)
+        collateral_asset = best(position.collateral)
+        if debt_asset is None or collateral_asset is None:
+            return None
+        return debt_asset, collateral_asset
+
+    def _capped_repay(self, position, oracle, debt_asset, collateral_asset, desired):
+        """Clamp a desired repay to what the engine would accept."""
+        params = self.scenario.params
+        outstanding = position.debt.get(debt_asset, ZERO) * oracle.price(debt_asset)
+        collateral_value = position.collateral.get(collateral_asset, ZERO) * oracle.price(
+            collateral_asset
+        )
+        cap = collateral_value / (ONE + params.ls)
+        repay = desired
+        for bound in (outstanding, cap):
+            if bound < repay:
+                repay = bound
+        return repay
+
+    def _try_fixed_spread(self, block, oracle, owner, debt_asset, collateral_asset, repay, agent_id):
+        """Send one call; returns True when an event landed.
+
+        The first form also wrapped each call in a flash loan and dropped it
+        when the profit could not repay the loan fee. A call whose net profit
+        is positive always repays it, since gas is never negative, so the net
+        test below covers that rule.
+        """
+        scenario = self.scenario
+        if repay <= ZERO:
+            return False
+        position = self.positions[owner]
+        call = LiquidationCall(owner, debt_asset, collateral_asset, repay)
+        try:
+            receipt = execute_liquidation_call(position, call, oracle, scenario.params)
+        except LiqlabError:
+            return False  # the transaction would revert, so it is not sent
+        gross = receipt.liquidator_profit_usd
+        fees = scenario.gas_fee_usd + repay * scenario.flash_fee_rate
+        net = gross - fees
+        if net <= ZERO:
+            return False
+        self.positions[owner] = receipt.position_after
+        self.liquidated_this_block.add(owner)
+        self.events.append(
+            LiquidationEvent(
+                block=block,
+                borrower=owner,
+                liquidator=agent_id,
+                mechanism=Mechanism.FIXED_SPREAD,
+                repaid_usd=receipt.repaid_value_usd,
+                seized_usd=receipt.seized_value_usd,
+                gross_profit_usd=gross,
+                fees_usd=fees,
+                net_profit_usd=net,
+            )
+        )
+        return True
+
+    def _blocked(self, owner):
+        if owner in self.open_auctions:
+            return True
+        return (
+            self.scenario.one_liquidation_per_block
+            and owner in self.liquidated_this_block
+        )
+
+    # -- policies ------------------------------------------------------------
+
+    def _act_close_factor(self, agent, block, oracle):
+        params = self.scenario.params
+        for owner in self.order:
+            if self._blocked(owner):
+                continue
+            position = self.positions[owner]
+            values = position_values(position, oracle, params)
+            if not is_liquidatable(values):
+                continue
+            pair = self._choose_pair(position, oracle)
+            if pair is None:
+                continue
+            debt_asset, collateral_asset = pair
+            repay = self._capped_repay(
+                position, oracle, debt_asset, collateral_asset, max_repay(values, params)
+            )
+            self._try_fixed_spread(
+                block, oracle, owner, debt_asset, collateral_asset, repay, agent.agent_id
+            )
+
+    def _act_two_step(self, agent, block, oracle):
+        params = self.scenario.params
+        # pending second calls scheduled by this agent in an earlier block
+        for key in [k for k in self.pending_second if k[0] == agent.agent_id]:
+            planned = self.pending_second.pop(key)
+            _, owner = key
+            if self._blocked(owner):
+                continue
+            position = self.positions[owner]
+            values = position_values(position, oracle, params)
+            if not is_liquidatable(values):
+                continue
+            pair = self._choose_pair(position, oracle)
+            if pair is None:
+                continue
+            debt_asset, collateral_asset = pair
+            repay = self._capped_repay(
+                position, oracle, debt_asset, collateral_asset,
+                min(planned, max_repay(values, params)),
+            )
+            self._try_fixed_spread(
+                block, oracle, owner, debt_asset, collateral_asset, repay, agent.agent_id
+            )
+        # new two-step plans
+        for owner in self.order:
+            if self._blocked(owner) or (agent.agent_id, owner) in self.pending_second:
+                continue
+            position = self.positions[owner]
+            values = position_values(position, oracle, params)
+            if not is_liquidatable(values):
+                continue
+            pair = self._choose_pair(position, oracle)
+            if pair is None:
+                continue
+            debt_asset, collateral_asset = pair
+            try:
+                plan = optimal_repays(
+                    values.c, values.d, params.threshold(collateral_asset), params
+                )
+            except LiqlabError:
+                continue
+            repay1 = self._capped_repay(
+                position, oracle, debt_asset, collateral_asset, plan.repay1
+            )
+            if not self._try_fixed_spread(
+                block, oracle, owner, debt_asset, collateral_asset, repay1, agent.agent_id
+            ):
+                continue
+            if self.scenario.one_liquidation_per_block:
+                self.pending_second[(agent.agent_id, owner)] = plan.repay2
+                continue
+            position = self.positions[owner]
+            values = position_values(position, oracle, params)
+            if not is_liquidatable(values):
+                continue
+            repay2 = self._capped_repay(
+                position, oracle, debt_asset, collateral_asset,
+                min(plan.repay2, max_repay(values, params)),
+            )
+            self._try_fixed_spread(
+                block, oracle, owner, debt_asset, collateral_asset, repay2, agent.agent_id
+            )
+
+    def _act_auction_bidder(self, agent, block, oracle):
+        params = self.scenario.params
+        for owner in self.order:
+            if owner in self.open_auctions:
+                continue
+            if self.scenario.one_liquidation_per_block and owner in self.liquidated_this_block:
+                continue
+            values = position_values(self.positions[owner], oracle, params)
+            if not is_liquidatable(values):
+                continue
+            # changed in 7a852f0: a position with no collateral value left is
+            # type-I bad debt, and no auction opens over its empty lot
+            if values.c == ZERO:
+                continue
+            self.open_auctions[owner] = start_auction(
+                values, self.scenario.auction_config, now=block
+            )
+        for scripted in agent.script:
+            if scripted.time != block:
+                continue
+            owner = scripted.borrower
+            if owner is None:
+                if len(self.open_auctions) != 1:
+                    raise InvalidScenarioError(
+                        "agents.script",
+                        f"bid at time {scripted.time} names no borrower while "
+                        f"{len(self.open_auctions)} auctions are open",
+                    )
+                owner = next(iter(self.open_auctions))
+            if owner not in self.open_auctions:
+                raise InvalidScenarioError(
+                    "agents.script", f"no open auction for borrower {owner!r}"
+                )
+            bid = Bid(bidder=scripted.bidder, amount=scripted.amount, time=scripted.time)
+            # changed in 4985693: a bid the auction refuses is an error of
+            # the script, not the auction's own error
+            try:
+                self.open_auctions[owner] = place_bid(self.open_auctions[owner], bid)
+            except LiqlabError as exc:
+                raise InvalidScenarioError(
+                    "agents.script",
+                    f"bid at time {scripted.time} by {scripted.bidder!r} refused: {exc}",
+                ) from None
+
+    def _settle_auctions(self, block, oracle):
+        params = self.scenario.params
+        for owner in list(self.open_auctions):
+            auction = self.open_auctions[owner]
+            if check_termination(auction, block) is None:
+                continue
+            auction = apply_termination(auction, block)
+            del self.open_auctions[owner]
+            if auction.best_bid is None:
+                continue  # expired worthless; position stays liquidatable
+            values_now = position_values(self.positions[owner], oracle, params)
+            settlement = finalize(auction, values_now)
+            self.positions[owner] = _apply_settlement(
+                self.positions[owner], settlement, values_now
+            )
+            self.liquidated_this_block.add(owner)
+            gross = settlement.winner_profit_usd
+            fees = self.scenario.gas_fee_usd
+            self.events.append(
+                LiquidationEvent(
+                    block=block,
+                    borrower=owner,
+                    liquidator=settlement.winner,
+                    mechanism=Mechanism.AUCTION,
+                    repaid_usd=settlement.paid_usd,
+                    seized_usd=settlement.collateral_value_usd,
+                    gross_profit_usd=gross,
+                    fees_usd=fees,
+                    net_profit_usd=gross - fees,
+                )
+            )
+
+    # -- main loop -----------------------------------------------------------
+
+    def run(self) -> EventLog:
+        scenario = self.scenario
+        for block in range(scenario.blocks + 1):
+            oracle = scenario.price_path[block]
+            total = ZERO
+            for owner in self.order:
+                for asset, amount in self.positions[owner].collateral.items():
+                    total = total + amount * oracle.price(asset)
+            self.volume[block] = total
+            self.liquidated_this_block = set()
+            for agent in scenario.agents:
+                if agent.kind is PolicyKind.UP_TO_CLOSE_FACTOR:
+                    self._act_close_factor(agent, block, oracle)
+                elif agent.kind is PolicyKind.OPTIMAL_TWO_STEP:
+                    self._act_two_step(agent, block, oracle)
+                else:
+                    self._act_auction_bidder(agent, block, oracle)
+            self._settle_auctions(block, oracle)
+        return EventLog(
+            events=tuple(self.events),
+            collateral_volume_by_block=self.volume,
+            final_positions=tuple(self.positions[o] for o in self.order),
+        )
+
+
+def _apply_settlement(position: Position, settlement, values_now) -> Position:
+    """Apply an auction settlement to the borrower's balances.
+
+    Tend ending: the whole lot is seized and the debt shrinks by the payment,
+    spread proportionally over the debt assets. Dent ending: the debt is
+    cleared and each collateral balance is scaled down to the refunded
+    fraction of the lot's current value.
+    """
+    if settlement.ended_in is Phase.TEND:
+        remaining = values_now.d - settlement.paid_usd
+        if remaining < ZERO:
+            remaining = ZERO
+        new_debt = {}
+        if values_now.d > ZERO and remaining > ZERO:
+            for asset, amount in position.debt.items():
+                new_debt[asset] = Dec.mul_div(amount, remaining, values_now.d)
+        return Position(owner=position.owner, collateral={}, debt=new_debt)
+
+    new_collateral = {}
+    if values_now.c > ZERO and settlement.borrower_refund_usd > ZERO:
+        for asset, amount in position.collateral.items():
+            new_collateral[asset] = Dec.mul_div(
+                amount, settlement.borrower_refund_usd, values_now.c
+            )
+    return Position(owner=position.owner, collateral=new_collateral, debt={})

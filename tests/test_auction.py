@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, note, settings, strategies as st
 
 from liqlab import (
     AuctionConfig,
@@ -15,12 +16,14 @@ from liqlab import (
     place_bid,
     start_auction,
 )
+from liqlab.auction import deadline
 from liqlab.errors import (
     AuctionClosedError,
     BidExceedsLotError,
     BidExceedsTabError,
     BidTooHighError,
     BidTooLowError,
+    LiqlabError,
     NoBidsError,
     NotLiquidatableError,
     NotTerminatedError,
@@ -153,6 +156,35 @@ class TestTermination:
         terminated = apply_termination(auction, 6 * HOUR)
         assert terminated.phase is Phase.TERMINATED
         assert terminated.termination_reason is TerminationReason.AUCTION_LENGTH
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    start=st.integers(0, 20),
+    auction_length=st.integers(1, 30),
+    bid_duration=st.integers(1, 30),
+    # (time step, amount): tend bids up to the tab of 100 and dent bids below
+    # the lot of 110, some of them refused
+    bids=st.lists(st.tuples(st.integers(0, 8), st.integers(1, 120)), max_size=8),
+)
+def test_deadline_is_the_first_time_the_auction_is_over(
+    start, auction_length, bid_duration, bids
+):
+    config = AuctionConfig(auction_length=auction_length, bid_duration=bid_duration)
+    auction = start_auction(LIQUIDATABLE, config, now=start)
+    now = start
+    for step, amount in bids:
+        now += step
+        try:
+            auction = place_bid(auction, Bid("a", Dec(amount), now))
+        except LiqlabError:
+            continue
+    note(f"history {[(b.amount, b.time) for b in auction.history]}")
+    end = deadline(auction)
+    assert end > (start if auction.last_bid_time is None else auction.last_bid_time)
+    for t in range(start - 2, end):
+        assert check_termination(auction, t) is None
+    assert check_termination(auction, end) is not None
 
 
 class TestFinalize:

@@ -1163,3 +1163,99 @@ def test_any_json_price_path_loads_or_names_the_problem(name, path):
         assert isinstance(load_scenario(doc), Scenario)
     except InvalidScenarioError:
         pass
+
+
+# -- event-driven block clock ------------------------------------------------
+
+QUIET_BLOCKS = 100_000
+
+
+def _count_run_calls(monkeypatch, name):
+    """Wrap ``liqlab.sim._Run.<name>`` so each call's block is appended to the
+    returned list."""
+    blocks = []
+    real = getattr(liqlab.sim._Run, name)
+
+    def counting(run, *args):
+        blocks.append(args[1] if len(args) > 1 else args[0])
+        return real(run, *args)
+
+    monkeypatch.setattr(liqlab.sim._Run, name, counting)
+    return blocks
+
+
+def _vault_auction_doc(script=(), blocks=12, auction_length=5, bid_duration=3):
+    """One position liquidatable from block 0 and one auction bidder."""
+    return {
+        "assets": [{"symbol": "ETH"}, {"symbol": "USDC"}],
+        "params": {"lt": {"ETH": "0.8"}, "ls": "0.1", "cf": "0.5"},
+        "positions": [{"owner": "vault", "collateral": {"ETH": "1"}, "debt": {"USDC": "90"}}],
+        "price_path": {"0": {"ETH": "100", "USDC": "1"}},
+        "agents": [{"id": "keeper", "policy": "auction-bidder", "script": list(script)}],
+        "auction_config": {"auction_length": auction_length, "bid_duration": bid_duration},
+        "blocks": blocks,
+    }
+
+
+class TestIdleBlocks:
+    @pytest.mark.parametrize("distinct_at", [(), (1, 17, 50_000, QUIET_BLOCKS)])
+    def test_a_quiet_scenario_runs_each_policy_once(self, monkeypatch, distinct_at):
+        base = _three_healthy_positions_three_agents({})
+        snapshot = base.price_path[0]
+        path = dict.fromkeys(range(QUIET_BLOCKS + 1), snapshot)
+        for block in distinct_at:
+            path[block] = OracleSnapshot(prices=snapshot.prices)
+        scenario = replace(base, price_path=path, blocks=QUIET_BLOCKS)
+        names = ("_act_close_factor", "_act_two_step", "_act_auction_bidder", "_settle_auctions")
+        calls = {name: _count_run_calls(monkeypatch, name) for name in names}
+        log = run_scenario(scenario)
+        assert log.events == ()
+        assert calls == dict.fromkeys(names, [0])
+        volume = log.collateral_volume_by_block
+        assert len(volume) == QUIET_BLOCKS + 1
+        assert set(volume.values()) == {Dec(3) * Dec(3500) + Dec(100000)}
+
+    def test_an_auction_expiring_unbid_is_reopened_in_the_next_block(self, monkeypatch):
+        opened = []
+        real = liqlab.sim.start_auction
+
+        def recording(*args, **kwargs):
+            opened.append(kwargs["now"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(liqlab.sim, "start_auction", recording)
+        log = run_scenario(load_scenario(_vault_auction_doc(blocks=12)))
+        assert log.events == ()
+        # each auction expires at its start plus the length of 5
+        assert opened == [0, 6, 12]
+
+    def test_a_scripted_bid_at_a_quiet_block_lands(self, monkeypatch):
+        acted = _count_run_calls(monkeypatch, "_act_auction_bidder")
+        checked = _count_calls(monkeypatch, "check_termination")
+        bid = {"time": 10, "bidder": "bob", "amount": "45", "borrower": "vault"}
+        doc = _vault_auction_doc([bid], blocks=20, auction_length=50, bid_duration=5)
+        log = run_scenario(load_scenario(doc))
+        # the bid at 10 ends the auction at 15, and the tend settlement
+        # leaves no collateral to auction again
+        assert [(e.block, e.liquidator, e.mechanism) for e in log.events] == [
+            (15, "bob", Mechanism.AUCTION)
+        ]
+        assert log.events[0].repaid_usd == Dec(45)
+        assert log.events[0].gross_profit_usd == Dec(55)
+        # a block runs when the block before it changed something, or for
+        # the bid, or for the deadline; the engine checks for termination
+        # only at the deadline
+        assert acted == [0, 1, 10, 11, 15, 16]
+        assert [args[1] for args in checked] == [15]
+
+    def test_a_pending_second_call_runs_in_the_next_block(self):
+        doc = json.loads((FIXTURES / "two_step.json").read_text(encoding="utf-8"))
+        # healthy until COL halves at block 10, then quiet to block 20
+        doc["price_path"] = {"0": {"COL": "2", "DEB": "1"}, "10": {"COL": "1"}}
+        doc["blocks"] = 20
+        doc["one_liquidation_per_block"] = True
+        log = run_scenario(load_scenario(doc))
+        assert [(e.block, e.liquidator) for e in log.events] == [
+            (10, "two-step-1"),
+            (11, "two-step-1"),
+        ]

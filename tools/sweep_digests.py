@@ -3,7 +3,12 @@
 The sweep runs the benchmark workload generators (``bench/workloads.py``,
 imported read-only) for seeds 0-19 of both workloads, each under every
 combination of ``one_liquidation_per_block`` on/off, ``cf_per_debt_asset``
-on/off and a gas fee of 0, 5 or 20 USD, plus the scenario fixtures. Each run's
+on/off and a gas fee of 0, 5 or 20 USD, plus the scenario fixtures. At gas 0
+and 5 the fixed-spread agents liquidate calm-market's small positions before
+the scripted bids reach them, so those runs end in the script's
+``InvalidScenarioError``; the sweep therefore also runs each of them with the
+auction bidder's script emptied, so auctions open and expire with no bids
+(643 runs in all). Each run's
 digest covers the event log as CSV and JSONL, the collateral volume series
 and the final positions, or the error that ended the run. For crash-cascade
 runs and the fixtures it also covers the sensitivity curve and the bad-debt
@@ -119,6 +124,18 @@ def runs():
                     scans = [(workload.target, workload.shape.steps, workload.fee,
                               workload.scan_block)]
                 yield f"{name}/seed{seed:02d}/olpb{olpb}/cfpa{cfpa}/gas{gas}", doc, scans
+    for seed in SEEDS:
+        workload = workloads.calm_market(seed)
+        for olpb, cfpa, gas in itertools.product((0, 1), (0, 1), ("0", "5")):
+            doc = copy.deepcopy(workload.scenario)
+            doc["one_liquidation_per_block"] = bool(olpb)
+            doc["params"] = dict(doc["params"], cf_per_debt_asset=bool(cfpa))
+            doc["gas_fee_usd"] = gas
+            for agent in doc["agents"]:
+                if agent["policy"] == "auction-bidder":
+                    agent["script"] = []
+            key = f"calm-market/seed{seed:02d}/olpb{olpb}/cfpa{cfpa}/gas{gas}/no-script"
+            yield key, doc, []
 
 
 def main() -> int:
