@@ -4,15 +4,19 @@ All money amounts are ``Dec`` values. Collateral and debt balances are kept
 in native asset units; USD values are obtained through an oracle snapshot.
 Functions here are pure and never mutate their inputs.
 
-Every valuation goes through one kernel, :func:`sum_terms`, which returns a
-position's collateral value ``c``, borrowing capacity ``bc`` and debt value
-``d`` as scaled integers (``Dec.raw``), without building a ``Dec`` per term.
-It makes exactly the roundings that ``Dec`` arithmetic makes: each asset's
-value is ``amount * price`` rounded half-even to 18 digits, each ``bc`` term
-is that rounded value times the asset's LT, rounded again, and the sums are
-exact integer additions. Its results therefore equal, digit for digit,
-those of the ``Dec`` loop ``value = amount * price; c = c + value;
-bc = bc + value * LT``.
+Every valuation goes through one kernel, :func:`sum_side`, which values one
+side of a position, its collateral or its debt, as scaled integers
+(``Dec.raw``), without building a ``Dec`` per term. On the collateral side
+it returns the collateral value ``c`` and the borrowing capacity ``bc``; on
+the debt side, which has no thresholds, the debt value ``d``.
+:func:`value_sums` values both sides, collateral first, into ``(c, bc,
+d)``; the scenario engine values one side alone when only that side's
+prices moved. The kernel makes exactly the roundings that ``Dec``
+arithmetic makes: each asset's value is ``amount * price`` rounded
+half-even to 18 digits, each ``bc`` term is that rounded value times the
+asset's LT, rounded again, and the sums are exact integer additions. Its
+results therefore equal, digit for digit, those of the ``Dec`` loop
+``value = amount * price; c = c + value; bc = bc + value * LT``.
 
 The kernel reads its terms as ``(key, raw amount)`` pairs and looks prices
 and thresholds up by key, so one loop serves two key layouts.
@@ -27,7 +31,9 @@ sum against 2**255. Here every term is non-negative and each ``bc`` term is
 at most its value, so every intermediate is at most the running ``c`` (or
 ``d``). Checking the running sum after each asset therefore raises
 ``OverflowError`` exactly where the ``Dec`` loop did, before the next
-asset's price or threshold is looked up.
+asset's price or threshold is looked up. The two sides share no lookup and
+no sum, so a side valued alone raises what it raises when it follows the
+other.
 """
 
 from __future__ import annotations
@@ -189,36 +195,31 @@ class PositionValues:
 _HALF = SCALE // 2
 
 
-def sum_terms(collateral, debt, prices, thresholds) -> tuple:
-    """The valuation kernel: scaled-int ``(c, bc, d)`` with c = sum(col*price),
-    bc = sum(col*price*LT) and d = sum(debt*price).
+def sum_side(terms, prices, thresholds=None) -> tuple:
+    """The valuation kernel, on one side of a position: scaled-int
+    ``(total, weighted)`` with total = sum(amount*price) and, when
+    ``thresholds`` is given, weighted = sum(amount*price*LT), else 0.
 
-    ``collateral`` and ``debt`` are ``(key, raw amount)`` pairs; ``prices[key]``
-    and ``thresholds[key]`` are raw. See the module docstring for the
-    roundings and the overflow checks. Each product is rounded half-even as
+    ``terms`` are ``(key, raw amount)`` pairs; ``prices[key]`` and
+    ``thresholds[key]`` are raw. See the module docstring for the roundings
+    and the overflow checks. Each product is rounded half-even as
     ``fixedpoint._round_div`` rounds it, written out here because this loop
     is the engine's hot path.
     """
-    c = bc = d = 0
-    for key, amount in collateral:
+    total = weighted = 0
+    for key, amount in terms:
         value, rest = divmod(amount * prices[key], SCALE)
         if rest > _HALF or (rest == _HALF and value & 1):
             value += 1
-        c += value
-        if c >= _BOUND:
-            _checked(c)
-        term, rest = divmod(value * thresholds[key], SCALE)
-        if rest > _HALF or (rest == _HALF and term & 1):
-            term += 1
-        bc += term
-    for key, amount in debt:
-        value, rest = divmod(amount * prices[key], SCALE)
-        if rest > _HALF or (rest == _HALF and value & 1):
-            value += 1
-        d += value
-        if d >= _BOUND:
-            _checked(d)
-    return c, bc, d
+        total += value
+        if total >= _BOUND:
+            _checked(total)
+        if thresholds is not None:
+            term, rest = divmod(value * thresholds[key], SCALE)
+            if rest > _HALF or (rest == _HALF and term & 1):
+                term += 1
+            weighted += term
+    return total, weighted
 
 
 class _RawLookup:
@@ -242,18 +243,15 @@ def _raw_terms(amounts: Mapping[Asset, Dec]):
 def priced_total(amounts: Mapping[Asset, Dec], oracle: OracleSnapshot) -> int:
     """Scaled-int USD value of native ``amounts``: the sum of amount*price,
     each product rounded half-even as ``Dec`` multiplication rounds it."""
-    return sum_terms((), _raw_terms(amounts), _RawLookup(oracle.price), None)[2]
+    return sum_side(_raw_terms(amounts), _RawLookup(oracle.price))[0]
 
 
 def value_sums(position: Position, oracle: OracleSnapshot, params: RiskParams) -> tuple:
-    """Scaled-int ``(c, bc, d)`` of a position at the snapshot, through the
-    kernel :func:`sum_terms`."""
-    return sum_terms(
-        _raw_terms(position.collateral),
-        _raw_terms(position.debt),
-        _RawLookup(oracle.price),
-        _RawLookup(params.threshold),
-    )
+    """Scaled-int ``(c, bc, d)`` of a position at the snapshot: both sides
+    through the kernel :func:`sum_side`, collateral first."""
+    prices = _RawLookup(oracle.price)
+    c, bc = sum_side(_raw_terms(position.collateral), prices, _RawLookup(params.threshold))
+    return c, bc, sum_side(_raw_terms(position.debt), prices)[0]
 
 
 def position_values(position: Position, oracle: OracleSnapshot, params: RiskParams) -> PositionValues:

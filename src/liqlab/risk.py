@@ -19,6 +19,7 @@ from .core import (
     OracleSnapshot,
     Position,
     RiskParams,
+    _HALF,
     is_liquidatable,
     position_values,
     priced_total,
@@ -78,23 +79,45 @@ def _target_exposures(
     return exposures
 
 
-def _liquidatable_collateral(exposures: list, decline_pct: Dec) -> Dec:
-    """Sum of post-decline collateral value over the exposures whose
-    post-decline borrowing capacity falls strictly below their debt.
+def _liquidatable_collateral(exposures: list, declines: list) -> list:
+    """Per raw decline in ``declines``, which must not decrease, the sum of
+    post-decline collateral value over the exposures whose post-decline
+    borrowing capacity falls strictly below their debt.
 
-    Every term ``x * decline_pct`` is rounded as ``Dec`` multiplication
-    rounds it. Each exposure's term is at least 0 (``decline_pct <= 1``), so
-    checking the total alone raises ``OverflowError`` whenever a running
-    ``Dec`` sum would have.
+    Every term ``x * decline`` is rounded half-even as ``Dec``
+    multiplication rounds it. For an exposure that does not owe the target,
+    ``bc - R(target_bc * k) < d`` (R: that rounding) holds from some decline
+    on: ``target_bc >= 0`` and R does not decrease, so the adjusted capacity
+    does not rise as ``k`` does. Bisection finds that first decline exactly.
+    An exposure that also owes the target loses debt as well as capacity,
+    so it is tested at every decline. Each exposure's term is at least 0
+    (every decline is at most 1), so checking each total alone, in decline
+    order, raises ``OverflowError`` whenever a running ``Dec`` sum would
+    have.
     """
-    k = decline_pct.raw
-    lc = 0
+    n = len(declines)
+    totals = [0] * n
     for c, bc, d, target_value, target_bc, target_debt in exposures:
-        bc_adj = bc - _round_div(target_bc * k, SCALE)
-        d_adj = d if target_debt is None else d - _round_div(target_debt * k, SCALE)
-        if bc_adj < d_adj:
-            lc += c - _round_div(target_value * k, SCALE)
-    return Dec.from_raw(lc)
+        if target_debt is None:
+            first, last = 0, n
+            while first < last:
+                mid = (first + last) // 2
+                if bc - _round_div(target_bc * declines[mid], SCALE) < d:
+                    last = mid
+                else:
+                    first = mid + 1
+            hits = range(first, n)
+        else:
+            hits = [
+                i for i, k in enumerate(declines)
+                if bc - _round_div(target_bc * k, SCALE) < d - _round_div(target_debt * k, SCALE)
+            ]
+        for i in hits:
+            value, rest = divmod(target_value * declines[i], SCALE)
+            if rest > _HALF or (rest == _HALF and value & 1):
+                value += 1
+            totals[i] += c - value
+    return [Dec.from_raw(total) for total in totals]
 
 
 def sensitivity(
@@ -116,8 +139,8 @@ def sensitivity(
     if not ZERO <= decline_pct <= Dec(1):
         raise ValueError(f"decline percentage outside [0, 1]: {decline_pct}")
     return _liquidatable_collateral(
-        _target_exposures(borrowers, target, oracle, params), decline_pct
-    )
+        _target_exposures(borrowers, target, oracle, params), [decline_pct.raw]
+    )[0]
 
 
 def sensitivity_curve(
@@ -127,24 +150,24 @@ def sensitivity_curve(
     oracle: OracleSnapshot,
     params: RiskParams,
 ) -> list:
-    """Evaluate sensitivity at decline fractions k/steps for k = 0..steps.
+    """Evaluate sensitivity at decline fractions k/steps for k = 0..steps,
+    each rounded half-even to 18 digits as ``Dec`` division rounds it.
 
-    The borrowers are valued once; each step only scales the target's
-    shares by the decline, with the same roundings as :func:`sensitivity`.
+    The borrowers are valued once, and every step goes through the sweep
+    that :func:`sensitivity` runs on one decline, with the same roundings.
+    The declines do not decrease with ``k``, so the sweep finds by bisection
+    the first step at which a borrower that does not owe the target becomes
+    liquidatable; it tests a borrower that owes the target at every step.
     """
     if steps < 2:
         raise ValueError(f"steps must be >= 2: {steps}")
     exposures = _target_exposures(borrowers, target, oracle, params)
-    points = []
-    for k in range(steps + 1):
-        decline = Dec(k) / Dec(steps)
-        points.append(
-            SensitivityPoint(
-                decline_pct=decline,
-                liquidatable_collateral_usd=_liquidatable_collateral(exposures, decline),
-            )
-        )
-    return points
+    declines = [Dec(k) / Dec(steps) for k in range(steps + 1)]
+    totals = _liquidatable_collateral(exposures, [decline.raw for decline in declines])
+    return [
+        SensitivityPoint(decline_pct=decline, liquidatable_collateral_usd=total)
+        for decline, total in zip(declines, totals)
+    ]
 
 
 def classify_bad_debt(position: Position, fee_usd: Dec, oracle: OracleSnapshot) -> BadDebtClass:

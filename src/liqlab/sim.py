@@ -20,11 +20,12 @@ Engine rules, in order of application per block:
   left has nothing to seize or to sell: it is type-I bad debt, which no
   agent acts on and no auction opens for.
 * A position is valued once and the values are reused until they can
-  change: every position is re-valued after a block that moves the price
-  of any asset the positions reference, and a position alone after its own
-  balances change (a liquidation or an auction settlement). A block that
-  moves no such price and follows no balance change records the previous
-  block's volume and keeps its list of liquidatable positions.
+  change. A block that moves prices re-values, for each position, only the
+  side (collateral or debt) that holds or owes an asset whose price moved;
+  a position whose balances changed (a liquidation or an auction
+  settlement) is re-valued on both sides. A block that moves no such price
+  and follows no balance change records the previous block's volume and
+  keeps its list of liquidatable positions.
 * Re-pricing goes by snapshot identity first. ``load_scenario`` builds one
   ``OracleSnapshot`` per price change (block 0 and each block that
   overrides a price) and gives every other block the previous block's
@@ -37,10 +38,12 @@ Engine rules, in order of application per block:
   reference are numbered once (slots); a run holds one list of raw prices
   per re-pricing, indexed by slot, and the raw thresholds likewise. Each
   position is compiled into ``(slot, raw amount)`` terms, in the order of
-  its balances, when it is first valued and again after its balances
-  change. The valuation kernel (``core.sum_terms``) turns terms and lists
-  into the position's raw ``(c, bc, d)``, which the engine caches, sums and
-  compares in the scan. Validation guarantees a price for every slot at
+  its balances, and a bitmask of the slots each side references, when it
+  is first valued and again after its balances change. A re-pricing ORs
+  the slots whose raw price differs into a moved mask; the scan re-runs the
+  valuation kernel (``core.sum_side``) on a side whose mask meets it, then
+  clears it. The engine caches each position's raw ``(c, bc, d)``, sums and
+  compares them in the scan. Validation guarantees a price for every slot at
   every block and a threshold for every collateral slot, so no lookup on
   this path can fail.
 * Fixed-spread agents act only when the net profit (gross minus gas and
@@ -109,7 +112,7 @@ from .core import (
     Position,
     RiskParams,
     PositionValues,
-    sum_terms,
+    sum_side,
 )
 from .errors import InvalidScenarioError, LiqlabError, ZeroVolumeError
 from .fixed_spread import LiquidationCall, check_liquidation_call, max_repay
@@ -325,10 +328,13 @@ class _Run:
         # for collateral terms alone
         self.thresholds = [lt[a].raw if a in lt else None for a in self.assets]
         self.oracle = None
-        self.prices = None
+        self.prices = [None] * len(self.assets)
+        # the slots whose price moved since the last _scan, one bit per slot
+        self.moved = 0
+        # owner -> compiled terms and slot masks (see _compile)
         self.terms = {}
-        # owner -> raw (c, bc, d) at the current prices, and owner -> the
-        # PositionValues built from them once a policy needs them; see _sums
+        # owner -> raw (c, bc, d), and owner -> the PositionValues built from
+        # them once a policy needs them; see _sums
         self.sums = {}
         self.values = {}
         # liquidatable owners in scenario order as of the last _scan, which
@@ -359,33 +365,49 @@ class _Run:
     # -- helpers -------------------------------------------------------------
 
     def _reprice(self, oracle) -> None:
-        """Take the block's raw prices; on any change, every cached valuation
-        goes stale. A block that shares the snapshot priced last costs
-        nothing."""
+        """Take the block's raw prices and note the slots whose price moved.
+
+        The cached sums are brought up to the new prices by the next
+        ``_scan``, not here. That is safe because the run loop scans in the
+        same block right after a re-pricing that moved a price, before any
+        agent reads ``_sums``. A block that shares the snapshot priced last
+        costs nothing.
+        """
         if oracle is self.oracle:
             return
         self.oracle = oracle
         prices = [oracle.prices[asset].raw for asset in self.assets]
         if prices != self.prices:
+            moved = self.moved
+            for slot, (price, last) in enumerate(zip(prices, self.prices)):
+                if price != last:
+                    moved |= 1 << slot
+            self.moved = moved
             self.prices = prices
-            self.sums.clear()
             self.values.clear()
             self.stale = True
 
     def _compile(self, position: Position) -> tuple:
-        """The position's ``(slot, raw amount)`` collateral and debt terms."""
+        """The position's ``(slot, raw amount)`` collateral and debt terms,
+        and for each side the mask of the slots it references."""
         slots = self.slots
+        collateral = tuple(
+            (slots[asset], amount.raw) for asset, amount in position.collateral.items()
+        )
+        debt = tuple((slots[asset], amount.raw) for asset, amount in position.debt.items())
         return (
-            tuple((slots[asset], amount.raw) for asset, amount in position.collateral.items()),
-            tuple((slots[asset], amount.raw) for asset, amount in position.debt.items()),
+            collateral,
+            debt,
+            sum(1 << slot for slot, _ in collateral),
+            sum(1 << slot for slot, _ in debt),
         )
 
     def _sums(self, owner):
         """The owner's raw ``(c, bc, d)`` at the current block's prices.
 
-        Entries are dropped when the position changes (``_set_position``)
-        and all at once when a block's raw price list differs from the last
-        one (``_reprice``).
+        An entry is dropped when the position changes (``_set_position``),
+        and then valued here on both sides. After a re-pricing, ``_scan``
+        updates the entries before anything else reads them.
         A position is liquidatable iff ``bc < d``: ``bc`` is never negative,
         so that also means ``d > 0``. The policies act on it only while it
         also holds collateral (``c > 0``): with none left there is nothing to
@@ -393,10 +415,9 @@ class _Run:
         """
         sums = self.sums.get(owner)
         if sums is None:
-            terms = self.terms.get(owner)
-            if terms is None:
-                terms = self.terms[owner] = self._compile(self.positions[owner])
-            sums = self.sums[owner] = sum_terms(*terms, self.prices, self.thresholds)
+            terms = self.terms[owner] = self._compile(self.positions[owner])
+            c, bc = sum_side(terms[0], self.prices, self.thresholds)
+            sums = self.sums[owner] = c, bc, sum_side(terms[1], self.prices)[0]
         return sums
 
     def _values(self, owner) -> PositionValues:
@@ -414,7 +435,6 @@ class _Run:
 
     def _set_position(self, owner, position):
         self.positions[owner] = position
-        self.terms.pop(owner, None)
         self.sums.pop(owner, None)
         self.values.pop(owner, None)
         self.stale = True
@@ -424,15 +444,33 @@ class _Run:
         them a fixed-spread call can profit from; return the total collateral
         value.
 
+        Each cached valuation is first brought up to the current prices: a
+        side is re-valued only when it references a slot whose price moved,
+        and a position that ``_set_position`` dropped is valued on both
+        sides. The moved slots are then cleared.
         The second list stays valid until the next scan: within a block a
         position's debt only falls, and so does its close-factor cap.
         """
         scenario = self.scenario
+        prices, thresholds = self.prices, self.thresholds
+        moved, self.moved = self.moved, 0
+        cached, terms = self.sums, self.terms
         self.liquidatable = []
         self.fixed_spread_targets = []
         total = 0
         for owner in self.order:
-            c, bc, d = self._sums(owner)
+            sums = cached.get(owner)
+            if sums is None:
+                c, bc, d = self._sums(owner)
+            else:
+                c, bc, d = sums
+                if moved:
+                    collateral, debt, collateral_slots, debt_slots = terms[owner]
+                    if collateral_slots & moved:
+                        c, bc = sum_side(collateral, prices, thresholds)
+                    if debt_slots & moved:
+                        d = sum_side(debt, prices)[0]
+                    cached[owner] = c, bc, d
             total += c
             if c and bc < d:
                 self.liquidatable.append(owner)
@@ -796,6 +834,12 @@ def load_scenario(source) -> Scenario:
     ``OracleSnapshot`` is built only at block 0 and at each block whose
     override object is non-empty; every other block shares the previous
     block's snapshot object.
+
+    Only an ``auction-bidder`` agent may carry a non-empty ``script``, and a
+    scripted bid's ``time`` must be >= 0; either mistake is an
+    InvalidScenarioError naming the agent's script or the bid's time. A bid
+    timed past ``blocks`` is allowed and ignored, as a ``price_path`` key
+    past ``blocks`` is.
     """
     if isinstance(source, dict):
         doc = source
@@ -910,10 +954,16 @@ def load_scenario(source) -> Scenario:
             ) from None
         script = []
         raw_script = _shaped(entry.get("script", []), list, f"agents[{i}].script")
+        if raw_script and kind is not PolicyKind.AUCTION_BIDDER:
+            raise InvalidScenarioError(
+                f"agents[{i}].script", f"only an auction-bidder agent takes a script, not {kind.value}"
+            )
         for j, raw_bid in enumerate(raw_script):
             where = f"agents[{i}].script[{j}]"
             raw_bid = _shaped(raw_bid, dict, where)
             time = _integer(raw_bid.get("time"), f"{where}.time")
+            if time < 0:
+                raise InvalidScenarioError(f"{where}.time", f"must be >= 0: {time}")
             bidder = _identifier(raw_bid, "bidder", f"{where}.bidder")
             amount = _dec_field(raw_bid.get("amount"), f"{where}.amount")
             if amount <= ZERO:

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from liqlab import (
     Asset,
@@ -26,6 +26,8 @@ from liqlab.errors import (
     PathLengthMismatchError,
     ZeroDebtError,
 )
+from liqlab.fixedpoint import SCALE, _round_div
+from liqlab.risk import _target_exposures
 
 from test_acceptance import _brute_force_lc, _random_portfolio
 
@@ -151,6 +153,75 @@ class TestSensitivityCurve:
                 assert lc == sensitivity(positions, target, decline, oracle, params)
                 assert lc == _brute_force_lc(positions, target, decline, oracle, params)
         assert owing_holders > 0
+
+
+def _per_decline_lc(exposures, decline):
+    """The reference for the sweep: every exposure tested at the one decline."""
+    k = decline.raw
+    lc = 0
+    for c, bc, d, target_value, target_bc, target_debt in exposures:
+        bc_adj = bc - _round_div(target_bc * k, SCALE)
+        d_adj = d if target_debt is None else d - _round_div(target_debt * k, SCALE)
+        if bc_adj < d_adj:
+            lc += c - _round_div(target_value * k, SCALE)
+    return Dec.from_raw(lc)
+
+
+TARGET = Asset("T")
+OTHER = Asset("O")
+# all 18 fractional digits drawn, so that every product has digits to round
+fine = st.builds(
+    lambda whole, fraction: Dec.from_raw(whole * SCALE + fraction),
+    st.integers(0, 10**4),
+    st.integers(0, SCALE - 1),
+)
+
+
+@st.composite
+def target_books(draw):
+    """Holders of TARGET whose debt puts their crossing, the decline past
+    which they are liquidatable, anywhere in [0, 1]; some also owe TARGET."""
+    price = draw(fine.filter(bool))
+    oracle = OracleSnapshot(prices={TARGET: price, OTHER: Dec(1)})
+    lt = Dec(draw(st.integers(1, 99))) / Dec(100)
+    params = RiskParams(lt={TARGET: lt, OTHER: Dec("0.5")}, ls=Dec(0), cf=Dec("0.5"))
+    positions = []
+    for i in range(draw(st.integers(1, 6))):
+        collateral = {TARGET: draw(fine.filter(bool)), OTHER: draw(fine)}
+        capacity = position_values(Position("", collateral), oracle, params).bc
+        crossing = Dec.from_raw(draw(st.integers(0, SCALE)))
+        debt = {OTHER: capacity - collateral[TARGET] * price * lt * crossing}
+        if draw(st.booleans()):
+            debt[TARGET] = draw(fine)
+        positions.append(Position(f"b{i}", collateral, debt))
+    return positions, oracle, params
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    book=target_books(),
+    steps=st.integers(2, 150),
+    decline=st.integers(0, SCALE).map(Dec.from_raw),
+)
+@example(  # 7 does not divide 10**18: the declines k/7 are rounded
+    book=([Position("b0", {TARGET: Dec(10)}, {OTHER: Dec(20000)})],
+          OracleSnapshot(prices={TARGET: Dec(3000), OTHER: Dec(1)}),
+          RiskParams(lt={TARGET: Dec("0.8")}, ls=Dec(0), cf=Dec("0.5"))),
+    steps=7,
+    decline=Dec(1) / Dec(6),
+)
+def test_sweep_equals_the_per_decline_loop(book, steps, decline):
+    positions, oracle, params = book
+    exposures = _target_exposures(positions, TARGET, oracle, params)
+    points = sensitivity_curve(positions, TARGET, steps, oracle, params)
+    declines = [Dec(k) / Dec(steps) for k in range(steps + 1)]
+    assert [p.decline_pct for p in points] == declines
+    assert [p.liquidatable_collateral_usd for p in points] == [
+        _per_decline_lc(exposures, x) for x in declines
+    ]
+    assert sensitivity(positions, TARGET, decline, oracle, params) == _per_decline_lc(
+        exposures, decline
+    )
 
 
 class TestRiskScanOverflow:

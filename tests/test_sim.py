@@ -396,6 +396,31 @@ class TestScenarioLoader:
         assert info.value.field == field
         assert info.value.problem == f"must be true or false: {value!r}"
 
+    def test_script_on_an_agent_that_does_not_bid_is_rejected(self):
+        doc = json.loads((FIXTURES / "eth_price_drop.json").read_text())
+        doc["agents"][0]["script"] = [{"time": 1, "bidder": "x", "amount": "5"}]
+        with pytest.raises(InvalidScenarioError) as info:
+            load_scenario(doc)
+        assert info.value.field == "agents[0].script"
+        assert info.value.problem == (
+            "only an auction-bidder agent takes a script, not up-to-close-factor"
+        )
+
+    def test_scripted_bid_before_block_zero_is_rejected(self):
+        doc = json.loads((FIXTURES / "auction.json").read_text())
+        doc["agents"][0]["script"].append({"time": -3, "bidder": "x", "amount": "5"})
+        last = len(doc["agents"][0]["script"]) - 1
+        with pytest.raises(InvalidScenarioError) as info:
+            load_scenario(doc)
+        assert info.value.field == f"agents[0].script[{last}].time"
+        assert info.value.problem == "must be >= 0: -3"
+
+    def test_scripted_bid_past_the_horizon_is_ignored(self):
+        doc = json.loads((FIXTURES / "auction.json").read_text())
+        expected = _log_digest(run_scenario(load_scenario(doc)))
+        doc["agents"][0]["script"].append({"time": 10**6, "bidder": "x", "amount": "5"})
+        assert _log_digest(run_scenario(load_scenario(doc))) == expected
+
     def test_omitted_boolean_fields_are_false(self):
         scenario = eth_drop_scenario()
         assert scenario.one_liquidation_per_block is False
@@ -513,6 +538,13 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _sides(calls) -> tuple:
+    """How many recorded ``sum_side`` calls valued a collateral side (they
+    pass thresholds) and how many a debt side."""
+    collateral = sum(1 for args in calls if len(args) == 3)
+    return collateral, len(calls) - collateral
+
+
 class TestIncrementalValuation:
     def test_position_is_revalued_when_only_its_asset_moves(self):
         log = run_scenario(load_scenario(sparse_wbtc_doc()))
@@ -536,28 +568,70 @@ class TestIncrementalValuation:
             ("b", Dec(2100), Dec(2310)),
         ]
 
-    @pytest.mark.parametrize("moves, valuations", [({}, 3), ({"7": {"ETH": "3400"}}, 6)])
+    # (collateral sides, debt sides) valued: each position once on both
+    # sides, and the ETH move re-values the one ETH holder's collateral side
+    @pytest.mark.parametrize("moves, valuations", [({}, (3, 3)), ({"7": {"ETH": "3400"}}, (4, 3))])
     def test_healthy_positions_are_valued_once_per_price_change(
         self, monkeypatch, moves, valuations
     ):
-        calls = _count_calls(monkeypatch, "sum_terms")
+        calls = _count_calls(monkeypatch, "sum_side")
         log = run_scenario(_three_healthy_positions_three_agents(moves))
         assert log.events == ()
-        assert len(calls) == valuations
+        assert _sides(calls) == valuations
 
-    @pytest.mark.parametrize("moves, checks", [({}, 3), ({"7": {"ETH": "3400"}}, 6)])
+    @pytest.mark.parametrize("moves, checks", [({}, (3, 3)), ({"7": {"ETH": "3400"}}, (4, 3))])
     def test_healthy_positions_are_checked_once_per_price_change(
         self, monkeypatch, moves, checks
     ):
-        calls = _count_calls(monkeypatch, "sum_terms")
+        calls = _count_calls(monkeypatch, "sum_side")
         built = _count_calls(monkeypatch, "PositionValues")
         log = run_scenario(_three_healthy_positions_three_agents(moves))
         assert log.events == ()
         # the scan checks the raw sums; no policy needs a healthy position's values
-        assert len(calls) == checks
+        assert _sides(calls) == checks
         assert built == []
         eth_price = Dec(3400) if moves else Dec(3500)
         assert log.collateral_volume_by_block[10] == Dec(3) * eth_price + Dec(100000)
+
+    @pytest.mark.parametrize("move, revalued, volume", [
+        # only the USDC debtors' debt sides depend on USDC
+        ({"USDC": "1.01"}, [("eth-holder", "debt"), ("btc-holder", "debt")], Dec(169250)),
+        # only the WBTC holders' collateral sides depend on WBTC
+        ({"WBTC": "45000"}, [("btc-holder", "collateral"), ("idle", "collateral")],
+         Dec(154250)),
+    ])
+    def test_a_price_move_revalues_only_the_sides_that_reference_it(
+        self, monkeypatch, move, revalued, volume
+    ):
+        doc = sparse_wbtc_doc(blocks=10)
+        doc["assets"].append({"symbol": "DAI"})
+        doc["positions"] += [
+            {"owner": "dai-debtor", "collateral": {"ETH": "2.5"}, "debt": {"DAI": "1000"}},
+            {"owner": "idle", "collateral": {"WBTC": "2"}},
+        ]
+        doc["price_path"] = {
+            "0": {"ETH": "3500", "WBTC": "50000", "USDC": "1", "DAI": "1"}, "5": move
+        }
+        scenario = load_scenario(doc)
+        # the amounts on each side tell the positions apart
+        owner_of = {}
+        for p in scenario.positions:
+            owner_of[("collateral", tuple(a.raw for a in p.collateral.values()))] = p.owner
+            owner_of[("debt", tuple(a.raw for a in p.debt.values()))] = p.owner
+        calls = _count_calls(monkeypatch, "sum_side")
+        log = run_scenario(scenario)
+        assert log.events == ()
+        valued = []
+        for args in calls:
+            side = "collateral" if len(args) == 3 else "debt"
+            valued.append((owner_of[(side, tuple(raw for _, raw in args[0]))], side))
+        # block 0 values every position on both sides, block 5 only what moved
+        assert sorted(valued[:8]) == sorted(
+            (p.owner, side) for p in scenario.positions for side in ("collateral", "debt")
+        )
+        assert valued[8:] == revalued
+        assert log.collateral_volume_by_block[4] == Dec(169250)
+        assert log.collateral_volume_by_block[10] == volume
 
     def test_settlement_that_leaves_no_collateral_opens_no_auction(self):
         # GEM doubles at block 2, so the auctioned vault is healthy when the
@@ -1011,7 +1085,7 @@ class TestSharedSnapshots:
         assert len({id(s) for s in distinct.price_path.values()}) == 9
         logs, counts = [], []
         for scenario in (shared, distinct):
-            calls = _count_calls(monkeypatch, "sum_terms")
+            calls = _count_calls(monkeypatch, "sum_side")
             logs.append(run_scenario(scenario))
             counts.append(len(calls))
             monkeypatch.undo()

@@ -7,8 +7,11 @@ on/off and a gas fee of 0, 5 or 20 USD, plus the scenario fixtures. At gas 0
 and 5 the fixed-spread agents liquidate calm-market's small positions before
 the scripted bids reach them, so those runs end in the script's
 ``InvalidScenarioError``; the sweep therefore also runs each of them with the
-auction bidder's script emptied, so auctions open and expire with no bids
-(643 runs in all). Each run's
+auction bidder's script emptied, so auctions open and expire with no bids.
+Every curve of those runs has 20 or 100 steps, both divisors of 10**18, so
+none of their declines is rounded; the fixtures and crash-cascade seeds 0-19
+are therefore run once more with curves at 7 and 30 steps (666 runs in all).
+Each run's
 digest covers the event log as CSV and JSONL, the collateral volume series
 and the final positions, or the error that ended the run. For crash-cascade
 runs and the fixtures it also covers the sensitivity curve and the bad-debt
@@ -49,6 +52,7 @@ SEEDS = range(20)
 FIXTURES = ("eth_price_drop", "two_step", "auction")
 FIXTURE_STEPS = 20
 FIXTURE_FEE = "10"
+ROUNDED_STEPS = (7, 30)  # k/steps is rounded to 18 digits for most k
 
 
 def _outcome(fn) -> str:
@@ -103,11 +107,16 @@ def digest(doc: dict, risk=()) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _fixture(name: str):
+    """The fixture's document and the collateral assets it holds, by symbol."""
+    doc = json.loads((ROOT / "fixtures" / f"{name}.json").read_text(encoding="utf-8"))
+    return doc, sorted({sym for p in doc["positions"] for sym in p.get("collateral", {})})
+
+
 def runs():
     """(run key, scenario document, risk scans) for every run of the sweep."""
     for name in FIXTURES:
-        doc = json.loads((ROOT / "fixtures" / f"{name}.json").read_text(encoding="utf-8"))
-        targets = sorted({sym for p in doc["positions"] for sym in p.get("collateral", {})})
+        doc, targets = _fixture(name)
         scans = [(t, FIXTURE_STEPS, FIXTURE_FEE, block) for t in targets
                  for block in sorted({0, doc["blocks"]})]
         yield f"fixture/{name}", doc, scans
@@ -136,6 +145,16 @@ def runs():
                     agent["script"] = []
             key = f"calm-market/seed{seed:02d}/olpb{olpb}/cfpa{cfpa}/gas{gas}/no-script"
             yield key, doc, []
+    for name in FIXTURES:
+        doc, targets = _fixture(name)
+        scans = [(t, steps, FIXTURE_FEE, doc["blocks"]) for t in targets
+                 for steps in ROUNDED_STEPS]
+        yield f"fixture/{name}/rounded-steps", doc, scans
+    for seed in SEEDS:
+        workload = workloads.crash_cascade(seed)
+        scans = [(workload.target, steps, workload.fee, workload.scan_block)
+                 for steps in ROUNDED_STEPS]
+        yield f"crash-cascade/seed{seed:02d}/rounded-steps", workload.scenario, scans
 
 
 def main() -> int:
