@@ -169,18 +169,27 @@ def _cmd_simulate(args) -> int:
         text = _run_one_scenario(paths[0], args.json)
         _emit(_stamp_line(args.stamp) + text, args.out)
         return 0
+    suffix = ".jsonl" if args.json else ".csv"
+    targets = {}  # output file name -> the scenario that writes it
+    for path in paths:
+        name = Path(path).stem + suffix
+        if name in targets:
+            print(
+                f"error: scenarios {targets[name]} and {path} would both write {name}",
+                file=sys.stderr,
+            )
+            return 1
+        targets[name] = path
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    suffix = ".jsonl" if args.json else ".csv"
     with concurrent.futures.ThreadPoolExecutor(max_workers=min(args.jobs, len(paths))) as pool:
         futures = {
-            pool.submit(_run_one_scenario, path, args.json): path for path in paths
+            name: pool.submit(_run_one_scenario, path, args.json)
+            for name, path in targets.items()
         }
-        for future in futures:
-            path = futures[future]
+        for name, future in futures.items():
             text = future.result()
-            target = out_dir / (Path(path).stem + suffix)
-            target.write_text(_stamp_line(args.stamp) + text, encoding="utf-8")
+            (out_dir / name).write_text(_stamp_line(args.stamp) + text, encoding="utf-8")
     return 0
 
 

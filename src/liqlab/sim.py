@@ -19,7 +19,7 @@ Engine rules, in order of application per block:
   settlement changes balances. A liquidatable position with no collateral
   left has nothing to seize or to sell: it is type-I bad debt, which no
   agent acts on and no auction opens for.
-* A position is valued once and the values are reused until they can
+* A position is valued once and its raw sums are reused until they can
   change. A block that moves prices re-values, for each position, only the
   side (collateral or debt) that holds or owes an asset whose price moved;
   a position whose balances changed (a liquidation or an auction
@@ -51,7 +51,7 @@ Engine rules, in order of application per block:
   amount alone, so a call is sent only when it is profitable; that is also
   the flash-loan rule, since gas is never negative and a call that clears
   gas and fee always repays its flash loan. The profitable call is then
-  checked against the protocol's rules with the position's cached values
+  checked against the protocol's rules on values built from its cached sums
   (``fixed_spread.check_liquidation_call``); a call the protocol refuses
   (close-factor cap, debt or collateral shortfall) is simply not sent.
 * Fixed-spread agents skip a liquidatable position outright when no call on
@@ -60,8 +60,8 @@ Engine rules, in order of application per block:
   net profit of every such repay at zero or less. The scan decides this
   once per valuation, on the raw debt value; auction bidders still visit
   the position, and a skipped call is one that would not have been sent.
-  The scan builds no ``PositionValues`` and no ``Dec`` per position: they
-  are built only for a liquidatable position a policy acts on.
+  The scan builds no ``PositionValues`` and no ``Dec`` per position; each
+  policy visit and auction settlement builds one from the cached raw sums.
 * Positions with an open auction are off-limits to fixed-spread agents.
 * With ``one_liquidation_per_block`` set, at most one liquidation lands per
   position per block, so a two-step agent's second call executes in the
@@ -90,8 +90,10 @@ fee per transaction and interest never accrues.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import json
+import os
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -161,17 +163,7 @@ class LiquidationEvent:
     net_profit_usd: Dec
 
 
-EVENT_FIELDS = (
-    "block",
-    "borrower",
-    "liquidator",
-    "mechanism",
-    "repaid_usd",
-    "seized_usd",
-    "gross_profit_usd",
-    "fees_usd",
-    "net_profit_usd",
-)
+EVENT_FIELDS = tuple(f.name for f in dataclasses.fields(LiquidationEvent))
 
 
 @dataclass(frozen=True)
@@ -333,10 +325,8 @@ class _Run:
         self.moved = 0
         # owner -> compiled terms and slot masks (see _compile)
         self.terms = {}
-        # owner -> raw (c, bc, d), and owner -> the PositionValues built from
-        # them once a policy needs them; see _sums
+        # owner -> raw (c, bc, d); see _sums
         self.sums = {}
-        self.values = {}
         # liquidatable owners in scenario order as of the last _scan, which
         # is stale after a price or position change, and the subset on which
         # some fixed-spread call can clear its fees (see cannot_clear_fees)
@@ -384,7 +374,6 @@ class _Run:
                     moved |= 1 << slot
             self.moved = moved
             self.prices = prices
-            self.values.clear()
             self.stale = True
 
     def _compile(self, position: Position) -> tuple:
@@ -420,23 +409,15 @@ class _Run:
             sums = self.sums[owner] = c, bc, sum_side(terms[1], self.prices)[0]
         return sums
 
-    def _values(self, owner) -> PositionValues:
-        values = self.values.get(owner)
-        if values is None:
-            values = PositionValues.from_sums(self._sums(owner))
-            self.values[owner] = values
-        return values
-
     def _liquidatable_values(self, owner) -> Optional[PositionValues]:
-        """The owner's position values while it is liquidatable and holds
-        collateral, else None."""
-        c, bc, d = self._sums(owner)
-        return self._values(owner) if c and bc < d else None
+        """The owner's position values, built from its cached raw sums, while
+        it is liquidatable and holds collateral, else None."""
+        sums = c, bc, d = self._sums(owner)
+        return PositionValues.from_sums(sums) if c and bc < d else None
 
     def _set_position(self, owner, position):
         self.positions[owner] = position
         self.sums.pop(owner, None)
-        self.values.pop(owner, None)
         self.stale = True
 
     def _scan(self) -> Dec:
@@ -483,19 +464,15 @@ class _Run:
         return Dec.from_raw(total)
 
     def _choose_pair(self, position: Position, oracle: OracleSnapshot):
-        """Largest-value debt and collateral assets, ties broken by symbol."""
+        """Largest-value debt and collateral assets, ties broken by symbol;
+        only called with ``c > 0`` and ``d > bc >= 0``, so both sides hold one."""
         def best(amounts):
-            ranked = sorted(
+            return sorted(
                 amounts.items(),
                 key=lambda item: (item[1] * oracle.price(item[0]), item[0].symbol),
-            )
-            return ranked[-1][0] if ranked else None
+            )[-1][0]
 
-        debt_asset = best(position.debt)
-        collateral_asset = best(position.collateral)
-        if debt_asset is None or collateral_asset is None:
-            return None
-        return debt_asset, collateral_asset
+        return best(position.debt), best(position.collateral)
 
     def _liquidate(self, block, oracle, agent_id, owner, desired=None, pair=None):
         """One fixed-spread call on ``owner``; the pair used if an event landed.
@@ -515,8 +492,6 @@ class _Run:
         position = self.positions[owner]
         if pair is None:
             pair = self._choose_pair(position, oracle)
-            if pair is None:
-                return None
         debt_asset, collateral_asset = pair
         scenario = self.scenario
         params = scenario.params
@@ -585,8 +560,6 @@ class _Run:
             if values is None:
                 continue
             pair = self._choose_pair(self.positions[owner], oracle)
-            if pair is None:
-                continue
             try:
                 plan = optimal_repays(values.c, values.d, params.threshold(pair[1]), params)
             except LiqlabError:
@@ -647,7 +620,7 @@ class _Run:
             self.changes += 1
             if auction.best_bid is None:
                 continue  # expired worthless; position stays liquidatable
-            values_now = self._values(owner)
+            values_now = PositionValues.from_sums(self._sums(owner))
             settlement = finalize(auction, values_now)
             self._set_position(
                 owner, _apply_settlement(self.positions[owner], settlement, values_now)
@@ -822,8 +795,27 @@ def _identifier(entry: dict, key: str, field_name: str) -> str:
     return value
 
 
+def _amounts(raw, field_name, lookup) -> dict:
+    """A ``{symbol: decimal}`` object as ``{Asset: Dec}``; ``lookup(symbol,
+    field_name)`` resolves a symbol or raises."""
+    return {
+        lookup(sym, f"{field_name}.{sym}"): _dec_field(value, f"{field_name}.{sym}")
+        for sym, value in _shaped(raw, dict, field_name).items()
+    }
+
+
+def _built(field_name, cls, **fields):
+    """``cls(**fields)``, its ValueError raised as an InvalidScenarioError
+    at ``field_name``."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise InvalidScenarioError(field_name, str(exc)) from None
+
+
 def load_scenario(source) -> Scenario:
-    """Build a Scenario from a JSON document (path, JSON text, or dict).
+    """Build a Scenario from a JSON document: a parsed ``dict``, or the path
+    (``str`` or ``os.PathLike``) of a UTF-8 JSON file.
 
     Decimals are strings. ``price_path`` may be sparse: blocks after 0
     inherit any price they do not override (block 0 must price every asset
@@ -844,15 +836,9 @@ def load_scenario(source) -> Scenario:
     if isinstance(source, dict):
         doc = source
     else:
-        text = source
-        if hasattr(source, "read"):
-            text = source.read()
-        else:
-            text = str(source)
-            if not text.lstrip().startswith("{"):
-                with open(text, "r", encoding="utf-8") as handle:
-                    text = handle.read()
-        doc = json.loads(text)
+        # fspath: an int would otherwise open that file descriptor
+        with open(os.fspath(source), "r", encoding="utf-8") as handle:
+            doc = json.load(handle)
     if not isinstance(doc, dict):
         raise InvalidScenarioError("<root>", "scenario document must be a JSON object")
 
@@ -860,11 +846,10 @@ def load_scenario(source) -> Scenario:
     for i, entry in enumerate(_shaped(doc.get("assets", []), list, "assets")):
         entry = _shaped(entry, dict, f"assets[{i}]")
         symbol = _identifier(entry, "symbol", f"assets[{i}].symbol")
+        if symbol in assets:
+            raise InvalidScenarioError(f"assets[{i}].symbol", f"duplicate symbol {symbol!r}")
         decimals = _integer(entry.get("decimals", 18), f"assets[{i}].decimals")
-        try:
-            assets[symbol] = Asset(symbol=symbol, decimals=decimals)
-        except ValueError as exc:
-            raise InvalidScenarioError(f"assets[{i}].decimals", str(exc)) from None
+        assets[symbol] = _built(f"assets[{i}].decimals", Asset, symbol=symbol, decimals=decimals)
 
     def lookup(symbol, field_name):
         if symbol not in assets:
@@ -874,46 +859,26 @@ def load_scenario(source) -> Scenario:
     params_doc = doc.get("params")
     if not isinstance(params_doc, dict):
         raise InvalidScenarioError("params", "missing or not an object")
-    lt = {
-        lookup(sym, f"params.lt.{sym}"): _dec_field(value, f"params.lt.{sym}")
-        for sym, value in _shaped(params_doc.get("lt", {}), dict, "params.lt").items()
-    }
-    try:
-        params = RiskParams(
-            lt=lt,
-            ls=_dec_field(params_doc.get("ls", "0"), "params.ls"),
-            cf=_dec_field(params_doc.get("cf", "1"), "params.cf"),
-            cf_per_debt_asset=_boolean(
-                params_doc.get("cf_per_debt_asset", False), "params.cf_per_debt_asset"
-            ),
-        )
-    except ValueError as exc:
-        raise InvalidScenarioError("params", str(exc)) from None
+    params = _built(
+        "params",
+        RiskParams,
+        lt=_amounts(params_doc.get("lt", {}), "params.lt", lookup),
+        ls=_dec_field(params_doc.get("ls", "0"), "params.ls"),
+        cf=_dec_field(params_doc.get("cf", "1"), "params.cf"),
+        cf_per_debt_asset=_boolean(
+            params_doc.get("cf_per_debt_asset", False), "params.cf_per_debt_asset"
+        ),
+    )
 
     positions = []
     for i, entry in enumerate(_shaped(doc.get("positions", []), list, "positions")):
         entry = _shaped(entry, dict, f"positions[{i}]")
         owner = _identifier(entry, "owner", f"positions[{i}].owner")
-        collateral = {
-            lookup(sym, f"positions[{i}].collateral.{sym}"): _dec_field(
-                value, f"positions[{i}].collateral.{sym}"
-            )
-            for sym, value in _shaped(
-                entry.get("collateral", {}), dict, f"positions[{i}].collateral"
-            ).items()
-        }
-        debt = {
-            lookup(sym, f"positions[{i}].debt.{sym}"): _dec_field(
-                value, f"positions[{i}].debt.{sym}"
-            )
-            for sym, value in _shaped(
-                entry.get("debt", {}), dict, f"positions[{i}].debt"
-            ).items()
-        }
-        try:
-            positions.append(Position(owner=owner, collateral=collateral, debt=debt))
-        except ValueError as exc:
-            raise InvalidScenarioError(f"positions[{i}]", str(exc)) from None
+        collateral = _amounts(entry.get("collateral", {}), f"positions[{i}].collateral", lookup)
+        debt = _amounts(entry.get("debt", {}), f"positions[{i}].debt", lookup)
+        positions.append(
+            _built(f"positions[{i}]", Position, owner=owner, collateral=collateral, debt=debt)
+        )
 
     blocks = _integer(doc.get("blocks"), "blocks")  # Scenario rejects blocks < 0
 
@@ -927,18 +892,13 @@ def load_scenario(source) -> Scenario:
     current = {}
     snapshot = None
     for block in range(blocks + 1):
-        overrides = path_doc.get(str(block), {})
-        if not isinstance(overrides, dict):
-            raise InvalidScenarioError(f"price_path.{block}", "must be an object")
-        for sym, value in overrides.items():
-            current[lookup(sym, f"price_path.{block}.{sym}")] = _dec_field(
-                value, f"price_path.{block}.{sym}"
-            )
-        if overrides or snapshot is None:
-            try:
-                snapshot = OracleSnapshot(prices=current)  # copies current
-            except ValueError as exc:
-                raise InvalidScenarioError(f"price_path.{block}", str(exc)) from None
+        key = str(block)
+        if key in path_doc:  # a present null is parsed, and is not an object
+            overrides = _amounts(path_doc[key], f"price_path.{block}", lookup)
+            if overrides or snapshot is None:  # block 0 is always present
+                current.update(overrides)
+                # the snapshot copies current
+                snapshot = _built(f"price_path.{block}", OracleSnapshot, prices=current)
         price_path[block] = snapshot
 
     agents = []
@@ -981,15 +941,15 @@ def load_scenario(source) -> Scenario:
         auction_doc.get("auction_length", 6), "auction_config.auction_length"
     )
     bid_duration = _integer(auction_doc.get("bid_duration", 5), "auction_config.bid_duration")
-    min_increment = _dec_field(
-        auction_doc.get("min_increment", "0.03"), "auction_config.min_increment"
+    auction_config = _built(
+        "auction_config",
+        AuctionConfig,
+        auction_length=auction_length,
+        bid_duration=bid_duration,
+        min_increment=_dec_field(
+            auction_doc.get("min_increment", "0.03"), "auction_config.min_increment"
+        ),
     )
-    try:
-        auction_config = AuctionConfig(
-            auction_length=auction_length, bid_duration=bid_duration, min_increment=min_increment
-        )
-    except ValueError as exc:
-        raise InvalidScenarioError("auction_config", str(exc)) from None
 
     return Scenario(
         assets=tuple(assets.values()),

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import liqlab.cli
 import liqlab.sim
 from liqlab.cli import build_parser, main
 
@@ -143,6 +144,34 @@ class TestSimulateCommand:
     def test_multiple_scenarios_require_out_dir(self, capsys):
         rc = main(["simulate", "--scenario", ETH_DROP, "--scenario", ETH_DROP])
         assert rc == 1
+
+    def test_scenarios_with_one_stem_are_refused_before_any_runs(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        first, second = tmp_path / "a" / "x.json", tmp_path / "b" / "x.json"
+        for path, name in ((first, "two_step.json"), (second, "auction.json")):
+            path.parent.mkdir()
+            path.write_text((FIXTURES / name).read_text())
+        runs = []
+        monkeypatch.setattr(liqlab.cli, "_run_one_scenario", lambda *args: runs.append(args))
+        out_dir = tmp_path / "out"
+        argv = ["simulate", "--scenario", str(first), "--scenario", str(second),
+                "--out-dir", str(out_dir)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{first} and {second} would both write x.csv" in err
+        assert runs == [] and not out_dir.exists()
+
+    def test_scenario_path_starting_with_a_brace_is_a_file(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        two_step = str(FIXTURES / "two_step.json")
+        assert main(["simulate", "--scenario", two_step]) == 0
+        expected = capsys.readouterr().out
+        (tmp_path / "{two_step}.json").write_text(Path(two_step).read_text())
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--scenario", "{two_step}.json"]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_missing_file_is_io_error(self, capsys):
         assert main(["simulate", "--scenario", "/nonexistent.json"]) == 2

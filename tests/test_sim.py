@@ -327,6 +327,21 @@ class TestScenarioLoader:
         with pytest.raises(InvalidScenarioError, match="duplicate"):
             load_scenario(doc)
 
+    def test_duplicate_asset_symbol_rejected(self):
+        doc = self.base_doc()
+        doc["assets"].append({"symbol": "ETH", "decimals": 6})
+        with pytest.raises(InvalidScenarioError) as info:
+            load_scenario(doc)
+        assert (info.value.field, info.value.problem) == (
+            "assets[2].symbol", "duplicate symbol 'ETH'"
+        )
+
+    def test_a_path_object_is_loaded_and_an_int_is_not_a_path(self):
+        path = FIXTURES / "two_step.json"
+        assert load_scenario(path) == load_scenario(str(path))
+        with pytest.raises(TypeError):
+            load_scenario(5)
+
     def test_invalid_params_rejected(self):
         doc = self.base_doc()
         doc["params"]["lt"]["ETH"] = "0.95"
@@ -1127,6 +1142,7 @@ class TestSnapshotValidation:
             ({"ETH": 2.5}, "price_path.4.ETH", "decimals must be strings, not floats"),
             ({"GEM": "1"}, "price_path.4.GEM", "unknown asset 'GEM'"),
             (["ETH"], "price_path.4", "must be an object"),
+            (None, "price_path.4", "must be an object"),
         ],
     )
     def test_bad_override_at_block_k_names_that_block(self, override, field, problem):
