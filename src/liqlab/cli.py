@@ -162,6 +162,9 @@ def _run_one_scenario(path: str, as_json: bool) -> str:
 
 def _cmd_simulate(args) -> int:
     paths = args.scenario
+    if args.out is not None and args.out_dir is not None:
+        print("error: --out and --out-dir cannot be used together", file=sys.stderr)
+        return 1
     if len(paths) > 1 and not args.out_dir:
         print("error: multiple scenarios require --out-dir", file=sys.stderr)
         return 1
@@ -274,7 +277,7 @@ def _cmd_auction_replay(args) -> int:
         try:
             entry = _shaped(entry, dict, "entry")
             time = _integer(entry.get("time"), "time")
-            bidder = _identifier(entry, "bidder", "bidder")
+            bidder = _identifier(entry, "bidder")
             bid = Bid(bidder=bidder, amount=Dec(entry["amount"]), time=time)
         except InvalidScenarioError as exc:
             print(f"error: script[{i}]: {exc.field} {exc.problem}", file=sys.stderr)

@@ -147,10 +147,10 @@ class RiskParams:
 def _clean_amounts(name: str, amounts: Mapping[Asset, Dec]) -> dict:
     cleaned = {}
     for asset, amount in amounts.items():
-        if amount < ZERO:
-            raise ValueError(f"negative {name} amount for {asset.symbol}: {amount}")
-        if amount > ZERO:
+        if amount > ZERO:  # the usual case first: one comparison
             cleaned[asset] = amount
+        elif amount < ZERO:
+            raise ValueError(f"negative {name} amount for {asset.symbol}: {amount}")
     return cleaned
 
 

@@ -14,9 +14,16 @@ poison downstream results. Construct from ``int``, ``str``, or ``Dec``.
 
 from __future__ import annotations
 
+import re
+
 DIGITS = 18
 SCALE = 10**DIGITS
 _BOUND = 2**255  # |raw| must stay strictly below this, mirroring int256
+# a raw of more digits than 2**255 has is out of range
+_RAW_DIGITS = len(str(_BOUND))
+# an optional sign, then ASCII digits with an optional point followed by
+# digits; the lookahead asks for at least one digit
+_DECIMAL = re.compile(r"([+-]?)(?=\.?[0-9])([0-9]*)(?:\.([0-9]+))?")
 
 
 def _round_div(n: int, d: int) -> int:
@@ -29,25 +36,41 @@ def _round_div(n: int, d: int) -> int:
 
 def _checked(raw: int) -> int:
     if raw >= _BOUND or raw <= -_BOUND:
-        raise OverflowError(f"fixed-point magnitude exceeds 2**255: {raw}")
+        # a product of two in-range raws has fewer than 512 bits; only an int
+        # argument can be larger, and printing it could pass the interpreter's
+        # limit on int-to-str conversion
+        shown = raw if raw.bit_length() <= 512 else f"integer of {raw.bit_length()} bits"
+        raise OverflowError(f"fixed-point magnitude exceeds 2**255: {shown}")
     return raw
 
 
 def _parse(text: str) -> int:
-    s = text.strip()
-    negative = s.startswith("-")
-    if s[:1] in ("+", "-"):
-        s = s[1:]
-    whole, dot, frac = s.partition(".")
-    if (dot and not frac) or (not whole and not frac):
+    """The checked raw value of a decimal string.
+
+    The grammar: surrounding whitespace, an optional sign, ASCII digits, and
+    an optional point followed by at most ``DIGITS`` digits; at least one
+    digit. Leading zeros are allowed. A value past 2**255 raw is an
+    ``OverflowError``, raised without converting a digit string longer than
+    2**255's, so no input meets the interpreter's int-string limit.
+    """
+    match = _DECIMAL.fullmatch(text.strip())
+    if match is None:
         raise ValueError(f"not a decimal string: {text!r}")
-    for part in (whole, frac):
-        if part and not (part.isascii() and part.isdigit()):
-            raise ValueError(f"not a decimal string: {text!r}")
+    sign, whole, frac = match.groups("")
     if len(frac) > DIGITS:
         raise ValueError(f"more than {DIGITS} fractional digits: {text!r}")
-    raw = int(whole or "0") * SCALE + int(frac.ljust(DIGITS, "0") or "0")
-    return -raw if negative else raw
+    digits = whole + frac.ljust(DIGITS, "0")
+    if len(digits) >= _RAW_DIGITS:  # only so long a number can be out of range
+        digits = digits.lstrip("0") or "0"
+        if len(digits) > _RAW_DIGITS:
+            raise OverflowError(
+                "fixed-point magnitude exceeds 2**255: "
+                f"integer part of {len(digits) - DIGITS} digits"
+            )
+    raw = int(digits)
+    if raw >= _BOUND:
+        _checked(-raw if sign == "-" else raw)  # raises
+    return -raw if sign == "-" else raw
 
 
 class Dec:
@@ -56,14 +79,14 @@ class Dec:
     __slots__ = ("_raw",)
 
     def __init__(self, value: "Dec | int | str" = 0):
-        if isinstance(value, Dec):
+        if isinstance(value, str):  # the loader's and the CLI's case
+            self._raw = _parse(value)
+        elif isinstance(value, Dec):
             self._raw = value._raw
         elif isinstance(value, bool):
             raise TypeError("cannot construct Dec from bool")
         elif isinstance(value, int):
             self._raw = _checked(value * SCALE)
-        elif isinstance(value, str):
-            self._raw = _checked(_parse(value))
         elif isinstance(value, float):
             raise TypeError("floats are not exact; construct Dec from str or int")
         else:
@@ -164,33 +187,38 @@ class Dec:
     # -- comparisons ---------------------------------------------------------
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Dec:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self._raw == other._raw
 
     def __lt__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Dec:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self._raw < other._raw
 
     def __le__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Dec:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self._raw <= other._raw
 
     def __gt__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Dec:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self._raw > other._raw
 
     def __ge__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Dec:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self._raw >= other._raw
 
     def __hash__(self):

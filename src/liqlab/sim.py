@@ -474,7 +474,7 @@ class _Run:
 
         return best(position.debt), best(position.collateral)
 
-    def _liquidate(self, block, oracle, agent_id, owner, desired=None, pair=None):
+    def _liquidate(self, block, oracle, agent_id, owner, desired=None, pair=None, values=None):
         """One fixed-spread call on ``owner``; the pair used if an event landed.
 
         Nothing happens to a blocked or healthy position. The repay is
@@ -482,13 +482,17 @@ class _Run:
         ``desired`` is None), at the outstanding value of the debt asset and
         at what the collateral asset can pay at ``1 + LS``. ``pair`` defaults
         to ``_choose_pair``. The call is sent only when its net profit, which
-        depends on the repay amount alone, is strictly positive.
+        depends on the repay amount alone, is strictly positive. A caller
+        that has just checked ``_blocked`` and built the owner's
+        ``_liquidatable_values`` passes them as ``values``, and neither is
+        done again.
         """
-        if self._blocked(owner):
-            return None
-        values = self._liquidatable_values(owner)
         if values is None:
-            return None
+            if self._blocked(owner):
+                return None
+            values = self._liquidatable_values(owner)
+            if values is None:
+                return None
         position = self.positions[owner]
         if pair is None:
             pair = self._choose_pair(position, oracle)
@@ -564,7 +568,9 @@ class _Run:
                 plan = optimal_repays(values.c, values.d, params.threshold(pair[1]), params)
             except LiqlabError:
                 continue
-            if not self._liquidate(block, oracle, agent.agent_id, owner, plan.repay1, pair):
+            if not self._liquidate(
+                block, oracle, agent.agent_id, owner, plan.repay1, pair, values
+            ):
                 continue
             if self.scenario.one_liquidation_per_block:
                 self.pending_second[(agent.agent_id, owner)] = plan.repay2
@@ -745,35 +751,49 @@ def profit_volume_ratio(log: EventLog, period: Sequence[int]) -> Dec:
 # -- scenario JSON -----------------------------------------------------------
 
 
-def _dec_field(raw, field_name) -> Dec:
-    if isinstance(raw, float):
-        raise InvalidScenarioError(field_name, "decimals must be strings, not floats")
+def _name(where) -> str:
+    """The field name ``where`` stands for: a name, or a path of keys and list
+    indices, such as ``("positions", 0, "debt")`` for ``positions[0].debt``.
+
+    Where a name needs a list index or a key, the loader passes its path and
+    builds the name only to raise.
+    """
+    if isinstance(where, str):
+        return where
+    name = where[0]
+    for part in where[1:]:
+        name += f"[{part}]" if isinstance(part, int) else f".{part}"
+    return name
+
+
+def _dec_field(raw, where) -> Dec:
     try:
         return Dec(raw)
     except (ValueError, TypeError, OverflowError) as exc:
-        raise InvalidScenarioError(field_name, str(exc)) from None
+        problem = "decimals must be strings, not floats" if isinstance(raw, float) else str(exc)
+        raise InvalidScenarioError(_name(where), problem) from None
 
 
-def _shaped(value, kind, field_name):
+def _shaped(value, kind, where):
     """``value`` when it is a ``kind`` (dict or list), else InvalidScenarioError."""
     if not isinstance(value, kind):
         expected = "an object" if kind is dict else "a list"
-        raise InvalidScenarioError(field_name, f"must be {expected}")
+        raise InvalidScenarioError(_name(where), f"must be {expected}")
     return value
 
 
-def _integer(raw, field_name) -> int:
+def _integer(raw, where) -> int:
     """``raw`` when it is a JSON integer (not a bool, not a float), else
     InvalidScenarioError."""
     if not isinstance(raw, int) or isinstance(raw, bool):
-        raise InvalidScenarioError(field_name, f"must be an integer: {raw!r}")
+        raise InvalidScenarioError(_name(where), f"must be an integer: {raw!r}")
     return raw
 
 
-def _boolean(raw, field_name) -> bool:
+def _boolean(raw, where) -> bool:
     """``raw`` when it is a JSON boolean, else InvalidScenarioError."""
     if not isinstance(raw, bool):
-        raise InvalidScenarioError(field_name, f"must be true or false: {raw!r}")
+        raise InvalidScenarioError(_name(where), f"must be true or false: {raw!r}")
     return raw
 
 
@@ -788,29 +808,38 @@ def _is_block_key(key) -> bool:
     )
 
 
-def _identifier(entry: dict, key: str, field_name: str) -> str:
+def _identifier(entry: dict, key: str, where=()) -> str:
+    """``entry[key]`` when it is a non-empty string; ``where`` names
+    ``entry``, if it has a name."""
     value = entry.get(key)
     if not isinstance(value, str) or not value:
+        field_name = f"{_name(where)}.{key}" if where else key
         raise InvalidScenarioError(field_name, "missing or not a non-empty string")
     return value
 
 
-def _amounts(raw, field_name, lookup) -> dict:
-    """A ``{symbol: decimal}`` object as ``{Asset: Dec}``; ``lookup(symbol,
-    field_name)`` resolves a symbol or raises."""
-    return {
-        lookup(sym, f"{field_name}.{sym}"): _dec_field(value, f"{field_name}.{sym}")
-        for sym, value in _shaped(raw, dict, field_name).items()
-    }
+def _amounts(raw, assets, where) -> dict:
+    """A ``{symbol: decimal}`` object as ``{Asset: Dec}``, each symbol
+    resolved through ``assets`` (symbol -> Asset)."""
+    amounts = {}
+    for sym, value in _shaped(raw, dict, where).items():
+        asset = assets.get(sym)
+        if asset is None:
+            raise InvalidScenarioError(f"{_name(where)}.{sym}", f"unknown asset {sym!r}")
+        try:
+            amounts[asset] = Dec(value)
+        except (ValueError, TypeError, OverflowError):
+            _dec_field(value, f"{_name(where)}.{sym}")  # raises, naming the field
+    return amounts
 
 
-def _built(field_name, cls, **fields):
-    """``cls(**fields)``, its ValueError raised as an InvalidScenarioError
-    at ``field_name``."""
+def _built(where, cls, *args, **kwargs):
+    """``cls(*args, **kwargs)``, its ValueError raised as an
+    InvalidScenarioError at ``where``."""
     try:
-        return cls(**fields)
+        return cls(*args, **kwargs)
     except ValueError as exc:
-        raise InvalidScenarioError(field_name, str(exc)) from None
+        raise InvalidScenarioError(_name(where), str(exc)) from None
 
 
 def load_scenario(source) -> Scenario:
@@ -844,17 +873,12 @@ def load_scenario(source) -> Scenario:
 
     assets = {}
     for i, entry in enumerate(_shaped(doc.get("assets", []), list, "assets")):
-        entry = _shaped(entry, dict, f"assets[{i}]")
-        symbol = _identifier(entry, "symbol", f"assets[{i}].symbol")
+        entry = _shaped(entry, dict, ("assets", i))
+        symbol = _identifier(entry, "symbol", ("assets", i))
         if symbol in assets:
             raise InvalidScenarioError(f"assets[{i}].symbol", f"duplicate symbol {symbol!r}")
-        decimals = _integer(entry.get("decimals", 18), f"assets[{i}].decimals")
-        assets[symbol] = _built(f"assets[{i}].decimals", Asset, symbol=symbol, decimals=decimals)
-
-    def lookup(symbol, field_name):
-        if symbol not in assets:
-            raise InvalidScenarioError(field_name, f"unknown asset {symbol!r}")
-        return assets[symbol]
+        decimals = _integer(entry.get("decimals", 18), ("assets", i, "decimals"))
+        assets[symbol] = _built(("assets", i, "decimals"), Asset, symbol, decimals)
 
     params_doc = doc.get("params")
     if not isinstance(params_doc, dict):
@@ -862,7 +886,7 @@ def load_scenario(source) -> Scenario:
     params = _built(
         "params",
         RiskParams,
-        lt=_amounts(params_doc.get("lt", {}), "params.lt", lookup),
+        lt=_amounts(params_doc.get("lt", {}), assets, "params.lt"),
         ls=_dec_field(params_doc.get("ls", "0"), "params.ls"),
         cf=_dec_field(params_doc.get("cf", "1"), "params.cf"),
         cf_per_debt_asset=_boolean(
@@ -872,13 +896,11 @@ def load_scenario(source) -> Scenario:
 
     positions = []
     for i, entry in enumerate(_shaped(doc.get("positions", []), list, "positions")):
-        entry = _shaped(entry, dict, f"positions[{i}]")
-        owner = _identifier(entry, "owner", f"positions[{i}].owner")
-        collateral = _amounts(entry.get("collateral", {}), f"positions[{i}].collateral", lookup)
-        debt = _amounts(entry.get("debt", {}), f"positions[{i}].debt", lookup)
-        positions.append(
-            _built(f"positions[{i}]", Position, owner=owner, collateral=collateral, debt=debt)
-        )
+        entry = _shaped(entry, dict, ("positions", i))
+        owner = _identifier(entry, "owner", ("positions", i))
+        collateral = _amounts(entry.get("collateral", {}), assets, ("positions", i, "collateral"))
+        debt = _amounts(entry.get("debt", {}), assets, ("positions", i, "debt"))
+        positions.append(_built(("positions", i), Position, owner, collateral, debt))
 
     blocks = _integer(doc.get("blocks"), "blocks")  # Scenario rejects blocks < 0
 
@@ -894,17 +916,17 @@ def load_scenario(source) -> Scenario:
     for block in range(blocks + 1):
         key = str(block)
         if key in path_doc:  # a present null is parsed, and is not an object
-            overrides = _amounts(path_doc[key], f"price_path.{block}", lookup)
+            overrides = _amounts(path_doc[key], assets, ("price_path", key))
             if overrides or snapshot is None:  # block 0 is always present
                 current.update(overrides)
                 # the snapshot copies current
-                snapshot = _built(f"price_path.{block}", OracleSnapshot, prices=current)
+                snapshot = _built(("price_path", key), OracleSnapshot, current)
         price_path[block] = snapshot
 
     agents = []
     for i, entry in enumerate(_shaped(doc.get("agents", []), list, "agents")):
-        entry = _shaped(entry, dict, f"agents[{i}]")
-        agent_id = _identifier(entry, "id", f"agents[{i}].id")
+        entry = _shaped(entry, dict, ("agents", i))
+        agent_id = _identifier(entry, "id", ("agents", i))
         policy_name = str(entry.get("policy", "")).replace("_", "-")
         try:
             kind = PolicyKind(policy_name)
@@ -913,24 +935,24 @@ def load_scenario(source) -> Scenario:
                 f"agents[{i}].policy", f"unknown policy {entry.get('policy')!r}"
             ) from None
         script = []
-        raw_script = _shaped(entry.get("script", []), list, f"agents[{i}].script")
+        raw_script = _shaped(entry.get("script", []), list, ("agents", i, "script"))
         if raw_script and kind is not PolicyKind.AUCTION_BIDDER:
             raise InvalidScenarioError(
                 f"agents[{i}].script", f"only an auction-bidder agent takes a script, not {kind.value}"
             )
         for j, raw_bid in enumerate(raw_script):
-            where = f"agents[{i}].script[{j}]"
+            where = ("agents", i, "script", j)
             raw_bid = _shaped(raw_bid, dict, where)
-            time = _integer(raw_bid.get("time"), f"{where}.time")
+            time = _integer(raw_bid.get("time"), (*where, "time"))
             if time < 0:
-                raise InvalidScenarioError(f"{where}.time", f"must be >= 0: {time}")
-            bidder = _identifier(raw_bid, "bidder", f"{where}.bidder")
-            amount = _dec_field(raw_bid.get("amount"), f"{where}.amount")
+                raise InvalidScenarioError(f"{_name(where)}.time", f"must be >= 0: {time}")
+            bidder = _identifier(raw_bid, "bidder", where)
+            amount = _dec_field(raw_bid.get("amount"), (*where, "amount"))
             if amount <= ZERO:
-                raise InvalidScenarioError(f"{where}.amount", f"must be > 0: {amount}")
+                raise InvalidScenarioError(f"{_name(where)}.amount", f"must be > 0: {amount}")
             borrower = raw_bid.get("borrower")
             if borrower is not None:
-                borrower = _identifier(raw_bid, "borrower", f"{where}.borrower")
+                borrower = _identifier(raw_bid, "borrower", where)
             script.append(
                 ScriptedBid(time=time, bidder=bidder, amount=amount, borrower=borrower)
             )

@@ -162,6 +162,21 @@ class TestSimulateCommand:
         assert f"{first} and {second} would both write x.csv" in err
         assert runs == [] and not out_dir.exists()
 
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_out_and_out_dir_together_are_refused_before_any_runs(
+        self, tmp_path, monkeypatch, capsys, count
+    ):
+        runs = []
+        monkeypatch.setattr(liqlab.cli, "_run_one_scenario", lambda *args: runs.append(args))
+        out, out_dir = tmp_path / "log.csv", tmp_path / "out"
+        scenarios = [ETH_DROP, str(FIXTURES / "two_step.json")][:count]
+        argv = ["simulate", "--out", str(out), "--out-dir", str(out_dir)]
+        for scenario in scenarios:
+            argv += ["--scenario", scenario]
+        assert main(argv) == 1
+        assert "--out and --out-dir cannot be used together" in capsys.readouterr().err
+        assert runs == [] and not out.exists() and not out_dir.exists()
+
     def test_scenario_path_starting_with_a_brace_is_a_file(
         self, tmp_path, monkeypatch, capsys
     ):

@@ -1,8 +1,16 @@
-import pytest
-from hypothesis import given, strategies as st
+import json
+import sys
+from pathlib import Path
 
-from liqlab import Dec
-from liqlab.fixedpoint import SCALE, ULP, ZERO
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from liqlab import Dec, load_scenario
+from liqlab.cli import main
+from liqlab.errors import InvalidScenarioError
+from liqlab.fixedpoint import DIGITS, SCALE, ULP, ZERO, _BOUND
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 class TestConstruction:
@@ -118,3 +126,163 @@ def test_str_roundtrip(a):
 @given(a=st.integers(-(10**9), 10**9), b=st.integers(-(10**9), 10**9))
 def test_integer_products_exact(a, b):
     assert Dec(a) * Dec(b) == Dec(a * b)
+
+
+# -- the decimal grammar against the earlier parser ----------------------------
+
+
+def _reference_checked(raw: int) -> int:
+    if raw >= _BOUND or raw <= -_BOUND:
+        raise OverflowError(f"fixed-point magnitude exceeds 2**255: {raw}")
+    return raw
+
+
+def _reference_parse(text: str) -> int:
+    """The parser ``Dec(str)`` used before the one-pass grammar, kept as the
+    reference: it converts every digit it reads."""
+    s = text.strip()
+    negative = s.startswith("-")
+    if s[:1] in ("+", "-"):
+        s = s[1:]
+    whole, dot, frac = s.partition(".")
+    if (dot and not frac) or (not whole and not frac):
+        raise ValueError(f"not a decimal string: {text!r}")
+    for part in (whole, frac):
+        if part and not (part.isascii() and part.isdigit()):
+            raise ValueError(f"not a decimal string: {text!r}")
+    if len(frac) > DIGITS:
+        raise ValueError(f"more than {DIGITS} fractional digits: {text!r}")
+    raw = int(whole or "0") * SCALE + int(frac.ljust(DIGITS, "0") or "0")
+    return _reference_checked(-raw if negative else raw)
+
+
+def _outcome(parse, text):
+    """The raw value ``parse`` returns, or the type and message it raises."""
+    try:
+        return parse(text)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _reference_outcome(text):
+    """The reference's outcome with no int-string limit, where the running
+    interpreter has one, so a long run of leading zeros reads as its value."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        return _outcome(_reference_parse, text)
+    limit = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        return _outcome(_reference_parse, text)
+    finally:
+        set_limit(limit)
+
+
+def _too_long(outcome) -> bool:
+    """True when the reference overflowed on a number of more digits than
+    2**255 has."""
+    if not (isinstance(outcome, tuple) and outcome[0] is OverflowError):
+        return False
+    return len(outcome[1].rsplit(" ", 1)[1].lstrip("-")) > len(str(_BOUND))
+
+
+# every character that str.strip removes lies at or below U+3000
+SPACES = [c for c in map(chr, range(0x3001)) if c.isspace()]
+ascii_digits = st.sampled_from("0123456789")
+
+
+def digit_runs(size):
+    """ASCII digits, every length up to ``size`` equally likely, and in one
+    run in four non-ASCII digits that str.isdigit accepts."""
+    ascii_run = st.integers(0, size).flatmap(
+        lambda n: st.text(ascii_digits, min_size=n, max_size=n)
+    )
+    mixed = st.text(ascii_digits | st.sampled_from("\u0663\u06f7\u0967\uff10\u00b2"), max_size=size)
+    return st.one_of(ascii_run, ascii_run, ascii_run, mixed)
+
+
+decimal_texts = st.builds(
+    lambda lead, sign, zeros, whole, point, frac, trail: (
+        lead + sign + "0" * zeros + whole + point + frac + trail
+    ),
+    lead=st.text(st.sampled_from(SPACES), max_size=2),
+    sign=st.sampled_from(["", "", "", "+", "-", "-", "--", "+-"]),
+    # runs of leading zeros on both sides of the int-string limit of 4300
+    zeros=st.integers(0, 30) | st.integers(4250, 4350),
+    # an integer part of up to 58 digits always fits, one of 60 never does
+    whole=digit_runs(20) | st.text(ascii_digits, min_size=55, max_size=80),
+    point=st.sampled_from(["", "", ".", ".", ".", ".."]),
+    frac=digit_runs(25),
+    trail=st.text(st.sampled_from(SPACES + ["\n"]), max_size=2),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.one_of(*[decimal_texts] * 3, st.text(max_size=12)))
+@example("0" * 5000 + "1")
+@example("1." + "5" * 18)
+@example("1." + "5" * 19)
+@example("9" * 59 + ".999999999999999999")
+@example("-" + "5" * 77)
+@example("1" * 100)
+@example("\u3000+.5\n")
+def test_parser_matches_the_reference(text):
+    expected = _reference_outcome(text)
+    actual = _outcome(lambda t: Dec(t).raw, text)
+    if _too_long(expected):
+        # rejected without converting the digits, so the message gives the
+        # length of the integer part, not the number
+        assert actual[0] is OverflowError
+        assert actual[1].startswith("fixed-point magnitude exceeds 2**255: integer part of ")
+    else:
+        assert actual == expected
+
+
+class TestIntStringLimit:
+    def test_leading_zeros_parse_to_their_value(self):
+        assert Dec("0" * 5000 + "1") == Dec(1)
+        assert Dec(" -" + "0" * 5000 + "2.50\n") == Dec("-2.5")
+        assert Dec("0" * 5000 + "." + "0" * 17 + "1") == ULP
+
+    @pytest.mark.parametrize("digits", [78, 100, 5000])
+    def test_every_out_of_range_string_is_an_overflow(self, digits):
+        with pytest.raises(OverflowError) as info:
+            Dec("1" * digits)
+        assert str(info.value) == (
+            f"fixed-point magnitude exceeds 2**255: integer part of {digits} digits"
+        )
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-string limit in this Python"
+    )
+    def test_lowered_limit_changes_no_outcome(self, capsys):
+        args = ["strategy", "--d", "100", "--lt", "0.75", "--ls", "0.08", "--cf", "0.5"]
+        assert main(args + ["--c", "125"]) == 0
+        plan = capsys.readouterr().out
+        doc = json.loads((FIXTURES / "eth_price_drop.json").read_text())
+        expected = load_scenario(doc)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert Dec("0" * 5000 + "1") == Dec(1)
+            with pytest.raises(OverflowError, match="integer part of 5000 digits"):
+                Dec("1" * 5000)
+            with pytest.raises(OverflowError, match="integer of 2386 bits"):
+                Dec(10**700)
+            # the loader: the same value, or the field's named overflow
+            doc["positions"][0]["collateral"]["ETH"] = "0" * 5000 + "3"
+            assert load_scenario(doc) == expected
+            doc["positions"][0]["collateral"]["ETH"] = "9" * 5000
+            with pytest.raises(InvalidScenarioError) as info:
+                load_scenario(doc)
+            assert (info.value.field, info.value.problem) == (
+                "positions[0].collateral.ETH",
+                "fixed-point magnitude exceeds 2**255: integer part of 5000 digits",
+            )
+            # a CLI flag: the same plan, or a flag error
+            assert main(args + ["--c", "0" * 5000 + "125"]) == 0
+            assert capsys.readouterr().out == plan
+            assert main(args + ["--c", "1" * 5000]) == 1
+            assert "argument --c: fixed-point magnitude exceeds 2**255" in capsys.readouterr().err
+        finally:
+            sys.set_int_max_str_digits(limit)

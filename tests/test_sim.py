@@ -355,6 +355,9 @@ class TestScenarioLoader:
             ("positions[0].debt.DAI", ("positions", 0, "debt", "DAI")),
             ("price_path.0.GEM", ("price_path", "0", "GEM")),
             ("agents[0].script[0].amount", ("agents", 0, "script", 0, "amount")),
+            ("params.lt.GEM", ("params", "lt", "GEM")),
+            ("positions[0].collateral.GEM", ("positions", 0, "collateral", "GEM")),
+            ("agents[0].script[3].amount", ("agents", 0, "script", 3, "amount")),
         ],
     )
     def test_out_of_range_decimal_names_the_field(self, field, path):
@@ -363,6 +366,45 @@ class TestScenarioLoader:
         with pytest.raises(InvalidScenarioError) as info:
             load_scenario(doc)
         assert info.value.field == field
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("params", "lt", "GEM"),
+            ("positions", 0, "collateral", "GEM"),
+            ("positions", 0, "debt", "DAI"),
+            ("price_path", "0", "GEM"),
+            ("agents", 0, "script", 3, "amount"),
+        ],
+    )
+    def test_leading_zeros_past_the_int_string_limit_load_as_their_value(self, path):
+        doc = json.loads((FIXTURES / "auction.json").read_text())
+        expected = load_scenario(doc)
+        *outer, key = path
+        leaf = doc
+        for part in outer:
+            leaf = leaf[part]
+        leaf[key] = "0" * 5000 + leaf[key]
+        assert load_scenario(doc) == expected
+
+    @pytest.mark.parametrize(
+        "field, path",
+        [
+            ("assets[1].symbol", ("assets", 1, "symbol")),
+            ("positions[0].owner", ("positions", 0, "owner")),
+            ("agents[0].id", ("agents", 0, "id")),
+            ("agents[0].script[2].bidder", ("agents", 0, "script", 2, "bidder")),
+            ("agents[0].script[4].borrower", ("agents", 0, "script", 4, "borrower")),
+        ],
+    )
+    def test_identifier_fields_name_their_path(self, field, path):
+        doc = json.loads((FIXTURES / "auction.json").read_text())
+        _set_leaf(doc, path, "")
+        with pytest.raises(InvalidScenarioError) as info:
+            load_scenario(doc)
+        assert (info.value.field, info.value.problem) == (
+            field, "missing or not a non-empty string"
+        )
 
     def test_scenario_is_validated_on_construction(self):
         scenario = load_scenario(self.base_doc())
@@ -647,6 +689,28 @@ class TestIncrementalValuation:
         assert valued[8:] == revalued
         assert log.collateral_volume_by_block[4] == Dec(169250)
         assert log.collateral_volume_by_block[10] == volume
+
+    @pytest.mark.parametrize("one_per_block", [False, True])
+    def test_a_two_step_visit_builds_the_values_of_its_plan_once(
+        self, monkeypatch, one_per_block
+    ):
+        built = []
+        real = PositionValues.__post_init__
+
+        def counting(values):
+            built.append(values)
+            real(values)
+
+        monkeypatch.setattr(PositionValues, "__post_init__", counting)
+        scenario = replace(
+            load_scenario(str(FIXTURES / "two_step.json")),
+            one_liquidation_per_block=one_per_block,
+        )
+        log = run_scenario(scenario)
+        assert len(log.events) == 2
+        # the plan's values serve its first call; the second call, on the
+        # changed position, builds its own
+        assert len(built) == 2
 
     def test_settlement_that_leaves_no_collateral_opens_no_auction(self):
         # GEM doubles at block 2, so the auctioned vault is healthy when the
