@@ -4,7 +4,8 @@ Output goes to stdout as CSV by default; ``--json`` switches the format and
 ``--out`` redirects to a file. All numbers are serialized as decimal
 strings, and outputs carry no timestamps unless ``--stamp`` is given, so
 identical inputs produce byte-identical outputs. Exit codes: 0 success,
-1 validation error, 2 I/O error. Diagnostics go to stderr only; set
+1 validation error, 2 I/O error (an unreadable file, including JSON that is
+malformed or nested too deeply to decode). Diagnostics go to stderr only; set
 LIQLAB_LOG={error|info|debug} to control verbosity; at debug, ``simulate``
 also logs the wall time of each scenario's load, run and serialize phases.
 """
@@ -24,10 +25,15 @@ from pathlib import Path
 
 from .auction import Auction, AuctionConfig, Bid, apply_termination, finalize, place_bid
 from .core import Asset, PositionValues, RiskParams
-from .errors import InvalidScenarioError, LiqlabError, ZeroSecondLiquidationError
+from .errors import (
+    InvalidScenarioError,
+    LiqlabError,
+    NestingTooDeepError,
+    ZeroSecondLiquidationError,
+)
 from .fixedpoint import Dec, ZERO
 from .risk import classify_bad_debt, classify_price_path, sensitivity_curve
-from .sim import _identifier, _integer, _shaped, load_scenario, run_scenario
+from .sim import _identifier, _integer, _read_json, _shaped, load_scenario, run_scenario
 from .strategy import mitigation_threshold, optimal_repays, strategy_profits
 
 log = logging.getLogger("liqlab")
@@ -267,8 +273,7 @@ def _cmd_auction_replay(args) -> int:
     auction = Auction(
         lot_collateral=args.c, tab_debt=args.d, config=config, start_time=args.start
     )
-    with open(args.script, "r", encoding="utf-8") as handle:
-        script = json.load(handle)
+    script = _read_json(args.script)
     if not isinstance(script, list):
         print("error: bid script must be a JSON array", file=sys.stderr)
         return 1
@@ -411,12 +416,12 @@ def main(argv=None) -> int:
         return int(exit_.code or 0)
     try:
         return args.handler(args)
+    except (json.JSONDecodeError, NestingTooDeepError) as exc:
+        print(f"error: unreadable input: {exc}", file=sys.stderr)
+        return 2
     except LiqlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except json.JSONDecodeError as exc:
-        print(f"error: unreadable input: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

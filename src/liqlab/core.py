@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .errors import MissingPriceError, MissingThresholdError
-from .fixedpoint import SCALE, Dec, ZERO, ONE, _BOUND, _checked
+from .fixedpoint import SCALE, Dec, ZERO, ONE, _BOUND, _checked, _mul
 
 
 @dataclass(frozen=True)
@@ -91,16 +91,26 @@ class OracleSnapshot:
             raise MissingPriceError(asset.symbol) from None
 
 
+def _spread_product(threshold: int, ls: int) -> int:
+    """Scaled-int LT*(1+LS), rounded and checked as the ``Dec`` expression
+    ``threshold * (ONE + ls)`` is."""
+    return _mul(threshold, _checked(SCALE + ls))
+
+
 def spread_prerequisite(subject: str, threshold: Dec, ls: Dec) -> Optional[str]:
     """None when LT*(1+LS) < 1 strictly, else the reason, naming ``subject``.
 
     This is the prerequisite for a fixed-spread liquidation to be able to
-    raise the health factor.
+    raise the health factor. The product is computed on scaled integers
+    (:func:`_spread_product`); the reason is built only when it fails.
     """
-    product = threshold * (ONE + ls)
-    if product < ONE:
+    product = _spread_product(threshold.raw, ls.raw)
+    if product < SCALE:
         return None
-    return f"LT*(1+LS) must be < 1: {subject} has {threshold}*(1+{ls}) = {product}"
+    return (
+        f"LT*(1+LS) must be < 1: {subject} has {threshold}*(1+{ls}) = "
+        f"{Dec.from_raw(product)}"
+    )
 
 
 @dataclass(frozen=True)

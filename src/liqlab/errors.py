@@ -90,6 +90,13 @@ class ZeroVolumeError(LiqlabError):
     """Profit-volume ratio undefined over a period with zero average volume."""
 
 
+class NestingTooDeepError(LiqlabError):
+    """A JSON input nests arrays or objects deeper than the decoder can
+    follow: raised in place of the decoder's ``RecursionError``. The command
+    line reports it as unreadable input (exit 2), as it does malformed JSON.
+    """
+
+
 class InvalidScenarioError(LiqlabError):
     def __init__(self, field: str, problem: str):
         super().__init__(f"invalid scenario: {field}: {problem}")

@@ -7,11 +7,23 @@ cross-asset arithmetic exact. A call that cannot be satisfied fails
 atomically: the position is returned untouched (no partial seizure, no
 clamping of the seized amount).
 
-The protocol's rules live in one pure function, :func:`check_liquidation_call`.
-Given the position's values, it returns the receipt or the refusal (one of
-four ``LiqlabError`` subclasses) as a value, so a caller that already holds
-the values, such as the scenario engine, neither re-values the position nor
-catches. :func:`execute_liquidation_call` is the raising form: it values the
+The protocol's rules live in one pure function on scaled integers
+(``Dec.raw``), ``_liquidation_call``. It takes the position, its raw
+borrowing capacity and debt value, the asset pair and a raw repay, and
+returns the raw seized value and native amount with the position after the
+call, or the refusal (one of four ``LiqlabError`` subclasses) as a value. It
+makes exactly the roundings of the ``Dec`` expressions it stands for
+(``fixedpoint._mul`` and ``_div``: half-even at the 18th digit) and checks
+every intermediate against 2**255 where, and in the order in which, those
+expressions check it, so its results, its refusals and their messages, and
+its ``OverflowError`` messages are the ``Dec`` form's. It builds a ``Dec``
+only for the two new balances and for a refusal's message. The scenario
+engine calls it on its cached raw sums and raw prices.
+
+:func:`check_liquidation_call` is its ``Dec`` face: given the position's
+values it returns the receipt or the refusal, so a caller that already
+holds the values neither re-values the position nor catches.
+:func:`execute_liquidation_call` is the raising form: it values the
 position, checks the call and raises the refusal.
 """
 
@@ -25,7 +37,7 @@ from .core import (
     Position,
     PositionValues,
     RiskParams,
-    is_liquidatable,
+    _RawLookup,
     position_values,
 )
 from .errors import (
@@ -35,7 +47,7 @@ from .errors import (
     LiqlabError,
     NotLiquidatableError,
 )
-from .fixedpoint import Dec, ONE, ZERO
+from .fixedpoint import SCALE, Dec, ZERO, _checked, _div, _mul
 
 
 @dataclass(frozen=True)
@@ -62,9 +74,80 @@ class LiquidationReceipt:
     position_after: Position
 
 
+def _max_repay(d: int, cf: int) -> int:
+    """Scaled-int close-factor cap CF*d, rounded and checked as ``cf * d`` is."""
+    return _mul(cf, d)
+
+
 def max_repay(values: PositionValues, params: RiskParams) -> Dec:
     """Close-factor cap on a single call: CF * total debt value."""
-    return params.cf * values.d
+    return Dec.from_raw(_max_repay(values.d.raw, params.cf.raw))
+
+
+def _liquidation_call(
+    position: Position,
+    bc: int,
+    d: int,
+    debt_asset: Asset,
+    collateral_asset: Asset,
+    repay: int,
+    prices,
+    params: RiskParams,
+):
+    """The protocol's rules on scaled integers: ``(seized_value,
+    seized_native, position_after)`` for a call repaying the raw value
+    ``repay`` of ``debt_asset`` and seizing ``collateral_asset``, or the
+    refusal, unraised.
+
+    ``bc`` and ``d`` are the position's raw borrowing capacity and debt
+    value; ``prices[asset]`` is an asset's raw price, read only when the
+    ``Dec`` form read it. See the module docstring for the roundings and
+    checks. A refusal's message is built only when it is returned.
+    """
+    if not (d > 0 and bc < d):  # is_liquidatable, on the raws
+        return NotLiquidatableError(
+            f"position {position.owner!r} is not liquidatable "
+            f"(bc={Dec.from_raw(bc)}, d={Dec.from_raw(d)})"
+        )
+
+    debt_price = prices[debt_asset]
+    debt_native = position.debt.get(debt_asset, ZERO).raw
+    outstanding = _mul(debt_native, debt_price)
+
+    cap = _max_repay(outstanding if params.cf_per_debt_asset else d, params.cf.raw)
+    if repay > cap:
+        return CloseFactorExceededError(
+            f"repay {Dec.from_raw(repay)} exceeds close-factor cap {Dec.from_raw(cap)}"
+        )
+    if repay > outstanding:
+        return DebtAssetShortfallError(
+            f"repay {Dec.from_raw(repay)} exceeds outstanding "
+            f"{debt_asset.symbol} debt value {Dec.from_raw(outstanding)}"
+        )
+
+    collateral_price = prices[collateral_asset]
+    seized_value = _mul(repay, _checked(SCALE + params.ls.raw))
+    seized_native = _div(seized_value, collateral_price)
+    available = position.collateral.get(collateral_asset, ZERO).raw
+    if seized_native > available:
+        return CollateralShortfallError(
+            f"seizing {Dec.from_raw(seized_native)} {collateral_asset.symbol} exceeds "
+            f"available {Dec.from_raw(available)}"
+        )
+
+    # repaying the full outstanding value must clear the balance exactly, so
+    # cap the native reduction at the stored amount (division can round up by
+    # one unit in the 18th digit)
+    repaid_native = _div(repay, debt_price)
+    if repaid_native > debt_native:
+        repaid_native = debt_native
+
+    new_debt = dict(position.debt)
+    new_debt[debt_asset] = Dec.from_raw(debt_native - repaid_native)
+    new_collateral = dict(position.collateral)
+    new_collateral[collateral_asset] = Dec.from_raw(available - seized_native)
+    position_after = Position(owner=position.owner, collateral=new_collateral, debt=new_debt)
+    return seized_value, seized_native, position_after
 
 
 def check_liquidation_call(
@@ -83,58 +166,25 @@ def check_liquidation_call(
     or CollateralShortfallError. Any other error (a missing price, say) is
     raised. The input position is never changed.
     """
-    if not is_liquidatable(values):
-        return NotLiquidatableError(
-            f"position {position.owner!r} is not liquidatable (bc={values.bc}, d={values.d})"
-        )
-
-    debt_price = oracle.price(call.debt_asset)
-    debt_native = position.debt.get(call.debt_asset, ZERO)
-    outstanding_value = debt_native * debt_price
-
-    cap = (
-        params.cf * outstanding_value
-        if params.cf_per_debt_asset
-        else max_repay(values, params)
+    repay = call.repay_value_usd
+    outcome = _liquidation_call(
+        position,
+        values.bc.raw,
+        values.d.raw,
+        call.debt_asset,
+        call.collateral_asset,
+        repay.raw,
+        _RawLookup(oracle.price),
+        params,
     )
-    if call.repay_value_usd > cap:
-        return CloseFactorExceededError(
-            f"repay {call.repay_value_usd} exceeds close-factor cap {cap}"
-        )
-    if call.repay_value_usd > outstanding_value:
-        return DebtAssetShortfallError(
-            f"repay {call.repay_value_usd} exceeds outstanding "
-            f"{call.debt_asset.symbol} debt value {outstanding_value}"
-        )
-
-    collateral_price = oracle.price(call.collateral_asset)
-    seized_value = call.repay_value_usd * (ONE + params.ls)
-    seized_native = seized_value / collateral_price
-    available = position.collateral.get(call.collateral_asset, ZERO)
-    if seized_native > available:
-        return CollateralShortfallError(
-            f"seizing {seized_native} {call.collateral_asset.symbol} exceeds "
-            f"available {available}"
-        )
-
-    # repaying the full outstanding value must clear the balance exactly, so
-    # cap the native reduction at the stored amount (division can round up by
-    # one unit in the 18th digit)
-    repaid_native = call.repay_value_usd / debt_price
-    if repaid_native > debt_native:
-        repaid_native = debt_native
-
-    new_debt = dict(position.debt)
-    new_debt[call.debt_asset] = debt_native - repaid_native
-    new_collateral = dict(position.collateral)
-    new_collateral[call.collateral_asset] = available - seized_native
-    position_after = Position(owner=position.owner, collateral=new_collateral, debt=new_debt)
-
+    if isinstance(outcome, LiqlabError):
+        return outcome
+    seized_value, seized_native, position_after = outcome
     return LiquidationReceipt(
-        repaid_value_usd=call.repay_value_usd,
-        seized_value_usd=seized_value,
-        seized_native=seized_native,
-        liquidator_profit_usd=seized_value - call.repay_value_usd,
+        repaid_value_usd=repay,
+        seized_value_usd=Dec.from_raw(seized_value),
+        seized_native=Dec.from_raw(seized_native),
+        liquidator_profit_usd=Dec.from_raw(seized_value - repay.raw),
         position_after=position_after,
     )
 

@@ -10,6 +10,10 @@ exceeding it raises ``OverflowError`` instead of wrapping.
 
 Floats are rejected everywhere: they are not exact and would silently
 poison downstream results. Construct from ``int``, ``str``, or ``Dec``.
+
+Hot paths that work on the scaled integers themselves multiply and divide
+them with ``_mul`` and ``_div``, which round and check exactly as the
+``Dec`` operators do, so their results equal the ``Dec`` expressions' raws.
 """
 
 from __future__ import annotations
@@ -42,6 +46,25 @@ def _checked(raw: int) -> int:
         shown = raw if raw.bit_length() <= 512 else f"integer of {raw.bit_length()} bits"
         raise OverflowError(f"fixed-point magnitude exceeds 2**255: {shown}")
     return raw
+
+
+def _mul(a: int, b: int) -> int:
+    """The raw of ``Dec.from_raw(a) * Dec.from_raw(b)``: rounded half-even
+    and checked as that product is."""
+    raw = _round_div(a * b, SCALE)
+    return raw if -_BOUND < raw < _BOUND else _checked(raw)
+
+
+def _div(a: int, b: int) -> int:
+    """The raw of ``Dec.from_raw(a) / Dec.from_raw(b)``: rounded half-even,
+    checked, and raising on a zero divisor as that quotient does."""
+    if b == 0:
+        raise ZeroDivisionError("division by zero")
+    n = a * SCALE
+    if b < 0:
+        n, b = -n, -b
+    raw = _round_div(n, b)
+    return raw if -_BOUND < raw < _BOUND else _checked(raw)
 
 
 def _parse(text: str) -> int:

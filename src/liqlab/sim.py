@@ -51,17 +51,26 @@ Engine rules, in order of application per block:
   amount alone, so a call is sent only when it is profitable; that is also
   the flash-loan rule, since gas is never negative and a call that clears
   gas and fee always repays its flash loan. The profitable call is then
-  checked against the protocol's rules on values built from its cached sums
-  (``fixed_spread.check_liquidation_call``); a call the protocol refuses
-  (close-factor cap, debt or collateral shortfall) is simply not sent.
+  checked against the protocol's rules on its cached raw sums
+  (``fixed_spread._liquidation_call``, the rules behind
+  ``check_liquidation_call``); a call the protocol refuses (close-factor
+  cap, debt or collateral shortfall) is simply not sent.
+* The fixed-spread step runs on scaled integers end to end: the asset pair,
+  the clamped repay, gross, fees and net, the two-step plan
+  (``strategy._optimal_repays``) and the protocol's check read the cached
+  raw ``(c, bc, d)`` and the block's raw prices. Every product and quotient
+  is rounded half-even as the ``Dec`` operator it stands for rounds it, and
+  checked against 2**255 where that operator checks it, so events and
+  errors are those of the ``Dec`` expressions. A ``Dec`` is built only for
+  an event's fields and the two new balances.
 * Fixed-spread agents skip a liquidatable position outright when no call on
   it can profit (``cannot_clear_fees``): every repay is at most the
   close-factor cap ``R``, and ``R*(LS - flash fee rate) < gas`` bounds the
   net profit of every such repay at zero or less. The scan decides this
   once per valuation, on the raw debt value; auction bidders still visit
   the position, and a skipped call is one that would not have been sent.
-  The scan builds no ``PositionValues`` and no ``Dec`` per position; each
-  policy visit and auction settlement builds one from the cached raw sums.
+  The scan builds no ``PositionValues`` and no ``Dec`` per position; only
+  an auction's start and its settlement build one, from the cached raw sums.
 * Positions with an open auction are off-limits to fixed-spread agents.
 * With ``one_liquidation_per_block`` set, at most one liquidation lands per
   position per block, so a two-step agent's second call executes in the
@@ -116,10 +125,10 @@ from .core import (
     PositionValues,
     sum_side,
 )
-from .errors import InvalidScenarioError, LiqlabError, ZeroVolumeError
-from .fixed_spread import LiquidationCall, check_liquidation_call, max_repay
-from .fixedpoint import SCALE, Dec, ONE, ZERO, _round_div
-from .strategy import optimal_repays
+from .errors import InvalidScenarioError, LiqlabError, NestingTooDeepError, ZeroVolumeError
+from .fixed_spread import _liquidation_call, _max_repay
+from .fixedpoint import SCALE, Dec, ZERO, _checked, _div, _mul, _round_div
+from .strategy import _optimal_repays
 
 
 class Mechanism(enum.Enum):
@@ -299,7 +308,7 @@ def cannot_clear_fees(
     the sign of ``LS - f``. With ``f`` = 0 this is the paper's unprofitable
     liquidation: the bonus ``R*LS`` does not exceed the fee.
     """
-    cap = _round_div(params.cf.raw * d, SCALE)
+    cap = _max_repay(d, params.cf.raw)
     return cap * (params.ls.raw - flash_fee_rate.raw) < gas_fee_usd.raw * SCALE
 
 
@@ -321,6 +330,8 @@ class _Run:
         self.thresholds = [lt[a].raw if a in lt else None for a in self.assets]
         self.oracle = None
         self.prices = [None] * len(self.assets)
+        # the same raw prices by asset, for the fixed-spread step
+        self.price_of = {}
         # the slots whose price moved since the last _scan, one bit per slot
         self.moved = 0
         # owner -> compiled terms and slot masks (see _compile)
@@ -374,6 +385,7 @@ class _Run:
                     moved |= 1 << slot
             self.moved = moved
             self.prices = prices
+            self.price_of = dict(zip(self.assets, prices))
             self.stale = True
 
     def _compile(self, position: Position) -> tuple:
@@ -409,11 +421,11 @@ class _Run:
             sums = self.sums[owner] = c, bc, sum_side(terms[1], self.prices)[0]
         return sums
 
-    def _liquidatable_values(self, owner) -> Optional[PositionValues]:
-        """The owner's position values, built from its cached raw sums, while
-        it is liquidatable and holds collateral, else None."""
+    def _liquidatable_sums(self, owner) -> Optional[tuple]:
+        """The owner's raw ``(c, bc, d)`` while it is liquidatable and holds
+        collateral, else None."""
         sums = c, bc, d = self._sums(owner)
-        return PositionValues.from_sums(sums) if c and bc < d else None
+        return sums if c and bc < d else None
 
     def _set_position(self, owner, position):
         self.positions[owner] = position
@@ -463,63 +475,88 @@ class _Run:
         # every c is >= 0, so checking the total alone catches any overflow
         return Dec.from_raw(total)
 
-    def _choose_pair(self, position: Position, oracle: OracleSnapshot):
+    def _choose_pair(self, owner):
         """Largest-value debt and collateral assets, ties broken by symbol;
-        only called with ``c > 0`` and ``d > bc >= 0``, so both sides hold one."""
-        def best(amounts):
-            return sorted(
-                amounts.items(),
-                key=lambda item: (item[1] * oracle.price(item[0]), item[0].symbol),
-            )[-1][0]
+        only called with ``c > 0`` and ``d > bc >= 0``, so both sides hold one.
 
-        return best(position.debt), best(position.collateral)
+        Reads the compiled terms, which are current whenever the sums are.
+        Each value is the kernel's rounded term ``amount * price``, which is
+        at most the side's total and so below 2**255: it needs no check.
+        Of equal keys the last one wins, as the last of a stable sort does.
+        """
+        prices, assets = self.prices, self.assets
 
-    def _liquidate(self, block, oracle, agent_id, owner, desired=None, pair=None, values=None):
+        def best(terms):
+            slot, _ = max(
+                reversed(terms),
+                key=lambda term: (
+                    _round_div(term[1] * prices[term[0]], SCALE),
+                    assets[term[0]].symbol,
+                ),
+            )
+            return assets[slot]
+
+        collateral, debt = self.terms[owner][:2]
+        return best(debt), best(collateral)
+
+    def _liquidate(self, block, agent_id, owner, desired=None, pair=None, sums=None):
         """One fixed-spread call on ``owner``; the pair used if an event landed.
 
         Nothing happens to a blocked or healthy position. The repay is
-        ``desired`` capped at the close factor (the cap itself when
+        ``desired`` (raw) capped at the close factor (the cap itself when
         ``desired`` is None), at the outstanding value of the debt asset and
         at what the collateral asset can pay at ``1 + LS``. ``pair`` defaults
         to ``_choose_pair``. The call is sent only when its net profit, which
         depends on the repay amount alone, is strictly positive. A caller
-        that has just checked ``_blocked`` and built the owner's
-        ``_liquidatable_values`` passes them as ``values``, and neither is
-        done again.
+        that has just checked ``_blocked`` and read the owner's
+        ``_liquidatable_sums`` passes them as ``sums``, and neither is done
+        again.
+
+        Every amount is a raw value, rounded and checked as the ``Dec``
+        expression in the comments is, and the protocol's rules run on the
+        cached sums (``fixed_spread._liquidation_call``); a ``Dec`` is built
+        only for the event's fields.
         """
-        if values is None:
+        if sums is None:
             if self._blocked(owner):
                 return None
-            values = self._liquidatable_values(owner)
-            if values is None:
+            sums = self._liquidatable_sums(owner)
+            if sums is None:
                 return None
+        _, bc, d = sums
         position = self.positions[owner]
         if pair is None:
-            pair = self._choose_pair(position, oracle)
+            pair = self._choose_pair(owner)
         debt_asset, collateral_asset = pair
         scenario = self.scenario
         params = scenario.params
-        outstanding = position.debt.get(debt_asset, ZERO) * oracle.price(debt_asset)
-        collateral_value = position.collateral.get(collateral_asset, ZERO) * oracle.price(
-            collateral_asset
+        prices = self.price_of
+        one_ls = params.ls.raw + SCALE  # ONE + LS, checked where it is used
+        # each asset's amount * price, and max_repay
+        outstanding = _mul(position.debt.get(debt_asset, ZERO).raw, prices[debt_asset])
+        collateral_value = _mul(
+            position.collateral.get(collateral_asset, ZERO).raw, prices[collateral_asset]
         )
-        repay = max_repay(values, params)
-        for bound in (desired, outstanding, collateral_value / (ONE + params.ls)):
+        repay = _max_repay(d, params.cf.raw)
+        for bound in (desired, outstanding, _div(collateral_value, _checked(one_ls))):
             if bound is not None and bound < repay:
                 repay = bound
-        if repay <= ZERO:
+        if repay <= 0:
             return None
-        # the receipt's own expression for the liquidator's profit
-        gross = repay * (ONE + params.ls) - repay
-        fees = scenario.gas_fee_usd + repay * scenario.flash_fee_rate
-        net = gross - fees
-        if net <= ZERO:
+        # the receipt's own expression for the liquidator's profit,
+        # repay * (ONE + LS) - repay, then fees = gas + repay * flash fee rate
+        gross = _checked(_mul(repay, _checked(one_ls)) - repay)
+        fees = _checked(scenario.gas_fee_usd.raw + _mul(repay, scenario.flash_fee_rate.raw))
+        net = _checked(gross - fees)
+        if net <= 0:
             return None
-        call = LiquidationCall(owner, debt_asset, collateral_asset, repay)
-        receipt = check_liquidation_call(position, values, call, oracle, params)
-        if isinstance(receipt, LiqlabError):
+        outcome = _liquidation_call(
+            position, bc, d, debt_asset, collateral_asset, repay, prices, params
+        )
+        if isinstance(outcome, LiqlabError):
             return None  # the protocol refuses the call, so it is not sent
-        self._set_position(owner, receipt.position_after)
+        seized_value, _, position_after = outcome
+        self._set_position(owner, position_after)
         self.liquidated_this_block.add(owner)
         self.events.append(
             LiquidationEvent(
@@ -527,11 +564,11 @@ class _Run:
                 borrower=owner,
                 liquidator=agent_id,
                 mechanism=Mechanism.FIXED_SPREAD,
-                repaid_usd=receipt.repaid_value_usd,
-                seized_usd=receipt.seized_value_usd,
-                gross_profit_usd=gross,
-                fees_usd=fees,
-                net_profit_usd=net,
+                repaid_usd=Dec.from_raw(repay),
+                seized_usd=Dec.from_raw(seized_value),
+                gross_profit_usd=Dec.from_raw(gross),
+                fees_usd=Dec.from_raw(fees),
+                net_profit_usd=Dec.from_raw(net),
             )
         )
         return pair
@@ -546,46 +583,44 @@ class _Run:
 
     # -- policies ------------------------------------------------------------
 
-    def _act_close_factor(self, agent, block, oracle):
+    def _act_close_factor(self, agent, block):
         for owner in self.fixed_spread_targets:
-            self._liquidate(block, oracle, agent.agent_id, owner)
+            self._liquidate(block, agent.agent_id, owner)
 
-    def _act_two_step(self, agent, block, oracle):
+    def _act_two_step(self, agent, block):
         params = self.scenario.params
         # pending second calls scheduled by this agent in an earlier block
         for key in [k for k in self.pending_second if k[0] == agent.agent_id]:
             planned = self.pending_second.pop(key)
-            self._liquidate(block, oracle, agent.agent_id, key[1], planned)
-        # new two-step plans
+            self._liquidate(block, agent.agent_id, key[1], planned)
+        # new two-step plans, on the cached raw sums
         for owner in self.fixed_spread_targets:
             if self._blocked(owner):
                 continue
-            values = self._liquidatable_values(owner)
-            if values is None:
+            sums = self._liquidatable_sums(owner)
+            if sums is None:
                 continue
-            pair = self._choose_pair(self.positions[owner], oracle)
-            try:
-                plan = optimal_repays(values.c, values.d, params.threshold(pair[1]), params)
-            except LiqlabError:
+            pair = self._choose_pair(owner)
+            plan = _optimal_repays(sums[0], sums[2], params.lt[pair[1]].raw, params)
+            if isinstance(plan, LiqlabError):
                 continue
-            if not self._liquidate(
-                block, oracle, agent.agent_id, owner, plan.repay1, pair, values
-            ):
+            repay1, repay2, _ = plan
+            if not self._liquidate(block, agent.agent_id, owner, repay1, pair, sums):
                 continue
             if self.scenario.one_liquidation_per_block:
-                self.pending_second[(agent.agent_id, owner)] = plan.repay2
+                self.pending_second[(agent.agent_id, owner)] = repay2
             else:
-                self._liquidate(block, oracle, agent.agent_id, owner, plan.repay2, pair)
+                self._liquidate(block, agent.agent_id, owner, repay2, pair)
 
-    def _act_auction_bidder(self, agent, block, oracle):
+    def _act_auction_bidder(self, agent, block):
         for owner in self.liquidatable:
             if self._blocked(owner):
                 continue
-            values = self._liquidatable_values(owner)
-            if values is None:
+            sums = self._liquidatable_sums(owner)
+            if sums is None:
                 continue
             self.open_auctions[owner] = start_auction(
-                values, self.scenario.auction_config, now=block
+                PositionValues.from_sums(sums), self.scenario.auction_config, now=block
             )
             self.changes += 1
         for scripted in self.scripted.get(block, {}).get(agent.agent_id, ()):
@@ -654,8 +689,7 @@ class _Run:
         scenario = self.scenario
         changes = None  # self.changes at the start of the last block run
         for block in range(scenario.blocks + 1):
-            oracle = scenario.price_path[block]
-            self._reprice(oracle)
+            self._reprice(scenario.price_path[block])
             if self.stale:
                 self.volume[block] = self._scan()
             else:
@@ -671,11 +705,11 @@ class _Run:
             self.liquidated_this_block = set()
             for agent in scenario.agents:
                 if agent.kind is PolicyKind.UP_TO_CLOSE_FACTOR:
-                    self._act_close_factor(agent, block, oracle)
+                    self._act_close_factor(agent, block)
                 elif agent.kind is PolicyKind.OPTIMAL_TWO_STEP:
-                    self._act_two_step(agent, block, oracle)
+                    self._act_two_step(agent, block)
                 else:
-                    self._act_auction_bidder(agent, block, oracle)
+                    self._act_auction_bidder(agent, block)
             self._settle_auctions(block)
             if changes != self.changes:
                 self.next_deadline = min(
@@ -842,6 +876,24 @@ def _built(where, cls, *args, **kwargs):
         raise InvalidScenarioError(_name(where), str(exc)) from None
 
 
+def _read_json(path):
+    """The JSON document in the UTF-8 file at ``path`` (``str`` or
+    ``os.PathLike``).
+
+    Malformed JSON raises the decoder's ``json.JSONDecodeError``. A document
+    nested deeper than the decoder can follow raises NestingTooDeepError in
+    place of the decoder's ``RecursionError``.
+    """
+    # fspath: an int would otherwise open that file descriptor
+    with open(os.fspath(path), "r", encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise NestingTooDeepError(
+                f"{os.fspath(path)}: JSON nested too deeply to decode"
+            ) from None
+
+
 def load_scenario(source) -> Scenario:
     """Build a Scenario from a JSON document: a parsed ``dict``, or the path
     (``str`` or ``os.PathLike``) of a UTF-8 JSON file.
@@ -856,18 +908,16 @@ def load_scenario(source) -> Scenario:
     override object is non-empty; every other block shares the previous
     block's snapshot object.
 
+    A file of malformed JSON raises ``json.JSONDecodeError``, and one nested
+    deeper than the JSON decoder can follow a NestingTooDeepError.
+
     Only an ``auction-bidder`` agent may carry a non-empty ``script``, and a
     scripted bid's ``time`` must be >= 0; either mistake is an
     InvalidScenarioError naming the agent's script or the bid's time. A bid
     timed past ``blocks`` is allowed and ignored, as a ``price_path`` key
     past ``blocks`` is.
     """
-    if isinstance(source, dict):
-        doc = source
-    else:
-        # fspath: an int would otherwise open that file descriptor
-        with open(os.fspath(source), "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+    doc = source if isinstance(source, dict) else _read_json(source)
     if not isinstance(doc, dict):
         raise InvalidScenarioError("<root>", "scenario document must be a JSON object")
 

@@ -19,6 +19,12 @@ Profits: profit_optimal = LS*(repay1 + repay2) versus the single-call
 profit_close_factor = LS*CF*D. For the unclamped case the relative gain has
 the closed form ((1-CF)/CF) * (1-LT*CR) / (1-LT*(1+LS)) with CR = C/D, which
 is zero when CF = 1 and grows as CR falls toward 1.
+
+The plan is computed on scaled integers (``Dec.raw``) by
+``_optimal_repays``, which rounds half-even and checks against 2**255
+exactly where, and in the order in which, the ``Dec`` expressions above
+would; :func:`optimal_repays` is its ``Dec`` face, and the scenario engine
+calls it on its cached raw sums.
 """
 
 from __future__ import annotations
@@ -31,16 +37,23 @@ from .core import (
     OracleSnapshot,
     Position,
     RiskParams,
+    _spread_product,
     position_values,
     spread_prerequisite,
 )
 from .errors import (
     InvalidParamsError,
+    LiqlabError,
     NotLiquidatableError,
     ZeroSecondLiquidationError,
 )
-from .fixed_spread import LiquidationCall, LiquidationReceipt, execute_liquidation_call
-from .fixedpoint import SCALE, Dec, ONE, ULP, ZERO, _round_div
+from .fixed_spread import (
+    LiquidationCall,
+    LiquidationReceipt,
+    _max_repay,
+    execute_liquidation_call,
+)
+from .fixedpoint import SCALE, Dec, ONE, ZERO, _checked, _mul, _round_div
 
 
 @dataclass(frozen=True)
@@ -75,31 +88,54 @@ class TwoStepResult(NamedTuple):
     realized_profit_usd: Dec
 
 
-def optimal_repays(c: Dec, d: Dec, lt: Dec, params: RiskParams) -> StrategyPlan:
-    """Closed-form two-step repay amounts for a position worth (c, d).
+def _optimal_repays(c: int, d: int, lt: int, params: RiskParams):
+    """:func:`optimal_repays` on scaled integers: the raw ``(repay1, repay2,
+    clamped)`` for raw values ``c``, ``d`` and threshold ``lt``, or the
+    ``LiqlabError`` refusal, unraised.
 
-    ``lt`` comes from the caller, not from ``params``, so it is checked here:
-    InvalidParamsError unless 0 < LT < 1 and LT*(1+LS) < 1.
+    Every intermediate is rounded and checked as its ``Dec`` expression in
+    the formulas above is; a refusal's message is built only when it is
+    returned.
     """
-    if not ZERO < lt < ONE:
-        raise InvalidParamsError(f"liquidation threshold outside (0, 1): {lt}")
-    reason = spread_prerequisite("the collateral threshold", lt, params.ls)
-    if reason is not None:
-        raise InvalidParamsError(reason)
-    if not lt * c < d:
-        raise NotLiquidatableError(f"position is healthy: LT*C = {lt * c} >= D = {d}")
+    if not 0 < lt < SCALE:
+        return InvalidParamsError(f"liquidation threshold outside (0, 1): {Dec.from_raw(lt)}")
+    product = _spread_product(lt, params.ls.raw)
+    if product >= SCALE:
+        reason = spread_prerequisite("the collateral threshold", Dec.from_raw(lt), params.ls)
+        return InvalidParamsError(reason)
+    lt_c = _mul(lt, c)
+    if not lt_c < d:
+        return NotLiquidatableError(
+            f"position is healthy: LT*C = {Dec.from_raw(lt_c)} >= D = {Dec.from_raw(d)}"
+        )
     # r* is compared with the cap as a raw quotient, rounded as Dec division
     # rounds it: a quotient past the Dec range (LT*(1+LS) within a few units
     # of 1) exceeds the cap, so it gives the clamped plan instead of an
     # OverflowError. Both operands are positive here.
-    numerator = d - lt * c
-    denominator = ONE - lt * (ONE + params.ls)
-    r_star = _round_div(numerator.raw * SCALE, denominator.raw)
-    cap = params.cf * d
-    clamped = r_star > cap.raw
-    repay1 = cap if clamped else Dec.from_raw(r_star) - ULP
-    repay2 = params.cf * (d - repay1)
-    return StrategyPlan(repay1=repay1, repay2=repay2, clamped=clamped)
+    numerator = _checked(d - lt_c)
+    denominator = _checked(SCALE - product)
+    r_star = _round_div(numerator * SCALE, denominator)
+    cap = _max_repay(d, params.cf.raw)
+    clamped = r_star > cap
+    repay1 = cap if clamped else _checked(_checked(r_star) - 1)
+    repay2 = _mul(params.cf.raw, _checked(d - repay1))
+    return repay1, repay2, clamped
+
+
+def optimal_repays(c: Dec, d: Dec, lt: Dec, params: RiskParams) -> StrategyPlan:
+    """Closed-form two-step repay amounts for a position worth (c, d).
+
+    ``lt`` comes from the caller, not from ``params``, so it is checked here:
+    InvalidParamsError unless 0 < LT < 1 and LT*(1+LS) < 1. A healthy
+    position (LT*C >= D) is a NotLiquidatableError.
+    """
+    plan = _optimal_repays(c.raw, d.raw, lt.raw, params)
+    if isinstance(plan, LiqlabError):
+        raise plan
+    repay1, repay2, clamped = plan
+    return StrategyPlan(
+        repay1=Dec.from_raw(repay1), repay2=Dec.from_raw(repay2), clamped=clamped
+    )
 
 
 def strategy_profits(c: Dec, d: Dec, lt: Dec, params: RiskParams) -> StrategyProfits:

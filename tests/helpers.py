@@ -1,10 +1,14 @@
-"""Shared test helpers: tolerant Dec comparisons and instance generators."""
+"""Shared test helpers: tolerant Dec comparisons, instance generators, and
+what the library and its Dec-expression ports return or raise."""
 
 from __future__ import annotations
 
 import random
 
+from hypothesis import strategies as st
+
 from liqlab import Dec, RiskParams
+from liqlab.errors import LiqlabError
 
 TOL6 = Dec("0.000001")
 TOL9 = Dec("0.000000001")
@@ -59,3 +63,30 @@ def unclamped_instance(rng: random.Random):
         r_star = (d - lt * c) / (one - lt * (one + params.ls))
         if r_star <= params.cf * d:
             return c, d, lt, params
+
+
+RAW_BOUND = 2**255  # a raw's magnitude must stay below this
+
+
+def raw_magnitudes(low: int = 0):
+    """Raws of at least ``low`` from small to the edge of the Dec range: the
+    products of the larger ones cross 2**255, and the largest are within
+    2e18 of it, where even adding one (``ONE + x``) overflows."""
+    return st.one_of(
+        st.integers(max(low, 0), 10**24),
+        st.integers(max(low, 2**150), 2**170),
+        st.integers(max(low, 2**240), RAW_BOUND - 1),
+        st.integers(RAW_BOUND - 2 * 10**18, RAW_BOUND - 1),
+    )
+
+
+def answer(fn, *args):
+    """What ``fn(*args)`` returns, a refusal it returns unraised, or the
+    error it raises, in a form that compares across implementations."""
+    try:
+        result = fn(*args)
+    except (LiqlabError, OverflowError, ZeroDivisionError) as exc:
+        return "raised", type(exc), str(exc)
+    if isinstance(result, LiqlabError):
+        return "refused", type(result), str(result)
+    return result

@@ -10,9 +10,11 @@ whatever the engine skips or reuses, this recomputes.
 
 It applies the deliberate behaviour changes made since that first form
 (``git show 2da9f50:src/liqlab/sim.py``), each marked with its commit where
-it applies. It must give the engine's event log, volume series and final
-positions, or raise the engine's error, on every valid scenario whose
-magnitudes stay well inside the ``Dec`` range.
+it applies. The fixed-spread rules and the two-step plan it calls are its
+own ``Dec``-expression ports, not the library's scaled-integer ones. It
+must give the engine's event log, volume series and final positions, or
+raise the engine's error, on every valid scenario whose magnitudes stay
+well inside the ``Dec`` range.
 """
 
 from __future__ import annotations
@@ -24,20 +26,135 @@ from liqlab import (
     Position,
     apply_termination,
     check_termination,
-    execute_liquidation_call,
     finalize,
     is_liquidatable,
-    max_repay,
-    optimal_repays,
     place_bid,
     position_values,
     start_auction,
 )
 from liqlab.auction import Phase
-from liqlab.errors import InvalidScenarioError, LiqlabError
-from liqlab.fixed_spread import LiquidationCall
-from liqlab.fixedpoint import ONE, ZERO
+from liqlab.errors import (
+    CloseFactorExceededError,
+    CollateralShortfallError,
+    DebtAssetShortfallError,
+    InvalidParamsError,
+    InvalidScenarioError,
+    LiqlabError,
+    NotLiquidatableError,
+)
+from liqlab.fixed_spread import LiquidationCall, LiquidationReceipt
+from liqlab.fixedpoint import ONE, SCALE, ULP, ZERO, _round_div
 from liqlab.sim import EventLog, LiquidationEvent, Mechanism, PolicyKind, Scenario
+from liqlab.strategy import StrategyPlan
+
+
+# -- the fixed-spread rules and the two-step plan as Dec expressions ---------
+#
+# The library computes these on scaled integers, shared with the engine. The
+# bodies below are their ``Dec`` forms as the library had them before that
+# change (``git show a9dd914:src/liqlab/fixed_spread.py`` and ``strategy.py``),
+# so the reference engine does not share its arithmetic with the engine, and
+# tests compare the library's functions with them.
+
+
+def max_repay(values, params) -> Dec:
+    """Close-factor cap on a single call: CF * total debt value."""
+    return params.cf * values.d
+
+
+def spread_prerequisite(subject: str, threshold: Dec, ls: Dec):
+    """None when LT*(1+LS) < 1 strictly, else the reason, naming ``subject``."""
+    product = threshold * (ONE + ls)
+    if product < ONE:
+        return None
+    return f"LT*(1+LS) must be < 1: {subject} has {threshold}*(1+{ls}) = {product}"
+
+
+def check_liquidation_call(position, values, call, oracle, params):
+    """The receipt of one fixed-spread call, or its refusal unraised."""
+    if not is_liquidatable(values):
+        return NotLiquidatableError(
+            f"position {position.owner!r} is not liquidatable (bc={values.bc}, d={values.d})"
+        )
+
+    debt_price = oracle.price(call.debt_asset)
+    debt_native = position.debt.get(call.debt_asset, ZERO)
+    outstanding_value = debt_native * debt_price
+
+    cap = (
+        params.cf * outstanding_value
+        if params.cf_per_debt_asset
+        else max_repay(values, params)
+    )
+    if call.repay_value_usd > cap:
+        return CloseFactorExceededError(
+            f"repay {call.repay_value_usd} exceeds close-factor cap {cap}"
+        )
+    if call.repay_value_usd > outstanding_value:
+        return DebtAssetShortfallError(
+            f"repay {call.repay_value_usd} exceeds outstanding "
+            f"{call.debt_asset.symbol} debt value {outstanding_value}"
+        )
+
+    collateral_price = oracle.price(call.collateral_asset)
+    seized_value = call.repay_value_usd * (ONE + params.ls)
+    seized_native = seized_value / collateral_price
+    available = position.collateral.get(call.collateral_asset, ZERO)
+    if seized_native > available:
+        return CollateralShortfallError(
+            f"seizing {seized_native} {call.collateral_asset.symbol} exceeds "
+            f"available {available}"
+        )
+
+    repaid_native = call.repay_value_usd / debt_price
+    if repaid_native > debt_native:
+        repaid_native = debt_native
+
+    new_debt = dict(position.debt)
+    new_debt[call.debt_asset] = debt_native - repaid_native
+    new_collateral = dict(position.collateral)
+    new_collateral[call.collateral_asset] = available - seized_native
+    position_after = Position(owner=position.owner, collateral=new_collateral, debt=new_debt)
+
+    return LiquidationReceipt(
+        repaid_value_usd=call.repay_value_usd,
+        seized_value_usd=seized_value,
+        seized_native=seized_native,
+        liquidator_profit_usd=seized_value - call.repay_value_usd,
+        position_after=position_after,
+    )
+
+
+def execute_liquidation_call(position, call, oracle, params) -> LiquidationReceipt:
+    """Value the position, check the call and raise its refusal, if any."""
+    outcome = check_liquidation_call(
+        position, position_values(position, oracle, params), call, oracle, params
+    )
+    if isinstance(outcome, LiqlabError):
+        raise outcome
+    return outcome
+
+
+def optimal_repays(c: Dec, d: Dec, lt: Dec, params) -> StrategyPlan:
+    """Closed-form two-step repay amounts for a position worth (c, d)."""
+    if not ZERO < lt < ONE:
+        raise InvalidParamsError(f"liquidation threshold outside (0, 1): {lt}")
+    reason = spread_prerequisite("the collateral threshold", lt, params.ls)
+    if reason is not None:
+        raise InvalidParamsError(reason)
+    if not lt * c < d:
+        raise NotLiquidatableError(f"position is healthy: LT*C = {lt * c} >= D = {d}")
+    numerator = d - lt * c
+    denominator = ONE - lt * (ONE + params.ls)
+    r_star = _round_div(numerator.raw * SCALE, denominator.raw)
+    cap = params.cf * d
+    clamped = r_star > cap.raw
+    repay1 = cap if clamped else Dec.from_raw(r_star) - ULP
+    repay2 = params.cf * (d - repay1)
+    return StrategyPlan(repay1=repay1, repay2=repay2, clamped=clamped)
+
+
+# -- the engine --------------------------------------------------------------
 
 
 def run_reference(scenario: Scenario) -> EventLog:

@@ -7,6 +7,7 @@ import pytest
 import liqlab.cli
 import liqlab.sim
 from liqlab.cli import build_parser, main
+from liqlab.errors import NestingTooDeepError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 ETH_DROP = str(FIXTURES / "eth_price_drop.json")
@@ -475,6 +476,38 @@ def test_collateral_worth_more_than_2_255_is_a_validation_error(tmp_path, capsys
     path.write_text(json.dumps(doc))
     assert main([command[0], "--scenario", str(path), *command[1:]]) == 1
     assert "exceeds 2**255" in capsys.readouterr().err
+
+
+# 100,000 nested arrays, or objects inside a scenario, are past any recursion
+# limit of the JSON decoder
+DEEP_ARRAY = "[" * 100_000
+DEEP_OBJECT = '{"assets": ' + '{"a": ' * 100_000
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        (["simulate", "--scenario"], DEEP_ARRAY),
+        (["bad-debt-scan", "--fee", "0", "--scenario"], DEEP_OBJECT),
+        (["auction-replay", "--c", "110", "--d", "100", "--auction-length", "5",
+          "--bid-duration", "3", "--script"], DEEP_ARRAY),
+    ],
+    ids=lambda value: value[0] if isinstance(value, list) else None,
+)
+def test_deeply_nested_json_is_unreadable_input(tmp_path, capsys, command, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert main([*command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: unreadable input: {path}: JSON nested too deeply to decode\n"
+    assert "Traceback" not in err
+
+
+def test_deeply_nested_scenario_file_raises_a_named_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_ARRAY)
+    with pytest.raises(NestingTooDeepError, match="nested too deeply"):
+        liqlab.sim.load_scenario(path)
 
 
 class TestLogging:

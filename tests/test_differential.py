@@ -9,14 +9,15 @@ repeat a price, every policy, ``one_liquidation_per_block`` and
 are fitted to the auctions a script-less run opens. Both engines must give
 the same event log, volume series and final positions, or the same error.
 Magnitudes stay far below the ``Dec`` range, where both engines agree on
-overflow handling.
+overflow handling. On the same scenarios every fixed-spread event must carry
+its own arithmetic, recomputed here in ``Dec``.
 """
 
 from __future__ import annotations
 
 from hypothesis import event, given, settings, strategies as st
 
-from liqlab import Dec, load_scenario, position_values, run_scenario
+from liqlab import Dec, Mechanism, load_scenario, position_values, run_scenario
 from liqlab.errors import LiqlabError
 
 import reference_engine
@@ -187,3 +188,22 @@ def test_engine_matches_the_reference(scenario):
         event("completed with events" if expected[1] else "completed without events")
         event(f"auction events: {expected[0].count(',auction,') > 0}")
     assert actual == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scenarios())
+def test_fixed_spread_events_carry_their_arithmetic(scenario):
+    try:
+        log = run_scenario(scenario)
+    except LiqlabError:
+        return
+    one_ls = Dec(1) + scenario.params.ls
+    fixed_spread = [e for e in log.events if e.mechanism is Mechanism.FIXED_SPREAD]
+    event(f"fixed-spread events: {min(len(fixed_spread), 3)}")
+    for ev in fixed_spread:
+        repaid = ev.repaid_usd
+        assert ev.seized_usd == repaid * one_ls
+        assert ev.gross_profit_usd == repaid * one_ls - repaid
+        assert ev.fees_usd == scenario.gas_fee_usd + repaid * scenario.flash_fee_rate
+        assert ev.net_profit_usd == ev.gross_profit_usd - ev.fees_usd
+        assert ev.net_profit_usd > Dec(0)

@@ -1,12 +1,13 @@
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from liqlab import (
     Asset,
     Dec,
     LiquidationCall,
+    LiquidationReceipt,
     OracleSnapshot,
     Position,
     PositionValues,
@@ -27,7 +28,8 @@ from liqlab.errors import (
 )
 from liqlab.fixedpoint import ULP
 
-from helpers import random_valid_instance
+import reference_engine
+from helpers import RAW_BOUND, answer, random_valid_instance, raw_magnitudes
 
 ETH = Asset("ETH")
 USDC = Asset("USDC", decimals=6)
@@ -314,3 +316,143 @@ def test_check_answers_as_execute_does(
     else:
         assert outcome == receipt
     assert position == snapshot
+
+
+# -- the scaled-integer rules against their Dec-expression ports -------------
+
+def _label(outcome) -> str:
+    if isinstance(outcome, LiquidationReceipt):
+        return "receipt"
+    return f"{outcome[0]} {outcome[1].__name__}"
+
+
+@st.composite
+def _call_params(draw, thresholds):
+    """Risk parameters: with thresholds for COL and SLIVER, LT*(1+LS) < 1
+    and LT often small, so positions are often liquidatable; without, LS up
+    to the Dec range, so that ``ONE + LS`` itself can overflow."""
+    cf = Dec.from_raw(draw(st.integers(1, 10**18)))
+    per_asset = draw(st.booleans())
+    if not thresholds:
+        near_bound = st.integers(RAW_BOUND - 2 * 10**18, RAW_BOUND - 1)
+        ls = Dec.from_raw(draw(st.one_of(st.integers(0, 10**18), raw_magnitudes(), near_bound)))
+        return RiskParams(lt={}, ls=ls, cf=cf, cf_per_debt_asset=per_asset)
+    ls = Dec.from_raw(draw(st.integers(0, 10**18)))
+    # LT*(1+LS) < 1: LT up to 1/(1+LS), less a few units
+    top = max(10**36 // (10**18 + ls.raw) - 3, 1)
+    lt = {
+        a: Dec.from_raw(draw(st.one_of(st.integers(1, top), st.integers(1, top // 100 + 1))))
+        for a in (COL, SLIVER)
+    }
+    return RiskParams(lt=lt, ls=ls, cf=cf, cf_per_debt_asset=per_asset)
+
+
+@st.composite
+def _calls(draw, thresholds):
+    """``(position, values, call, oracle, params)``: a position over two
+    collateral and two debt assets, its values, and a call whose pair may
+    name an asset the position does not hold or owe, or one without a price.
+
+    Magnitudes go up to 2**255, or stay small where calls land. With
+    thresholds the values are the position's own (if it can be valued);
+    without, they are drawn, liquidatable or not. The repay is anywhere, or
+    up to or near the close-factor cap and the debt asset's value.
+    """
+    params = draw(_call_params(thresholds))
+    amounts, prices = (raw_magnitudes(), raw_magnitudes(1)) if draw(st.booleans()) else (
+        st.integers(0, 10**24), st.integers(1, 10**22)
+    )
+    amounts = st.one_of(st.just(0), amounts, amounts)  # a zero amount is no entry
+    position = Position(
+        "p",
+        collateral={a: Dec.from_raw(draw(amounts)) for a in (COL, SLIVER)},
+        debt={a: Dec.from_raw(draw(amounts)) for a in (DEB, OTHER)},
+    )
+    prices = {a: Dec.from_raw(draw(prices)) for a in (COL, SLIVER, DEB, OTHER)}
+    unpriced = draw(st.sampled_from([None, None, None, SLIVER, OTHER]))
+    if unpriced is not None:
+        del prices[unpriced]
+    oracle = OracleSnapshot(prices=prices)
+    values = None
+    if thresholds:
+        try:
+            values = position_values(position, oracle, params)
+        except (LiqlabError, OverflowError):
+            pass
+    if values is None:
+        c = draw(raw_magnitudes())
+        bc = draw(st.integers(0, c))
+        d = draw(st.one_of(raw_magnitudes(), st.integers(max(bc - 2, 0), bc + 2)))
+        values = PositionValues(Dec.from_raw(c), Dec.from_raw(d), Dec.from_raw(bc))
+
+    debt_asset = draw(st.sampled_from([DEB, OTHER]))
+    collateral_asset = draw(st.sampled_from([COL, SLIVER]))
+
+    def value(amounts, asset):  # about amount * price, as a raw
+        return amounts.get(asset, Dec(0)).raw * prices.get(asset, Dec(0)).raw // 10**18
+
+    owed = value(position.debt, debt_asset)
+    cap = params.cf.raw * (owed if params.cf_per_debt_asset else values.d.raw) // 10**18
+    seizable = value(position.collateral, collateral_asset) * 10**18 // (10**18 + params.ls.raw)
+    top = min(max(min(owed, cap, seizable), 1), RAW_BOUND - 3)
+    repay = draw(st.one_of(
+        raw_magnitudes(1), st.integers(1, top), st.integers(max(top - 2, 1), top + 2)
+    ))
+    call = LiquidationCall("p", debt_asset, collateral_asset, Dec.from_raw(repay))
+    return position, values, call, oracle, params
+
+
+@st.composite
+def _landing_calls(draw):
+    """``(position, values, call, oracle, params)`` for a call sized to land,
+    give or take a unit: the debt is worth at least repay/CF, the collateral
+    just covers repay*(1+LS), and LT*(1+LS) < 1 keeps the position
+    liquidatable."""
+    params = draw(_call_params(True))
+    repay = draw(st.integers(1, 10**30))
+    debt_price, collateral_price = draw(st.integers(1, 10**22)), draw(st.integers(1, 10**22))
+    debt_value = repay * 10**18 // params.cf.raw + draw(st.integers(0, 10**30))
+    seized = repay * (10**18 + params.ls.raw) // 10**18
+    collateral = seized * 10**18 // collateral_price + draw(st.integers(0, 3))
+    debt = debt_value * 10**18 // debt_price + draw(st.integers(0, 3))
+    position = Position(
+        "p", collateral={COL: Dec.from_raw(collateral)}, debt={DEB: Dec.from_raw(debt)}
+    )
+    oracle = OracleSnapshot(
+        prices={COL: Dec.from_raw(collateral_price), DEB: Dec.from_raw(debt_price)}
+    )
+    values = position_values(position, oracle, params)
+    return position, values, LiquidationCall("p", DEB, COL, Dec.from_raw(repay)), oracle, params
+
+
+def _one_plus_ls_overflows():
+    """A call that reaches the seizure with LS one unit under 2**255, where
+    ``ONE + LS`` itself overflows."""
+    position = Position("p", collateral={COL: Dec(10)}, debt={DEB: Dec(10)})
+    values = PositionValues(c=Dec(10), d=Dec(10), bc=Dec(0))
+    oracle = OracleSnapshot(prices={COL: Dec(1), DEB: Dec(1)})
+    params = RiskParams(lt={}, ls=Dec.from_raw(RAW_BOUND - 1), cf=Dec(1))
+    return position, values, LiquidationCall("p", DEB, COL, ULP), oracle, params
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_calls(False), _landing_calls()))
+@example(_one_plus_ls_overflows())
+def test_check_equals_its_dec_port(case):
+    position, values, call, oracle, params = case
+    expected = answer(
+        reference_engine.check_liquidation_call, position, values, call, oracle, params
+    )
+    event(_label(expected))
+    assert answer(check_liquidation_call, position, values, call, oracle, params) == expected
+    expected = answer(reference_engine.max_repay, values, params)
+    assert answer(max_repay, values, params) == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_calls(True), _landing_calls()))
+def test_execute_equals_its_dec_port(case):
+    position, _, call, oracle, params = case
+    expected = answer(reference_engine.execute_liquidation_call, position, call, oracle, params)
+    event(_label(expected))
+    assert answer(execute_liquidation_call, position, call, oracle, params) == expected

@@ -702,15 +702,28 @@ class TestIncrementalValuation:
             real(values)
 
         monkeypatch.setattr(PositionValues, "__post_init__", counting)
+        valued = _count_calls(monkeypatch, "sum_side")
+        plans = _count_calls(monkeypatch, "_optimal_repays")
+        checks = _count_calls(monkeypatch, "_liquidation_call")
         scenario = replace(
             load_scenario(str(FIXTURES / "two_step.json")),
             one_liquidation_per_block=one_per_block,
         )
         log = run_scenario(scenario)
         assert len(log.events) == 2
-        # the plan's values serve its first call; the second call, on the
-        # changed position, builds its own
-        assert len(built) == 2
+        # the plan and its first call read the raw sums of one valuation; the
+        # second call, on the changed position, reads the next valuation's.
+        # Both run on the cached sums, so no PositionValues is built
+        c, bc, d = (Dec(v).raw for v in ("125", "93.75", "100"))
+        assert [args[:2] for args in plans] == [(c, d)]
+        assert [args[1:3] for args in checks[:1]] == [(bc, d)]
+        assert len(checks) == 2 and checks[1][2] < d
+        # (collateral sides, debt sides) valued: block 0's scan, then, as each
+        # landed call drops the cached sums, one re-valuation of both sides
+        # by the next read: the immediate second call and block 1's scan, or
+        # block 1's scan alone
+        assert _sides(valued) == ((2, 2) if one_per_block else (3, 3))
+        assert built == []
 
     def test_settlement_that_leaves_no_collateral_opens_no_auction(self):
         # GEM doubles at block 2, so the auctioned vault is healthy when the
@@ -759,7 +772,7 @@ class TestIncrementalValuation:
         def refuse(*args):
             raise AssertionError("an unprofitable call reached the engine")
 
-        monkeypatch.setattr(liqlab.sim, "check_liquidation_call", refuse)
+        monkeypatch.setattr(liqlab.sim, "_liquidation_call", refuse)
         scenario = replace(eth_drop_scenario(), gas_fee_usd=Dec(500))
         assert run_scenario(scenario).events == ()
 
@@ -910,8 +923,8 @@ class TestUnprofitableSkip:
             return real(self, *args, **kwargs)
 
         monkeypatch.setattr(liqlab.sim._Run, "_liquidate", counting)
-        checks = _count_calls(monkeypatch, "check_liquidation_call")
-        plans = _count_calls(monkeypatch, "optimal_repays")
+        checks = _count_calls(monkeypatch, "_liquidation_call")
+        plans = _count_calls(monkeypatch, "_optimal_repays")
         starts = _count_calls(monkeypatch, "start_auction")
         log = run_scenario(scenario)
         assert (attempts, checks, plans) == ([], [], [])
@@ -923,7 +936,7 @@ class TestUnprofitableSkip:
     def test_one_unit_less_gas_is_not_skipped(self, monkeypatch):
         # the two-step plan's first repay (4000) cannot clear the gas, but
         # the cap can, so the position is planned and the cap's call lands
-        plans = _count_calls(monkeypatch, "optimal_repays")
+        plans = _count_calls(monkeypatch, "_optimal_repays")
         agents = [
             {"id": "two-step", "policy": "optimal-two-step"},
             {"id": "cf", "policy": "up-to-close-factor"},
@@ -1002,7 +1015,7 @@ class TestUnprofitableSkip:
     def test_plan_past_the_dec_range_is_clamped_and_not_sent(self, monkeypatch):
         # with gas 0 the position is planned: the closed form is past the Dec
         # range, so the plan repays the cap, which at LS 0 nets 0 and is not sent
-        plans = _count_calls(monkeypatch, "optimal_repays")
+        plans = _count_calls(monkeypatch, "_optimal_repays")
         log = run_scenario(load_scenario(_whale_doc("0")))
         assert len(plans) == 1
         assert log.events == ()

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from liqlab import (
     Asset,
@@ -26,7 +27,17 @@ from liqlab.errors import (
 )
 from liqlab.fixedpoint import ONE, ULP
 
-from helpers import TOL6, TOL9, TOL12, assert_close, rel_close, unclamped_instance
+import reference_engine
+from helpers import (
+    TOL6,
+    TOL9,
+    TOL12,
+    answer,
+    assert_close,
+    raw_magnitudes,
+    rel_close,
+    unclamped_instance,
+)
 
 COL = Asset("COL")
 DEB = Asset("DEB")
@@ -235,3 +246,51 @@ def test_repay_of_exactly_r_star_restores_health_exactly():
     r = Fraction(plan.repay1.raw, 10**18)
     hf_exact = Fraction(1, 2) * (100 - r * Fraction(3, 2)) / (60 - r)
     assert hf_exact < 1
+
+
+# -- the scaled-integer plan against its Dec-expression port -----------------
+
+_SCALE = 10**18
+
+
+def _signed_magnitudes():
+    return st.one_of(raw_magnitudes(), raw_magnitudes().map(lambda raw: -raw))
+
+
+@st.composite
+def _plan_inputs(draw):
+    """Raw c, d, LT and parameters: LT*(1+LS) anywhere below 1, or within a
+    few units of 1, where r* leaves the Dec range; LT outside (0, 1) too; LS
+    up to the Dec range, where ``ONE + LS`` overflows."""
+    small_ls = st.integers(0, 50).map(lambda pct: pct * _SCALE // 100)
+    ls = draw(st.one_of(small_ls, small_ls, small_ls, st.integers(0, _SCALE), raw_magnitudes()))
+    edge = _SCALE * _SCALE // (_SCALE + ls)  # the largest LT with LT*(1+LS) <= 1, about
+    lt = draw(st.one_of(
+        st.integers(1, 99).map(lambda pct: max(edge * pct // 100, 1)),
+        st.integers(1, 99).map(lambda pct: max(edge * pct // 100, 1)),
+        st.integers(max(edge - 3, 1), edge + 3),
+        st.integers(-_SCALE, 2 * _SCALE),
+    ))
+    c = draw(st.one_of(
+        _signed_magnitudes(), st.integers(1, 10**12).map(lambda n: n * 10**16)
+    ))
+    # d anywhere, or a fraction of c (often liquidatable and unclamped)
+    d = draw(st.one_of(
+        _signed_magnitudes(), st.integers(30, 100).map(lambda pct: c * pct // 100)
+    ))
+    cf = draw(st.one_of(
+        st.integers(1, _SCALE), st.integers(1, 100).map(lambda pct: pct * _SCALE // 100)
+    ))
+    params = RiskParams(lt={}, ls=Dec.from_raw(ls), cf=Dec.from_raw(cf))
+    return Dec.from_raw(c), Dec.from_raw(d), Dec.from_raw(lt), params
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_plan_inputs(), st.randoms(use_true_random=False).map(unclamped_instance)))
+def test_optimal_repays_equals_its_dec_port(inputs):
+    expected = answer(reference_engine.optimal_repays, *inputs)
+    if isinstance(expected, StrategyPlan):
+        event(f"plan, clamped={expected.clamped}")
+    else:
+        event(expected[1].__name__)
+    assert answer(optimal_repays, *inputs) == expected
