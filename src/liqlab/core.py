@@ -19,26 +19,43 @@ results therefore equal, digit for digit, those of the ``Dec`` loop
 ``value = amount * price; c = c + value; bc = bc + value * LT``.
 
 The kernel reads its terms as ``(key, raw amount)`` pairs and looks prices
-and thresholds up by key, so one loop serves two key layouts.
-:func:`value_sums` and :func:`priced_total` key by ``Asset`` and look up
-through the oracle and the parameters, which raise ``MissingPriceError`` and
-``MissingThresholdError`` for an absent entry. The scenario engine numbers
-its assets once and keys by slot, into plain lists of raw prices and
-thresholds that it has checked to be complete.
+and thresholds up by key, so one loop serves two key layouts. Each price or
+threshold it looks up is a fraction ``(num, den)`` with ``num/den`` equal
+to ``raw/10**18``. :func:`value_sums` and :func:`priced_total` key by
+``Asset`` and look up through the oracle and the parameters, which raise
+``MissingPriceError`` and ``MissingThresholdError`` for an absent entry;
+they pass the unreduced ``(raw, 10**18)``, since a lookup made once is not
+worth a ``gcd``. The scenario engine numbers its assets once and keys by
+slot, into plain lists of fractions in lowest terms (:func:`_fraction`)
+that it has checked to be complete and reduces once per price move. The
+risk sweep reduces its declines once per sweep.
+
+Dividing by the reduced denominator is exact, not an approximation, and is
+faster: a price with at most 2 decimals, or a threshold such as 0.8 = 4/5,
+has a denominator of at most 100, which CPython divides by in one pass
+instead of long division by 10**18. Write the raw price ``P = n*g`` and
+``10**18 = d*g``, with ``g`` their greatest common divisor. Then
+``divmod(a*n, d) == (q, r)`` exactly when ``divmod(a*P, 10**18) == (q,
+r*g)``, and ``2*r > d`` exactly when ``2*r*g > 10**18`` (likewise for
+``==``). So every quotient, every half-even rounding and every tie is the
+one the division by 10**18 makes, and so is every overflow check.
 
 Overflow stays explicit. That ``Dec`` loop checks every product and partial
 sum against 2**255. Here every term is non-negative and each ``bc`` term is
 at most its value, so every intermediate is at most the running ``c`` (or
 ``d``). Checking the running sum after each asset therefore raises
 ``OverflowError`` exactly where the ``Dec`` loop did, before the next
-asset's price or threshold is looked up. The two sides share no lookup and
-no sum, so a side valued alone raises what it raises when it follows the
-other.
+asset's price or threshold is looked up. Once the sum is out of range the
+kernel checks the asset's value first, as the loop checks the product
+before the sum, so its message names the same number. The two sides share
+no lookup and no sum, so a side valued alone raises what it raises when it
+follows the other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Mapping, Optional
 
 from .errors import MissingPriceError, MissingThresholdError
@@ -83,6 +100,14 @@ class OracleSnapshot:
         for asset, price in self.prices.items():
             if price <= ZERO:
                 raise ValueError(f"oracle price for {asset.symbol} must be > 0")
+
+    @classmethod
+    def _of_checked(cls, prices: Mapping[Asset, Dec]) -> "OracleSnapshot":
+        """A snapshot of a copy of ``prices``, which the caller has already
+        checked to be positive, built without checking them again."""
+        snapshot = object.__new__(cls)
+        object.__setattr__(snapshot, "prices", dict(prices))
+        return snapshot
 
     def price(self, asset: Asset) -> Dec:
         try:
@@ -202,7 +227,11 @@ class PositionValues:
         return cls(c=Dec.from_raw(c), d=Dec.from_raw(d), bc=Dec.from_raw(bc))
 
 
-_HALF = SCALE // 2
+def _fraction(raw: int) -> tuple:
+    """``raw / 10**18`` in lowest terms, as ``(num, den)``; the kernel
+    rounds by dividing by ``den``, which divides 10**18."""
+    common = gcd(raw, SCALE)
+    return raw // common, SCALE // common
 
 
 def sum_side(terms, prices, thresholds=None) -> tuple:
@@ -211,31 +240,38 @@ def sum_side(terms, prices, thresholds=None) -> tuple:
     ``thresholds`` is given, weighted = sum(amount*price*LT), else 0.
 
     ``terms`` are ``(key, raw amount)`` pairs; ``prices[key]`` and
-    ``thresholds[key]`` are raw. See the module docstring for the roundings
-    and the overflow checks. Each product is rounded half-even as
+    ``thresholds[key]`` are fractions ``(num, den)`` with ``num/den`` equal
+    to the raw value over 10**18. See the module docstring for the
+    roundings, why dividing by ``den`` gives those of 10**18, and the
+    overflow checks. Each product is rounded half-even as
     ``fixedpoint._round_div`` rounds it, written out here because this loop
     is the engine's hot path.
     """
     total = weighted = 0
     for key, amount in terms:
-        value, rest = divmod(amount * prices[key], SCALE)
-        if rest > _HALF or (rest == _HALF and value & 1):
+        num, den = prices[key]
+        value, rest = divmod(amount * num, den)
+        rest += rest
+        if rest > den or (rest == den and value & 1):
             value += 1
         total += value
-        if total >= _BOUND:
+        if total >= _BOUND:  # the Dec loop checks the product, then the sum
+            _checked(value)
             _checked(total)
         if thresholds is not None:
-            term, rest = divmod(value * thresholds[key], SCALE)
-            if rest > _HALF or (rest == _HALF and term & 1):
+            num, den = thresholds[key]
+            term, rest = divmod(value * num, den)
+            rest += rest
+            if rest > den or (rest == den and term & 1):
                 term += 1
             weighted += term
     return total, weighted
 
 
 class _RawLookup:
-    """``lookup(key).raw`` behind ``[key]``, so the kernel reads an oracle's
-    prices or a parameter set's thresholds, and their missing-entry errors,
-    in its own order."""
+    """``lookup(key).raw`` behind ``[key]``, so a scaled-int loop reads an
+    oracle's prices or a parameter set's thresholds, and their missing-entry
+    errors, in its own order."""
 
     __slots__ = ("_lookup",)
 
@@ -246,6 +282,16 @@ class _RawLookup:
         return self._lookup(key).raw
 
 
+class _FractionLookup(_RawLookup):
+    """``(lookup(key).raw, 10**18)`` behind ``[key]``: the kernel's
+    fraction of a value read once, left unreduced."""
+
+    __slots__ = ()
+
+    def __getitem__(self, key) -> tuple:
+        return self._lookup(key).raw, SCALE
+
+
 def _raw_terms(amounts: Mapping[Asset, Dec]):
     return [(asset, amount.raw) for asset, amount in amounts.items()]
 
@@ -253,14 +299,15 @@ def _raw_terms(amounts: Mapping[Asset, Dec]):
 def priced_total(amounts: Mapping[Asset, Dec], oracle: OracleSnapshot) -> int:
     """Scaled-int USD value of native ``amounts``: the sum of amount*price,
     each product rounded half-even as ``Dec`` multiplication rounds it."""
-    return sum_side(_raw_terms(amounts), _RawLookup(oracle.price))[0]
+    return sum_side(_raw_terms(amounts), _FractionLookup(oracle.price))[0]
 
 
 def value_sums(position: Position, oracle: OracleSnapshot, params: RiskParams) -> tuple:
     """Scaled-int ``(c, bc, d)`` of a position at the snapshot: both sides
     through the kernel :func:`sum_side`, collateral first."""
-    prices = _RawLookup(oracle.price)
-    c, bc = sum_side(_raw_terms(position.collateral), prices, _RawLookup(params.threshold))
+    prices = _FractionLookup(oracle.price)
+    thresholds = _FractionLookup(params.threshold)
+    c, bc = sum_side(_raw_terms(position.collateral), prices, thresholds)
     return c, bc, sum_side(_raw_terms(position.debt), prices)[0]
 
 

@@ -19,7 +19,7 @@ from .core import (
     OracleSnapshot,
     Position,
     RiskParams,
-    _HALF,
+    _fraction,
     is_liquidatable,
     position_values,
     priced_total,
@@ -85,7 +85,10 @@ def _liquidatable_collateral(exposures: list, declines: list) -> list:
     borrowing capacity falls strictly below their debt.
 
     Every term ``x * decline`` is rounded half-even as ``Dec``
-    multiplication rounds it. For an exposure that does not owe the target,
+    multiplication rounds it. Each decline is reduced to lowest terms once
+    (``core._fraction``), and every term divides by its reduced
+    denominator, which rounds exactly as dividing by 10**18 does (see the
+    ``core`` module docstring). For an exposure that does not owe the target,
     ``bc - R(target_bc * k) < d`` (R: that rounding) holds from some decline
     on: ``target_bc >= 0`` and R does not decrease, so the adjusted capacity
     does not rise as ``k`` does. Bisection finds that first decline exactly.
@@ -97,24 +100,29 @@ def _liquidatable_collateral(exposures: list, declines: list) -> list:
     """
     n = len(declines)
     totals = [0] * n
+    fractions = [_fraction(k) for k in declines]
     for c, bc, d, target_value, target_bc, target_debt in exposures:
         if target_debt is None:
             first, last = 0, n
             while first < last:
                 mid = (first + last) // 2
-                if bc - _round_div(target_bc * declines[mid], SCALE) < d:
+                num, den = fractions[mid]
+                if bc - _round_div(target_bc * num, den) < d:
                     last = mid
                 else:
                     first = mid + 1
             hits = range(first, n)
         else:
             hits = [
-                i for i, k in enumerate(declines)
-                if bc - _round_div(target_bc * k, SCALE) < d - _round_div(target_debt * k, SCALE)
+                i for i, (num, den) in enumerate(fractions)
+                if bc - _round_div(target_bc * num, den)
+                < d - _round_div(target_debt * num, den)
             ]
         for i in hits:
-            value, rest = divmod(target_value * declines[i], SCALE)
-            if rest > _HALF or (rest == _HALF and value & 1):
+            num, den = fractions[i]
+            value, rest = divmod(target_value * num, den)
+            rest += rest
+            if rest > den or (rest == den and value & 1):
                 value += 1
             totals[i] += c - value
     return [Dec.from_raw(total) for total in totals]

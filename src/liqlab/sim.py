@@ -36,7 +36,11 @@ Engine rules, in order of application per block:
   prices still move nothing.
 * Valuation runs on a slot-indexed raw book. The assets the positions
   reference are numbered once (slots); a run holds one list of raw prices
-  per re-pricing, indexed by slot, and the raw thresholds likewise. Each
+  per re-pricing, indexed by slot, for the price comparison and the
+  fixed-spread step. The kernel reads each price and threshold as a
+  fraction in lowest terms (``core._fraction``): a run reduces its
+  thresholds once and keeps one fraction per slot, reduced again only when
+  that slot's price moves. Each
   position is compiled into ``(slot, raw amount)`` terms, in the order of
   its balances, and a bitmask of the slots each side references, when it
   is first valued and again after its balances change. A re-pricing ORs
@@ -69,6 +73,8 @@ Engine rules, in order of application per block:
   net profit of every such repay at zero or less. The scan decides this
   once per valuation, on the raw debt value; auction bidders still visit
   the position, and a skipped call is one that would not have been sent.
+  The screen's constants (CF, LS minus the flash-fee rate, and the gas
+  fee) are read once per run.
   The scan builds no ``PositionValues`` and no ``Dec`` per position; only
   an auction's start and its settlement build one, from the cached raw sums.
 * Positions with an open auction are off-limits to fixed-spread agents.
@@ -123,6 +129,7 @@ from .core import (
     Position,
     RiskParams,
     PositionValues,
+    _fraction,
     sum_side,
 )
 from .errors import InvalidScenarioError, LiqlabError, NestingTooDeepError, ZeroVolumeError
@@ -308,8 +315,16 @@ def cannot_clear_fees(
     the sign of ``LS - f``. With ``f`` = 0 this is the paper's unprofitable
     liquidation: the bonus ``R*LS`` does not exceed the fee.
     """
-    cap = _max_repay(d, params.cf.raw)
-    return cap * (params.ls.raw - flash_fee_rate.raw) < gas_fee_usd.raw * SCALE
+    return _cannot_clear(
+        d, params.cf.raw, params.ls.raw - flash_fee_rate.raw, gas_fee_usd.raw * SCALE
+    )
+
+
+def _cannot_clear(d: int, cf: int, margin: int, gas: int) -> bool:
+    """:func:`cannot_clear_fees` on raw constants that the engine reads once
+    per run: ``cf`` is CF, ``margin`` is LS - f and ``gas`` is the gas fee
+    times 10**18, all scaled."""
+    return _max_repay(d, cf) * margin < gas
 
 
 class _Run:
@@ -324,12 +339,22 @@ class _Run:
         # compiled (slot, raw amount) collateral and debt terms
         self.assets = list(_referenced_assets(scenario.positions))
         self.slots = {asset: slot for slot, asset in enumerate(self.assets)}
-        lt = scenario.params.lt
-        # a debt-only asset needs no threshold: the kernel reads thresholds
-        # for collateral terms alone
-        self.thresholds = [lt[a].raw if a in lt else None for a in self.assets]
+        params = scenario.params
+        lt = params.lt
+        # the thresholds as the kernel reads them, in lowest terms; a
+        # debt-only asset needs none: the kernel reads thresholds for
+        # collateral terms alone
+        self.thresholds = [_fraction(lt[a].raw) if a in lt else None for a in self.assets]
         self.oracle = None
         self.prices = [None] * len(self.assets)
+        # the same prices in lowest terms, for the kernel, reduced per move
+        self.fractions = [None] * len(self.assets)
+        # the run's constants of cannot_clear_fees: CF, LS - f, gas * 10**18
+        self.fee_screen = (
+            params.cf.raw,
+            params.ls.raw - scenario.flash_fee_rate.raw,
+            scenario.gas_fee_usd.raw * SCALE,
+        )
         # the same raw prices by asset, for the fixed-spread step
         self.price_of = {}
         # the slots whose price moved since the last _scan, one bit per slot
@@ -366,7 +391,8 @@ class _Run:
     # -- helpers -------------------------------------------------------------
 
     def _reprice(self, oracle) -> None:
-        """Take the block's raw prices and note the slots whose price moved.
+        """Take the block's raw prices and note the slots whose price moved,
+        reducing the moved prices to lowest terms for the kernel.
 
         The cached sums are brought up to the new prices by the next
         ``_scan``, not here. That is safe because the run loop scans in the
@@ -380,9 +406,11 @@ class _Run:
         prices = [oracle.prices[asset].raw for asset in self.assets]
         if prices != self.prices:
             moved = self.moved
+            fractions = self.fractions
             for slot, (price, last) in enumerate(zip(prices, self.prices)):
                 if price != last:
                     moved |= 1 << slot
+                    fractions[slot] = _fraction(price)
             self.moved = moved
             self.prices = prices
             self.price_of = dict(zip(self.assets, prices))
@@ -417,8 +445,8 @@ class _Run:
         sums = self.sums.get(owner)
         if sums is None:
             terms = self.terms[owner] = self._compile(self.positions[owner])
-            c, bc = sum_side(terms[0], self.prices, self.thresholds)
-            sums = self.sums[owner] = c, bc, sum_side(terms[1], self.prices)[0]
+            c, bc = sum_side(terms[0], self.fractions, self.thresholds)
+            sums = self.sums[owner] = c, bc, sum_side(terms[1], self.fractions)[0]
         return sums
 
     def _liquidatable_sums(self, owner) -> Optional[tuple]:
@@ -444,8 +472,8 @@ class _Run:
         The second list stays valid until the next scan: within a block a
         position's debt only falls, and so does its close-factor cap.
         """
-        scenario = self.scenario
-        prices, thresholds = self.prices, self.thresholds
+        prices, thresholds = self.fractions, self.thresholds
+        cf, margin, gas = self.fee_screen
         moved, self.moved = self.moved, 0
         cached, terms = self.sums, self.terms
         self.liquidatable = []
@@ -467,9 +495,7 @@ class _Run:
             total += c
             if c and bc < d:
                 self.liquidatable.append(owner)
-                if not cannot_clear_fees(
-                    d, scenario.params, scenario.gas_fee_usd, scenario.flash_fee_rate
-                ):
+                if not _cannot_clear(d, cf, margin, gas):
                     self.fixed_spread_targets.append(owner)
         self.stale = False
         # every c is >= 0, so checking the total alone catches any overflow
@@ -906,7 +932,10 @@ def load_scenario(source) -> Scenario:
     past ``blocks`` is allowed and ignored, and so is its content. A new
     ``OracleSnapshot`` is built only at block 0 and at each block whose
     override object is non-empty; every other block shares the previous
-    block's snapshot object.
+    block's snapshot object. Only a block's overrides are checked to be
+    positive, since every price it inherits was checked where it was set; a
+    bad one is reported as ``OracleSnapshot`` reports it, naming the first
+    bad price in the order of the block's merged prices.
 
     A file of malformed JSON raises ``json.JSONDecodeError``, and one nested
     deeper than the JSON decoder can follow a NestingTooDeepError.
@@ -969,8 +998,12 @@ def load_scenario(source) -> Scenario:
             overrides = _amounts(path_doc[key], assets, ("price_path", key))
             if overrides or snapshot is None:  # block 0 is always present
                 current.update(overrides)
-                # the snapshot copies current
-                snapshot = _built(("price_path", key), OracleSnapshot, current)
+                # the snapshot copies current; the inherited prices passed
+                # at an earlier block, so only the overrides need a check
+                if all(price.raw > 0 for price in overrides.values()):
+                    snapshot = OracleSnapshot._of_checked(current)
+                else:  # raises, naming the first bad price in current's order
+                    _built(("price_path", key), OracleSnapshot, current)
         price_path[block] = snapshot
 
     agents = []

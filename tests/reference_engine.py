@@ -10,11 +10,11 @@ whatever the engine skips or reuses, this recomputes.
 
 It applies the deliberate behaviour changes made since that first form
 (``git show 2da9f50:src/liqlab/sim.py``), each marked with its commit where
-it applies. The fixed-spread rules and the two-step plan it calls are its
-own ``Dec``-expression ports, not the library's scaled-integer ones. It
-must give the engine's event log, volume series and final positions, or
-raise the engine's error, on every valid scenario whose magnitudes stay
-well inside the ``Dec`` range.
+it applies. The valuation, the fixed-spread rules and the two-step plan it
+calls are its own ``Dec``-expression ports, not the library's
+scaled-integer ones. It must give the engine's event log, volume series
+and final positions, or raise the engine's error, on every valid scenario
+whose magnitudes stay well inside the ``Dec`` range.
 """
 
 from __future__ import annotations
@@ -24,12 +24,12 @@ from liqlab import (
     Dec,
     OracleSnapshot,
     Position,
+    PositionValues,
     apply_termination,
     check_termination,
     finalize,
     is_liquidatable,
     place_bid,
-    position_values,
     start_auction,
 )
 from liqlab.auction import Phase
@@ -46,6 +46,25 @@ from liqlab.fixed_spread import LiquidationCall, LiquidationReceipt
 from liqlab.fixedpoint import ONE, SCALE, ULP, ZERO, _round_div
 from liqlab.sim import EventLog, LiquidationEvent, Mechanism, PolicyKind, Scenario
 from liqlab.strategy import StrategyPlan
+
+
+# -- valuation as a Dec loop -----------------------------------------------------
+#
+# The library values a position through its scaled-integer kernel
+# (``core.sum_side``), which the engine shares. This is the seed's ``Dec``
+# loop, so the reference shares no valuation arithmetic with the engine.
+
+
+def position_values(position, oracle, params) -> PositionValues:
+    """c = sum(amount*price), bc = sum(amount*price*LT), d = sum(debt*price)."""
+    c = bc = d = ZERO
+    for asset, amount in position.collateral.items():
+        value = amount * oracle.price(asset)
+        c = c + value
+        bc = bc + value * params.threshold(asset)
+    for asset, amount in position.debt.items():
+        d = d + amount * oracle.price(asset)
+    return PositionValues(c=c, d=d, bc=bc)
 
 
 # -- the fixed-spread rules and the two-step plan as Dec expressions ---------

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import pickle
 import subprocess
@@ -6,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from liqlab import (
     Asset,
@@ -20,8 +21,9 @@ from liqlab import (
     is_liquidatable,
     position_values,
 )
-from liqlab.core import value_sums
+from liqlab.core import _fraction, sum_side, value_sums
 from liqlab.errors import MissingPriceError, MissingThresholdError
+from liqlab.fixedpoint import _BOUND, SCALE
 
 ETH = Asset("ETH")
 USDC = Asset("USDC", decimals=6)
@@ -254,7 +256,8 @@ def test_health_factor_invariant_under_uniform_price_scaling(
 
 
 def _dec_loop_sums(position, oracle, params):
-    """Raw (c, bc, d) summed with plain Dec arithmetic, or "overflow"."""
+    """Raw (c, bc, d) summed with plain Dec arithmetic, or "overflow" and the
+    error's message."""
     try:
         c = bc = d = Dec(0)
         for asset, amount in position.collateral.items():
@@ -263,48 +266,36 @@ def _dec_loop_sums(position, oracle, params):
             bc = bc + value * params.threshold(asset)
         for asset, amount in position.debt.items():
             d = d + amount * oracle.price(asset)
-    except OverflowError:
-        return "overflow"
+    except OverflowError as exc:
+        return "overflow", str(exc)
     return c.raw, bc.raw, d.raw
 
 
 def _kernel_sums(position, oracle, params):
     try:
         return value_sums(position, oracle, params)
-    except OverflowError:
-        return "overflow"
+    except OverflowError as exc:
+        return "overflow", str(exc)
 
 
-# all 18 fractional digits drawn, so that products carry digits to round
-fractions = st.lists(st.integers(0, 9), min_size=18, max_size=18).map(
-    lambda digits: int("".join(map(str, digits)))
-)
+def _reduced_kernel_sums(position, oracle, params):
+    """The kernel on prices and thresholds in lowest terms, as the scenario
+    engine reads them (``value_sums`` passes them unreduced)."""
+    prices = {asset: _fraction(price.raw) for asset, price in oracle.prices.items()}
+    thresholds = {asset: _fraction(lt.raw) for asset, lt in params.lt.items()}
+    try:
+        c, bc = sum_side(
+            [(a, amount.raw) for a, amount in position.collateral.items()], prices, thresholds
+        )
+        d = sum_side([(a, amount.raw) for a, amount in position.debt.items()], prices)[0]
+    except OverflowError as exc:
+        return "overflow", str(exc)
+    return c, bc, d
 
 
-def _fine(wholes):
-    """Decimals with a whole part drawn from ``wholes`` and 18 fractional digits."""
-    return st.builds(lambda whole, fraction: Dec.from_raw(whole * 10**18 + fraction),
-                     wholes, fractions)
-
-
-# the large amounts are worth more than 2**255 raw at most prices
-fine_amounts = _fine(st.one_of(st.integers(0, 10**9), st.integers(10**56, 5 * 10**58)))
-fine_prices = _fine(st.integers(0, 10**6)).filter(lambda price: price > Dec(0))
-fine_thresholds = fractions.filter(lambda raw: raw > 0).map(Dec.from_raw)
-
-
-@settings(max_examples=300)
-@given(
-    col=st.lists(st.tuples(fine_amounts, fine_prices, fine_thresholds), min_size=1, max_size=3),
-    debt=st.lists(st.tuples(fine_amounts, fine_prices), min_size=1, max_size=3),
-)
-# bc must be taken on the rounded value: rounding amount*price*LT once gives
-# one ulp less here
-@example(
-    col=[(Dec("12.011110020000113418"), Dec("521099.0002000000003"), Dec("0.10004400110010481"))],
-    debt=[(Dec(1), Dec(1))],
-)
-def test_kernel_equals_the_dec_loop(col, debt):
+def _book(col, debt):
+    """A position, oracle and parameters from (amount, price, threshold)
+    collateral entries and (amount, price) debt entries, one asset each."""
     col_assets = {Asset(f"C{i}"): entry for i, entry in enumerate(col)}
     debt_assets = {Asset(f"D{i}"): entry for i, entry in enumerate(debt)}
     position = Position(
@@ -319,11 +310,154 @@ def test_kernel_equals_the_dec_loop(col, debt):
     params = RiskParams(  # LS = 0 makes every threshold in (0, 1) valid
         lt={a: t for a, (_, _, t) in col_assets.items()}, ls=Dec(0), cf=Dec("0.5")
     )
+    return position, oracle, params
+
+
+def _assert_kernel_is_the_dec_loop(col, debt):
+    position, oracle, params = _book(col, debt)
     expected = _dec_loop_sums(position, oracle, params)
     assert _kernel_sums(position, oracle, params) == expected
-    if expected != "overflow":
+    assert _reduced_kernel_sums(position, oracle, params) == expected
+    if expected[0] != "overflow":
         values = position_values(position, oracle, params)
         assert (values.c.raw, values.bc.raw, values.d.raw) == expected
+
+
+# all 18 fractional digits drawn, so that products carry digits to round
+fractions = st.lists(st.integers(0, 9), min_size=18, max_size=18).map(
+    lambda digits: int("".join(map(str, digits)))
+)
+
+
+def _fine(wholes):
+    """Decimals with a whole part drawn from ``wholes`` and 18 fractional digits."""
+    return st.builds(lambda whole, fraction: Dec.from_raw(whole * 10**18 + fraction),
+                     wholes, fractions)
+
+
+def _short(wholes):
+    """Decimals with a whole part drawn from ``wholes`` and 0-9 fractional
+    digits: in lowest terms their denominators divide 10**9."""
+    return st.integers(0, 9).flatmap(lambda places: st.builds(
+        lambda whole, fraction: Dec.from_raw(whole * SCALE + fraction * 10 ** (18 - places)),
+        wholes, st.integers(0, 10**places - 1),
+    ))
+
+
+# the large amounts are worth more than 2**255 raw at most prices
+fine_amounts = _fine(st.one_of(st.integers(0, 10**9), st.integers(10**56, 5 * 10**58)))
+fine_prices = _fine(st.integers(0, 10**6)).filter(lambda price: price > Dec(0))
+fine_thresholds = fractions.filter(lambda raw: raw > 0).map(Dec.from_raw)
+short_prices = _short(st.integers(0, 10**6)).filter(lambda price: price > Dec(0))
+short_thresholds = _short(st.just(0)).filter(lambda threshold: threshold > Dec(0))
+
+
+@settings(max_examples=300)
+@given(
+    col=st.lists(st.tuples(fine_amounts, fine_prices, fine_thresholds), min_size=1, max_size=3),
+    debt=st.lists(st.tuples(fine_amounts, fine_prices), min_size=1, max_size=3),
+)
+# bc must be taken on the rounded value: rounding amount*price*LT once gives
+# one ulp less here
+@example(
+    col=[(Dec("12.011110020000113418"), Dec("521099.0002000000003"), Dec("0.10004400110010481"))],
+    debt=[(Dec(1), Dec(1))],
+)
+def test_kernel_equals_the_dec_loop(col, debt):
+    _assert_kernel_is_the_dec_loop(col, debt)
+
+
+@settings(max_examples=300)
+@given(
+    col=st.lists(st.tuples(fine_amounts, short_prices, short_thresholds), min_size=1, max_size=3),
+    debt=st.lists(st.tuples(fine_amounts, short_prices), min_size=1, max_size=3),
+)
+def test_kernel_on_short_prices_and_thresholds_equals_the_dec_loop(col, debt):
+    # the kernel divides by the reduced denominators, here at most 10**9
+    _assert_kernel_is_the_dec_loop(col, debt)
+
+
+def _odd(below):
+    """Odd integers below ``below`` that 5 does not divide."""
+    return st.integers(0, (below - 2) // 2).map(lambda n: 2 * n + 1).filter(lambda n: n % 5)
+
+
+@st.composite
+def _half_unit_ties(draw):
+    """A collateral entry whose value (price tie) or LT-weighted value
+    (threshold tie) is a whole number of units plus exactly half a unit:
+    ``u * 10**k`` times ``5 * v * 10**(17 - k)`` is ``u * v * 5 * 10**17``
+    with ``u * v`` odd. With 9 <= k <= 17 the tied price or threshold
+    ``u * 10**k`` has at most 9 fractional digits."""
+    k = draw(st.integers(9, 17))
+    amount = Dec.from_raw(5 * draw(_odd(10**6)) * 10 ** (17 - k))
+    if draw(st.booleans()):
+        # amount * price ties, and the value's LT term rounds as it may
+        return amount, Dec.from_raw(draw(_odd(10**6)) * 10**k), draw(short_thresholds)
+    # at price 1 the value is the amount, so value * LT ties
+    return amount, Dec(1), Dec.from_raw(draw(_odd(10 ** (18 - k))) * 10**k)
+
+
+@settings(max_examples=200)
+@given(tie=_half_unit_ties(), debt=st.lists(st.tuples(fine_amounts, short_prices), max_size=2))
+# 5 units at LT 0.5 and 0.3: a bc term of 2.5 units rounds down to 2, 1.5 up to 2
+@example(tie=(Dec.from_raw(5), Dec(1), Dec("0.5")), debt=[])
+@example(tie=(Dec.from_raw(5), Dec(1), Dec("0.3")), debt=[])
+# 5 units at price 0.3 and 0.1: a value of 1.5 units rounds up to 2, 0.5 down to 0
+@example(tie=(Dec.from_raw(5), Dec("0.3"), Dec("0.8")), debt=[])
+@example(tie=(Dec.from_raw(5), Dec("0.1"), Dec("0.8")), debt=[])
+def test_kernel_rounds_half_unit_ties_to_even(tie, debt):
+    amount, price, threshold = tie
+    _assert_kernel_is_the_dec_loop([tie], debt)
+    if price == Dec(1):  # a threshold tie: the value is the amount
+        assert amount.raw * threshold.raw % SCALE == SCALE // 2
+    else:
+        assert amount.raw * price.raw % SCALE == SCALE // 2
+
+
+@st.composite
+def _near_the_bound(draw):
+    """Collateral and debt whose sums land within 2e18 units of 2**255: a
+    first term, and a second one whose amount at a price in [1, 2] brings
+    the sum to the drawn target, give or take 2 units of rounding."""
+    target = _BOUND + draw(st.integers(-2 * 10**18, 2 * 10**18))
+    sides = []
+    for with_threshold in (True, False):
+        amount1, price1 = draw(fine_amounts), draw(short_prices)
+        first = amount1.raw * price1.raw // SCALE
+        price2 = draw(st.one_of(st.just(Dec(1)), _short(st.just(1))))
+        second = max(target - first, 1) * SCALE // price2.raw
+        assume(0 < second < _BOUND)
+        entries = [(amount1, price1), (Dec.from_raw(second), price2)]
+        if with_threshold:
+            entries = [entry + (draw(short_thresholds),) for entry in entries]
+        sides.append(entries)
+    return sides
+
+
+@settings(max_examples=200)
+@given(_near_the_bound())
+@example([  # c lands on 2**255 - 1 and fits; d lands on 2**255 and overflows
+    [(Dec.from_raw(_BOUND - 2), Dec(1), Dec("0.5")), (Dec.from_raw(1), Dec(1), Dec("0.5"))],
+    [(Dec.from_raw(1), Dec(1)), (Dec.from_raw(_BOUND - 1), Dec(1))],
+])
+def test_kernel_checks_sums_near_2_255_as_the_dec_loop_does(sides):
+    _assert_kernel_is_the_dec_loop(*sides)
+
+
+@given(st.one_of(
+    st.integers(0, _BOUND - 1),
+    short_prices.map(lambda price: price.raw),
+    fine_prices.map(lambda price: price.raw),
+))
+@example(0)
+@example(SCALE)
+@example(4 * SCALE // 5)
+def test_fraction_is_the_raw_over_10_18_in_lowest_terms(raw):
+    num, den = _fraction(raw)
+    assert num * SCALE == raw * den
+    assert math.gcd(num, den) == 1
+    assert SCALE % den == 0
 
 
 class TestValuationOverflow:

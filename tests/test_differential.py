@@ -19,6 +19,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from liqlab import Dec, Mechanism, load_scenario, position_values, run_scenario
 from liqlab.errors import LiqlabError
+from liqlab.sim import _Run, cannot_clear_fees
 
 import reference_engine
 
@@ -207,3 +208,21 @@ def test_fixed_spread_events_carry_their_arithmetic(scenario):
         assert ev.fees_usd == scenario.gas_fee_usd + repaid * scenario.flash_fee_rate
         assert ev.net_profit_usd == ev.gross_profit_usd - ev.fees_usd
         assert ev.net_profit_usd > Dec(0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_plain_docs())
+def test_scan_screens_positions_by_cannot_clear_fees(doc):
+    # the scan reads the screen's constants once per run; the positions it
+    # leaves to fixed-spread agents must be those the public rule leaves
+    scenario = load_scenario(doc)
+    run = _Run(scenario)
+    run._reprice(scenario.price_path[0])
+    run._scan()
+    screened = [
+        owner for owner in run.liquidatable
+        if cannot_clear_fees(run.sums[owner][2], scenario.params, scenario.gas_fee_usd,
+                             scenario.flash_fee_rate)
+    ]
+    event(f"screened out: {min(len(screened), 2)}")
+    assert run.fixed_spread_targets == [o for o in run.liquidatable if o not in screened]

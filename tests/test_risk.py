@@ -224,6 +224,21 @@ def test_sweep_equals_the_per_decline_loop(book, steps, decline):
     )
 
 
+@pytest.mark.parametrize("steps", [7, 30, 100])
+@settings(max_examples=40, deadline=None)
+@given(book=target_books())
+def test_curve_equals_sensitivity_at_each_step(steps, book):
+    # 18-digit prices and declines k/steps, most of them rounded: the sweep
+    # divides by each decline's reduced denominator, sensitivity by its own
+    positions, oracle, params = book
+    exposures = _target_exposures(positions, TARGET, oracle, params)
+    for point in sensitivity_curve(positions, TARGET, steps, oracle, params):
+        decline = point.decline_pct
+        assert point.liquidatable_collateral_usd == sensitivity(
+            positions, TARGET, decline, oracle, params
+        ) == _per_decline_lc(exposures, decline)
+
+
 class TestRiskScanOverflow:
     PARAMS = RiskParams(lt={ETH: Dec("0.8")}, ls=Dec("0.05"), cf=Dec("0.5"))
     ORACLE = OracleSnapshot(prices={ETH: Dec(3500), USDC: Dec(1)})

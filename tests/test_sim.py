@@ -1127,16 +1127,20 @@ class TestSharedSnapshots:
         assert path[3].prices == {ETH: Dec(3000), WBTC: Dec(40000), Asset("USDC"): Dec(1)}
 
     def test_one_snapshot_is_built_per_price_change(self, monkeypatch):
-        built = []
-        real = OracleSnapshot.__post_init__
+        # the loader checks each block's overrides itself, so it builds its
+        # snapshots through _of_checked, and none of them checks every price
+        built, rechecked = [], []
+        real = OracleSnapshot._of_checked.__func__
 
-        def counting(snapshot):
-            built.append(snapshot)
-            real(snapshot)
+        def counting(cls, prices):
+            built.append(prices)
+            return real(cls, prices)
 
-        monkeypatch.setattr(OracleSnapshot, "__post_init__", counting)
+        monkeypatch.setattr(OracleSnapshot, "_of_checked", classmethod(counting))
+        monkeypatch.setattr(OracleSnapshot, "__post_init__", rechecked.append)
         path = load_scenario(sparse_wbtc_doc(blocks=40)).price_path
         assert len(built) == 2 and len({id(s) for s in path.values()}) == 2
+        assert rechecked == []
 
     @pytest.mark.parametrize("moves, snapshots", [({}, 1), ({"7": {"ETH": "3400"}}, 2)])
     def test_quiet_blocks_are_neither_validated_nor_repriced(self, moves, snapshots):
@@ -1228,6 +1232,27 @@ class TestSnapshotValidation:
         with pytest.raises(InvalidScenarioError) as info:
             load_scenario(doc)
         assert (info.value.field, info.value.problem) == (field, problem)
+
+    @pytest.mark.parametrize("wbtc, named", [("0", "WBTC"), ("1", "DAI")])
+    def test_first_bad_price_is_named_in_the_merged_order(self, wbtc, named):
+        # the override names DAI (a new key, merged last) before WBTC (an
+        # inherited key, merged second): the merged prices' order decides
+        doc = sparse_wbtc_doc(blocks=6)
+        doc["assets"].append({"symbol": "DAI"})
+        doc["price_path"]["4"] = {"DAI": "-1", "WBTC": wbtc}
+        with pytest.raises(InvalidScenarioError) as info:
+            load_scenario(doc)
+        assert str(info.value) == (
+            f"invalid scenario: price_path.4: oracle price for {named} must be > 0"
+        )
+
+    def test_inherited_prices_stay_in_the_snapshot(self):
+        doc = sparse_wbtc_doc(blocks=6)
+        doc["assets"].append({"symbol": "DAI"})
+        doc["price_path"]["4"] = {"DAI": "2", "ETH": "2900"}
+        path = load_scenario(doc).price_path
+        assert list(path[4].prices.values()) == [Dec(2900), Dec(40000), Dec(1), Dec(2)]
+        assert path[4] == OracleSnapshot(path[4].prices) and path[3].prices[ETH] == Dec(3000)
 
 
 class TestPricePathKeys:

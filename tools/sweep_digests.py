@@ -10,9 +10,12 @@ the scripted bids reach them, so those runs end in the script's
 auction bidder's script emptied, so auctions open and expire with no bids.
 Every curve of those runs has 20 or 100 steps, both divisors of 10**18, so
 none of their declines is rounded; the fixtures and crash-cascade seeds 0-19
-are therefore run once more with curves at 7 and 30 steps (666 runs in all).
-Each run's
-digest covers the event log as CSV and JSONL, the collateral volume series
+are therefore run once more with curves at 7 and 30 steps. Every price and
+threshold those generators and fixtures write has at most 2 fractional
+digits, so each reduces to a fraction whose denominator is at most 100; the
+fixtures and crash-cascade seeds 0-4 are therefore also run with every price
+and threshold given 8 and 18 seeded fractional digits (682 runs in all).
+Each run's digest covers the event log as CSV and JSONL, the collateral volume series
 and the final positions, or the error that ended the run. For crash-cascade
 runs and the fixtures it also covers the sensitivity curve and the bad-debt
 verdicts, or their errors.
@@ -32,7 +35,9 @@ import copy
 import hashlib
 import itertools
 import json
+import random
 import sys
+from decimal import ROUND_FLOOR, Decimal
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,6 +58,8 @@ FIXTURES = ("eth_price_drop", "two_step", "auction")
 FIXTURE_STEPS = 20
 FIXTURE_FEE = "10"
 ROUNDED_STEPS = (7, 30)  # k/steps is rounded to 18 digits for most k
+FINE_SEEDS = range(5)
+FINE_DIGITS = (8, 18)  # fractional digits of every price and threshold
 
 
 def _outcome(fn) -> str:
@@ -155,6 +162,40 @@ def runs():
         scans = [(workload.target, steps, workload.fee, workload.scan_block)
                  for steps in ROUNDED_STEPS]
         yield f"crash-cascade/seed{seed:02d}/rounded-steps", workload.scenario, scans
+    for digits in FINE_DIGITS:
+        for name in FIXTURES:
+            doc, targets = _fixture(name)
+            scans = [(t, steps, FIXTURE_FEE, doc["blocks"]) for t in targets
+                     for steps in (FIXTURE_STEPS, ROUNDED_STEPS[0])]
+            key = f"fixture/{name}/fine{digits}"
+            yield key, _fine_doc(doc, digits, random.Random(key)), scans
+        for seed in FINE_SEEDS:
+            workload = workloads.crash_cascade(seed)
+            scans = [(workload.target, steps, workload.fee, workload.scan_block)
+                     for steps in (workload.shape.steps, ROUNDED_STEPS[0])]
+            key = f"crash-cascade/seed{seed:02d}/fine{digits}"
+            yield key, _fine_doc(workload.scenario, digits, random.Random(key)), scans
+
+
+def _fine(value: str, digits: int, rng) -> str:
+    """``value`` floored to ``digits`` fractional digits plus a seeded amount
+    below 10**-3, so it keeps its sign, stays below 1 when a threshold does
+    (every fixture and workload has LT*(1+LS) < 0.9) and has ``digits``
+    fractional digits of which the last is not 0."""
+    units = int(Decimal(value).scaleb(digits).to_integral_value(rounding=ROUND_FLOOR))
+    extra = rng.randrange(1, 10 ** (digits - 3))
+    return workloads.dec(units + extra + (extra % 10 == 0), digits)
+
+
+def _fine_doc(doc: dict, digits: int, rng) -> dict:
+    """A copy of ``doc`` with every price override and threshold given
+    ``digits`` seeded fractional digits (see :func:`_fine`)."""
+    doc = copy.deepcopy(doc)
+    params = doc["params"]
+    params["lt"] = {sym: _fine(lt, digits, rng) for sym, lt in params["lt"].items()}
+    for key, overrides in doc["price_path"].items():
+        doc["price_path"][key] = {sym: _fine(p, digits, rng) for sym, p in overrides.items()}
+    return doc
 
 
 def main() -> int:
