@@ -8,21 +8,26 @@ atomically: the position is returned untouched (no partial seizure, no
 clamping of the seized amount).
 
 The protocol's rules live in one pure function on scaled integers
-(``Dec.raw``), ``_liquidation_call``. It takes the position, its raw
-borrowing capacity and debt value, the asset pair and a raw repay, and
-returns the raw seized value and native amount with the position after the
-call, or the refusal (one of four ``LiqlabError`` subclasses) as a value. It
-makes exactly the roundings of the ``Dec`` expressions it stands for
-(``fixedpoint._mul`` and ``_div``: half-even at the 18th digit) and checks
-every intermediate against 2**255 where, and in the order in which, those
-expressions check it, so its results, its refusals and their messages, and
-its ``OverflowError`` messages are the ``Dec`` form's. It builds a ``Dec``
-only for the two new balances and for a refusal's message. The scenario
-engine calls it on its cached raw sums and raw prices.
+(``Dec.raw``), ``_liquidation_call``. It takes the borrower's name, its raw
+borrowing capacity and debt value, the asset pair, the raw native balances
+of the two assets (the debt owed in the debt asset and the collateral
+available in the collateral asset) and a raw repay. It returns the raw
+seized value, the native amount seized and the native amount repaid, or
+the refusal (one of four ``LiqlabError`` subclasses) as a value; the new
+balances are the two inputs less the two native amounts. It makes exactly
+the roundings of the ``Dec`` expressions it stands for (``fixedpoint._mul``
+and ``_div``: half-even at the 18th digit) and checks every intermediate
+against 2**255 where, and in the order in which, those expressions check
+it, so its results, its refusals and their messages, and its
+``OverflowError`` messages are the ``Dec`` form's. It builds a ``Dec`` only
+for a refusal's message. The scenario engine calls it on its raw book,
+cached raw sums and raw prices, and writes the two new balances into the
+book itself.
 
 :func:`check_liquidation_call` is its ``Dec`` face: given the position's
-values it returns the receipt or the refusal, so a caller that already
-holds the values neither re-values the position nor catches.
+values it returns the receipt, with the position after the call, or the
+refusal, so a caller that already holds the values neither re-values the
+position nor catches.
 :func:`execute_liquidation_call` is the raising form: it values the
 position, checks the call and raises the refusal.
 """
@@ -85,33 +90,38 @@ def max_repay(values: PositionValues, params: RiskParams) -> Dec:
 
 
 def _liquidation_call(
-    position: Position,
+    owner: str,
     bc: int,
     d: int,
     debt_asset: Asset,
     collateral_asset: Asset,
+    debt_native: int,
+    available: int,
     repay: int,
     prices,
     params: RiskParams,
 ):
     """The protocol's rules on scaled integers: ``(seized_value,
-    seized_native, position_after)`` for a call repaying the raw value
-    ``repay`` of ``debt_asset`` and seizing ``collateral_asset``, or the
-    refusal, unraised.
+    seized_native, repaid_native)`` for a call on ``owner``'s position
+    repaying the raw value ``repay`` of ``debt_asset`` and seizing
+    ``collateral_asset``, or the refusal, unraised.
 
     ``bc`` and ``d`` are the position's raw borrowing capacity and debt
-    value; ``prices[asset]`` is an asset's raw price, read only when the
-    ``Dec`` form read it. See the module docstring for the roundings and
-    checks. A refusal's message is built only when it is returned.
+    value; ``debt_native`` and ``available`` are its raw native balances of
+    the debt asset and the collateral asset (0 for an asset it does not
+    owe or hold). The call leaves ``debt_native - repaid_native`` and
+    ``available - seized_native``, both non-negative. ``prices[asset]`` is
+    an asset's raw price, read only when the ``Dec`` form read it. See the
+    module docstring for the roundings and checks. A refusal's message is
+    built only when it is returned.
     """
     if not (d > 0 and bc < d):  # is_liquidatable, on the raws
         return NotLiquidatableError(
-            f"position {position.owner!r} is not liquidatable "
+            f"position {owner!r} is not liquidatable "
             f"(bc={Dec.from_raw(bc)}, d={Dec.from_raw(d)})"
         )
 
     debt_price = prices[debt_asset]
-    debt_native = position.debt.get(debt_asset, ZERO).raw
     outstanding = _mul(debt_native, debt_price)
 
     cap = _max_repay(outstanding if params.cf_per_debt_asset else d, params.cf.raw)
@@ -128,7 +138,6 @@ def _liquidation_call(
     collateral_price = prices[collateral_asset]
     seized_value = _mul(repay, _checked(SCALE + params.ls.raw))
     seized_native = _div(seized_value, collateral_price)
-    available = position.collateral.get(collateral_asset, ZERO).raw
     if seized_native > available:
         return CollateralShortfallError(
             f"seizing {Dec.from_raw(seized_native)} {collateral_asset.symbol} exceeds "
@@ -141,13 +150,7 @@ def _liquidation_call(
     repaid_native = _div(repay, debt_price)
     if repaid_native > debt_native:
         repaid_native = debt_native
-
-    new_debt = dict(position.debt)
-    new_debt[debt_asset] = Dec.from_raw(debt_native - repaid_native)
-    new_collateral = dict(position.collateral)
-    new_collateral[collateral_asset] = Dec.from_raw(available - seized_native)
-    position_after = Position(owner=position.owner, collateral=new_collateral, debt=new_debt)
-    return seized_value, seized_native, position_after
+    return seized_value, seized_native, repaid_native
 
 
 def check_liquidation_call(
@@ -167,19 +170,29 @@ def check_liquidation_call(
     raised. The input position is never changed.
     """
     repay = call.repay_value_usd
+    debt_asset, collateral_asset = call.debt_asset, call.collateral_asset
+    debt_native = position.debt.get(debt_asset, ZERO).raw
+    available = position.collateral.get(collateral_asset, ZERO).raw
     outcome = _liquidation_call(
-        position,
+        position.owner,
         values.bc.raw,
         values.d.raw,
-        call.debt_asset,
-        call.collateral_asset,
+        debt_asset,
+        collateral_asset,
+        debt_native,
+        available,
         repay.raw,
         _RawLookup(oracle.price),
         params,
     )
     if isinstance(outcome, LiqlabError):
         return outcome
-    seized_value, seized_native, position_after = outcome
+    seized_value, seized_native, repaid_native = outcome
+    new_debt = dict(position.debt)
+    new_debt[debt_asset] = Dec.from_raw(debt_native - repaid_native)
+    new_collateral = dict(position.collateral)
+    new_collateral[collateral_asset] = Dec.from_raw(available - seized_native)
+    position_after = Position(owner=position.owner, collateral=new_collateral, debt=new_debt)
     return LiquidationReceipt(
         repaid_value_usd=repay,
         seized_value_usd=Dec.from_raw(seized_value),

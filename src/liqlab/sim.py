@@ -41,9 +41,17 @@ Engine rules, in order of application per block:
   fraction in lowest terms (``core._fraction``): a run reduces its
   thresholds once and keeps one fraction per slot, reduced again only when
   that slot's price moves. Each
-  position is compiled into ``(slot, raw amount)`` terms, in the order of
-  its balances, and a bitmask of the slots each side references, when it
-  is first valued and again after its balances change. A re-pricing ORs
+  position is compiled once, when the run starts, into two ``{slot: raw
+  amount}`` balance dicts, in the order of its balances, and a bitmask of
+  the slots each side references. That book is the run's record of the
+  balances: a landed fixed-spread call subtracts the repaid and seized
+  native amounts from its two entries in place, and drops an entry that
+  reaches zero, with its bit, as ``Position`` drops a zero balance. A
+  ``Position`` is built from the book only where one is needed, for an
+  auction settlement and for ``EventLog.final_positions``, and only when a
+  landed call changed the balances since the owner's last ``Position``
+  (the loaded one, a settlement's result, which is compiled again, or the
+  last one built). A re-pricing ORs
   the slots whose raw price differs into a moved mask; the scan re-runs the
   valuation kernel (``core.sum_side``) on a side whose mask meets it, then
   clears it. The engine caches each position's raw ``(c, bc, d)``, sums and
@@ -66,7 +74,7 @@ Engine rules, in order of application per block:
   is rounded half-even as the ``Dec`` operator it stands for rounds it, and
   checked against 2**255 where that operator checks it, so events and
   errors are those of the ``Dec`` expressions. A ``Dec`` is built only for
-  an event's fields and the two new balances.
+  an event's fields; the two new balances stay raw, in the book.
 * Fixed-spread agents skip a liquidatable position outright when no call on
   it can profit (``cannot_clear_fees``): every repay is at most the
   close-factor cap ``R``, and ``R*(LS - flash fee rate) < gas`` bounds the
@@ -332,11 +340,10 @@ class _Run:
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self.positions = {p.owner: p for p in scenario.positions}
         self.order = [p.owner for p in scenario.positions]
         # the raw book: asset -> slot for every referenced asset, the raw
         # thresholds and the current block's raw prices by slot, and owner ->
-        # compiled (slot, raw amount) collateral and debt terms
+        # {slot: raw amount} collateral and debt balances
         self.assets = list(_referenced_assets(scenario.positions))
         self.slots = {asset: slot for slot, asset in enumerate(self.assets)}
         params = scenario.params
@@ -359,8 +366,13 @@ class _Run:
         self.price_of = {}
         # the slots whose price moved since the last _scan, one bit per slot
         self.moved = 0
-        # owner -> compiled terms and slot masks (see _compile)
-        self.terms = {}
+        # owner -> raw balances and slot masks (see _compile), the run's
+        # record of every position
+        self.terms = {p.owner: self._compile(p) for p in scenario.positions}
+        # owner -> its Position while the book still holds exactly that
+        # position: the loaded one, a settlement's result or one built by
+        # _position; a landed call drops it
+        self.positions = {p.owner: p for p in scenario.positions}
         # owner -> raw (c, bc, d); see _sums
         self.sums = {}
         # liquidatable owners in scenario order as of the last _scan, which
@@ -416,27 +428,59 @@ class _Run:
             self.price_of = dict(zip(self.assets, prices))
             self.stale = True
 
-    def _compile(self, position: Position) -> tuple:
-        """The position's ``(slot, raw amount)`` collateral and debt terms,
-        and for each side the mask of the slots it references."""
+    def _compile(self, position: Position) -> list:
+        """The position's book entry: its ``{slot: raw amount}`` collateral
+        and debt balances, in the order of its own, for each side the mask
+        of the slots it references, and the balances' ``items()`` views,
+        which the kernel reads as its ``(slot, raw amount)`` terms. A view
+        is live, so it follows every change to its balances."""
         slots = self.slots
-        collateral = tuple(
-            (slots[asset], amount.raw) for asset, amount in position.collateral.items()
-        )
-        debt = tuple((slots[asset], amount.raw) for asset, amount in position.debt.items())
-        return (
+        collateral = {slots[asset]: amount.raw for asset, amount in position.collateral.items()}
+        debt = {slots[asset]: amount.raw for asset, amount in position.debt.items()}
+        return [
             collateral,
             debt,
-            sum(1 << slot for slot, _ in collateral),
-            sum(1 << slot for slot, _ in debt),
+            sum(1 << slot for slot in collateral),
+            sum(1 << slot for slot in debt),
+            collateral.items(),
+            debt.items(),
+        ]
+
+    def _position(self, owner) -> Position:
+        """The owner's ``Position``: the one held for it, else one built from
+        its raw balances in the book and held until they change."""
+        position = self.positions.get(owner)
+        if position is not None:
+            return position
+        collateral, debt = self.terms[owner][:2]
+        assets = self.assets
+        position = self.positions[owner] = Position(
+            owner=owner,
+            collateral={assets[slot]: Dec.from_raw(raw) for slot, raw in collateral.items()},
+            debt={assets[slot]: Dec.from_raw(raw) for slot, raw in debt.items()},
         )
+        return position
+
+    def _take(self, owner, side, slot, amount) -> None:
+        """Subtract the raw ``amount`` from the owner's balance at ``slot`` on
+        ``side`` (0 collateral, 1 debt); a balance that reaches zero is
+        dropped, with its bit in the side's mask."""
+        book = self.terms[owner]
+        balances = book[side]
+        left = balances[slot] - amount
+        if left:
+            balances[slot] = left
+        else:
+            del balances[slot]
+            book[side + 2] &= ~(1 << slot)
 
     def _sums(self, owner):
         """The owner's raw ``(c, bc, d)`` at the current block's prices.
 
-        An entry is dropped when the position changes (``_set_position``),
-        and then valued here on both sides. After a re-pricing, ``_scan``
-        updates the entries before anything else reads them.
+        An entry is dropped when the position's balances change
+        (``_changed``), and then valued here on both sides, from the book.
+        After a re-pricing, ``_scan`` updates the entries before anything
+        else reads them.
         A position is liquidatable iff ``bc < d``: ``bc`` is never negative,
         so that also means ``d > 0``. The policies act on it only while it
         also holds collateral (``c > 0``): with none left there is nothing to
@@ -444,9 +488,9 @@ class _Run:
         """
         sums = self.sums.get(owner)
         if sums is None:
-            terms = self.terms[owner] = self._compile(self.positions[owner])
-            c, bc = sum_side(terms[0], self.fractions, self.thresholds)
-            sums = self.sums[owner] = c, bc, sum_side(terms[1], self.fractions)[0]
+            book = self.terms[owner]
+            c, bc = sum_side(book[4], self.fractions, self.thresholds)
+            sums = self.sums[owner] = c, bc, sum_side(book[5], self.fractions)[0]
         return sums
 
     def _liquidatable_sums(self, owner) -> Optional[tuple]:
@@ -455,10 +499,16 @@ class _Run:
         sums = c, bc, d = self._sums(owner)
         return sums if c and bc < d else None
 
-    def _set_position(self, owner, position):
-        self.positions[owner] = position
+    def _changed(self, owner) -> None:
+        """Note that the owner's balances in the book changed."""
+        self.positions.pop(owner, None)
         self.sums.pop(owner, None)
         self.stale = True
+
+    def _set_position(self, owner, position):
+        self.terms[owner] = self._compile(position)
+        self._changed(owner)
+        self.positions[owner] = position
 
     def _scan(self) -> Dec:
         """Note the liquidatable positions that hold collateral, and those of
@@ -467,8 +517,8 @@ class _Run:
 
         Each cached valuation is first brought up to the current prices: a
         side is re-valued only when it references a slot whose price moved,
-        and a position that ``_set_position`` dropped is valued on both
-        sides. The moved slots are then cleared.
+        and a position whose balances changed is valued on both sides. The
+        moved slots are then cleared.
         The second list stays valid until the next scan: within a block a
         position's debt only falls, and so does its close-factor cap.
         """
@@ -486,7 +536,7 @@ class _Run:
             else:
                 c, bc, d = sums
                 if moved:
-                    collateral, debt, collateral_slots, debt_slots = terms[owner]
+                    _, _, collateral_slots, debt_slots, collateral, debt = terms[owner]
                     if collateral_slots & moved:
                         c, bc = sum_side(collateral, prices, thresholds)
                     if debt_slots & moved:
@@ -502,31 +552,36 @@ class _Run:
         return Dec.from_raw(total)
 
     def _choose_pair(self, owner):
-        """Largest-value debt and collateral assets, ties broken by symbol;
-        only called with ``c > 0`` and ``d > bc >= 0``, so both sides hold one.
+        """The slots of the largest-value debt and collateral assets, ties
+        broken by symbol; only called with ``c > 0`` and ``d > bc >= 0``, so
+        both sides hold one.
 
-        Reads the compiled terms, which are current whenever the sums are.
-        Each value is the kernel's rounded term ``amount * price``, which is
-        at most the side's total and so below 2**255: it needs no check.
-        Of equal keys the last one wins, as the last of a stable sort does.
+        A side with one asset has nothing to choose, and its asset is not
+        valued. On a side with more, each value is the kernel's rounded term
+        ``amount * price``, which is at most the side's total and so below
+        2**255: it needs no check. Of equal keys the last one wins, as the
+        last of a stable sort does.
         """
         prices, assets = self.prices, self.assets
 
-        def best(terms):
+        def best(balances):
+            if len(balances) == 1:
+                return next(iter(balances))
             slot, _ = max(
-                reversed(terms),
+                reversed(balances.items()),
                 key=lambda term: (
                     _round_div(term[1] * prices[term[0]], SCALE),
                     assets[term[0]].symbol,
                 ),
             )
-            return assets[slot]
+            return slot
 
         collateral, debt = self.terms[owner][:2]
         return best(debt), best(collateral)
 
     def _liquidate(self, block, agent_id, owner, desired=None, pair=None, sums=None):
-        """One fixed-spread call on ``owner``; the pair used if an event landed.
+        """One fixed-spread call on ``owner``; the pair of slots used if an
+        event landed.
 
         Nothing happens to a blocked or healthy position. The repay is
         ``desired`` (raw) capped at the close factor (the cap itself when
@@ -540,8 +595,9 @@ class _Run:
 
         Every amount is a raw value, rounded and checked as the ``Dec``
         expression in the comments is, and the protocol's rules run on the
-        cached sums (``fixed_spread._liquidation_call``); a ``Dec`` is built
-        only for the event's fields.
+        cached sums and the book's balances (``fixed_spread._liquidation_call``);
+        a landed call subtracts its repaid and seized native amounts in the
+        book, and a ``Dec`` is built only for the event's fields.
         """
         if sums is None:
             if self._blocked(owner):
@@ -550,19 +606,20 @@ class _Run:
             if sums is None:
                 return None
         _, bc, d = sums
-        position = self.positions[owner]
+        collateral, debt = self.terms[owner][:2]
         if pair is None:
             pair = self._choose_pair(owner)
-        debt_asset, collateral_asset = pair
+        debt_slot, collateral_slot = pair
         scenario = self.scenario
         params = scenario.params
-        prices = self.price_of
+        prices = self.prices
         one_ls = params.ls.raw + SCALE  # ONE + LS, checked where it is used
-        # each asset's amount * price, and max_repay
-        outstanding = _mul(position.debt.get(debt_asset, ZERO).raw, prices[debt_asset])
-        collateral_value = _mul(
-            position.collateral.get(collateral_asset, ZERO).raw, prices[collateral_asset]
-        )
+        # each asset's amount * price, and max_repay; an immediate second
+        # call may find its pair's balance already cleared
+        debt_native = debt.get(debt_slot, 0)
+        available = collateral.get(collateral_slot, 0)
+        outstanding = _mul(debt_native, prices[debt_slot])
+        collateral_value = _mul(available, prices[collateral_slot])
         repay = _max_repay(d, params.cf.raw)
         for bound in (desired, outstanding, _div(collateral_value, _checked(one_ls))):
             if bound is not None and bound < repay:
@@ -576,13 +633,28 @@ class _Run:
         net = _checked(gross - fees)
         if net <= 0:
             return None
+        assets = self.assets
         outcome = _liquidation_call(
-            position, bc, d, debt_asset, collateral_asset, repay, prices, params
+            owner,
+            bc,
+            d,
+            assets[debt_slot],
+            assets[collateral_slot],
+            debt_native,
+            available,
+            repay,
+            self.price_of,
+            params,
         )
         if isinstance(outcome, LiqlabError):
             return None  # the protocol refuses the call, so it is not sent
-        seized_value, _, position_after = outcome
-        self._set_position(owner, position_after)
+        # a landed call repaid a positive value of a debt the position owes
+        # and seized from collateral worth more than zero: both balances
+        # are in the book
+        seized_value, seized_native, repaid_native = outcome
+        self._take(owner, 1, debt_slot, repaid_native)
+        self._take(owner, 0, collateral_slot, seized_native)
+        self._changed(owner)
         self.liquidated_this_block.add(owner)
         self.events.append(
             LiquidationEvent(
@@ -627,7 +699,9 @@ class _Run:
             if sums is None:
                 continue
             pair = self._choose_pair(owner)
-            plan = _optimal_repays(sums[0], sums[2], params.lt[pair[1]].raw, params)
+            plan = _optimal_repays(
+                sums[0], sums[2], params.lt[self.assets[pair[1]]].raw, params
+            )
             if isinstance(plan, LiqlabError):
                 continue
             repay1, repay2, _ = plan
@@ -690,7 +764,7 @@ class _Run:
             values_now = PositionValues.from_sums(self._sums(owner))
             settlement = finalize(auction, values_now)
             self._set_position(
-                owner, _apply_settlement(self.positions[owner], settlement, values_now)
+                owner, _apply_settlement(self._position(owner), settlement, values_now)
             )
             self.liquidated_this_block.add(owner)
             gross = settlement.winner_profit_usd
@@ -744,7 +818,7 @@ class _Run:
         return EventLog(
             events=tuple(self.events),
             collateral_volume_by_block=self.volume,
-            final_positions=tuple(self.positions[o] for o in self.order),
+            final_positions=tuple(self._position(owner) for owner in self.order),
         )
 
 

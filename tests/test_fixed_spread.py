@@ -435,22 +435,72 @@ def _one_plus_ls_overflows():
     return position, values, LiquidationCall("p", DEB, COL, ULP), oracle, params
 
 
+def _full_repay():
+    """A call repaying all of DEB's outstanding value: one raw unit of DEB
+    at 0.6 is worth round(0.6) = 1 unit, and repaying that 1 unit is
+    round(1/0.6) = 2 units of DEB, one more than is owed."""
+    position = Position(
+        "p",
+        collateral={COL: Dec.from_raw(10)},
+        debt={DEB: Dec.from_raw(1), OTHER: Dec.from_raw(100)},
+    )
+    oracle = OracleSnapshot(prices={COL: Dec(1), DEB: Dec("0.6"), OTHER: Dec(1)})
+    params = RiskParams(lt={COL: Dec("0.4")}, ls=Dec("0.1"), cf=Dec("0.5"))
+    values = position_values(position, oracle, params)
+    return position, values, LiquidationCall("p", DEB, COL, ULP), oracle, params
+
+
+def _all_collateral():
+    """A call seizing all 110 COL: repay 100 at LS 0.1 and price 1."""
+    position = Position(
+        "p", collateral={COL: Dec(110), SLIVER: Dec(1)}, debt={DEB: Dec(300)}
+    )
+    oracle = OracleSnapshot(prices={COL: Dec(1), SLIVER: Dec(1), DEB: Dec(1)})
+    params = RiskParams(
+        lt={COL: Dec("0.4"), SLIVER: Dec("0.4")}, ls=Dec("0.1"), cf=Dec("0.5")
+    )
+    values = position_values(position, oracle, params)
+    return position, values, LiquidationCall("p", DEB, COL, Dec(100)), oracle, params
+
+
+@pytest.mark.parametrize("case, collateral, debt", [
+    # the repaid native amount is capped at the 1 unit owed, so DEB clears
+    (_full_repay(), {COL: Dec.from_raw(9)}, {OTHER: Dec.from_raw(100)}),
+    (_all_collateral(), {SLIVER: Dec(1)}, {DEB: Dec(200)}),
+])
+def test_a_call_that_clears_a_balance_drops_its_entry(case, collateral, debt):
+    position, values, call, oracle, params = case
+    snapshot = Position(position.owner, dict(position.collateral), dict(position.debt))
+    receipt = check_liquidation_call(position, values, call, oracle, params)
+    assert receipt.position_after == Position("p", collateral, debt)
+    assert list(receipt.position_after.collateral) == list(collateral)
+    assert list(receipt.position_after.debt) == list(debt)
+    assert position == snapshot
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(_calls(False), _landing_calls()))
 @example(_one_plus_ls_overflows())
+@example(_full_repay())
+@example(_all_collateral())
 def test_check_equals_its_dec_port(case):
     position, values, call, oracle, params = case
+    snapshot = Position(position.owner, dict(position.collateral), dict(position.debt))
     expected = answer(
         reference_engine.check_liquidation_call, position, values, call, oracle, params
     )
     event(_label(expected))
     assert answer(check_liquidation_call, position, values, call, oracle, params) == expected
+    # the check returns the position after the call; it never changes its input
+    assert position == snapshot
     expected = answer(reference_engine.max_repay, values, params)
     assert answer(max_repay, values, params) == expected
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(_calls(True), _landing_calls()))
+@example(_full_repay())
+@example(_all_collateral())
 def test_execute_equals_its_dec_port(case):
     position, _, call, oracle, params = case
     expected = answer(reference_engine.execute_liquidation_call, position, call, oracle, params)

@@ -37,6 +37,7 @@ from liqlab.errors import InvalidScenarioError, ZeroVolumeError
 from liqlab.sim import cannot_clear_fees
 
 from helpers import TOL9, rel_close
+import reference_engine
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -694,21 +695,28 @@ class TestIncrementalValuation:
     def test_a_two_step_visit_builds_the_values_of_its_plan_once(
         self, monkeypatch, one_per_block
     ):
-        built = []
-        real = PositionValues.__post_init__
-
-        def counting(values):
-            built.append(values)
-            real(values)
-
-        monkeypatch.setattr(PositionValues, "__post_init__", counting)
-        valued = _count_calls(monkeypatch, "sum_side")
-        plans = _count_calls(monkeypatch, "_optimal_repays")
-        checks = _count_calls(monkeypatch, "_liquidation_call")
         scenario = replace(
             load_scenario(str(FIXTURES / "two_step.json")),
             one_liquidation_per_block=one_per_block,
         )
+
+        def counting(cls, name):
+            built = []
+            real = getattr(cls, name)
+
+            def wrapper(self, *args):
+                built.append(args)
+                return real(self, *args)
+
+            monkeypatch.setattr(cls, name, wrapper)
+            return built
+
+        built = counting(PositionValues, "__post_init__")
+        positions = counting(Position, "__post_init__")
+        compiled = counting(liqlab.sim._Run, "_compile")
+        valued = _count_calls(monkeypatch, "sum_side")
+        plans = _count_calls(monkeypatch, "_optimal_repays")
+        checks = _count_calls(monkeypatch, "_liquidation_call")
         log = run_scenario(scenario)
         assert len(log.events) == 2
         # the plan and its first call read the raw sums of one valuation; the
@@ -718,12 +726,26 @@ class TestIncrementalValuation:
         assert [args[:2] for args in plans] == [(c, d)]
         assert [args[1:3] for args in checks[:1]] == [(bc, d)]
         assert len(checks) == 2 and checks[1][2] < d
+        # each call reads the debt and collateral balances from the book:
+        # the loaded ones, then those the first call left (prices are 1)
+        first = log.events[0]
+        assert [args[5:7] for args in checks] == [
+            (d, c), (d - first.repaid_usd.raw, c - first.seized_usd.raw)
+        ]
         # (collateral sides, debt sides) valued: block 0's scan, then, as each
         # landed call drops the cached sums, one re-valuation of both sides
         # by the next read: the immediate second call and block 1's scan, or
         # block 1's scan alone
         assert _sides(valued) == ((2, 2) if one_per_block else (3, 3))
         assert built == []
+        # the position is compiled once, when the run starts; the landed
+        # calls update its book in place, and a Position is built once, for
+        # the final positions of the owner whose balances changed
+        assert compiled == [(scenario.positions[0],)]
+        assert len(positions) == 1
+        assert log.final_positions[0].debt == {
+            Asset("DEB"): Dec(100) - first.repaid_usd - log.events[1].repaid_usd
+        }
 
     def test_settlement_that_leaves_no_collateral_opens_no_auction(self):
         # GEM doubles at block 2, so the auctioned vault is healthy when the
@@ -769,7 +791,10 @@ class TestIncrementalValuation:
         assert starts == []
 
     def test_gas_unprofitable_call_is_never_sent(self, monkeypatch):
-        def refuse(*args):
+        def refuse(
+            owner, bc, d, debt_asset, collateral_asset, debt_native, available, repay,
+            prices, params,
+        ):
             raise AssertionError("an unprofitable call reached the engine")
 
         monkeypatch.setattr(liqlab.sim, "_liquidation_call", refuse)
@@ -984,7 +1009,8 @@ class TestUnprofitableSkip:
         def recording(self):
             volume = real_scan(self)
             skipped = [o for o in self.liquidatable if o not in self.fixed_spread_targets]
-            scans.append((oracles[-1], list(self.positions.values()), skipped))
+            positions_now = [self._position(owner) for owner in self.order]
+            scans.append((oracles[-1], positions_now, skipped))
             return volume
 
         monkeypatch.setattr(liqlab.sim._Run, "_reprice", noting)
@@ -1089,6 +1115,107 @@ def test_recorded_volume_equals_a_fresh_sum_every_block(scenario):
         for position in scenario.positions:
             fresh = fresh + position_values(position, oracle, scenario.params).c
         assert log.collateral_volume_by_block[block] == fresh, block
+
+
+def _assert_engine_equals_reference(scenario):
+    log, expected = run_scenario(scenario), reference_engine.run_reference(scenario)
+    assert log.events == expected.events
+    assert log.collateral_volume_by_block == expected.collateral_volume_by_block
+    assert log.final_positions == expected.final_positions
+    return log
+
+
+def _chosen_pairs(monkeypatch):
+    """Wrap ``_Run._choose_pair`` so each choice is appended to the returned
+    list as its (debt, collateral) symbols."""
+    chosen = []
+    real = liqlab.sim._Run._choose_pair
+
+    def recording(self, owner):
+        pair = real(self, owner)
+        chosen.append(tuple(self.assets[slot].symbol for slot in pair))
+        return pair
+
+    monkeypatch.setattr(liqlab.sim._Run, "_choose_pair", recording)
+    return chosen
+
+
+def _book_doc(positions, prices, **overrides):
+    symbols = sorted({sym for p in positions for side in ("collateral", "debt")
+                      for sym in p.get(side, {})})
+    collateral = {sym for p in positions for sym in p.get("collateral", {})}
+    return {
+        "assets": [{"symbol": sym} for sym in symbols],
+        "params": {"lt": {sym: "0.8" for sym in collateral}, "ls": "0.1", "cf": "0.6"},
+        "positions": positions,
+        "price_path": {"0": prices},
+        "agents": [{"id": "cf", "policy": "up-to-close-factor"}],
+        "blocks": 2,
+        **overrides,
+    }
+
+
+class TestBookBalances:
+    @pytest.mark.parametrize("collateral, debt, kept", [
+        # two assets on each side, as in the paper's multi-asset positions
+        ({"A": "110", "B": "100"}, {"X": "100", "Y": "90"}, (["B"], ["Y"])),
+        # a third, small asset listed first on each side: the survivors keep
+        # the position's order, not the slot order the bystander sets
+        ({"C": "5", "A": "110", "B": "100"}, {"Z": "5", "X": "100", "Y": "90"},
+         (["C", "B"], ["Z", "Y"])),
+    ])
+    def test_a_call_that_zeroes_a_balance_drops_it(self, monkeypatch, collateral, debt, kept):
+        # at price 1 block 0's call repays all 100 of X, the largest debt,
+        # and seizes 100 * 1.1 = all 110 of A, the largest collateral; CF
+        # 0.6 keeps the rest liquidatable, so blocks 1 and 2 act again
+        bystander = {"owner": "bystander", "collateral": {"B": "1"}, "debt": {"Y": "0.1"}}
+        doc = _book_doc(
+            [bystander, {"owner": "subject", "collateral": collateral, "debt": debt}],
+            {sym: "1" for sym in "ABCXYZ" if sym in {**collateral, **debt}},
+        )
+        scenario = load_scenario(doc)
+        chosen = _chosen_pairs(monkeypatch)
+        log = _assert_engine_equals_reference(scenario)
+        first = log.events[0]
+        assert (first.block, first.borrower, first.repaid_usd, first.seized_usd) == (
+            0, "subject", Dec(100), Dec(110)
+        )
+        assert [e.block for e in log.events] == [0, 1, 2]
+        # no later visit chooses a zeroed asset
+        assert chosen == [("X", "A"), ("Y", "B"), ("Y", "B")]
+        untouched, subject = log.final_positions
+        assert untouched is scenario.positions[0]
+        assert [a.symbol for a in subject.collateral] == kept[0]
+        assert [a.symbol for a in subject.debt] == kept[1]
+        # the book itself holds no zero balance, and a side's mask names
+        # exactly the slots it still holds
+        run = liqlab.sim._Run(scenario)
+        run.run()
+        book = run.terms["subject"]
+        for side, symbols in enumerate(kept):
+            assert list(book[side]) == [run.slots[Asset(sym)] for sym in symbols]
+            assert book[side + 2] == sum(1 << slot for slot in book[side])
+
+    def test_equal_rounded_collateral_values_go_to_the_larger_symbol(self, monkeypatch):
+        # 0.5 A at 2.000000000000000001 is worth 1.0000000000000000005
+        # exactly, which rounds half-even to 1, the value of 1 B: the tie
+        # goes to B, listed first and worth less before rounding
+        doc = _book_doc(
+            [{"owner": "tie", "collateral": {"B": "1", "A": "0.5"}, "debt": {"X": "1.8"}}],
+            {"A": "2.000000000000000001", "B": "1", "X": "1"},
+            blocks=0,
+        )
+        doc["params"]["cf"] = "0.5"
+        scenario = load_scenario(doc)
+        chosen = _chosen_pairs(monkeypatch)
+        log = _assert_engine_equals_reference(scenario)
+        assert chosen == [("X", "B")]
+        assert [(e.repaid_usd, e.seized_usd) for e in log.events] == [
+            (Dec("0.9"), Dec("0.99"))
+        ]
+        assert log.final_positions[0].collateral == {
+            Asset("B"): Dec("0.01"), Asset("A"): Dec("0.5")
+        }
 
 
 def test_position_passing_2_255_at_a_later_block_raises_the_kernels_overflow():
