@@ -4,10 +4,11 @@ Output goes to stdout as CSV by default; ``--json`` switches the format and
 ``--out`` redirects to a file. All numbers are serialized as decimal
 strings, and outputs carry no timestamps unless ``--stamp`` is given, so
 identical inputs produce byte-identical outputs. Exit codes: 0 success,
-1 validation error, 2 I/O error (an unreadable file, including JSON that is
-malformed or nested too deeply to decode). Diagnostics go to stderr only; set
-LIQLAB_LOG={error|info|debug} to control verbosity; at debug, ``simulate``
-also logs the wall time of each scenario's load, run and serialize phases.
+1 validation error, 2 I/O error (an unreadable file, including one that is
+not UTF-8 and JSON that is malformed or nested too deeply to decode).
+Diagnostics go to stderr only; set LIQLAB_LOG={error|info|debug} to control
+verbosity; at debug, ``simulate`` also logs the wall time of each
+scenario's load, run and serialize phases.
 """
 
 from __future__ import annotations
@@ -248,11 +249,8 @@ def _cmd_classify_path(args) -> int:
                 continue
             try:
                 prices.append(Dec(text))
-            except ValueError:
-                print(
-                    f"error: {args.input}:{lineno}: not a decimal: {text!r}",
-                    file=sys.stderr,
-                )
+            except (ValueError, OverflowError) as exc:
+                print(f"error: {args.input}:{lineno}: {exc}", file=sys.stderr)
                 return 1
     category = classify_price_path(prices, args.liquidation_price)
     if args.json:
@@ -287,7 +285,7 @@ def _cmd_auction_replay(args) -> int:
         except InvalidScenarioError as exc:
             print(f"error: script[{i}]: {exc.field} {exc.problem}", file=sys.stderr)
             return 1
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             print(f"error: script[{i}]: {exc}", file=sys.stderr)
             return 1
         auction = place_bid(auction, bid)
@@ -416,7 +414,7 @@ def main(argv=None) -> int:
         return int(exit_.code or 0)
     try:
         return args.handler(args)
-    except (json.JSONDecodeError, NestingTooDeepError) as exc:
+    except (json.JSONDecodeError, NestingTooDeepError, UnicodeDecodeError) as exc:
         print(f"error: unreadable input: {exc}", file=sys.stderr)
         return 2
     except LiqlabError as exc:

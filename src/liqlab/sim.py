@@ -43,15 +43,14 @@ Engine rules, in order of application per block:
   that slot's price moves. Each
   position is compiled once, when the run starts, into two ``{slot: raw
   amount}`` balance dicts, in the order of its balances, and a bitmask of
-  the slots each side references. That book is the run's record of the
-  balances: a landed fixed-spread call subtracts the repaid and seized
-  native amounts from its two entries in place, and drops an entry that
-  reaches zero, with its bit, as ``Position`` drops a zero balance. A
-  ``Position`` is built from the book only where one is needed, for an
-  auction settlement and for ``EventLog.final_positions``, and only when a
-  landed call changed the balances since the owner's last ``Position``
-  (the loaded one, a settlement's result, which is compiled again, or the
-  last one built). A re-pricing ORs
+  the slots each side references. That book is the run's only record of
+  the balances, and both ways a balance changes write it in place: a
+  landed fixed-spread call subtracts the repaid and seized native amounts
+  from its two entries, and an auction settlement empties one side and
+  scales the other (``_Run._settle``). Either drops an entry that reaches
+  zero, with its bit, as ``Position`` drops a zero balance. A ``Position``
+  is built from the book only for ``EventLog.final_positions``, and only
+  for an owner whose balances changed. A re-pricing ORs
   the slots whose raw price differs into a moved mask; the scan re-runs the
   valuation kernel (``core.sum_side``) on a side whose mask meets it, then
   clears it. The engine caches each position's raw ``(c, bc, d)``, sums and
@@ -367,11 +366,9 @@ class _Run:
         # the slots whose price moved since the last _scan, one bit per slot
         self.moved = 0
         # owner -> raw balances and slot masks (see _compile), the run's
-        # record of every position
+        # record of every position; landed calls and settlements write it
         self.terms = {p.owner: self._compile(p) for p in scenario.positions}
-        # owner -> its Position while the book still holds exactly that
-        # position: the loaded one, a settlement's result or one built by
-        # _position; a landed call drops it
+        # owner -> its loaded Position until its balances first change
         self.positions = {p.owner: p for p in scenario.positions}
         # owner -> raw (c, bc, d); see _sums
         self.sums = {}
@@ -447,19 +444,18 @@ class _Run:
         ]
 
     def _position(self, owner) -> Position:
-        """The owner's ``Position``: the one held for it, else one built from
-        its raw balances in the book and held until they change."""
+        """The owner's ``Position``: the loaded one while its balances are
+        unchanged, else one built from its raw balances in the book."""
         position = self.positions.get(owner)
         if position is not None:
             return position
         collateral, debt = self.terms[owner][:2]
         assets = self.assets
-        position = self.positions[owner] = Position(
+        return Position(
             owner=owner,
             collateral={assets[slot]: Dec.from_raw(raw) for slot, raw in collateral.items()},
             debt={assets[slot]: Dec.from_raw(raw) for slot, raw in debt.items()},
         )
-        return position
 
     def _take(self, owner, side, slot, amount) -> None:
         """Subtract the raw ``amount`` from the owner's balance at ``slot`` on
@@ -473,6 +469,34 @@ class _Run:
         else:
             del balances[slot]
             book[side + 2] &= ~(1 << slot)
+
+    def _settle(self, owner, settlement, sums) -> None:
+        """Apply a finalized auction to the owner's balances in the book; its
+        raw ``(c, bc, d)`` as of the settlement are ``sums``.
+
+        Tend ending: the whole lot is seized and each debt balance is scaled
+        by ``kept/total``, with ``kept = d - paid`` and ``total = d``. Dent
+        ending: the debt is cleared and each collateral balance is scaled by
+        ``kept = refund`` over ``total = c``. Each scaled amount is
+        ``amount*kept/total`` rounded once, half-even, as ``Dec.mul_div``
+        rounds it; ``kept <= total``, so it is at most ``amount`` and stays
+        in range. A ``kept <= 0`` empties the side, and that also covers a
+        zero ``total``: a tend pays more than zero, and a dent's refund is
+        at most ``c``. The side's balances go through ``_take``, which drops
+        a balance that reaches zero, as ``Position`` drops one.
+        """
+        c, _, d = sums
+        if settlement.ended_in is Phase.TEND:
+            emptied, scaled, kept, total = 0, 1, d - settlement.paid_usd.raw, d
+        else:
+            emptied, scaled, kept, total = 1, 0, settlement.borrower_refund_usd.raw, c
+        book = self.terms[owner]
+        for slot, amount in list(book[emptied].items()):
+            self._take(owner, emptied, slot, amount)
+        for slot, amount in list(book[scaled].items()):
+            left = _round_div(amount * kept, total) if kept > 0 else 0
+            self._take(owner, scaled, slot, amount - left)
+        self._changed(owner)
 
     def _sums(self, owner):
         """The owner's raw ``(c, bc, d)`` at the current block's prices.
@@ -504,11 +528,6 @@ class _Run:
         self.positions.pop(owner, None)
         self.sums.pop(owner, None)
         self.stale = True
-
-    def _set_position(self, owner, position):
-        self.terms[owner] = self._compile(position)
-        self._changed(owner)
-        self.positions[owner] = position
 
     def _scan(self) -> Dec:
         """Note the liquidatable positions that hold collateral, and those of
@@ -761,11 +780,9 @@ class _Run:
             self.changes += 1
             if auction.best_bid is None:
                 continue  # expired worthless; position stays liquidatable
-            values_now = PositionValues.from_sums(self._sums(owner))
-            settlement = finalize(auction, values_now)
-            self._set_position(
-                owner, _apply_settlement(self._position(owner), settlement, values_now)
-            )
+            sums = self._sums(owner)
+            settlement = finalize(auction, PositionValues.from_sums(sums))
+            self._settle(owner, settlement, sums)
             self.liquidated_this_block.add(owner)
             gross = settlement.winner_profit_usd
             fees = self.scenario.gas_fee_usd
@@ -820,33 +837,6 @@ class _Run:
             collateral_volume_by_block=self.volume,
             final_positions=tuple(self._position(owner) for owner in self.order),
         )
-
-
-def _apply_settlement(position: Position, settlement, values_now) -> Position:
-    """Apply an auction settlement to the borrower's balances.
-
-    Tend ending: the whole lot is seized and the debt shrinks by the payment,
-    spread proportionally over the debt assets. Dent ending: the debt is
-    cleared and each collateral balance is scaled down to the refunded
-    fraction of the lot's current value.
-    """
-    if settlement.ended_in is Phase.TEND:
-        remaining = values_now.d - settlement.paid_usd
-        if remaining < ZERO:
-            remaining = ZERO
-        new_debt = {}
-        if values_now.d > ZERO and remaining > ZERO:
-            for asset, amount in position.debt.items():
-                new_debt[asset] = Dec.mul_div(amount, remaining, values_now.d)
-        return Position(owner=position.owner, collateral={}, debt=new_debt)
-
-    new_collateral = {}
-    if values_now.c > ZERO and settlement.borrower_refund_usd > ZERO:
-        for asset, amount in position.collateral.items():
-            new_collateral[asset] = Dec.mul_div(
-                amount, settlement.borrower_refund_usd, values_now.c
-            )
-    return Position(owner=position.owner, collateral=new_collateral, debt={})
 
 
 def run_scenario(scenario: Scenario) -> EventLog:

@@ -370,6 +370,27 @@ class TestAuctionReplayCommand:
         assert rc == 1
         assert capsys.readouterr().err == f"error: script[0]: {message}\n"
 
+    def test_an_oversized_bid_amount_names_its_entry(self, tmp_path, capsys):
+        script = tmp_path / "bids.json"
+        script.write_text(json.dumps([
+            {"time": 1, "bidder": "a", "amount": "40"},
+            {"time": 2, "bidder": "b", "amount": "1" + "0" * 80},
+        ]))
+        rc = main(
+            [
+                "auction-replay",
+                "--c", "110", "--d", "100",
+                "--auction-length", "100",
+                "--bid-duration", "50",
+                "--script", str(script),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: script[1]: fixed-point magnitude exceeds 2**255: "
+            "integer part of 81 digits\n"
+        )
+
 
 class TestClassifyPathCommand:
     def test_fall_rise_fixture(self, capsys):
@@ -416,6 +437,20 @@ class TestClassifyPathCommand:
         rc = main(["classify-path", "--input", str(path), "--liquidation-price", "100"])
         assert rc == 1
         assert ":2:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, problem", [
+        ("1" + "0" * 80, "integer part of 81 digits"),
+        # few enough digits to convert, but past 2**255 once scaled
+        ("6" + "0" * 58, "6" + "0" * 76),
+    ], ids=["too-many-digits", "past-the-bound"])
+    def test_an_oversized_line_names_its_position(self, tmp_path, capsys, line, problem):
+        path = tmp_path / "prices.csv"
+        path.write_text(f"100\n{line}\n")
+        rc = main(["classify-path", "--input", str(path), "--liquidation-price", "100"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:2: fixed-point magnitude exceeds 2**255: {problem}\n"
+        )
 
 
 class TestBadDebtScanCommand:
@@ -500,6 +535,28 @@ def test_deeply_nested_json_is_unreadable_input(tmp_path, capsys, command, text)
     assert main([*command, str(path)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: unreadable input: {path}: JSON nested too deeply to decode\n"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["simulate", "--scenario"],
+        ["sensitivity", "--asset", "ETH", "--scenario"],
+        ["bad-debt-scan", "--fee", "0", "--scenario"],
+        ["auction-replay", "--c", "110", "--d", "100", "--auction-length", "5",
+         "--bid-duration", "3", "--script"],
+        ["classify-path", "--liquidation-price", "100", "--input"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_a_file_that_is_not_utf8_is_unreadable_input(tmp_path, capsys, command):
+    # a UTF-16 byte-order mark: \xff starts no UTF-8 character
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe[\x00]\x00")
+    assert main([*command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unreadable input: 'utf-8' codec can't decode byte 0xff")
     assert "Traceback" not in err
 
 

@@ -596,6 +596,20 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _counting(monkeypatch, cls, name):
+    """Wrap the method ``cls.name`` so each call appends its arguments after
+    ``self`` to the returned list."""
+    calls = []
+    real = getattr(cls, name)
+
+    def wrapper(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(cls, name, wrapper)
+    return calls
+
+
 def _sides(calls) -> tuple:
     """How many recorded ``sum_side`` calls valued a collateral side (they
     pass thresholds) and how many a debt side."""
@@ -700,20 +714,9 @@ class TestIncrementalValuation:
             one_liquidation_per_block=one_per_block,
         )
 
-        def counting(cls, name):
-            built = []
-            real = getattr(cls, name)
-
-            def wrapper(self, *args):
-                built.append(args)
-                return real(self, *args)
-
-            monkeypatch.setattr(cls, name, wrapper)
-            return built
-
-        built = counting(PositionValues, "__post_init__")
-        positions = counting(Position, "__post_init__")
-        compiled = counting(liqlab.sim._Run, "_compile")
+        built = _counting(monkeypatch, PositionValues, "__post_init__")
+        positions = _counting(monkeypatch, Position, "__post_init__")
+        compiled = _counting(monkeypatch, liqlab.sim._Run, "_compile")
         valued = _count_calls(monkeypatch, "sum_side")
         plans = _count_calls(monkeypatch, "_optimal_repays")
         checks = _count_calls(monkeypatch, "_liquidation_call")
@@ -1216,6 +1219,90 @@ class TestBookBalances:
         assert log.final_positions[0].collateral == {
             Asset("B"): Dec("0.01"), Asset("A"): Dec("0.5")
         }
+
+
+def _settlement_doc(collateral, debt, bids, moves):
+    """A vault with two assets on each side, liquidatable at block 0 and
+    auctioned from there, beside a healthy bystander; ``moves`` maps a block
+    to the prices it overrides."""
+    return {
+        "assets": [{"symbol": sym} for sym in "ABXY"],
+        "params": {"lt": {"A": "0.8", "B": "0.7"}, "ls": "0.1", "cf": "0.5"},
+        "positions": [
+            {"owner": "bystander", "collateral": {"A": "10"}, "debt": {"Y": "1"}},
+            {"owner": "vault", "collateral": collateral, "debt": debt},
+        ],
+        "price_path": {"0": {"A": "1", "B": "1", "X": "1", "Y": "1.3"}, **moves},
+        "agents": [{"id": "keeper", "policy": "auction-bidder", "script": [
+            {"time": time, "bidder": bidder, "amount": amount, "borrower": "vault"}
+            for time, bidder, amount in bids
+        ]}],
+        "auction_config": {"auction_length": 6, "bid_duration": 3},
+        "blocks": 6,
+    }
+
+
+_VAULT = ({"A": "60.123456789012345678", "B": "40.3"}, {"X": "70", "Y": "30"})
+
+
+class TestSettlementBook:
+    """An auction settlement writes the engine's book; every case ends at
+    block 4, three blocks after the last bid, and matches the reference
+    engine's ``Dec`` port of the settlement."""
+
+    @pytest.mark.parametrize("collateral, debt, bids, moves, final", [
+        # tend: the lot goes for 70 of the 109.3 debt; each debt balance
+        # keeps 39.3/109.3 of itself, rounded half-even
+        (*_VAULT, [(0, "alice", "40"), (1, "bob", "70")],
+         {"2": {"A": "1.1"}, "3": {"Y": "1.31"}},
+         ({}, {"X": "25.169258920402561757", "Y": "10.786825251601097896"})),
+        # tend paying more than the debt is now worth: the debt is cleared
+        (*_VAULT, [(0, "alice", "40"), (1, "bob", "70")], {"3": {"X": "0.4"}},
+         ({}, {})),
+        # dent: the tab of 109 is met, then bob takes 77.7 of the 100.423...
+        # lot, marked to A's new price; the borrower keeps the refunded
+        # fraction of each collateral balance
+        (*_VAULT, [(0, "alice", "109"), (1, "bob", "77.7")], {"2": {"A": "1.13"}},
+         ({"A": "13.604518466453096026", "B": "9.118938322559249652"}, {})),
+        # dent on a lot that is worth nothing by the settlement: 0.4 A and
+        # 0.3 B at 10**-18 each round to 0, so the refund is 0 and so is the
+        # lot's value, the settlement's total
+        ({"A": "0.4", "B": "0.3"}, {"X": "50", "Y": "30"},
+         [(0, "alice", "89"), (1, "bob", "0.5")],
+         {"2": {"A": "0.000000000000000001", "B": "0.000000000000000001"}},
+         ({}, {})),
+    ], ids=["tend", "tend-past-the-debt", "dent", "dent-worthless-lot"])
+    def test_a_settlement_writes_the_book(
+        self, monkeypatch, collateral, debt, bids, moves, final
+    ):
+        scenario = load_scenario(_settlement_doc(collateral, debt, bids, moves))
+        positions = _counting(monkeypatch, Position, "__post_init__")
+        compiled = _counting(monkeypatch, liqlab.sim._Run, "_compile")
+        settled = []
+        real = liqlab.sim._Run._settle_auctions
+
+        def settling(run, block):
+            before = len(positions)
+            real(run, block)
+            settled.append((block, len(positions) - before))
+
+        monkeypatch.setattr(liqlab.sim._Run, "_settle_auctions", settling)
+        log = run_scenario(scenario)
+        # the settlement builds no Position and compiles nothing: each
+        # position is compiled once, when the run starts, and the vault's
+        # Position is built once, for the final positions
+        assert (4, 0) in settled and all(built == 0 for _, built in settled)
+        assert compiled == [(p,) for p in scenario.positions]
+        assert len(positions) == 1
+        monkeypatch.undo()
+        assert _assert_engine_equals_reference(scenario) == log
+        assert [(e.block, e.borrower, e.mechanism) for e in log.events] == [
+            (4, "vault", Mechanism.AUCTION)
+        ]
+        bystander, vault = log.final_positions
+        assert bystander is scenario.positions[0]
+        assert vault.collateral == {Asset(sym): Dec(v) for sym, v in final[0].items()}
+        assert vault.debt == {Asset(sym): Dec(v) for sym, v in final[1].items()}
 
 
 def test_position_passing_2_255_at_a_later_block_raises_the_kernels_overflow():
