@@ -5,7 +5,8 @@ Output goes to stdout as CSV by default; ``--json`` switches the format and
 strings, and outputs carry no timestamps unless ``--stamp`` is given, so
 identical inputs produce byte-identical outputs. Exit codes: 0 success,
 1 validation error, 2 I/O error (an unreadable file, including one that is
-not UTF-8 and JSON that is malformed or nested too deeply to decode).
+not UTF-8 and JSON that is malformed or nested too deeply to decode; the
+message names the file).
 Diagnostics go to stderr only; set LIQLAB_LOG={error|info|debug} to control
 verbosity; at debug, ``simulate`` also logs the wall time of each
 scenario's load, run and serialize phases.
@@ -243,15 +244,19 @@ def _cmd_bad_debt_scan(args) -> int:
 def _cmd_classify_path(args) -> int:
     prices = []
     with open(args.input, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                prices.append(Dec(text))
-            except (ValueError, OverflowError) as exc:
-                print(f"error: {args.input}:{lineno}: {exc}", file=sys.stderr)
-                return 1
+        try:
+            for lineno, line in enumerate(handle, start=1):
+                text = line.strip()
+                if not text:
+                    continue
+                try:
+                    prices.append(Dec(text))
+                except (ValueError, OverflowError) as exc:
+                    print(f"error: {args.input}:{lineno}: {exc}", file=sys.stderr)
+                    return 1
+        except UnicodeDecodeError as exc:
+            exc.reason += f" in {args.input}"
+            raise
     category = classify_price_path(prices, args.liquidation_price)
     if args.json:
         text = json.dumps({"category": category.value}) + "\n"

@@ -84,7 +84,11 @@ Engine rules, in order of application per block:
   fee) are read once per run.
   The scan builds no ``PositionValues`` and no ``Dec`` per position; only
   an auction's start and its settlement build one, from the cached raw sums.
-* Positions with an open auction are off-limits to fixed-spread agents.
+* Every visit of an agent to a position passes one gate (``_Run._actionable``):
+  no agent acts on a position with an open auction, on one on which a call
+  landed in the block under ``one_liquidation_per_block``, or on one that
+  is healthy or holds no collateral by then. A fixed-spread call runs on the
+  raw ``(c, bc, d)`` that the gate hands its visit.
 * With ``one_liquidation_per_block`` set, at most one liquidation lands per
   position per block, so a two-step agent's second call executes in the
   next block (re-capped, and its asset pair re-chosen, against the
@@ -273,6 +277,21 @@ def validate_scenario(scenario: Scenario) -> None:
     agent_ids = [a.agent_id for a in scenario.agents]
     if len(agent_ids) != len(set(agent_ids)):
         raise InvalidScenarioError("agents", "duplicate agent identifiers")
+    for i, agent in enumerate(scenario.agents):
+        if agent.script and agent.kind is not PolicyKind.AUCTION_BIDDER:
+            raise InvalidScenarioError(
+                f"agents[{i}].script",
+                f"only an auction-bidder agent takes a script, not {agent.kind.value}",
+            )
+        for j, bid in enumerate(agent.script):
+            if bid.time < 0:
+                raise InvalidScenarioError(
+                    f"agents[{i}].script[{j}].time", f"must be >= 0: {bid.time}"
+                )
+            if bid.amount <= ZERO:
+                raise InvalidScenarioError(
+                    f"agents[{i}].script[{j}].amount", f"must be > 0: {bid.amount}"
+                )
 
     referenced = sorted(_referenced_assets(scenario.positions), key=lambda a: a.symbol)
     checked = None
@@ -305,32 +324,23 @@ def _referenced_assets(positions) -> dict:
     return referenced
 
 
-def cannot_clear_fees(
-    d: int, params: RiskParams, gas_fee_usd: Dec, flash_fee_rate: Dec
-) -> bool:
+def cannot_clear_fees(d: int, cf: int, margin: int, gas: int) -> bool:
     """True when no fixed-spread call on a position whose raw debt value is
-    ``d`` can have a net profit above zero, whatever its repay.
+    ``d`` can have a net profit above zero, whatever its repay; ``cf``,
+    ``margin`` and ``gas`` are CF, LS - f and the gas fee times 10**18, all
+    scaled, where ``f`` is the flash-fee rate.
 
     The engine never repays more than ``R = max_repay(values, params)``,
     ``CF*d`` rounded half-even, which is computed here on the raw ``d``. For
-    a repay ``0 < r <= R`` its net profit is ``r*(1+LS) - r - (gas + r*f)``,
-    where ``f`` is the flash-fee rate. Each of the two products is off its
-    exact value by at most half a unit in the 18th digit, so the net is at
-    most ``r*(LS - f) - gas`` plus one unit, and the net is a whole number
-    of units. Hence ``R*(LS - f) < gas`` (compared exactly on scaled
-    integers) means a net of zero or less for every such ``r``, whatever
-    the sign of ``LS - f``. With ``f`` = 0 this is the paper's unprofitable
-    liquidation: the bonus ``R*LS`` does not exceed the fee.
+    a repay ``0 < r <= R`` its net profit is ``r*(1+LS) - r - (gas + r*f)``.
+    Each of the two products is off its exact value by at most half a unit
+    in the 18th digit, so the net is at most ``r*(LS - f) - gas`` plus one
+    unit, and the net is a whole number of units. Hence ``R*(LS - f) < gas``
+    (compared exactly on scaled integers) means a net of zero or less for
+    every such ``r``, whatever the sign of ``LS - f``. With ``f`` = 0 this is
+    the paper's unprofitable liquidation: the bonus ``R*LS`` does not exceed
+    the fee.
     """
-    return _cannot_clear(
-        d, params.cf.raw, params.ls.raw - flash_fee_rate.raw, gas_fee_usd.raw * SCALE
-    )
-
-
-def _cannot_clear(d: int, cf: int, margin: int, gas: int) -> bool:
-    """:func:`cannot_clear_fees` on raw constants that the engine reads once
-    per run: ``cf`` is CF, ``margin`` is LS - f and ``gas`` is the gas fee
-    times 10**18, all scaled."""
     return _max_repay(d, cf) * margin < gas
 
 
@@ -384,17 +394,17 @@ class _Run:
         # the earliest deadline among the open auctions, as of the last block
         # that changed an auction
         self.next_deadline = scenario.blocks + 1
-        # block -> auction bidder's agent_id -> its scripted bids at that block
+        # block -> agent_id -> its scripted bids at that block; only an
+        # auction bidder has a script (validate_scenario)
         self.scripted = {}
         for agent in scenario.agents:
-            if agent.kind is PolicyKind.AUCTION_BIDDER:
-                for bid in agent.script:
-                    bucket = self.scripted.setdefault(bid.time, {})
-                    bucket.setdefault(agent.agent_id, []).append(bid)
+            for bid in agent.script:
+                bucket = self.scripted.setdefault(bid.time, {})
+                bucket.setdefault(agent.agent_id, []).append(bid)
         self.events = []
         self.volume = {}
         self.open_auctions = {}
-        self.pending_second = {}  # (agent_id, owner) -> planned second repay
+        self.pending_second = {}  # agent_id -> {owner: planned second repay}
         self.liquidated_this_block = set()
 
     # -- helpers -------------------------------------------------------------
@@ -517,9 +527,15 @@ class _Run:
             sums = self.sums[owner] = c, bc, sum_side(book[5], self.fractions)[0]
         return sums
 
-    def _liquidatable_sums(self, owner) -> Optional[tuple]:
-        """The owner's raw ``(c, bc, d)`` while it is liquidatable and holds
-        collateral, else None."""
+    def _actionable(self, owner) -> Optional[tuple]:
+        """The owner's raw ``(c, bc, d)`` when an agent may act on it now,
+        else None: when an auction is open on it, when a call landed on it in
+        this block under ``one_liquidation_per_block``, or when it is healthy
+        or holds no collateral. Each visit asks once and passes the sums on."""
+        if owner in self.open_auctions or (
+            self.scenario.one_liquidation_per_block and owner in self.liquidated_this_block
+        ):
+            return None
         sums = c, bc, d = self._sums(owner)
         return sums if c and bc < d else None
 
@@ -564,7 +580,7 @@ class _Run:
             total += c
             if c and bc < d:
                 self.liquidatable.append(owner)
-                if not _cannot_clear(d, cf, margin, gas):
+                if not cannot_clear_fees(d, cf, margin, gas):
                     self.fixed_spread_targets.append(owner)
         self.stale = False
         # every c is >= 0, so checking the total alone catches any overflow
@@ -598,19 +614,17 @@ class _Run:
         collateral, debt = self.terms[owner][:2]
         return best(debt), best(collateral)
 
-    def _liquidate(self, block, agent_id, owner, desired=None, pair=None, sums=None):
-        """One fixed-spread call on ``owner``; the pair of slots used if an
-        event landed.
+    def _liquidate(self, block, agent_id, owner, sums, desired=None, pair=None) -> bool:
+        """One fixed-spread call on ``owner``; whether it landed.
 
-        Nothing happens to a blocked or healthy position. The repay is
-        ``desired`` (raw) capped at the close factor (the cap itself when
-        ``desired`` is None), at the outstanding value of the debt asset and
-        at what the collateral asset can pay at ``1 + LS``. ``pair`` defaults
-        to ``_choose_pair``. The call is sent only when its net profit, which
-        depends on the repay amount alone, is strictly positive. A caller
-        that has just checked ``_blocked`` and read the owner's
-        ``_liquidatable_sums`` passes them as ``sums``, and neither is done
-        again.
+        ``sums`` are the owner's raw ``(c, bc, d)`` as ``_actionable`` gave
+        them to the caller, which has already decided that an agent may act
+        on the owner. The repay is ``desired`` (raw) capped at the close
+        factor (the cap itself when ``desired`` is None), at the outstanding
+        value of the debt asset and at what the collateral asset can pay at
+        ``1 + LS``. ``pair`` defaults to ``_choose_pair``. The call is sent
+        only when its net profit, which depends on the repay amount alone, is
+        strictly positive.
 
         Every amount is a raw value, rounded and checked as the ``Dec``
         expression in the comments is, and the protocol's rules run on the
@@ -618,12 +632,6 @@ class _Run:
         a landed call subtracts its repaid and seized native amounts in the
         book, and a ``Dec`` is built only for the event's fields.
         """
-        if sums is None:
-            if self._blocked(owner):
-                return None
-            sums = self._liquidatable_sums(owner)
-            if sums is None:
-                return None
         _, bc, d = sums
         collateral, debt = self.terms[owner][:2]
         if pair is None:
@@ -644,14 +652,14 @@ class _Run:
             if bound is not None and bound < repay:
                 repay = bound
         if repay <= 0:
-            return None
+            return False
         # the receipt's own expression for the liquidator's profit,
         # repay * (ONE + LS) - repay, then fees = gas + repay * flash fee rate
         gross = _checked(_mul(repay, _checked(one_ls)) - repay)
         fees = _checked(scenario.gas_fee_usd.raw + _mul(repay, scenario.flash_fee_rate.raw))
         net = _checked(gross - fees)
         if net <= 0:
-            return None
+            return False
         assets = self.assets
         outcome = _liquidation_call(
             owner,
@@ -666,7 +674,7 @@ class _Run:
             params,
         )
         if isinstance(outcome, LiqlabError):
-            return None  # the protocol refuses the call, so it is not sent
+            return False  # the protocol refuses the call, so it is not sent
         # a landed call repaid a positive value of a debt the position owes
         # and seized from collateral worth more than zero: both balances
         # are in the book
@@ -688,33 +696,26 @@ class _Run:
                 net_profit_usd=Dec.from_raw(net),
             )
         )
-        return pair
-
-    def _blocked(self, owner):
-        if owner in self.open_auctions:
-            return True
-        return (
-            self.scenario.one_liquidation_per_block
-            and owner in self.liquidated_this_block
-        )
+        return True
 
     # -- policies ------------------------------------------------------------
 
     def _act_close_factor(self, agent, block):
         for owner in self.fixed_spread_targets:
-            self._liquidate(block, agent.agent_id, owner)
+            sums = self._actionable(owner)
+            if sums is not None:
+                self._liquidate(block, agent.agent_id, owner, sums)
 
     def _act_two_step(self, agent, block):
         params = self.scenario.params
         # pending second calls scheduled by this agent in an earlier block
-        for key in [k for k in self.pending_second if k[0] == agent.agent_id]:
-            planned = self.pending_second.pop(key)
-            self._liquidate(block, agent.agent_id, key[1], planned)
+        for owner, planned in self.pending_second.pop(agent.agent_id, {}).items():
+            sums = self._actionable(owner)
+            if sums is not None:
+                self._liquidate(block, agent.agent_id, owner, sums, planned)
         # new two-step plans, on the cached raw sums
         for owner in self.fixed_spread_targets:
-            if self._blocked(owner):
-                continue
-            sums = self._liquidatable_sums(owner)
+            sums = self._actionable(owner)
             if sums is None:
                 continue
             pair = self._choose_pair(owner)
@@ -724,18 +725,19 @@ class _Run:
             if isinstance(plan, LiqlabError):
                 continue
             repay1, repay2, _ = plan
-            if not self._liquidate(block, agent.agent_id, owner, repay1, pair, sums):
+            if not self._liquidate(block, agent.agent_id, owner, sums, repay1, pair):
                 continue
             if self.scenario.one_liquidation_per_block:
-                self.pending_second[(agent.agent_id, owner)] = repay2
+                self.pending_second.setdefault(agent.agent_id, {})[owner] = repay2
             else:
-                self._liquidate(block, agent.agent_id, owner, repay2, pair)
+                # the landed call dropped the sums; re-value before the second
+                sums = self._actionable(owner)
+                if sums is not None:
+                    self._liquidate(block, agent.agent_id, owner, sums, repay2, pair)
 
     def _act_auction_bidder(self, agent, block):
         for owner in self.liquidatable:
-            if self._blocked(owner):
-                continue
-            sums = self._liquidatable_sums(owner)
+            sums = self._actionable(owner)
             if sums is None:
                 continue
             self.open_auctions[owner] = start_auction(
@@ -783,7 +785,6 @@ class _Run:
             sums = self._sums(owner)
             settlement = finalize(auction, PositionValues.from_sums(sums))
             self._settle(owner, settlement, sums)
-            self.liquidated_this_block.add(owner)
             gross = settlement.winner_profit_usd
             fees = self.scenario.gas_fee_usd
             self.events.append(
@@ -970,18 +971,23 @@ def _read_json(path):
     """The JSON document in the UTF-8 file at ``path`` (``str`` or
     ``os.PathLike``).
 
-    Malformed JSON raises the decoder's ``json.JSONDecodeError``. A document
-    nested deeper than the decoder can follow raises NestingTooDeepError in
-    place of the decoder's ``RecursionError``.
+    Malformed JSON raises the decoder's ``json.JSONDecodeError``, a file
+    that is not UTF-8 a ``UnicodeDecodeError``, and a document nested deeper
+    than the decoder can follow NestingTooDeepError in place of the
+    decoder's ``RecursionError``; each message names the path.
     """
     # fspath: an int would otherwise open that file descriptor
-    with open(os.fspath(path), "r", encoding="utf-8") as handle:
+    path = os.fspath(path)
+    with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
+        except UnicodeDecodeError as exc:
+            exc.reason += f" in {path}"
+            raise
         except RecursionError:
-            raise NestingTooDeepError(
-                f"{os.fspath(path)}: JSON nested too deeply to decode"
-            ) from None
+            raise NestingTooDeepError(f"{path}: JSON nested too deeply to decode") from None
 
 
 def load_scenario(source) -> Scenario:
@@ -1004,11 +1010,11 @@ def load_scenario(source) -> Scenario:
     A file of malformed JSON raises ``json.JSONDecodeError``, and one nested
     deeper than the JSON decoder can follow a NestingTooDeepError.
 
-    Only an ``auction-bidder`` agent may carry a non-empty ``script``, and a
-    scripted bid's ``time`` must be >= 0; either mistake is an
-    InvalidScenarioError naming the agent's script or the bid's time. A bid
-    timed past ``blocks`` is allowed and ignored, as a ``price_path`` key
-    past ``blocks`` is.
+    The ``Scenario`` refuses, once the whole document is parsed, a
+    ``script`` on an agent that is not an ``auction-bidder``, a bid timed
+    before block 0 and a bid amount of 0 or less (``validate_scenario``). A
+    bid timed past ``blocks`` is allowed and ignored, as a ``price_path``
+    key past ``blocks`` is.
     """
     doc = source if isinstance(source, dict) else _read_json(source)
     if not isinstance(doc, dict):
@@ -1083,20 +1089,12 @@ def load_scenario(source) -> Scenario:
             ) from None
         script = []
         raw_script = _shaped(entry.get("script", []), list, ("agents", i, "script"))
-        if raw_script and kind is not PolicyKind.AUCTION_BIDDER:
-            raise InvalidScenarioError(
-                f"agents[{i}].script", f"only an auction-bidder agent takes a script, not {kind.value}"
-            )
         for j, raw_bid in enumerate(raw_script):
             where = ("agents", i, "script", j)
             raw_bid = _shaped(raw_bid, dict, where)
             time = _integer(raw_bid.get("time"), (*where, "time"))
-            if time < 0:
-                raise InvalidScenarioError(f"{_name(where)}.time", f"must be >= 0: {time}")
             bidder = _identifier(raw_bid, "bidder", where)
             amount = _dec_field(raw_bid.get("amount"), (*where, "amount"))
-            if amount <= ZERO:
-                raise InvalidScenarioError(f"{_name(where)}.amount", f"must be > 0: {amount}")
             borrower = raw_bid.get("borrower")
             if borrower is not None:
                 borrower = _identifier(raw_bid, "borrower", where)

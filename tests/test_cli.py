@@ -1,8 +1,10 @@
+import argparse
 import concurrent.futures
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import liqlab.cli
 import liqlab.sim
@@ -538,16 +540,19 @@ def test_deeply_nested_json_is_unreadable_input(tmp_path, capsys, command, text)
     assert "Traceback" not in err
 
 
+# every command that reads a JSON file, with that file's flag last
+JSON_COMMANDS = [
+    ["simulate", "--scenario"],
+    ["sensitivity", "--asset", "ETH", "--scenario"],
+    ["bad-debt-scan", "--fee", "0", "--scenario"],
+    ["auction-replay", "--c", "110", "--d", "100", "--auction-length", "5",
+     "--bid-duration", "3", "--script"],
+]
+
+
 @pytest.mark.parametrize(
     "command",
-    [
-        ["simulate", "--scenario"],
-        ["sensitivity", "--asset", "ETH", "--scenario"],
-        ["bad-debt-scan", "--fee", "0", "--scenario"],
-        ["auction-replay", "--c", "110", "--d", "100", "--auction-length", "5",
-         "--bid-duration", "3", "--script"],
-        ["classify-path", "--liquidation-price", "100", "--input"],
-    ],
+    [*JSON_COMMANDS, ["classify-path", "--liquidation-price", "100", "--input"]],
     ids=lambda command: command[0],
 )
 def test_a_file_that_is_not_utf8_is_unreadable_input(tmp_path, capsys, command):
@@ -556,8 +561,21 @@ def test_a_file_that_is_not_utf8_is_unreadable_input(tmp_path, capsys, command):
     path.write_bytes(b"\xff\xfe[\x00]\x00")
     assert main([*command, str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: unreadable input: 'utf-8' codec can't decode byte 0xff")
-    assert "Traceback" not in err
+    assert err == (
+        "error: unreadable input: 'utf-8' codec can't decode byte 0xff in position 0: "
+        f"invalid start byte in {path}\n"
+    )
+
+
+@pytest.mark.parametrize("command", JSON_COMMANDS, ids=lambda command: command[0])
+def test_malformed_json_names_its_file(tmp_path, capsys, command):
+    path = tmp_path / "truncated.json"
+    path.write_text('{"a": ')
+    assert main([*command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: unreadable input: {path}: Expecting value: line 1 column 7 (char 6)\n"
+    )
 
 
 def test_deeply_nested_scenario_file_raises_a_named_error(tmp_path):
@@ -666,3 +684,89 @@ class TestRepeatedMainCalls:
         assert "fixed-spread,4200,4620" in capsys.readouterr().out
         assert main(["--help"]) == 0
         assert capsys.readouterr().out == first
+
+
+# -- argv fuzz -------------------------------------------------------------------
+
+# every input a command can read: the fixtures, a directory and a missing file
+_INPUTS = [*map(str, sorted(FIXTURES.iterdir())), str(FIXTURES), "/nonexistent.json"]
+
+
+def _mostly(valid, invalid):
+    """A value of ``valid`` nine times in ten, else one of ``invalid``."""
+    return st.integers(0, 9).flatmap(lambda k: st.sampled_from(invalid if k == 0 else valid))
+
+
+_DECIMALS = _mostly(
+    ["0", "1", "0.5", "0.08", "0.75", "100", "125", "-1"], ["1e3", "x", "5" + "0" * 80]
+)
+# small on purpose: sensitivity builds steps + 1 points
+_INTS = _mostly([str(k) for k in range(-3, 31)], ["x", "1.5"])
+# the value drawn for each flag; a flag of the parser with no entry here fails
+# the test, so a new flag is fuzzed from the start
+_FLAG_VALUES = {
+    **dict.fromkeys(["--scenario", "--script", "--input"], st.sampled_from(_INPUTS)),
+    **dict.fromkeys(
+        ["--c", "--d", "--lt", "--ls", "--cf", "--fee", "--min-increment", "--final-c",
+         "--liquidation-price"],
+        _DECIMALS,
+    ),
+    **dict.fromkeys(
+        ["--steps", "--block", "--start", "--auction-length", "--bid-duration",
+         "--finalize-time", "--jobs"],
+        _INTS,
+    ),
+    "--asset": st.sampled_from(["ETH", "GEM", "COL", "BTC"]),
+    # written only under the test's directory: a missing subdirectory is an
+    # I/O error
+    "--out": st.sampled_from(["out.txt", "missing/out.txt"]),
+    "--out-dir": st.sampled_from(["logs", "out.txt"]),
+}
+_NO_VALUE = {"-h", "--help", "--json", "--stamp"}
+
+
+def _subcommands():
+    """Each subcommand of the real parser, with its option strings."""
+    (commands,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return {
+        name: sorted(flag for action in sub._actions for flag in action.option_strings)
+        for name, sub in commands.choices.items()
+    }
+
+
+@st.composite
+def _argv(draw, out_dir):
+    commands = _subcommands()
+    command = draw(st.sampled_from([*sorted(commands), "bogus"]))
+    # most of the command's own flags, so that most calls reach the command,
+    # and now and then one of any command's, help included
+    own = [flag for flag in commands.get(command, ()) if flag not in ("-h", "--help")]
+    flags = [flag for flag in draw(st.permutations(own)) if draw(st.integers(0, 19))]
+    every = sorted(set().union(*commands.values()))
+    if not draw(st.integers(0, 4)):
+        flags.append(draw(st.sampled_from(every)))
+    argv = [command]
+    for flag in flags:
+        argv.append(flag)
+        if flag not in _NO_VALUE:
+            value = draw(_FLAG_VALUES[flag])
+            argv.append(str(out_dir / value) if flag in ("--out", "--out-dir") else value)
+    # a stray token never starts with "-", so it cannot abbreviate --out
+    if not draw(st.integers(0, 9)):
+        argv.append(draw(st.text(max_size=6).filter(lambda token: not token.startswith("-"))))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("argv")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_any_argv_exits_0_1_or_2(argv_dir, data):
+    argv = data.draw(_argv(argv_dir))
+    assert main(argv) in (0, 1, 2)

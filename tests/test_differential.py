@@ -221,8 +221,9 @@ def test_scan_screens_positions_by_cannot_clear_fees(doc):
     run._scan()
     screened = [
         owner for owner in run.liquidatable
-        if cannot_clear_fees(run.sums[owner][2], scenario.params, scenario.gas_fee_usd,
-                             scenario.flash_fee_rate)
+        if cannot_clear_fees(run.sums[owner][2], scenario.params.cf.raw,
+                             scenario.params.ls.raw - scenario.flash_fee_rate.raw,
+                             scenario.gas_fee_usd.raw * 10**18)
     ]
     event(f"screened out: {min(len(screened), 2)}")
     assert run.fixed_spread_targets == [o for o in run.liquidatable if o not in screened]

@@ -7,7 +7,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, note, settings, strategies as st
+from hypothesis import assume, example, given, note, settings, strategies as st
 
 import liqlab.sim
 from liqlab import (
@@ -485,6 +485,42 @@ class TestScenarioLoader:
         assert scenario.params.cf_per_debt_asset is False
 
 
+class TestScenarioScripts:
+    """``Scenario`` itself refuses the scripts the loader refuses."""
+
+    @staticmethod
+    def _with_bid(bid):
+        scenario = load_scenario(str(FIXTURES / "auction.json"))
+        (keeper,) = scenario.agents
+        return scenario, (replace(keeper, script=keeper.script + (bid,)),)
+
+    def test_a_script_on_an_agent_that_does_not_bid_is_refused(self):
+        scenario = load_scenario(str(FIXTURES / "auction.json"))
+        (keeper,) = scenario.agents
+        two_step = replace(keeper, kind=PolicyKind.OPTIMAL_TWO_STEP)
+        with pytest.raises(InvalidScenarioError) as info:
+            replace(scenario, agents=(two_step,))
+        assert info.value.field == "agents[0].script"
+        assert info.value.problem == (
+            "only an auction-bidder agent takes a script, not optimal-two-step"
+        )
+
+    def test_a_bid_before_block_zero_is_refused(self):
+        scenario, agents = self._with_bid(ScriptedBid(time=-3, bidder="x", amount=Dec(5)))
+        with pytest.raises(InvalidScenarioError) as info:
+            replace(scenario, agents=agents)
+        assert info.value.field == "agents[0].script[5].time"
+        assert info.value.problem == "must be >= 0: -3"
+
+    @pytest.mark.parametrize("time", [4, 10**6], ids=["in-horizon", "past-horizon"])
+    def test_a_bid_amount_of_zero_is_refused(self, time):
+        scenario, agents = self._with_bid(ScriptedBid(time=time, bidder="x", amount=Dec(0)))
+        with pytest.raises(InvalidScenarioError) as info:
+            replace(scenario, agents=agents)
+        assert info.value.field == "agents[0].script[5].amount"
+        assert info.value.problem == "must be > 0: 0"
+
+
 def test_scripted_bid_against_missing_auction_is_a_scenario_error():
     scenario = load_scenario(str(FIXTURES / "auction.json"))
     bad_script = (ScriptedBid(time=0, bidder="x", amount=Dec(1), borrower="ghost"),)
@@ -504,27 +540,24 @@ def test_scripted_bid_that_does_not_fit_its_auction_names_the_script():
     )
 
 
-def _decimal_leaves(node, path=()):
-    """Paths to every decimal string in a scenario document."""
+def _sites(node, path=()):
+    """Every place a fuzzer can change in a scenario document: each value,
+    leaf or container, as ``(path, False)``, and each object key as
+    ``(path, True)``."""
     items = node.items() if isinstance(node, dict) else enumerate(node)
     for key, value in items:
+        yield path + (key,), False
+        if isinstance(node, dict):
+            yield path + (key,), True
         if isinstance(value, (dict, list)):
-            yield from _decimal_leaves(value, path + (key,))
-        elif isinstance(value, str):
-            try:
-                Dec(value)
-            except ValueError:
-                continue
-            yield path + (key,)
+            yield from _sites(value, path + (key,))
 
 
 FIXTURE_DOCS = {
     name: json.loads((FIXTURES / f"{name}.json").read_text())
     for name in ("eth_price_drop", "two_step", "auction")
 }
-DECIMAL_LEAVES = [
-    (name, path) for name, doc in FIXTURE_DOCS.items() for path in _decimal_leaves(doc)
-]
+SITES = [(name, *site) for name, doc in FIXTURE_DOCS.items() for site in _sites(doc)]
 # integers up to 80 digits reach past the 2**255 fixed-point magnitude
 big_integers = st.integers(min_value=-(10**80), max_value=10**80)
 json_values = st.recursive(
@@ -540,12 +573,33 @@ json_values = st.recursive(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(leaf=st.sampled_from(DECIMAL_LEAVES), value=json_values)
-def test_any_json_value_in_a_decimal_field_loads_or_names_the_problem(leaf, value):
-    name, path = leaf
+# the keys of the fixtures, so that a renamed key can take another's name
+_fixture_keys = sorted({path[-1] for _, path, is_key in SITES if is_key})
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    site=st.sampled_from(SITES),
+    value=json_values,
+    key=st.text(max_size=8) | st.sampled_from(_fixture_keys),
+)
+def test_any_json_value_or_key_anywhere_loads_or_names_the_problem(site, value, key):
+    # a value in place of any leaf or container, or a new name for any key
+    name, path, is_key = site
     doc = json.loads(json.dumps(FIXTURE_DOCS[name]))
-    _set_leaf(doc, path, value)
+    if is_key:
+        *outer, old = path
+        parent = doc
+        for part in outer:
+            parent = parent[part]
+        renamed = {(key if k == old else k): v for k, v in parent.items()}
+        parent.clear()
+        parent.update(renamed)
+    else:
+        _set_leaf(doc, path, value)
+    # the loader builds one entry per block: a huge horizon is slow, not malformed
+    blocks = doc.get("blocks")
+    assume(not isinstance(blocks, int) or blocks <= 1000)
     try:
         assert isinstance(load_scenario(doc), Scenario)
     except InvalidScenarioError:
@@ -890,7 +944,7 @@ def test_skipped_positions_have_no_profitable_repay(inputs, rng):
     params = RiskParams(lt={}, ls=ls, cf=cf)
     values = PositionValues(c=d, d=d, bc=Dec(0))
     cap = max_repay(values, params)
-    skip = cannot_clear_fees(values.d.raw, params, gas, flash)
+    skip = cannot_clear_fees(values.d.raw, cf.raw, ls.raw - flash.raw, gas.raw * SCALE)
     note(f"cap={cap} skip={skip}")
     # the integer screen is the test on the Dec cap that the engine repays up to
     assert skip == (cap.raw * (ls.raw - flash.raw) < gas.raw * SCALE)
@@ -907,7 +961,7 @@ def test_bound_does_not_skip_a_rounding_gain():
     values = PositionValues(c=Dec(1), d=Dec.from_raw(1), bc=Dec(0))
     params = RiskParams(lt={}, ls=ls, cf=Dec(1))
     assert _engine_net(max_repay(values, params), ls, Dec(0), flash) == Dec.from_raw(1)
-    assert not cannot_clear_fees(values.d.raw, params, Dec(0), flash)
+    assert not cannot_clear_fees(values.d.raw, params.cf.raw, ls.raw - flash.raw, 0)
 
 
 def _whale_doc(gas):
