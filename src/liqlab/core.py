@@ -268,25 +268,16 @@ def sum_side(terms, prices, thresholds=None) -> tuple:
     return total, weighted
 
 
-class _RawLookup:
-    """``lookup(key).raw`` behind ``[key]``, so a scaled-int loop reads an
-    oracle's prices or a parameter set's thresholds, and their missing-entry
-    errors, in its own order."""
+class _FractionLookup:
+    """``(lookup(key).raw, 10**18)`` behind ``[key]``: the kernel's
+    fraction of a value read once, left unreduced. The kernel reads an
+    oracle's prices or a parameter set's thresholds through it, so their
+    missing-entry errors are raised in the kernel's order."""
 
     __slots__ = ("_lookup",)
 
     def __init__(self, lookup):
         self._lookup = lookup
-
-    def __getitem__(self, key) -> int:
-        return self._lookup(key).raw
-
-
-class _FractionLookup(_RawLookup):
-    """``(lookup(key).raw, 10**18)`` behind ``[key]``: the kernel's
-    fraction of a value read once, left unreduced."""
-
-    __slots__ = ()
 
     def __getitem__(self, key) -> tuple:
         return self._lookup(key).raw, SCALE

@@ -19,9 +19,11 @@ the roundings of the ``Dec`` expressions it stands for (``fixedpoint._mul``
 and ``_div``: half-even at the 18th digit) and checks every intermediate
 against 2**255 where, and in the order in which, those expressions check
 it, so its results, its refusals and their messages, and its
-``OverflowError`` messages are the ``Dec`` form's. It builds a ``Dec`` only
-for a refusal's message. The scenario engine calls it on its raw book,
-cached raw sums and raw prices, and writes the two new balances into the
+``OverflowError`` messages are the ``Dec`` form's. It reads the two prices
+from the ``OracleSnapshot`` where the ``Dec`` form reads them, so a missing
+price is raised in that form's order too. It builds a ``Dec`` only for a
+refusal's message. The scenario engine calls it on its raw book, cached raw
+sums and the block's snapshot, and writes the two new balances into the
 book itself.
 
 :func:`check_liquidation_call` is its ``Dec`` face: given the position's
@@ -42,7 +44,6 @@ from .core import (
     Position,
     PositionValues,
     RiskParams,
-    _RawLookup,
     position_values,
 )
 from .errors import (
@@ -98,7 +99,7 @@ def _liquidation_call(
     debt_native: int,
     available: int,
     repay: int,
-    prices,
+    oracle: OracleSnapshot,
     params: RiskParams,
 ):
     """The protocol's rules on scaled integers: ``(seized_value,
@@ -110,10 +111,12 @@ def _liquidation_call(
     value; ``debt_native`` and ``available`` are its raw native balances of
     the debt asset and the collateral asset (0 for an asset it does not
     owe or hold). The call leaves ``debt_native - repaid_native`` and
-    ``available - seized_native``, both non-negative. ``prices[asset]`` is
-    an asset's raw price, read only when the ``Dec`` form read it. See the
-    module docstring for the roundings and checks. A refusal's message is
-    built only when it is returned.
+    ``available - seized_native``, both non-negative. Each asset's price is
+    read from ``oracle`` only when the ``Dec`` form read it: the debt
+    asset's once the position is liquidatable, the collateral asset's once
+    the repay passes the cap and shortfall checks. See the module docstring
+    for the roundings and checks. A refusal's message is built only when it
+    is returned.
     """
     if not (d > 0 and bc < d):  # is_liquidatable, on the raws
         return NotLiquidatableError(
@@ -121,7 +124,7 @@ def _liquidation_call(
             f"(bc={Dec.from_raw(bc)}, d={Dec.from_raw(d)})"
         )
 
-    debt_price = prices[debt_asset]
+    debt_price = oracle.price(debt_asset).raw
     outstanding = _mul(debt_native, debt_price)
 
     cap = _max_repay(outstanding if params.cf_per_debt_asset else d, params.cf.raw)
@@ -135,7 +138,7 @@ def _liquidation_call(
             f"{debt_asset.symbol} debt value {Dec.from_raw(outstanding)}"
         )
 
-    collateral_price = prices[collateral_asset]
+    collateral_price = oracle.price(collateral_asset).raw
     seized_value = _mul(repay, _checked(SCALE + params.ls.raw))
     seized_native = _div(seized_value, collateral_price)
     if seized_native > available:
@@ -182,7 +185,7 @@ def check_liquidation_call(
         debt_native,
         available,
         repay.raw,
-        _RawLookup(oracle.price),
+        oracle,
         params,
     )
     if isinstance(outcome, LiqlabError):

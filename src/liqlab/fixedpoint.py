@@ -11,9 +11,10 @@ exceeding it raises ``OverflowError`` instead of wrapping.
 Floats are rejected everywhere: they are not exact and would silently
 poison downstream results. Construct from ``int``, ``str``, or ``Dec``.
 
-Hot paths that work on the scaled integers themselves multiply and divide
-them with ``_mul`` and ``_div``, which round and check exactly as the
-``Dec`` operators do, so their results equal the ``Dec`` expressions' raws.
+Multiplication and division are ``_mul`` and ``_div`` on the scaled
+integers; the ``Dec`` operators only convert types around them, so hot
+paths that work on the scaled integers call them and get the ``Dec``
+expressions' raws.
 """
 
 from __future__ import annotations
@@ -49,15 +50,15 @@ def _checked(raw: int) -> int:
 
 
 def _mul(a: int, b: int) -> int:
-    """The raw of ``Dec.from_raw(a) * Dec.from_raw(b)``: rounded half-even
-    and checked as that product is."""
+    """The raw of ``Dec.from_raw(a) * Dec.from_raw(b)``: the product rounded
+    half-even back to scale and checked."""
     raw = _round_div(a * b, SCALE)
     return raw if -_BOUND < raw < _BOUND else _checked(raw)
 
 
 def _div(a: int, b: int) -> int:
-    """The raw of ``Dec.from_raw(a) / Dec.from_raw(b)``: rounded half-even,
-    checked, and raising on a zero divisor as that quotient does."""
+    """The raw of ``Dec.from_raw(a) / Dec.from_raw(b)``: the quotient
+    rounded half-even to scale and checked; a zero divisor raises."""
     if b == 0:
         raise ZeroDivisionError("division by zero")
     n = a * SCALE
@@ -177,7 +178,7 @@ class Dec:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Dec.from_raw(_round_div(self._raw * other._raw, SCALE))
+        return Dec.from_raw(_mul(self._raw, other._raw))
 
     __rmul__ = __mul__
 
@@ -185,12 +186,7 @@ class Dec:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if other._raw == 0:
-            raise ZeroDivisionError("division by zero")
-        n, d = self._raw * SCALE, other._raw
-        if d < 0:
-            n, d = -n, -d
-        return Dec.from_raw(_round_div(n, d))
+        return Dec.from_raw(_div(self._raw, other._raw))
 
     def __rtruediv__(self, other):
         other = self._coerce(other)

@@ -26,6 +26,7 @@ from .core import (
     value_sums,
 )
 from .errors import EmptyPathError, PathLengthMismatchError, ZeroDebtError
+from .fixed_spread import max_repay
 from .fixedpoint import SCALE, Dec, ZERO, _round_div
 
 
@@ -217,7 +218,7 @@ def scan_unprofitable(
         values = position_values(position, oracle, params)
         if not is_liquidatable(values):
             continue
-        bonus = params.cf * values.d * params.ls
+        bonus = max_repay(values, params) * params.ls
         if bonus <= fee_usd:
             out.append((position, bonus))
     return out

@@ -37,10 +37,11 @@ Engine rules, in order of application per block:
 * Valuation runs on a slot-indexed raw book. The assets the positions
   reference are numbered once (slots); a run holds one list of raw prices
   per re-pricing, indexed by slot, for the price comparison and the
-  fixed-spread step. The kernel reads each price and threshold as a
-  fraction in lowest terms (``core._fraction``): a run reduces its
-  thresholds once and keeps one fraction per slot, reduced again only when
-  that slot's price moves. Each
+  fixed-spread step's repay bounds; the protocol's check reads its two
+  prices from the block's snapshot. The kernel reads each price and
+  threshold as a fraction in lowest terms (``core._fraction``): a run
+  reduces its thresholds once and keeps one fraction per slot, reduced
+  again only when that slot's price moves. Each
   position is compiled once, when the run starts, into two ``{slot: raw
   amount}`` balance dicts, in the order of its balances, and a bitmask of
   the slots each side references. That book is the run's only record of
@@ -371,8 +372,6 @@ class _Run:
             params.ls.raw - scenario.flash_fee_rate.raw,
             scenario.gas_fee_usd.raw * SCALE,
         )
-        # the same raw prices by asset, for the fixed-spread step
-        self.price_of = {}
         # the slots whose price moved since the last _scan, one bit per slot
         self.moved = 0
         # owner -> raw balances and slot masks (see _compile), the run's
@@ -432,7 +431,6 @@ class _Run:
                     fractions[slot] = _fraction(price)
             self.moved = moved
             self.prices = prices
-            self.price_of = dict(zip(self.assets, prices))
             self.stale = True
 
     def _compile(self, position: Position) -> list:
@@ -670,7 +668,7 @@ class _Run:
             debt_native,
             available,
             repay,
-            self.price_of,
+            self.oracle,
             params,
         )
         if isinstance(outcome, LiqlabError):

@@ -118,7 +118,7 @@ def _optimal_repays(c: int, d: int, lt: int, params: RiskParams):
     cap = _max_repay(d, params.cf.raw)
     clamped = r_star > cap
     repay1 = cap if clamped else _checked(_checked(r_star) - 1)
-    repay2 = _mul(params.cf.raw, _checked(d - repay1))
+    repay2 = _max_repay(_checked(d - repay1), params.cf.raw)
     return repay1, repay2, clamped
 
 

@@ -80,6 +80,19 @@ def raw_magnitudes(low: int = 0):
     )
 
 
+def assert_fixed_spread_arithmetic(ev, scenario) -> None:
+    """A fixed-spread event carries its own arithmetic, recomputed in
+    ``Dec`` from its repay: seized = repaid*(1+LS), gross = seized - repaid,
+    fees = gas + repaid*(flash fee rate), and net = gross - fees > 0."""
+    repaid = ev.repaid_usd
+    one_ls = Dec(1) + scenario.params.ls
+    assert ev.seized_usd == repaid * one_ls
+    assert ev.gross_profit_usd == repaid * one_ls - repaid
+    assert ev.fees_usd == scenario.gas_fee_usd + repaid * scenario.flash_fee_rate
+    assert ev.net_profit_usd == ev.gross_profit_usd - ev.fees_usd
+    assert ev.net_profit_usd > Dec(0)
+
+
 def answer(fn, *args):
     """What ``fn(*args)`` returns, a refusal it returns unraised, or the
     error it raises, in a form that compares across implementations."""

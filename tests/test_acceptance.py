@@ -299,9 +299,13 @@ def test_criterion_08_health_improvement_property():
             after = health_factor(position_values(receipt.position_after, FLAT_ORACLE, params))
             assert after is None or after > before, (c, d, lt, scalar_params, repay)
 
-        # with LT*(1+LS) >= 1 a liquidation pushes the health factor down;
-        # the engine's validity gate exists precisely to exclude these
-        # parameters, so the counterexample is shown on the raw formula
+        # a call raises the health factor only when HF > LT*(1+LS), which
+        # for one collateral asset is CR > 1+LS: random_valid_instance draws
+        # CR inside (1+LS, 1/LT), and below 1+LS a permitted call lowers HF
+        # (tests/test_fixed_spread.py). With LT*(1+LS) >= 1 that band is
+        # empty, so every liquidation pushes HF down; the engine's validity
+        # gate excludes these parameters, so the counterexample is shown on
+        # the raw formula
         lt, ls = Dec("0.95"), Dec("0.10")
         assert lt * (ONE + ls) >= ONE
         c, d, repay = Dec(103), Dec(100), Dec(10)

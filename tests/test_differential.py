@@ -10,7 +10,7 @@ are fitted to the auctions a script-less run opens. Both engines must give
 the same event log, volume series and final positions, or the same error.
 Magnitudes stay far below the ``Dec`` range, where both engines agree on
 overflow handling. On the same scenarios every fixed-spread event must carry
-its own arithmetic, recomputed here in ``Dec``.
+its own arithmetic, recomputed in ``Dec``.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from liqlab.errors import LiqlabError
 from liqlab.sim import _Run, cannot_clear_fees
 
 import reference_engine
+from helpers import assert_fixed_spread_arithmetic
 
 SYMBOLS = ("A", "B", "C", "D")
 POLICIES = ("up-to-close-factor", "optimal-two-step", "auction-bidder")
@@ -198,16 +199,10 @@ def test_fixed_spread_events_carry_their_arithmetic(scenario):
         log = run_scenario(scenario)
     except LiqlabError:
         return
-    one_ls = Dec(1) + scenario.params.ls
     fixed_spread = [e for e in log.events if e.mechanism is Mechanism.FIXED_SPREAD]
     event(f"fixed-spread events: {min(len(fixed_spread), 3)}")
     for ev in fixed_spread:
-        repaid = ev.repaid_usd
-        assert ev.seized_usd == repaid * one_ls
-        assert ev.gross_profit_usd == repaid * one_ls - repaid
-        assert ev.fees_usd == scenario.gas_fee_usd + repaid * scenario.flash_fee_rate
-        assert ev.net_profit_usd == ev.gross_profit_usd - ev.fees_usd
-        assert ev.net_profit_usd > Dec(0)
+        assert_fixed_spread_arithmetic(ev, scenario)
 
 
 @settings(max_examples=100, deadline=None)

@@ -26,7 +26,7 @@ from liqlab.errors import (
     LiqlabError,
     NotLiquidatableError,
 )
-from liqlab.fixedpoint import ULP
+from liqlab.fixedpoint import ONE, ULP
 
 import reference_engine
 from helpers import RAW_BOUND, answer, random_valid_instance, raw_magnitudes
@@ -208,6 +208,56 @@ def test_health_strictly_improves_on_random_valid_instances():
         before = health_factor(values)
         after = health_factor(position_values(receipt.position_after, oracle, params))
         assert after is None or after > before
+
+
+def test_health_rises_exactly_when_cr_exceeds_one_plus_ls():
+    # valid parameters (LT*(1+LS) < 1) do not make every call raise health:
+    # with one collateral asset, (c - r*(1+LS))/(d - r) > c/d exactly when
+    # CR = c/d > 1+LS, i.e. HF > LT*(1+LS). Below that band the call lowers
+    # HF, as on c 100 / d 95 (CR 1.053) with the cap's repay:
+    position, oracle, params = flat_units("100", "95", "0.8", "0.1", "0.5")
+    values = position_values(position, oracle, params)
+    receipt = execute_liquidation_call(
+        position, LiquidationCall("p", DEB, COL, Dec("47.5")), oracle, params
+    )
+    assert health_factor(values) == Dec("0.842105263157894737")
+    after = health_factor(position_values(receipt.position_after, oracle, params))
+    assert after == Dec("0.804210526315789474")
+
+    # random instances at least 1% of 1+LS away from it on either side, from
+    # CR 0.5 up to liquidatable's 1/LT; repays up to the cap and to all the
+    # collateral
+    rng = random.Random(1105)
+    sides = {True: 0, False: 0}
+    below_one = 0
+    for _ in range(2000):
+        while True:
+            lt = Dec(rng.randint(50, 90)) / Dec(100)
+            ls = Dec(rng.randint(2, 15)) / Dec(100)
+            if lt * (ONE + ls) * Dec("1.01") < ONE:
+                break
+        params = RiskParams(lt={COL: lt}, ls=ls, cf=Dec(rng.choice(["0.5", "1"])))
+        d = Dec(rng.randint(100, 1_000_000))
+        above = rng.random() < 0.5
+        if above:
+            lo, hi = (ONE + ls) * d * Dec("1.01"), d / lt
+        else:
+            lo, hi = d / Dec(2), (ONE + ls) * d * Dec("0.99")
+        c = Dec.from_raw(rng.randrange(lo.raw, hi.raw))
+        position = Position("p", collateral={COL: c}, debt={DEB: d})
+        values = position_values(position, oracle, params)
+        seizable = Dec.from_raw(c.raw * 10**18 // (10**18 + ls.raw))
+        top = min(max_repay(values, params), seizable)
+        repay = Dec.from_raw(rng.randrange(max(1, top.raw // 100), top.raw + 1))
+        receipt = execute_liquidation_call(
+            position, LiquidationCall("p", DEB, COL, repay), oracle, params
+        )
+        before = health_factor(values)
+        after = health_factor(position_values(receipt.position_after, oracle, params))
+        assert (after is None or after > before) == above, (c, d, lt, ls, repay)
+        sides[above] += 1
+        below_one += c < d
+    assert min(sides.values()) > 800 and below_one > 200
 
 
 @given(
@@ -463,6 +513,28 @@ def _all_collateral():
     return position, values, LiquidationCall("p", DEB, COL, Dec(100)), oracle, params
 
 
+def _unpriced_pair(lt: str, debt_asset, collateral_asset, repay: str):
+    """A call on 400 COL against 300 DEB at price 1, LS 0.1 and CF 0.5 (cap
+    150) whose pair names OTHER or SLIVER, which the position neither owes
+    nor holds and the oracle does not price. LT 0.8 leaves the position
+    healthy, LT 0.4 liquidatable; the core reads that asset's price only
+    once the refusals before its read have passed."""
+    position = Position("p", collateral={COL: Dec(400)}, debt={DEB: Dec(300)})
+    oracle = OracleSnapshot(prices={COL: Dec(1), DEB: Dec(1)})
+    params = RiskParams(lt={COL: Dec(lt)}, ls=Dec("0.1"), cf=Dec("0.5"))
+    values = position_values(position, oracle, params)
+    call = LiquidationCall("p", debt_asset, collateral_asset, Dec(repay))
+    return position, values, call, oracle, params
+
+
+# NotLiquidatableError: the debt asset's price is read after the health check
+HEALTHY_UNPRICED_DEBT = _unpriced_pair("0.8", OTHER, COL, "10")
+# CloseFactorExceededError: the collateral asset's price is read after the cap
+OVER_CAP_UNPRICED_COLLATERAL = _unpriced_pair("0.4", DEB, SLIVER, "151")
+# MissingPriceError naming SLIVER: the call passes every check before the read
+LANDING_UNPRICED_COLLATERAL = _unpriced_pair("0.4", DEB, SLIVER, "100")
+
+
 @pytest.mark.parametrize("case, collateral, debt", [
     # the repaid native amount is capped at the 1 unit owed, so DEB clears
     (_full_repay(), {COL: Dec.from_raw(9)}, {OTHER: Dec.from_raw(100)}),
@@ -483,6 +555,9 @@ def test_a_call_that_clears_a_balance_drops_its_entry(case, collateral, debt):
 @example(_one_plus_ls_overflows())
 @example(_full_repay())
 @example(_all_collateral())
+@example(HEALTHY_UNPRICED_DEBT)
+@example(OVER_CAP_UNPRICED_COLLATERAL)
+@example(LANDING_UNPRICED_COLLATERAL)
 def test_check_equals_its_dec_port(case):
     position, values, call, oracle, params = case
     snapshot = Position(position.owner, dict(position.collateral), dict(position.debt))
@@ -501,6 +576,9 @@ def test_check_equals_its_dec_port(case):
 @given(st.one_of(_calls(True), _landing_calls()))
 @example(_full_repay())
 @example(_all_collateral())
+@example(HEALTHY_UNPRICED_DEBT)
+@example(OVER_CAP_UNPRICED_COLLATERAL)
+@example(LANDING_UNPRICED_COLLATERAL)
 def test_execute_equals_its_dec_port(case):
     position, _, call, oracle, params = case
     expected = answer(reference_engine.execute_liquidation_call, position, call, oracle, params)
