@@ -9,8 +9,11 @@ run does not validate again.
 
 Engine rules, in order of application per block:
 
-* Blocks 0..``blocks`` inclusive are processed in order. Auction clocks tick
-  in block units (one block = one time unit).
+* Blocks 0..``blocks`` inclusive are processed in order, and a run visits
+  only the wake-up blocks (see the last rule), jumping over the rest, so
+  its cost follows the price changes and the agents' actions, not
+  ``blocks``. Auction clocks tick in block units (one block = one time
+  unit).
 * The block's oracle snapshot is applied, then the total collateral value is
   recorded (pre-action), then agents act in list order. Each agent visits,
   in scenario order, only the positions that were liquidatable and held
@@ -26,14 +29,20 @@ Engine rules, in order of application per block:
   settlement) is re-valued on both sides. A block that moves no such price
   and follows no balance change records the previous block's volume and
   keeps its list of liquidatable positions.
-* Re-pricing goes by snapshot identity first. ``load_scenario`` builds one
+* The price path and the volume series are step functions
+  (``StepSeries``): each stores only the blocks at which its value
+  changes and still answers every block. ``load_scenario`` builds one
   ``OracleSnapshot`` per price change (block 0 and each block that
-  overrides a price) and gives every other block the previous block's
-  object, so ``validate_scenario`` checks a shared snapshot once and a
-  block whose snapshot is the one priced last costs the engine nothing.
-  A distinct snapshot, as in a programmatic ``Scenario`` or after an
-  override that repeats a price, is compared by its raw prices, so equal
-  prices still move nothing.
+  overrides a price), which holds until the next one, so
+  ``validate_scenario`` checks each snapshot once and the run re-prices
+  only where the snapshot changes; a run records the volume only where it
+  changes. A ``Scenario`` given any other mapping converts it to a
+  ``StepSeries`` once, reading it block by block, with a change at each
+  block whose snapshot is not the block before's object.
+* Re-pricing goes by snapshot identity first: a block whose snapshot is the
+  one priced last costs nothing. A distinct snapshot, as in a programmatic
+  ``Scenario`` or after an override that repeats a price, is compared by
+  its raw prices, so equal prices still move nothing.
 * Valuation runs on a slot-indexed raw book. The assets the positions
   reference are numbered once (slots); a run holds one list of raw prices
   per re-pricing, indexed by slot, for the price comparison and the
@@ -101,7 +110,7 @@ Engine rules, in order of application per block:
   scaled down to the refund fraction) and are logged as auction events.
   An auction ends at its ``auction.deadline``: the auction length after its
   start or the bid duration after its last bid, whichever comes first.
-* A block in which nothing can change is idle: it records the previous
+* A block in which nothing can change is idle: it keeps the previous
   block's volume and runs no agent and no settlement. A block is idle when
   it does not re-price, the block before it changed nothing (no position
   change, auction start, accepted bid or termination), no scripted bid is
@@ -109,7 +118,11 @@ Engine rules, in order of application per block:
   retry the same calls on unchanged state meet the same refusals, so
   skipping them changes nothing. A pending second call needs no condition
   of its own: it is due in the block right after its first call landed,
-  and that block follows a position change.
+  and that block follows a position change. Every block that is not idle
+  is therefore a wake-up block: a change of snapshot, the block after any
+  change, a scripted bid's time or ``next_deadline``, the earliest
+  deadline of the open auctions. From a block it finds idle the run jumps
+  straight to the next wake-up block.
 
 Liquidator proceeds are marked to the oracle instantly; gas is a flat USD
 fee per transaction and interest never accrues.
@@ -121,8 +134,10 @@ import dataclasses
 import enum
 import json
 import os
+from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .auction import (
     AuctionConfig,
@@ -194,9 +209,92 @@ class LiquidationEvent:
 EVENT_FIELDS = tuple(f.name for f in dataclasses.fields(LiquidationEvent))
 
 
+class StepSeries(Mapping):
+    """A read-only ``{block: value}`` mapping over blocks ``0..last`` that
+    stores only the blocks at which the value changes.
+
+    ``starts`` ascends strictly from 0 to at most ``last``, and ``values[i]``
+    holds from block ``starts[i]`` up to the next start; only
+    ``load_scenario``, ``StepSeries.of`` and a run build one, and each builds
+    it so. The mapping reads as the plain dict of every block ``0..last``:
+    ``len`` is ``last + 1``, keys iterate in block order, and it equals a
+    mapping with the same items in either order of ``==``. A key that is
+    not a block in ``0..last`` is a ``KeyError``, so ``get`` returns None
+    for a negative block or one past ``last``. A lookup bisects the starts,
+    so memory and building cost follow the number of changes, not
+    ``last``; like ``range``, ``len`` raises OverflowError past
+    ``sys.maxsize``.
+    """
+
+    __slots__ = ("_starts", "_values", "_last")
+
+    def __init__(self, starts: list, values: list, last: int):
+        self._starts = starts
+        self._values = values
+        self._last = last
+
+    @classmethod
+    def of(cls, mapping, last: int) -> "StepSeries":
+        """``mapping`` over the blocks from 0 up to ``last`` or to the block
+        before the first one it lacks (a missing key or a None value),
+        whichever comes first, with a change at each block whose value is
+        not the block before's object. A ``StepSeries`` that already ends
+        there is returned as it is."""
+        if isinstance(mapping, StepSeries):
+            if mapping._last <= last:
+                return mapping
+            cut = bisect_right(mapping._starts, last)
+            return cls(mapping._starts[:cut], mapping._values[:cut], last)
+        starts, values = [], []
+        for block in range(last + 1):
+            value = mapping.get(block)
+            if value is None:
+                return cls(starts, values, block - 1)
+            if not values or value is not values[-1]:
+                starts.append(block)
+                values.append(value)
+        return cls(starts, values, last)
+
+    def __getitem__(self, block):
+        if not isinstance(block, int) or not 0 <= block <= self._last:
+            raise KeyError(block)
+        return self._values[bisect_right(self._starts, block) - 1]
+
+    def __len__(self) -> int:
+        return self._last + 1
+
+    def __iter__(self):
+        return iter(range(self._last + 1))
+
+    def __eq__(self, other):
+        if isinstance(other, StepSeries):
+            return self._last == other._last and self._runs() == other._runs()
+        return super().__eq__(other)
+
+    def __repr__(self) -> str:
+        return f"StepSeries({self._starts!r}, {self._values!r}, last={self._last})"
+
+    def _runs(self) -> list:
+        """``(first block, value)`` of each run of equal values: two series
+        over the same blocks are equal iff these are."""
+        runs = []
+        for start, value in zip(self._starts, self._values):
+            if not runs or runs[-1][1] != value:
+                runs.append((start, value))
+        return runs
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """A validated scenario: construction raises InvalidScenarioError."""
+    """A validated scenario: construction raises InvalidScenarioError.
+
+    ``price_path`` maps every block ``0..blocks`` to its ``OracleSnapshot``.
+    Construction converts it with ``StepSeries.of(price_path, blocks)``: a
+    plain dict is read once, so changing it later changes nothing, and its
+    keys past ``blocks`` are dropped, as are a ``StepSeries``' blocks past
+    ``blocks`` (``dataclasses.replace`` with a smaller ``blocks`` cuts the
+    path).
+    """
 
     assets: tuple
     params: RiskParams
@@ -214,14 +312,18 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "assets", tuple(self.assets))
         object.__setattr__(self, "positions", tuple(self.positions))
-        object.__setattr__(self, "price_path", dict(self.price_path))
+        object.__setattr__(self, "price_path", StepSeries.of(self.price_path, self.blocks))
         object.__setattr__(self, "agents", tuple(self.agents))
         validate_scenario(self)
 
 
 @dataclass(frozen=True)
 class EventLog:
-    """Everything a scenario run produces, with deterministic serializations."""
+    """Everything a scenario run produces, with deterministic serializations.
+
+    A run's ``collateral_volume_by_block`` is a ``StepSeries`` over blocks
+    ``0..blocks``; any mapping is accepted and kept as given.
+    """
 
     events: tuple
     collateral_volume_by_block: Mapping[int, Dec]
@@ -229,9 +331,6 @@ class EventLog:
 
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
-        object.__setattr__(
-            self, "collateral_volume_by_block", dict(self.collateral_volume_by_block)
-        )
         object.__setattr__(self, "final_positions", tuple(self.final_positions))
 
     def _rows(self):
@@ -295,19 +394,16 @@ def validate_scenario(scenario: Scenario) -> None:
                 )
 
     referenced = sorted(_referenced_assets(scenario.positions), key=lambda a: a.symbol)
-    checked = None
-    for block in range(scenario.blocks + 1):
-        snapshot = scenario.price_path.get(block)
-        if snapshot is None:
-            raise InvalidScenarioError("price_path", f"missing snapshot for block {block}")
-        if snapshot is checked:
-            continue  # shared with the block before, which passed
-        checked = snapshot
+    # a block that shares the snapshot of the change before it passed with it
+    path = scenario.price_path
+    for block, snapshot in zip(path._starts, path._values):
         for asset in referenced:
             if asset not in snapshot.prices:
                 raise InvalidScenarioError(
                     "price_path", f"block {block} misses price for {asset.symbol}"
                 )
+    if path._last < scenario.blocks:
+        raise InvalidScenarioError("price_path", f"missing snapshot for block {path._last + 1}")
     for position in scenario.positions:
         for asset in position.collateral:
             if asset not in scenario.params.lt:
@@ -401,7 +497,6 @@ class _Run:
                 bucket = self.scripted.setdefault(bid.time, {})
                 bucket.setdefault(agent.agent_id, []).append(bid)
         self.events = []
-        self.volume = {}
         self.open_auctions = {}
         self.pending_second = {}  # agent_id -> {owner: planned second repay}
         self.liquidated_this_block = set()
@@ -543,10 +638,10 @@ class _Run:
         self.sums.pop(owner, None)
         self.stale = True
 
-    def _scan(self) -> Dec:
+    def _scan(self) -> int:
         """Note the liquidatable positions that hold collateral, and those of
-        them a fixed-spread call can profit from; return the total collateral
-        value.
+        them a fixed-spread call can profit from; return the raw total
+        collateral value.
 
         Each cached valuation is first brought up to the current prices: a
         side is re-valued only when it references a slot whose price moved,
@@ -581,8 +676,7 @@ class _Run:
                 if not cannot_clear_fees(d, cf, margin, gas):
                     self.fixed_spread_targets.append(owner)
         self.stale = False
-        # every c is >= 0, so checking the total alone catches any overflow
-        return Dec.from_raw(total)
+        return total
 
     def _choose_pair(self, owner):
         """The slots of the largest-value debt and collateral assets, ties
@@ -803,20 +897,44 @@ class _Run:
 
     def run(self) -> EventLog:
         scenario = self.scenario
+        end = scenario.blocks + 1
+        path = scenario.price_path
+        moves = zip(path._starts, path._values)
+        next_move, snapshot = next(moves)  # block 0
+        no_move = end, None
+        # the scripted bid times, and ``end`` so that one always follows a block
+        bid_times = sorted({*self.scripted, end})
+        # the volume as a step function: the blocks at which it changes, and
+        # the raw volume last recorded
+        starts, volumes = [], []
+        total = None
         changes = None  # self.changes at the start of the last block run
-        for block in range(scenario.blocks + 1):
-            self._reprice(scenario.price_path[block])
+        block = 0
+        while block < end:
+            if block == next_move:
+                self._reprice(snapshot)
+                next_move, snapshot = next(moves, no_move)
+            # a block that does not scan keeps the volume last recorded: Dec
+            # addition is exact, so it equals a re-summed one
             if self.stale:
-                self.volume[block] = self._scan()
-            else:
-                # Dec addition is exact, so a carried volume equals a re-summed one
-                self.volume[block] = self.volume[block - 1]
-                if (
-                    changes == self.changes
-                    and block < self.next_deadline
-                    and block not in self.scripted
-                ):
-                    continue  # an idle block
+                scanned = self._scan()
+                if scanned != total:
+                    total = scanned
+                    starts.append(block)
+                    # every c is >= 0, so checking the total alone catches
+                    # any overflow
+                    volumes.append(Dec.from_raw(total))
+            elif (
+                changes == self.changes
+                and block < self.next_deadline
+                and block not in self.scripted
+            ):
+                # an idle block, and so is every block before the next one
+                # that re-prices, has a scripted bid or is a deadline
+                block = min(
+                    next_move, self.next_deadline, bid_times[bisect_right(bid_times, block)]
+                )
+                continue
             changes = self.changes
             self.liquidated_this_block = set()
             for agent in scenario.agents:
@@ -829,11 +947,12 @@ class _Run:
             self._settle_auctions(block)
             if changes != self.changes:
                 self.next_deadline = min(
-                    map(deadline, self.open_auctions.values()), default=scenario.blocks + 1
+                    map(deadline, self.open_auctions.values()), default=end
                 )
+            block += 1
         return EventLog(
             events=tuple(self.events),
-            collateral_volume_by_block=self.volume,
+            collateral_volume_by_block=StepSeries(starts, volumes, scenario.blocks),
             final_positions=tuple(self._position(owner) for owner in self.order),
         )
 
@@ -920,17 +1039,6 @@ def _boolean(raw, where) -> bool:
     return raw
 
 
-def _is_block_key(key) -> bool:
-    """True for a block number as ``str(block)`` writes it: ASCII digits,
-    no sign and no leading zero."""
-    return (
-        isinstance(key, str)
-        and key.isascii()
-        and key.isdigit()
-        and (key == "0" or key[0] != "0")
-    )
-
-
 def _identifier(entry: dict, key: str, where=()) -> str:
     """``entry[key]`` when it is a non-empty string; ``where`` names
     ``entry``, if it has a name."""
@@ -997,13 +1105,15 @@ def load_scenario(source) -> Scenario:
     the positions reference). Its keys are block numbers in plain decimal,
     as ``str(block)`` writes them; any other key (``"1.0"``, ``"01"``, ``"-1"``,
     ``"x"``) is an InvalidScenarioError, since no block could read it. A key
-    past ``blocks`` is allowed and ignored, and so is its content. A new
-    ``OracleSnapshot`` is built only at block 0 and at each block whose
-    override object is non-empty; every other block shares the previous
-    block's snapshot object. Only a block's overrides are checked to be
-    positive, since every price it inherits was checked where it was set; a
-    bad one is reported as ``OracleSnapshot`` reports it, naming the first
-    bad price in the order of the block's merged prices.
+    past ``blocks`` is allowed and ignored, and so is its content. The
+    loader walks the document's keys in block order, not every block, and
+    builds a new ``OracleSnapshot`` only at block 0 and at each block whose
+    override object is non-empty. The path is a ``StepSeries`` over blocks
+    0..``blocks`` that stores only those snapshots: every other block reads
+    the snapshot of the change before it. Only a block's overrides are
+    checked to be positive, since every price it inherits was checked where
+    it was set; a bad one is reported as ``OracleSnapshot`` reports it,
+    naming the first bad price in the order of the block's merged prices.
 
     A file of malformed JSON raises ``json.JSONDecodeError``, and one nested
     deeper than the JSON decoder can follow a NestingTooDeepError.
@@ -1054,25 +1164,38 @@ def load_scenario(source) -> Scenario:
     path_doc = doc.get("price_path")
     if not isinstance(path_doc, dict) or "0" not in path_doc:
         raise InvalidScenarioError("price_path", "must be an object with a block-0 entry")
+    # the keys in the horizon, by block. A key is a block number as
+    # str(block) writes it: ASCII digits, no sign and no leading zero. One
+    # longer than ``blocks`` is past the horizon, so int() never converts
+    # more digits than ``blocks`` has.
+    width = len(str(blocks))
+    moves = {}
     for key in path_doc:
-        if not _is_block_key(key):
+        if not (
+            isinstance(key, str)
+            and key.isascii()
+            and key.isdigit()
+            and (key == "0" or key[0] != "0")
+        ):
             raise InvalidScenarioError("price_path", f"key {key!r} is not a block number")
-    price_path = {}
+        if len(key) <= width:
+            block = int(key)
+            if block <= blocks:
+                moves[block] = key
+    starts, snapshots = [], []
     current = {}
-    snapshot = None
-    for block in range(blocks + 1):
-        key = str(block)
-        if key in path_doc:  # a present null is parsed, and is not an object
-            overrides = _amounts(path_doc[key], assets, ("price_path", key))
-            if overrides or snapshot is None:  # block 0 is always present
-                current.update(overrides)
-                # the snapshot copies current; the inherited prices passed
-                # at an earlier block, so only the overrides need a check
-                if all(price.raw > 0 for price in overrides.values()):
-                    snapshot = OracleSnapshot._of_checked(current)
-                else:  # raises, naming the first bad price in current's order
-                    _built(("price_path", key), OracleSnapshot, current)
-        price_path[block] = snapshot
+    for block in sorted(moves):
+        key = moves[block]  # a present null is parsed, and is not an object
+        overrides = _amounts(path_doc[key], assets, ("price_path", key))
+        if overrides or not starts:  # block 0 comes first
+            current.update(overrides)
+            # the snapshot copies current; the inherited prices passed at an
+            # earlier block, so only the overrides need a check
+            if all(price.raw > 0 for price in overrides.values()):
+                snapshots.append(OracleSnapshot._of_checked(current))
+            else:  # raises, naming the first bad price in current's order
+                _built(("price_path", key), OracleSnapshot, current)
+            starts.append(block)
 
     agents = []
     for i, entry in enumerate(_shaped(doc.get("agents", []), list, "agents")):
@@ -1120,7 +1243,7 @@ def load_scenario(source) -> Scenario:
         assets=tuple(assets.values()),
         params=params,
         positions=tuple(positions),
-        price_path=price_path,
+        price_path=StepSeries(starts, snapshots, blocks),
         agents=tuple(agents),
         blocks=blocks,
         auction_config=auction_config,

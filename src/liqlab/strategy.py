@@ -16,7 +16,8 @@ liquidatable), clamped to CF*D when the closed form exceeds the cap. The
 second repay is CF*(D - repay1).
 
 Profits: profit_optimal = LS*(repay1 + repay2) versus the single-call
-profit_close_factor = LS*CF*D. For the unclamped case the relative gain has
+profit_close_factor = LS*(CF*D), the cap rounded before the spread is
+applied, as the engine rounds it. For the unclamped case the relative gain has
 the closed form ((1-CF)/CF) * (1-LT*CR) / (1-LT*(1+LS)) with CR = C/D, which
 is zero when CF = 1 and grows as CR falls toward 1.
 
@@ -142,7 +143,9 @@ def strategy_profits(c: Dec, d: Dec, lt: Dec, params: RiskParams) -> StrategyPro
     """Profit of the two-step plan versus the single up-to-close-factor call."""
     plan = optimal_repays(c, d, lt, params)
     profit_optimal = params.ls * (plan.repay1 + plan.repay2)
-    profit_close_factor = params.ls * params.cf * d
+    # the close-factor call's gross profit, as the engine rounds it: LS times
+    # the cap CF*d
+    profit_close_factor = params.ls * Dec.from_raw(_max_repay(d.raw, params.cf.raw))
     if profit_close_factor == ZERO:
         delta_r = ZERO
     else:

@@ -485,6 +485,12 @@ class TestBadDebtScanCommand:
         assert lines[3] == "p3,not-bad,0"
         assert len(lines) == 4  # the debt-free p4 is not classified
 
+    @pytest.mark.parametrize("block", ["1", "-1"])
+    def test_a_block_outside_the_horizon_is_an_error(self, scenario, capsys, block):
+        rc = main(["bad-debt-scan", "--scenario", scenario, "--fee", "100", "--block", block])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: scenario has no block {block}\n"
+
     def test_json_output(self, scenario, capsys):
         rc = main(["bad-debt-scan", "--scenario", scenario, "--fee", "100", "--json"])
         assert rc == 0

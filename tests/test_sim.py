@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given, note, settings, strategies as st
+from hypothesis import example, given, note, settings, strategies as st
 
 import liqlab.sim
 from liqlab import (
@@ -34,7 +35,7 @@ from liqlab import (
 )
 from liqlab.core import value_sums
 from liqlab.errors import InvalidScenarioError, ZeroVolumeError
-from liqlab.sim import cannot_clear_fees
+from liqlab.sim import StepSeries, cannot_clear_fees
 
 from helpers import TOL9, rel_close
 import reference_engine
@@ -597,9 +598,6 @@ def test_any_json_value_or_key_anywhere_loads_or_names_the_problem(site, value, 
         parent.update(renamed)
     else:
         _set_leaf(doc, path, value)
-    # the loader builds one entry per block: a huge horizon is slow, not malformed
-    blocks = doc.get("blocks")
-    assume(not isinstance(blocks, int) or blocks <= 1000)
     try:
         assert isinstance(load_scenario(doc), Scenario)
     except InvalidScenarioError:
@@ -1545,7 +1543,20 @@ class TestPricePathKeys:
         doc = sparse_wbtc_doc(blocks=6)
         expected = load_scenario(doc)
         doc["price_path"].update({"7": {"ETH": "0"}, "1000": {"GEM": 1.5}, "9" * 50: []})
+        # more digits than int() converts by default
+        doc["price_path"]["9" * 5000] = {"ETH": "0"}
         assert load_scenario(doc) == expected
+
+    def test_keys_are_read_in_block_order_whatever_their_order(self):
+        doc = sparse_wbtc_doc(blocks=6)
+        doc["price_path"].update({"5": {"ETH": "2000"}, "2": {"ETH": "2500"}})
+        expected = load_scenario(doc)
+        doc["price_path"] = dict(reversed(doc["price_path"].items()))
+        scenario = load_scenario(doc)
+        assert scenario == expected
+        assert [scenario.price_path[b].prices[ETH] for b in (1, 2, 4, 5)] == [
+            Dec(3000), Dec(2500), Dec(2500), Dec(2000)
+        ]
 
 
 _path_prices = {
@@ -1623,6 +1634,153 @@ def test_any_json_price_path_loads_or_names_the_problem(name, path):
         assert isinstance(load_scenario(doc), Scenario)
     except InvalidScenarioError:
         pass
+
+
+# -- step-function price path and volume series -----------------------------
+
+
+def _step_mapping(which):
+    """A loaded price path or a run's volume series, over blocks 0..6, and
+    the plain dict of every block it stands for."""
+    doc = sparse_wbtc_doc(blocks=6)
+    doc["price_path"].update({"1": {}, "5": {"WBTC": "40000"}})
+    scenario = load_scenario(doc)
+    if which == "volume":
+        expected = reference_engine.run_reference(scenario).collateral_volume_by_block
+        return run_scenario(scenario).collateral_volume_by_block, expected
+    by_symbol = {asset.symbol: asset for asset in scenario.assets}
+    expected = {
+        int(block): OracleSnapshot({by_symbol[sym]: Dec(p) for sym, p in prices.items()})
+        for block, prices in _dense(6, doc["price_path"]).items()
+    }
+    return scenario.price_path, expected
+
+
+@pytest.mark.parametrize("which", ["price_path", "volume"])
+class TestStepSeries:
+    def test_it_reads_as_the_dict_of_every_block(self, which):
+        series, expected = _step_mapping(which)
+        assert isinstance(series, StepSeries)
+        assert len(series) == len(expected) == 7
+        assert list(series) == list(expected) == list(range(7))
+        assert list(series.items()) == list(expected.items())
+        assert series == expected and expected == series
+        assert not (series != expected or expected != series)
+
+    def test_it_differs_from_a_dict_that_differs(self, which):
+        series, expected = _step_mapping(which)
+        for changed in (
+            {**expected, 3: object()},
+            {**expected, 7: expected[6]},
+            {block: value for block, value in expected.items() if block != 6},
+        ):
+            assert series != changed and changed != series
+
+    def test_a_block_outside_the_horizon_is_missing(self, which):
+        series, _ = _step_mapping(which)
+        for key in (-1, 7, 10**30, "3", None):
+            assert key not in series
+            assert series.get(key) is None
+            with pytest.raises(KeyError):
+                series[key]
+
+    def test_it_pickles(self, which):
+        series, _ = _step_mapping(which)
+        loaded = pickle.loads(pickle.dumps(series))
+        assert type(loaded) is StepSeries and loaded == series
+        assert list(loaded.items()) == list(series.items())
+
+
+def test_two_paths_are_equal_when_their_prices_are():
+    doc = sparse_wbtc_doc(blocks=6)
+    path = load_scenario(doc).price_path
+    # an override that repeats a price stores a new, equal snapshot
+    doc["price_path"]["2"] = {"ETH": "3000"}
+    assert load_scenario(doc).price_path == path
+    doc["price_path"]["4"] = doc["price_path"].pop("3")
+    assert load_scenario(doc).price_path != path
+    assert load_scenario(sparse_wbtc_doc(blocks=7)).price_path != path
+
+
+class TestProgrammaticPricePath:
+    def test_a_dict_is_read_once_without_its_keys_past_the_horizon(self):
+        scenario = load_scenario(sparse_wbtc_doc(blocks=6))
+        path = dict(scenario.price_path)
+        # past the horizon, so neither validated (it lacks WBTC) nor kept
+        path[7] = OracleSnapshot(prices={ETH: Dec(1)})
+        given = replace(scenario, price_path=path)
+        assert type(given.price_path) is StepSeries
+        assert given == scenario and given.price_path.get(7) is None
+        del path[3]  # the scenario holds its own copy
+        assert given.price_path[3] is scenario.price_path[3]
+        assert _log_digest(run_scenario(given)) == _log_digest(run_scenario(scenario))
+
+    def test_a_smaller_horizon_cuts_the_path(self):
+        scenario = load_scenario(sparse_wbtc_doc(blocks=6))
+        cut = replace(scenario, blocks=2)
+        assert len(cut.price_path) == 3 and cut.price_path.get(3) is None
+        assert cut == load_scenario(sparse_wbtc_doc(blocks=2))
+
+    def test_a_loaded_path_is_missing_the_blocks_past_its_horizon(self):
+        scenario = load_scenario(sparse_wbtc_doc(blocks=6))
+        with pytest.raises(InvalidScenarioError, match="missing snapshot for block 7"):
+            replace(scenario, blocks=8)
+
+    @pytest.mark.parametrize("gap", [0, 4])
+    def test_the_first_missing_block_is_reported(self, gap):
+        scenario = load_scenario(sparse_wbtc_doc(blocks=6))
+        path = dict(scenario.price_path)
+        del path[gap]
+        with pytest.raises(InvalidScenarioError, match=f"missing snapshot for block {gap}$"):
+            replace(scenario, price_path=path)
+
+
+HUGE = 10**9
+
+
+def test_a_huge_horizon_costs_what_its_changes_cost():
+    # a fresh interpreter, so that the peak RSS it reports is this run's own
+    code = (
+        "import json, resource, sys, time\n"
+        "from liqlab import load_scenario, run_scenario\n"
+        "doc = json.loads(open(sys.argv[1], encoding='utf-8').read())\n"
+        "short = run_scenario(load_scenario(doc))\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "doc['blocks'] = int(sys.argv[2])\n"
+        "start = time.perf_counter()\n"
+        "log = run_scenario(load_scenario(doc))\n"
+        "elapsed = time.perf_counter() - start\n"
+        "rise = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+        "volume = log.collateral_volume_by_block\n"
+        "print(json.dumps({\n"
+        "    'elapsed_s': elapsed, 'rise_kib': rise,\n"
+        "    'same_events': log.events == short.events,\n"
+        "    'same_positions': log.final_positions == short.final_positions,\n"
+        "    'volume_blocks': len(volume),\n"
+        "    'last_volume': volume[doc['blocks']] == short.collateral_volume_by_block[1],\n"
+        "}))\n"
+    )
+    src = Path(liqlab.sim.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-c", code, str(FIXTURES / "two_step.json"), str(HUGE)]
+    report = json.loads(subprocess.run(argv, env=env, check=True, capture_output=True).stdout)
+    assert report["elapsed_s"] < 1
+    assert report["rise_kib"] < 20 * 1024  # ru_maxrss is in KiB on Linux
+    assert report["same_events"] and report["same_positions"] and report["last_volume"]
+    assert report["volume_blocks"] == HUGE + 1
+
+
+def test_a_huge_horizon_runs_only_its_wake_up_blocks(monkeypatch):
+    doc = sparse_wbtc_doc(blocks=HUGE)
+    # WBTC falls at block 3 and ETH near the end; each liquidates its holder
+    doc["price_path"][str(HUGE - 5)] = {"ETH": "1000"}
+    acted = _count_run_calls(monkeypatch, "_act_close_factor")
+    log = run_scenario(load_scenario(doc))
+    assert [(e.block, e.borrower) for e in log.events] == [
+        (3, "btc-holder"), (HUGE - 5, "eth-holder"), (HUGE - 4, "eth-holder")
+    ]
+    # the price moves, and each block after a block that changed a position
+    assert acted == [0, 3, 4, HUGE - 5, HUGE - 4, HUGE - 3]
 
 
 # -- event-driven block clock ------------------------------------------------

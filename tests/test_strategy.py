@@ -6,15 +6,18 @@ from hypothesis import event, given, settings, strategies as st
 from liqlab import (
     Asset,
     Dec,
+    LiquidationCall,
     OracleSnapshot,
     Position,
     RiskParams,
     StrategyPlan,
     StrategyProfits,
     closed_form_delta_r,
+    execute_liquidation_call,
     execute_two_step,
     health_factor,
     is_liquidatable,
+    max_repay,
     mitigation_threshold,
     optimal_repays,
     position_values,
@@ -125,6 +128,20 @@ class TestStrategyProfits:
         profits = strategy_profits(Dec(1000), d, Dec("0.75"), SMALL_PARAMS)
         assert_close(profits.profit_optimal, profits.profit_close_factor, Dec("0.000001"))
         assert closed_form_delta_r(Dec(1000) / (Dec(750)), Dec("0.75"), SMALL_PARAMS) <= TOL6
+
+    def test_close_factor_profit_is_the_gross_of_the_capped_call(self):
+        # LS*CF = 5e-19 rounds to 0, but the cap CF*d = 1.5 grosses
+        # 1.5e-18, which rounds half-even to 2e-18
+        col, deb = Asset("COL"), Asset("DEB")
+        params = RiskParams(lt={col: Dec("0.5")}, ls=ULP, cf=Dec("0.5"))
+        profits = strategy_profits(Dec(3), Dec(3), Dec("0.5"), params)
+        assert profits.profit_close_factor == Dec(2) * ULP
+        position = Position("b", {col: Dec(3)}, {deb: Dec(3)})
+        oracle = OracleSnapshot(prices={col: Dec(1), deb: Dec(1)})
+        values = position_values(position, oracle, params)
+        call = LiquidationCall("b", deb, col, max_repay(values, params))
+        receipt = execute_liquidation_call(position, call, oracle, params)
+        assert receipt.liquidator_profit_usd == profits.profit_close_factor
 
     def test_case_study_profit_targets(self):
         params = RiskParams(lt={}, ls=Dec("0.08"), cf=Dec("0.5"))
