@@ -4,19 +4,25 @@ All money amounts are ``Dec`` values. Collateral and debt balances are kept
 in native asset units; USD values are obtained through an oracle snapshot.
 Functions here are pure and never mutate their inputs.
 
-Every valuation goes through one kernel, :func:`sum_side`, which values one
-side of a position, its collateral or its debt, as scaled integers
-(``Dec.raw``), without building a ``Dec`` per term. On the collateral side
+:func:`position_values` and ``risk``'s ``sensitivity`` and
+``classify_bad_debt`` value positions through one kernel, :func:`sum_side`,
+and the scenario engine through its per-term form, :func:`revalue`, which
+makes the same roundings. :func:`sum_side` values one side of a position,
+its collateral or its debt, as scaled integers (``Dec.raw``), without
+building a ``Dec`` per term. On the collateral side
 it returns the collateral value ``c`` and the borrowing capacity ``bc``; on
 the debt side, which has no thresholds, the debt value ``d``.
 :func:`value_sums` values both sides, collateral first, into ``(c, bc,
-d)``; the scenario engine values one side alone when only that side's
-prices moved. The kernel makes exactly the roundings that ``Dec``
+d)``. The kernel makes exactly the roundings that ``Dec``
 arithmetic makes: each asset's value is ``amount * price`` rounded
 half-even to 18 digits, each ``bc`` term is that rounded value times the
 asset's LT, rounded again, and the sums are exact integer additions. Its
 results therefore equal, digit for digit, those of the ``Dec`` loop
 ``value = amount * price; c = c + value; bc = bc + value * LT``.
+:func:`revalue` makes the same roundings one term at a time: the scenario
+engine keeps each term's rounded values and each position's sums, and
+when a price moves it re-rounds only that asset's terms and adds the
+differences, which are exact, so its sums are the kernel's.
 
 The kernel reads its terms as ``(key, raw amount)`` pairs and looks prices
 and thresholds up by key, so one loop serves two key layouts. Each price or
@@ -266,6 +272,57 @@ def sum_side(terms, prices, thresholds=None) -> tuple:
                 term += 1
             weighted += term
     return total, weighted
+
+
+def revalue(terms, price, threshold=None) -> bool:
+    """The valuation kernel, term by term: re-round each of one asset's terms
+    at ``price`` and add the change to its owner's sums; return whether a
+    sum it changed reached 2**255.
+
+    A collateral term is ``[sums, raw amount, value, weighted]`` and a debt
+    term ``[sums, raw amount, value]``, where ``sums`` is the owner's
+    ``[c, bc, d]``; a collateral term takes its asset's ``threshold``, a
+    debt term none. ``value`` and ``weighted`` are the rounded
+    ``amount*price`` and ``value*LT`` that :func:`sum_side` adds for the
+    term, with the same roundings, so sums kept by these exact differences
+    equal the kernel's whole-side sums. A new term starts at 0, and an
+    emptied one (amount 0) ends at 0. Overflow is left to the caller: the
+    intermediate sums of an update in which several assets move are not the
+    ``Dec`` loop's, so on True it values the positions with
+    :func:`value_sums`, which raises where that loop does.
+    """
+    num, den = price
+    over = False
+    if threshold is None:
+        for term in terms:
+            sums, amount, old = term
+            value, rest = divmod(amount * num, den)
+            rest += rest
+            if rest > den or (rest == den and value & 1):
+                value += 1
+            term[2] = value
+            d = sums[2] = sums[2] + value - old
+            if d >= _BOUND:
+                over = True
+        return over
+    lt_num, lt_den = threshold
+    for term in terms:
+        sums, amount, old, old_weighted = term
+        value, rest = divmod(amount * num, den)
+        rest += rest
+        if rest > den or (rest == den and value & 1):
+            value += 1
+        weighted, rest = divmod(value * lt_num, lt_den)
+        rest += rest
+        if rest > lt_den or (rest == lt_den and weighted & 1):
+            weighted += 1
+        term[2] = value
+        term[3] = weighted
+        c = sums[0] = sums[0] + value - old
+        sums[1] += weighted - old_weighted
+        if c >= _BOUND:
+            over = True
+    return over
 
 
 class _FractionLookup:

@@ -85,6 +85,21 @@ def _max_repay(d: int, cf: int) -> int:
     return _mul(cf, d)
 
 
+def _least_debt(repay: int, cf: int) -> int:
+    """The least raw debt value ``d >= 0`` whose cap ``_max_repay(d, cf)``
+    is ``repay`` or more, for ``cf > 0``: the cap's inverse.
+
+    ``cf*d/10**18`` rounds half-even to ``repay`` or more exactly when
+    ``2*cf*d`` exceeds ``edge = (2*repay - 1)*10**18``, or equals it and
+    the tie goes up, to an even ``repay``.
+    """
+    if repay <= 0:
+        return 0
+    edge = (2 * repay - 1) * SCALE
+    d = -(-edge // (2 * cf))
+    return d + 1 if 2 * cf * d == edge and repay & 1 else d
+
+
 def max_repay(values: PositionValues, params: RiskParams) -> Dec:
     """Close-factor cap on a single call: CF * total debt value."""
     return Dec.from_raw(_max_repay(values.d.raw, params.cf.raw))

@@ -22,13 +22,11 @@ Engine rules, in order of application per block:
   settlement changes balances. A liquidatable position with no collateral
   left has nothing to seize or to sell: it is type-I bad debt, which no
   agent acts on and no auction opens for.
-* A position is valued once and its raw sums are reused until they can
-  change. A block that moves prices re-values, for each position, only the
-  side (collateral or debt) that holds or owes an asset whose price moved;
-  a position whose balances changed (a liquidation or an auction
-  settlement) is re-valued on both sides. A block that moves no such price
-  and follows no balance change records the previous block's volume and
-  keeps its list of liquidatable positions.
+* Each position's raw sums are always current, kept by deltas: a block
+  that moves prices re-rounds only the terms of the moved assets, and a
+  balance change only the term it changes. A block that moves no price and
+  follows no balance change records the previous block's volume and keeps
+  its list of liquidatable positions.
 * The price path and the volume series are step functions
   (``StepSeries``): each stores only the blocks at which its value
   changes and still answers every block. ``load_scenario`` builds one
@@ -44,42 +42,41 @@ Engine rules, in order of application per block:
   ``Scenario`` or after an override that repeats a price, is compared by
   its raw prices, so equal prices still move nothing.
 * Valuation runs on a slot-indexed raw book. The assets the positions
-  reference are numbered once (slots); a run holds one list of raw prices
-  per re-pricing, indexed by slot, for the price comparison and the
-  fixed-spread step's repay bounds; the protocol's check reads its two
-  prices from the block's snapshot. The kernel reads each price and
-  threshold as a fraction in lowest terms (``core._fraction``): a run
-  reduces its thresholds once and keeps one fraction per slot, reduced
-  again only when that slot's price moves. Each
-  position is compiled once, when the run starts, into two ``{slot: raw
-  amount}`` balance dicts, in the order of its balances, and a bitmask of
-  the slots each side references. That book is the run's only record of
-  the balances, and both ways a balance changes write it in place: a
-  landed fixed-spread call subtracts the repaid and seized native amounts
-  from its two entries, and an auction settlement empties one side and
-  scales the other (``_Run._settle``). Either drops an entry that reaches
-  zero, with its bit, as ``Position`` drops a zero balance. A ``Position``
+  reference are numbered once (slots); a run keeps the block's raw prices by
+  slot, for the price comparison, and the kernel's fractions in lowest terms
+  (``core._fraction``): thresholds reduced once, a price again only when it
+  moves. The protocol's check reads its two prices from the block's
+  snapshot. Each position is compiled once, when the run starts, into two
+  ``{slot: term}`` dicts, in the order of its balances, and its raw sums
+  ``[c, bc, d]``. A term holds the owner's sums, the raw amount and its
+  rounded ``amount*price`` (and, for collateral, that value times LT,
+  rounded), and joins its slot's holders. A re-pricing walks only a moved
+  slot's holders (``core.revalue``): it re-rounds each term half-even, as
+  a whole valuation does, and adds the new value less the old to the
+  owner's sums, so the sums are exactly ``value_sums``'. A landed call
+  subtracts the repaid and seized native amounts from its two terms, and an
+  auction settlement empties one side and scales the other
+  (``_Run._settle``); each re-rounds the term it changes and drops one
+  that reaches zero, as ``Position`` drops a zero balance. A ``Position``
   is built from the book only for ``EventLog.final_positions``, and only
-  for an owner whose balances changed. A re-pricing ORs
-  the slots whose raw price differs into a moved mask; the scan re-runs the
-  valuation kernel (``core.sum_side``) on a side whose mask meets it, then
-  clears it. The engine caches each position's raw ``(c, bc, d)``, sums and
-  compares them in the scan. Validation guarantees a price for every slot at
-  every block and a threshold for every collateral slot, so no lookup on
+  for an owner whose balances changed. A re-pricing that takes a sum to
+  2**255 values the positions again with ``value_sums``, in scenario order,
+  so an overflow raises the kernel's message. Validation guarantees a price
+  for every slot and a threshold for every collateral slot, so no lookup on
   this path can fail.
 * Fixed-spread agents act only when the net profit (gross minus gas and
   flash fee) is strictly positive. The net profit follows from the repay
   amount alone, so a call is sent only when it is profitable; that is also
   the flash-loan rule, since gas is never negative and a call that clears
   gas and fee always repays its flash loan. The profitable call is then
-  checked against the protocol's rules on its cached raw sums
+  checked against the protocol's rules on its kept raw sums
   (``fixed_spread._liquidation_call``, the rules behind
   ``check_liquidation_call``); a call the protocol refuses (close-factor
   cap, debt or collateral shortfall) is simply not sent.
 * The fixed-spread step runs on scaled integers end to end: the asset pair,
   the clamped repay, gross, fees and net, the two-step plan
-  (``strategy._optimal_repays``) and the protocol's check read the cached
-  raw ``(c, bc, d)`` and the block's raw prices. Every product and quotient
+  (``strategy._optimal_repays``) and the protocol's check read the kept
+  raw ``(c, bc, d)`` and term values. Every product and quotient
   is rounded half-even as the ``Dec`` operator it stands for rounds it, and
   checked against 2**255 where that operator checks it, so events and
   errors are those of the ``Dec`` expressions. A ``Dec`` is built only for
@@ -87,13 +84,13 @@ Engine rules, in order of application per block:
 * Fixed-spread agents skip a liquidatable position outright when no call on
   it can profit (``cannot_clear_fees``): every repay is at most the
   close-factor cap ``R``, and ``R*(LS - flash fee rate) < gas`` bounds the
-  net profit of every such repay at zero or less. The scan decides this
-  once per valuation, on the raw debt value; auction bidders still visit
-  the position, and a skipped call is one that would not have been sent.
-  The screen's constants (CF, LS minus the flash-fee rate, and the gas
-  fee) are read once per run.
-  The scan builds no ``PositionValues`` and no ``Dec`` per position; only
-  an auction's start and its settlement build one, from the cached raw sums.
+  net profit of every such repay at zero or less. That rule is monotone in
+  the debt value, so a run derives from it once the window of debt values
+  at which some call can clear its fees (``fee_window``), and the scan
+  compares each raw debt with it; auction bidders still visit the
+  position, and a skipped call is one that would not have been sent. The
+  scan builds no ``PositionValues`` and no ``Dec`` per position; only an
+  auction's start and its settlement build one, from the raw sums.
 * Every visit of an agent to a position passes one gate (``_Run._actionable``):
   no agent acts on a position with an open auction, on one on which a call
   landed in the block under ``one_liquidation_per_block``, or on one that
@@ -157,11 +154,12 @@ from .core import (
     RiskParams,
     PositionValues,
     _fraction,
-    sum_side,
+    revalue,
+    value_sums,
 )
 from .errors import InvalidScenarioError, LiqlabError, NestingTooDeepError, ZeroVolumeError
-from .fixed_spread import _liquidation_call, _max_repay
-from .fixedpoint import SCALE, Dec, ZERO, _checked, _div, _mul, _round_div
+from .fixed_spread import _least_debt, _liquidation_call, _max_repay
+from .fixedpoint import _BOUND, SCALE, Dec, ZERO, _checked, _div, _mul, _round_div
 from .strategy import _optimal_repays
 
 
@@ -441,15 +439,38 @@ def cannot_clear_fees(d: int, cf: int, margin: int, gas: int) -> bool:
     return _max_repay(d, cf) * margin < gas
 
 
+def fee_window(cf: int, margin: int, gas: int) -> tuple:
+    """``(lo, hi)`` such that ``lo <= d < hi`` exactly when
+    ``cannot_clear_fees(d, cf, margin, gas)`` is false, for every raw debt
+    value ``0 <= d < 2**255``; ``0 < cf <= 10**18``.
+
+    The rule is ``R*margin < gas`` with ``R = _max_repay(d, cf)``, and ``R``
+    never falls as ``d`` rises. So with ``margin > 0`` some call can clear
+    its fees exactly when ``R >= ceil(gas/margin)``, a least ``d``; with
+    ``margin < 0`` exactly when ``R <= floor(gas/margin)``, a greatest one;
+    and with ``margin == 0`` exactly when ``gas <= 0``, at every ``d`` or at
+    none. ``fixed_spread._least_debt`` turns a bound on ``R`` into one on
+    ``d``.
+    """
+    if margin > 0:
+        return _least_debt(-(-gas // margin), cf), _BOUND
+    if margin < 0:
+        return 0, _least_debt(gas // margin + 1, cf)
+    return 0, (_BOUND if gas <= 0 else 0)
+
+
+# a balance the book no longer holds, read as a term: no amount, no value
+_CLEARED = (None, 0, 0)
+
+
 class _Run:
     """Mutable state of one scenario execution."""
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.order = [p.owner for p in scenario.positions]
-        # the raw book: asset -> slot for every referenced asset, the raw
-        # thresholds and the current block's raw prices by slot, and owner ->
-        # {slot: raw amount} collateral and debt balances
+        # the raw book: asset -> slot for every referenced asset, and the
+        # thresholds and the block's prices by slot
         self.assets = list(_referenced_assets(scenario.positions))
         self.slots = {asset: slot for slot, asset in enumerate(self.assets)}
         params = scenario.params
@@ -462,21 +483,20 @@ class _Run:
         self.prices = [None] * len(self.assets)
         # the same prices in lowest terms, for the kernel, reduced per move
         self.fractions = [None] * len(self.assets)
-        # the run's constants of cannot_clear_fees: CF, LS - f, gas * 10**18
-        self.fee_screen = (
+        # the debt values at which some fixed-spread call can clear its fees
+        self.fee_window = fee_window(
             params.cf.raw,
             params.ls.raw - scenario.flash_fee_rate.raw,
             scenario.gas_fee_usd.raw * SCALE,
         )
-        # the slots whose price moved since the last _scan, one bit per slot
-        self.moved = 0
-        # owner -> raw balances and slot masks (see _compile), the run's
-        # record of every position; landed calls and settlements write it
+        # for each side (0 collateral, 1 debt), slot -> {owner: term} of the
+        # positions that hold or owe the slot's asset
+        self.holders = tuple([{} for _ in self.assets] for _ in range(2))
+        # owner -> its book entry (see _compile), the run's record of every
+        # position; landed calls and settlements write it
         self.terms = {p.owner: self._compile(p) for p in scenario.positions}
         # owner -> its loaded Position until its balances first change
         self.positions = {p.owner: p for p in scenario.positions}
-        # owner -> raw (c, bc, d); see _sums
-        self.sums = {}
         # liquidatable owners in scenario order as of the last _scan, which
         # is stale after a price or position change, and the subset on which
         # some fixed-spread call can clear its fees (see cannot_clear_fees)
@@ -504,47 +524,48 @@ class _Run:
     # -- helpers -------------------------------------------------------------
 
     def _reprice(self, oracle) -> None:
-        """Take the block's raw prices and note the slots whose price moved,
-        reducing the moved prices to lowest terms for the kernel.
+        """Take the block's raw prices and re-value the terms of each slot
+        whose price moved, its holders' alone (``core.revalue``); at block 0
+        every slot moves. A block that shares the snapshot priced last costs
+        nothing.
 
-        The cached sums are brought up to the new prices by the next
-        ``_scan``, not here. That is safe because the run loop scans in the
-        same block right after a re-pricing that moved a price, before any
-        agent reads ``_sums``. A block that shares the snapshot priced last
-        costs nothing.
+        When a sum reached 2**255 on the way, every position is valued whole
+        by ``value_sums``, in scenario order, so the first one out of range
+        raises the kernel's own message. Only a side that holds a moved slot
+        can be out of range: a balance change only lowers a side's value.
         """
         if oracle is self.oracle:
             return
         self.oracle = oracle
         prices = [oracle.prices[asset].raw for asset in self.assets]
         if prices != self.prices:
-            moved = self.moved
-            fractions = self.fractions
+            collateral, debt = self.holders
+            over = False
             for slot, (price, last) in enumerate(zip(prices, self.prices)):
                 if price != last:
-                    moved |= 1 << slot
-                    fractions[slot] = _fraction(price)
-            self.moved = moved
+                    fraction = self.fractions[slot] = _fraction(price)
+                    over |= revalue(collateral[slot].values(), fraction, self.thresholds[slot])
+                    over |= revalue(debt[slot].values(), fraction)
             self.prices = prices
             self.stale = True
+            if over:
+                for owner in self.order:
+                    value_sums(self._position(owner), oracle, self.scenario.params)
 
     def _compile(self, position: Position) -> list:
-        """The position's book entry: its ``{slot: raw amount}`` collateral
-        and debt balances, in the order of its own, for each side the mask
-        of the slots it references, and the balances' ``items()`` views,
-        which the kernel reads as its ``(slot, raw amount)`` terms. A view
-        is live, so it follows every change to its balances."""
-        slots = self.slots
-        collateral = {slots[asset]: amount.raw for asset, amount in position.collateral.items()}
-        debt = {slots[asset]: amount.raw for asset, amount in position.debt.items()}
-        return [
-            collateral,
-            debt,
-            sum(1 << slot for slot in collateral),
-            sum(1 << slot for slot in debt),
-            collateral.items(),
-            debt.items(),
-        ]
+        """The position's book entry: its collateral and debt terms as
+        ``{slot: term}``, in the order of its balances, and its raw sums
+        ``[c, bc, d]``, which every term holds (see ``core.revalue``). Each
+        term also joins its slot's holders, and is valued when its slot is
+        first priced."""
+        sums = [0, 0, 0]
+        entry = [{}, {}, sums]
+        for side, balances in enumerate((position.collateral, position.debt)):
+            for asset, amount in balances.items():
+                slot = self.slots[asset]
+                term = [sums, amount.raw, 0] if side else [sums, amount.raw, 0, 0]
+                entry[side][slot] = self.holders[side][slot][position.owner] = term
+        return entry
 
     def _position(self, owner) -> Position:
         """The owner's ``Position``: the loaded one while its balances are
@@ -552,26 +573,27 @@ class _Run:
         position = self.positions.get(owner)
         if position is not None:
             return position
-        collateral, debt = self.terms[owner][:2]
+        collateral, debt, _ = self.terms[owner]
         assets = self.assets
         return Position(
             owner=owner,
-            collateral={assets[slot]: Dec.from_raw(raw) for slot, raw in collateral.items()},
-            debt={assets[slot]: Dec.from_raw(raw) for slot, raw in debt.items()},
+            collateral={assets[slot]: Dec.from_raw(t[1]) for slot, t in collateral.items()},
+            debt={assets[slot]: Dec.from_raw(t[1]) for slot, t in debt.items()},
         )
 
     def _take(self, owner, side, slot, amount) -> None:
         """Subtract the raw ``amount`` from the owner's balance at ``slot`` on
-        ``side`` (0 collateral, 1 debt); a balance that reaches zero is
-        dropped, with its bit in the side's mask."""
-        book = self.terms[owner]
-        balances = book[side]
-        left = balances[slot] - amount
-        if left:
-            balances[slot] = left
-        else:
+        ``side`` (0 collateral, 1 debt) and re-round that one term at the
+        block's prices, which moves the owner's sums by the difference; a
+        balance that reaches zero is dropped, and so is its term from the
+        slot's holders."""
+        balances = self.terms[owner][side]
+        term = balances[slot]
+        term[1] -= amount
+        revalue((term,), self.fractions[slot], None if side else self.thresholds[slot])
+        if not term[1]:
             del balances[slot]
-            book[side + 2] &= ~(1 << slot)
+            del self.holders[side][slot][owner]
 
     def _settle(self, owner, settlement, sums) -> None:
         """Apply a finalized auction to the owner's balances in the book; its
@@ -594,34 +616,28 @@ class _Run:
         else:
             emptied, scaled, kept, total = 1, 0, settlement.borrower_refund_usd.raw, c
         book = self.terms[owner]
-        for slot, amount in list(book[emptied].items()):
-            self._take(owner, emptied, slot, amount)
-        for slot, amount in list(book[scaled].items()):
+        for slot, term in list(book[emptied].items()):
+            self._take(owner, emptied, slot, term[1])
+        for slot, term in list(book[scaled].items()):
+            amount = term[1]
             left = _round_div(amount * kept, total) if kept > 0 else 0
             self._take(owner, scaled, slot, amount - left)
         self._changed(owner)
 
-    def _sums(self, owner):
-        """The owner's raw ``(c, bc, d)`` at the current block's prices.
+    def _sums(self, owner) -> list:
+        """The owner's raw ``[c, bc, d]`` at the current block's prices, kept
+        by ``_reprice`` and ``_take``; the list is live, so a caller reads it
+        before it changes the book.
 
-        An entry is dropped when the position's balances change
-        (``_changed``), and then valued here on both sides, from the book.
-        After a re-pricing, ``_scan`` updates the entries before anything
-        else reads them.
         A position is liquidatable iff ``bc < d``: ``bc`` is never negative,
         so that also means ``d > 0``. The policies act on it only while it
         also holds collateral (``c > 0``): with none left there is nothing to
         seize or to sell, and the position is type-I bad debt.
         """
-        sums = self.sums.get(owner)
-        if sums is None:
-            book = self.terms[owner]
-            c, bc = sum_side(book[4], self.fractions, self.thresholds)
-            sums = self.sums[owner] = c, bc, sum_side(book[5], self.fractions)[0]
-        return sums
+        return self.terms[owner][2]
 
-    def _actionable(self, owner) -> Optional[tuple]:
-        """The owner's raw ``(c, bc, d)`` when an agent may act on it now,
+    def _actionable(self, owner) -> Optional[list]:
+        """The owner's raw ``[c, bc, d]`` when an agent may act on it now,
         else None: when an auction is open on it, when a call landed on it in
         this block under ``one_liquidation_per_block``, or when it is healthy
         or holds no collateral. Each visit asks once and passes the sums on."""
@@ -635,46 +651,28 @@ class _Run:
     def _changed(self, owner) -> None:
         """Note that the owner's balances in the book changed."""
         self.positions.pop(owner, None)
-        self.sums.pop(owner, None)
         self.stale = True
 
     def _scan(self) -> int:
         """Note the liquidatable positions that hold collateral, and those of
-        them a fixed-spread call can profit from; return the raw total
-        collateral value.
+        them a fixed-spread call can profit from, the ones whose debt lies in
+        the fee window; return the raw total collateral value.
 
-        Each cached valuation is first brought up to the current prices: a
-        side is re-valued only when it references a slot whose price moved,
-        and a position whose balances changed is valued on both sides. The
-        moved slots are then cleared.
         The second list stays valid until the next scan: within a block a
         position's debt only falls, and so does its close-factor cap.
         """
-        prices, thresholds = self.fractions, self.thresholds
-        cf, margin, gas = self.fee_screen
-        moved, self.moved = self.moved, 0
-        cached, terms = self.sums, self.terms
-        self.liquidatable = []
-        self.fixed_spread_targets = []
+        lo, hi = self.fee_window
+        terms = self.terms
+        self.liquidatable = liquidatable = []
+        self.fixed_spread_targets = targets = []
         total = 0
         for owner in self.order:
-            sums = cached.get(owner)
-            if sums is None:
-                c, bc, d = self._sums(owner)
-            else:
-                c, bc, d = sums
-                if moved:
-                    _, _, collateral_slots, debt_slots, collateral, debt = terms[owner]
-                    if collateral_slots & moved:
-                        c, bc = sum_side(collateral, prices, thresholds)
-                    if debt_slots & moved:
-                        d = sum_side(debt, prices)[0]
-                    cached[owner] = c, bc, d
+            c, bc, d = terms[owner][2]
             total += c
             if c and bc < d:
-                self.liquidatable.append(owner)
-                if not cannot_clear_fees(d, cf, margin, gas):
-                    self.fixed_spread_targets.append(owner)
+                liquidatable.append(owner)
+                if lo <= d < hi:
+                    targets.append(owner)
         self.stale = False
         return total
 
@@ -683,27 +681,23 @@ class _Run:
         broken by symbol; only called with ``c > 0`` and ``d > bc >= 0``, so
         both sides hold one.
 
-        A side with one asset has nothing to choose, and its asset is not
-        valued. On a side with more, each value is the kernel's rounded term
-        ``amount * price``, which is at most the side's total and so below
-        2**255: it needs no check. Of equal keys the last one wins, as the
-        last of a stable sort does.
+        A side with one asset has nothing to choose. On a side with more,
+        each value is the term's rounded ``amount * price`` that the book
+        keeps. Of equal keys the last one wins, as the last of a stable sort
+        does.
         """
-        prices, assets = self.prices, self.assets
+        assets = self.assets
 
         def best(balances):
             if len(balances) == 1:
                 return next(iter(balances))
             slot, _ = max(
                 reversed(balances.items()),
-                key=lambda term: (
-                    _round_div(term[1] * prices[term[0]], SCALE),
-                    assets[term[0]].symbol,
-                ),
+                key=lambda item: (item[1][2], assets[item[0]].symbol),
             )
             return slot
 
-        collateral, debt = self.terms[owner][:2]
+        collateral, debt, _ = self.terms[owner]
         return best(debt), best(collateral)
 
     def _liquidate(self, block, agent_id, owner, sums, desired=None, pair=None) -> bool:
@@ -720,25 +714,23 @@ class _Run:
 
         Every amount is a raw value, rounded and checked as the ``Dec``
         expression in the comments is, and the protocol's rules run on the
-        cached sums and the book's balances (``fixed_spread._liquidation_call``);
+        kept sums and the book's balances (``fixed_spread._liquidation_call``);
         a landed call subtracts its repaid and seized native amounts in the
         book, and a ``Dec`` is built only for the event's fields.
         """
         _, bc, d = sums
-        collateral, debt = self.terms[owner][:2]
+        collateral, debt, _ = self.terms[owner]
         if pair is None:
             pair = self._choose_pair(owner)
         debt_slot, collateral_slot = pair
         scenario = self.scenario
         params = scenario.params
-        prices = self.prices
         one_ls = params.ls.raw + SCALE  # ONE + LS, checked where it is used
-        # each asset's amount * price, and max_repay; an immediate second
-        # call may find its pair's balance already cleared
-        debt_native = debt.get(debt_slot, 0)
-        available = collateral.get(collateral_slot, 0)
-        outstanding = _mul(debt_native, prices[debt_slot])
-        collateral_value = _mul(available, prices[collateral_slot])
+        # each asset's raw amount and its term's amount * price, and
+        # max_repay; an immediate second call may find its pair's balance
+        # already cleared
+        debt_native, outstanding = debt.get(debt_slot, _CLEARED)[1:3]
+        available, collateral_value = collateral.get(collateral_slot, _CLEARED)[1:3]
         repay = _max_repay(d, params.cf.raw)
         for bound in (desired, outstanding, _div(collateral_value, _checked(one_ls))):
             if bound is not None and bound < repay:
@@ -805,7 +797,7 @@ class _Run:
             sums = self._actionable(owner)
             if sums is not None:
                 self._liquidate(block, agent.agent_id, owner, sums, planned)
-        # new two-step plans, on the cached raw sums
+        # new two-step plans, on the kept raw sums
         for owner in self.fixed_spread_targets:
             sums = self._actionable(owner)
             if sums is None:
@@ -822,7 +814,7 @@ class _Run:
             if self.scenario.one_liquidation_per_block:
                 self.pending_second.setdefault(agent.agent_id, {})[owner] = repay2
             else:
-                # the landed call dropped the sums; re-value before the second
+                # the landed call moved the sums; the gate reads them again
                 sums = self._actionable(owner)
                 if sums is not None:
                     self._liquidate(block, agent.agent_id, owner, sums, repay2, pair)

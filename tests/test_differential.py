@@ -10,7 +10,8 @@ are fitted to the auctions a script-less run opens. Both engines must give
 the same event log, volume series and final positions, or the same error.
 Magnitudes stay far below the ``Dec`` range, where both engines agree on
 overflow handling. On the same scenarios every fixed-spread event must carry
-its own arithmetic, recomputed in ``Dec``.
+its own arithmetic, recomputed in ``Dec``, and every scan must find the sums
+the engine keeps by deltas equal to fresh valuations (``invariants``).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from liqlab.sim import _Run, cannot_clear_fees
 
 import reference_engine
 from helpers import assert_fixed_spread_arithmetic
+from invariants import run_checked
 
 SYMBOLS = ("A", "B", "C", "D")
 POLICIES = ("up-to-close-factor", "optimal-two-step", "auction-bidder")
@@ -196,7 +198,7 @@ def test_engine_matches_the_reference(scenario):
 @given(_scenarios())
 def test_fixed_spread_events_carry_their_arithmetic(scenario):
     try:
-        log = run_scenario(scenario)
+        log = run_checked(scenario)
     except LiqlabError:
         return
     fixed_spread = [e for e in log.events if e.mechanism is Mechanism.FIXED_SPREAD]
@@ -216,7 +218,7 @@ def test_scan_screens_positions_by_cannot_clear_fees(doc):
     run._scan()
     screened = [
         owner for owner in run.liquidatable
-        if cannot_clear_fees(run.sums[owner][2], scenario.params.cf.raw,
+        if cannot_clear_fees(run._sums(owner)[2], scenario.params.cf.raw,
                              scenario.params.ls.raw - scenario.flash_fee_rate.raw,
                              scenario.gas_fee_usd.raw * 10**18)
     ]

@@ -35,7 +35,7 @@ from liqlab import (
 )
 from liqlab.core import value_sums
 from liqlab.errors import InvalidScenarioError, ZeroVolumeError
-from liqlab.sim import StepSeries, cannot_clear_fees
+from liqlab.sim import StepSeries, cannot_clear_fees, fee_window
 
 from helpers import TOL9, rel_close
 import reference_engine
@@ -662,11 +662,42 @@ def _counting(monkeypatch, cls, name):
     return calls
 
 
-def _sides(calls) -> tuple:
-    """How many recorded ``sum_side`` calls valued a collateral side (they
-    pass thresholds) and how many a debt side."""
-    collateral = sum(1 for args in calls if len(args) == 3)
-    return collateral, len(calls) - collateral
+def _rerounded(monkeypatch):
+    """Wrap ``liqlab.sim.revalue``, the engine's term kernel. The returned
+    function lists, after a run, one ``(owner, side)`` for each term each
+    call re-rounded, in order."""
+    runs, terms = [], []
+    real_init, real = liqlab.sim._Run.__init__, liqlab.sim.revalue
+
+    def init(self, scenario):
+        runs.append(self)
+        real_init(self, scenario)
+
+    def counting(batch, price, threshold=None):
+        batch = list(batch)
+        side = "debt" if threshold is None else "collateral"
+        terms.extend((term[0], side) for term in batch)
+        return real(batch, price, threshold)
+
+    monkeypatch.setattr(liqlab.sim._Run, "__init__", init)
+    monkeypatch.setattr(liqlab.sim, "revalue", counting)
+
+    def rerounded():
+        owner_of = {id(run._sums(owner)): owner for run in runs for owner in run.order}
+        return [(owner_of[id(sums)], side) for sums, side in terms]
+
+    return rerounded
+
+
+# the terms block 0 values in _three_healthy_positions_three_agents, slot by
+# slot in order of first mention: ETH, USDC, then WBTC
+_BLOCK_0_TERMS = [
+    ("eth-holder", "collateral"),
+    ("eth-holder", "debt"),
+    ("btc-holder", "debt"),
+    ("btc-holder", "collateral"),
+    ("idle", "collateral"),
+]
 
 
 class TestIncrementalValuation:
@@ -692,35 +723,39 @@ class TestIncrementalValuation:
             ("b", Dec(2100), Dec(2310)),
         ]
 
-    # (collateral sides, debt sides) valued: each position once on both
-    # sides, and the ETH move re-values the one ETH holder's collateral side
-    @pytest.mark.parametrize("moves, valuations", [({}, (3, 3)), ({"7": {"ETH": "3400"}}, (4, 3))])
+    # block 0 rounds every term once, and the ETH move re-rounds the one ETH
+    # holder's collateral term alone
+    @pytest.mark.parametrize("moves, moved", [
+        ({}, []), ({"7": {"ETH": "3400"}}, [("eth-holder", "collateral")])
+    ])
     def test_healthy_positions_are_valued_once_per_price_change(
-        self, monkeypatch, moves, valuations
+        self, monkeypatch, moves, moved
     ):
-        calls = _count_calls(monkeypatch, "sum_side")
+        rerounded = _rerounded(monkeypatch)
         log = run_scenario(_three_healthy_positions_three_agents(moves))
         assert log.events == ()
-        assert _sides(calls) == valuations
+        assert rerounded() == _BLOCK_0_TERMS + moved
 
-    @pytest.mark.parametrize("moves, checks", [({}, (3, 3)), ({"7": {"ETH": "3400"}}, (4, 3))])
+    @pytest.mark.parametrize("moves, moved", [
+        ({}, []), ({"7": {"ETH": "3400"}}, [("eth-holder", "collateral")])
+    ])
     def test_healthy_positions_are_checked_once_per_price_change(
-        self, monkeypatch, moves, checks
+        self, monkeypatch, moves, moved
     ):
-        calls = _count_calls(monkeypatch, "sum_side")
+        rerounded = _rerounded(monkeypatch)
         built = _count_calls(monkeypatch, "PositionValues")
         log = run_scenario(_three_healthy_positions_three_agents(moves))
         assert log.events == ()
         # the scan checks the raw sums; no policy needs a healthy position's values
-        assert _sides(calls) == checks
+        assert rerounded() == _BLOCK_0_TERMS + moved
         assert built == []
         eth_price = Dec(3400) if moves else Dec(3500)
         assert log.collateral_volume_by_block[10] == Dec(3) * eth_price + Dec(100000)
 
     @pytest.mark.parametrize("move, revalued, volume", [
-        # only the USDC debtors' debt sides depend on USDC
+        # only the USDC debtors' debt terms depend on USDC
         ({"USDC": "1.01"}, [("eth-holder", "debt"), ("btc-holder", "debt")], Dec(169250)),
-        # only the WBTC holders' collateral sides depend on WBTC
+        # only the WBTC holders' collateral terms depend on WBTC
         ({"WBTC": "45000"}, [("btc-holder", "collateral"), ("idle", "collateral")],
          Dec(154250)),
     ])
@@ -737,23 +772,18 @@ class TestIncrementalValuation:
             "0": {"ETH": "3500", "WBTC": "50000", "USDC": "1", "DAI": "1"}, "5": move
         }
         scenario = load_scenario(doc)
-        # the amounts on each side tell the positions apart
-        owner_of = {}
-        for p in scenario.positions:
-            owner_of[("collateral", tuple(a.raw for a in p.collateral.values()))] = p.owner
-            owner_of[("debt", tuple(a.raw for a in p.debt.values()))] = p.owner
-        calls = _count_calls(monkeypatch, "sum_side")
+        rerounded = _rerounded(monkeypatch)
         log = run_scenario(scenario)
         assert log.events == ()
-        valued = []
-        for args in calls:
-            side = "collateral" if len(args) == 3 else "debt"
-            valued.append((owner_of[(side, tuple(raw for _, raw in args[0]))], side))
-        # block 0 values every position on both sides, block 5 only what moved
-        assert sorted(valued[:8]) == sorted(
-            (p.owner, side) for p in scenario.positions for side in ("collateral", "debt")
+        valued = rerounded()
+        # block 0 rounds each of the 7 terms once, block 5 re-rounds only the
+        # moved asset's holder terms
+        assert sorted(valued[:7]) == sorted(
+            (p.owner, side) for p in scenario.positions
+            for side, balances in (("collateral", p.collateral), ("debt", p.debt))
+            for _ in balances
         )
-        assert valued[8:] == revalued
+        assert valued[7:] == revalued
         assert log.collateral_volume_by_block[4] == Dec(169250)
         assert log.collateral_volume_by_block[10] == volume
 
@@ -769,7 +799,7 @@ class TestIncrementalValuation:
         built = _counting(monkeypatch, PositionValues, "__post_init__")
         positions = _counting(monkeypatch, Position, "__post_init__")
         compiled = _counting(monkeypatch, liqlab.sim._Run, "_compile")
-        valued = _count_calls(monkeypatch, "sum_side")
+        rerounded = _rerounded(monkeypatch)
         plans = _count_calls(monkeypatch, "_optimal_repays")
         checks = _count_calls(monkeypatch, "_liquidation_call")
         log = run_scenario(scenario)
@@ -787,11 +817,13 @@ class TestIncrementalValuation:
         assert [args[5:7] for args in checks] == [
             (d, c), (d - first.repaid_usd.raw, c - first.seized_usd.raw)
         ]
-        # (collateral sides, debt sides) valued: block 0's scan, then, as each
-        # landed call drops the cached sums, one re-valuation of both sides
-        # by the next read: the immediate second call and block 1's scan, or
-        # block 1's scan alone
-        assert _sides(valued) == ((2, 2) if one_per_block else (3, 3))
+        # block 0 rounds the two terms; each landed call then re-rounds
+        # exactly the two it changed, the debt term first, and nothing else
+        # re-values: the second call and block 1's scan read the kept sums
+        owner = scenario.positions[0].owner
+        assert rerounded() == [(owner, "collateral"), (owner, "debt")] + 2 * [
+            (owner, "debt"), (owner, "collateral")
+        ]
         assert built == []
         # the position is compiled once, when the run starts; the landed
         # calls update its book in place, and a Position is built once, for
@@ -960,6 +992,37 @@ def test_bound_does_not_skip_a_rounding_gain():
     params = RiskParams(lt={}, ls=ls, cf=Dec(1))
     assert _engine_net(max_repay(values, params), ls, Dec(0), flash) == Dec.from_raw(1)
     assert not cannot_clear_fees(values.d.raw, params.cf.raw, ls.raw - flash.raw, 0)
+
+
+_BOUND = 2**255
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    cf=st.integers(1, SCALE) | st.sampled_from([1, SCALE // 2, SCALE]),
+    margin=st.sampled_from([0, 1, -1]) | st.integers(-SCALE, SCALE)
+    | st.integers(-(2**256), 2**256),
+    gas=st.just(0) | st.integers(0, 10**40) | st.integers(0, _BOUND * SCALE),
+    d=st.integers(0, _BOUND - 1) | st.integers(0, 10**24),
+)
+# LS = f, no gas: every debt; LS = f with gas: none
+@example(cf=SCALE, margin=0, gas=0, d=1)
+@example(cf=SCALE // 2, margin=0, gas=SCALE, d=10**30)
+# f above LS, no gas: only a cap of 0 does not lose, d < 1 / CF unit
+@example(cf=1, margin=-1, gas=0, d=5 * 10**17)
+@example(cf=SCALE, margin=-(SCALE // 10), gas=0, d=0)
+# a tie at the least debt: CF 0.5 and a cap of 1 or 2 units (see
+# test_skipped_positions_have_no_profitable_repay's last example)
+@example(cf=SCALE // 2, margin=SCALE, gas=2 * SCALE, d=3)
+@example(cf=SCALE // 2, margin=SCALE, gas=SCALE, d=1)
+# gas far above any cap: no debt
+@example(cf=SCALE, margin=1, gas=_BOUND * SCALE - 1, d=_BOUND - 1)
+def test_the_fee_window_is_where_a_call_can_clear_its_fees(cf, margin, gas, d):
+    lo, hi = fee_window(cf, margin, gas)
+    note(f"window [{lo}, {hi})")
+    for debt in (lo - 1, lo, hi - 1, hi, d):
+        if 0 <= debt < _BOUND:
+            assert (lo <= debt < hi) == (not cannot_clear_fees(debt, cf, margin, gas)), debt
 
 
 def _whale_doc(gas):
@@ -1242,14 +1305,16 @@ class TestBookBalances:
         assert untouched is scenario.positions[0]
         assert [a.symbol for a in subject.collateral] == kept[0]
         assert [a.symbol for a in subject.debt] == kept[1]
-        # the book itself holds no zero balance, and a side's mask names
-        # exactly the slots it still holds
+        # the book itself holds no zero balance, and a slot's holders are
+        # exactly the positions whose side still holds it
         run = liqlab.sim._Run(scenario)
         run.run()
         book = run.terms["subject"]
         for side, symbols in enumerate(kept):
             assert list(book[side]) == [run.slots[Asset(sym)] for sym in symbols]
-            assert book[side + 2] == sum(1 << slot for slot in book[side])
+            for slot, holders in enumerate(run.holders[side]):
+                assert holders.get("subject") is book[side].get(slot)
+                assert all(term[1] > 0 for term in holders.values())
 
     def test_equal_rounded_collateral_values_go_to_the_larger_symbol(self, monkeypatch):
         # 0.5 A at 2.000000000000000001 is worth 1.0000000000000000005
@@ -1375,6 +1440,102 @@ def test_position_passing_2_255_at_a_later_block_raises_the_kernels_overflow():
     assert str(raised.value) == str(expected.value)
 
 
+def _whale_overflow_doc(positions, path):
+    """ETH, USDC and WBTC at price 1 unless ``path`` says otherwise, each
+    held as collateral at LT 0.5, and a close-factor agent."""
+    doc = json.loads((FIXTURES / "eth_price_drop.json").read_text())
+    doc["assets"].append({"symbol": "WBTC"})
+    doc["params"]["lt"] = {"ETH": "0.5", "USDC": "0.5", "WBTC": "0.5"}
+    doc["positions"] = positions
+    doc["price_path"] = {"0": {"ETH": "1", "USDC": "1", "WBTC": "1"}, **path}
+    return doc
+
+
+_E58 = "0" * 58  # an amount of 5 followed by these is worth 5 * 10**76 raw at price 1;
+# 2**255 is about 5.79 * 10**76
+
+
+def _assert_raises_the_kernels_overflow(doc, block, owner):
+    """The run raises the overflow that ``value_sums`` raises for ``owner``
+    at ``block``, and no other position of the document raises that one."""
+    scenario = load_scenario(doc)
+    messages = {}
+    for position in scenario.positions:
+        try:
+            value_sums(position, scenario.price_path[block], scenario.params)
+        except OverflowError as exc:
+            messages[position.owner] = str(exc)
+    with pytest.raises(OverflowError) as raised:
+        run_scenario(scenario)
+    assert str(raised.value) == messages[owner]
+    assert list(messages.values()).count(messages[owner]) == 1
+
+
+def test_two_positions_passing_2_255_at_one_repricing_name_the_first():
+    # block 1 triples ETH and WBTC; the first position passes 2**255 through
+    # WBTC, the second through ETH, whose holders a re-pricing walks first.
+    # Block 0's volume, 4.5 * 10**76 and a little, is in range
+    doc = _whale_overflow_doc(
+        [
+            {"owner": "small", "collateral": {"ETH": "1"}, "debt": {"USDC": "1"}},
+            {"owner": "wbtc-whale", "collateral": {"ETH": "1", "WBTC": "2" + _E58},
+             "debt": {"USDC": "1"}},
+            {"owner": "eth-whale", "collateral": {"ETH": "25" + _E58[1:]},
+             "debt": {"USDC": "1"}},
+        ],
+        {"1": {"ETH": "3", "WBTC": "3"}},
+    )
+    _assert_raises_the_kernels_overflow(doc, 1, "wbtc-whale")
+
+
+def test_debt_passing_2_255_at_a_later_block_raises_the_kernels_overflow():
+    # healthy at block 0 (bc 2.25 * 10**76 against d 2 * 10**76); ETH, owed
+    # and not held, triples at block 1
+    doc = _whale_overflow_doc(
+        [
+            {"owner": "small", "collateral": {"ETH": "1"}, "debt": {"USDC": "1"}},
+            {"owner": "debtor", "collateral": {"USDC": "45" + _E58[1:]},
+             "debt": {"ETH": "2" + _E58}},
+        ],
+        {"1": {"ETH": "3"}},
+    )
+    _assert_raises_the_kernels_overflow(doc, 1, "debtor")
+
+
+def test_a_position_past_2_255_at_block_0_raises_the_kernels_overflow():
+    # the first position passes on its debt side, the second on its
+    # collateral side, which block 0 rounds first (both are ETH terms)
+    doc = _whale_overflow_doc(
+        [
+            {"owner": "debtor", "collateral": {"USDC": "1"}, "debt": {"ETH": "3" + _E58}},
+            {"owner": "holder", "collateral": {"ETH": "4" + _E58}, "debt": {"USDC": "1"}},
+        ],
+        {},
+    )
+    doc["price_path"]["0"]["ETH"] = "2"
+    _assert_raises_the_kernels_overflow(doc, 0, "debtor")
+
+
+def test_a_sum_past_2_255_only_midway_through_a_repricing_is_no_error():
+    # block 1 doubles ETH and halves WBTC: re-rounding the ETH terms first
+    # takes the whale's c to 6 * 10**76, the WBTC terms bring it back to
+    # 5 * 10**76, which the kernel values without error. Both positions stay
+    # healthy, so the volume is their value
+    doc = _whale_overflow_doc(
+        [
+            {"owner": "small", "collateral": {"ETH": "3"}, "debt": {"USDC": "1"}},
+            {"owner": "whale", "collateral": {"ETH": "2" + _E58, "WBTC": "2" + _E58},
+             "debt": {"USDC": "1"}},
+        ],
+        {"1": {"ETH": "2", "WBTC": "0.5"}},
+    )
+    scenario = load_scenario(doc)
+    log = run_scenario(scenario)
+    c = sum(value_sums(p, scenario.price_path[1], scenario.params)[0] for p in scenario.positions)
+    assert c == 5 * 10**76 + 6 * SCALE
+    assert log.collateral_volume_by_block[1] == Dec.from_raw(c)
+
+
 # -- one oracle snapshot per price change ------------------------------------
 
 WBTC = Asset("WBTC", decimals=8)
@@ -1447,9 +1608,9 @@ class TestSharedSnapshots:
         assert len({id(s) for s in distinct.price_path.values()}) == 9
         logs, counts = [], []
         for scenario in (shared, distinct):
-            calls = _count_calls(monkeypatch, "sum_side")
+            rerounded = _rerounded(monkeypatch)
             logs.append(run_scenario(scenario))
-            counts.append(len(calls))
+            counts.append(len(rerounded()))
             monkeypatch.undo()
         assert logs[0].events  # the agents act
         assert _log_digest(logs[1]) == _log_digest(logs[0])

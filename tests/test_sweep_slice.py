@@ -5,6 +5,8 @@
 in CI. Here every run of a fixture and of seed 0 must reproduce its recorded
 digest, and on each of those runs that completes every fixed-spread event
 must carry its own arithmetic and every auction event must seize something.
+Each of them runs under ``invariants.CheckedRun``, which checks the sums the
+engine keeps after every scan.
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ from pathlib import Path
 
 import pytest
 
-from liqlab import Dec, Mechanism, load_scenario, run_scenario
+from liqlab import Dec, Mechanism, load_scenario
 from liqlab.errors import LiqlabError
 
 from helpers import assert_fixed_spread_arithmetic
+from invariants import run_checked
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -46,7 +49,7 @@ def test_run_reproduces_its_recorded_digest(key, doc, scans):
     assert SWEEP.digest(doc, scans) == RECORDED[key]
     try:
         scenario = load_scenario(doc)
-        log = run_scenario(scenario)
+        log = run_checked(scenario)
     except LiqlabError:
         return  # the digest recorded the error
     for ev in log.events:
