@@ -4,37 +4,29 @@ All money amounts are ``Dec`` values. Collateral and debt balances are kept
 in native asset units; USD values are obtained through an oracle snapshot.
 Functions here are pure and never mutate their inputs.
 
-:func:`position_values` and ``risk``'s ``sensitivity`` and
-``classify_bad_debt`` value positions through one kernel, :func:`sum_side`,
-and the scenario engine through its per-term form, :func:`revalue`, which
-makes the same roundings. :func:`sum_side` values one side of a position,
-its collateral or its debt, as scaled integers (``Dec.raw``), without
-building a ``Dec`` per term. On the collateral side
-it returns the collateral value ``c`` and the borrowing capacity ``bc``; on
-the debt side, which has no thresholds, the debt value ``d``.
-:func:`value_sums` values both sides, collateral first, into ``(c, bc,
-d)``. The kernel makes exactly the roundings that ``Dec``
-arithmetic makes: each asset's value is ``amount * price`` rounded
-half-even to 18 digits, each ``bc`` term is that rounded value times the
-asset's LT, rounded again, and the sums are exact integer additions. Its
-results therefore equal, digit for digit, those of the ``Dec`` loop
-``value = amount * price; c = c + value; bc = bc + value * LT``.
-:func:`revalue` makes the same roundings one term at a time: the scenario
-engine keeps each term's rounded values and each position's sums, and
-when a price moves it re-rounds only that asset's terms and adds the
-differences, which are exact, so its sums are the kernel's.
+Positions are valued on scaled integers (``Dec.raw``). :func:`value_sums`
+values one into raw ``(c, bc, d)``, collateral first, and
+:func:`priced_total` values one side's amounts; :func:`position_values`
+and ``risk``'s ``sensitivity`` and ``classify_bad_debt`` go through them.
+Both are the ``Dec`` loop ``value = amount * price; c = c + value; bc = bc
++ value * LT`` written on raws with ``fixedpoint._mul``: each asset's
+value is ``amount * price`` rounded half-even to 18 digits, each ``bc``
+term is that rounded value times the asset's LT, rounded again, and the
+sums are exact. Asset by asset they look the price up, check the value and
+the running sum against 2**255, and only then look the threshold up, so a
+missing price (``MissingPriceError``), an overflow and a missing threshold
+(``MissingThresholdError``) are raised where the ``Dec`` loop raises them,
+with its messages. Each ``bc`` term is at most its value, so ``bc`` never
+passes ``c`` and needs no check of its own.
 
-The kernel reads its terms as ``(key, raw amount)`` pairs and looks prices
-and thresholds up by key, so one loop serves two key layouts. Each price or
-threshold it looks up is a fraction ``(num, den)`` with ``num/den`` equal
-to ``raw/10**18``. :func:`value_sums` and :func:`priced_total` key by
-``Asset`` and look up through the oracle and the parameters, which raise
-``MissingPriceError`` and ``MissingThresholdError`` for an absent entry;
-they pass the unreduced ``(raw, 10**18)``, since a lookup made once is not
-worth a ``gcd``. The scenario engine numbers its assets once and keys by
-slot, into plain lists of fractions in lowest terms (:func:`_fraction`)
-that it has checked to be complete and reduces once per price move. The
-risk sweep reduces its declines once per sweep.
+:func:`revalue` is the scenario engine's kernel and the one loop here that
+writes half-even rounding out by hand, since it is the engine's hot path.
+It makes the same roundings one term at a time: the engine keeps each
+term's rounded values and each position's sums, and when a price moves it
+re-rounds only that asset's terms and adds the differences, which are
+exact, so its sums are those of :func:`value_sums`. It reads each price
+and threshold as a fraction in lowest terms (:func:`_fraction`), as the
+risk sweep reads its declines.
 
 Dividing by the reduced denominator is exact, not an approximation, and is
 faster: a price with at most 2 decimals, or a threshold such as 0.8 = 4/5,
@@ -44,18 +36,7 @@ instead of long division by 10**18. Write the raw price ``P = n*g`` and
 ``divmod(a*n, d) == (q, r)`` exactly when ``divmod(a*P, 10**18) == (q,
 r*g)``, and ``2*r > d`` exactly when ``2*r*g > 10**18`` (likewise for
 ``==``). So every quotient, every half-even rounding and every tie is the
-one the division by 10**18 makes, and so is every overflow check.
-
-Overflow stays explicit. That ``Dec`` loop checks every product and partial
-sum against 2**255. Here every term is non-negative and each ``bc`` term is
-at most its value, so every intermediate is at most the running ``c`` (or
-``d``). Checking the running sum after each asset therefore raises
-``OverflowError`` exactly where the ``Dec`` loop did, before the next
-asset's price or threshold is looked up. Once the sum is out of range the
-kernel checks the asset's value first, as the loop checks the product
-before the sum, so its message names the same number. The two sides share
-no lookup and no sum, so a side valued alone raises what it raises when it
-follows the other.
+one the division by 10**18 makes.
 """
 
 from __future__ import annotations
@@ -234,44 +215,10 @@ class PositionValues:
 
 
 def _fraction(raw: int) -> tuple:
-    """``raw / 10**18`` in lowest terms, as ``(num, den)``; the kernel
+    """``raw / 10**18`` in lowest terms, as ``(num, den)``; :func:`revalue`
     rounds by dividing by ``den``, which divides 10**18."""
     common = gcd(raw, SCALE)
     return raw // common, SCALE // common
-
-
-def sum_side(terms, prices, thresholds=None) -> tuple:
-    """The valuation kernel, on one side of a position: scaled-int
-    ``(total, weighted)`` with total = sum(amount*price) and, when
-    ``thresholds`` is given, weighted = sum(amount*price*LT), else 0.
-
-    ``terms`` are ``(key, raw amount)`` pairs; ``prices[key]`` and
-    ``thresholds[key]`` are fractions ``(num, den)`` with ``num/den`` equal
-    to the raw value over 10**18. See the module docstring for the
-    roundings, why dividing by ``den`` gives those of 10**18, and the
-    overflow checks. Each product is rounded half-even as
-    ``fixedpoint._round_div`` rounds it, written out here because this loop
-    is the engine's hot path.
-    """
-    total = weighted = 0
-    for key, amount in terms:
-        num, den = prices[key]
-        value, rest = divmod(amount * num, den)
-        rest += rest
-        if rest > den or (rest == den and value & 1):
-            value += 1
-        total += value
-        if total >= _BOUND:  # the Dec loop checks the product, then the sum
-            _checked(value)
-            _checked(total)
-        if thresholds is not None:
-            num, den = thresholds[key]
-            term, rest = divmod(value * num, den)
-            rest += rest
-            if rest > den or (rest == den and term & 1):
-                term += 1
-            weighted += term
-    return total, weighted
 
 
 def revalue(terms, price, threshold=None) -> bool:
@@ -283,9 +230,10 @@ def revalue(terms, price, threshold=None) -> bool:
     term ``[sums, raw amount, value]``, where ``sums`` is the owner's
     ``[c, bc, d]``; a collateral term takes its asset's ``threshold``, a
     debt term none. ``value`` and ``weighted`` are the rounded
-    ``amount*price`` and ``value*LT`` that :func:`sum_side` adds for the
+    ``amount*price`` and ``value*LT`` that :func:`value_sums` adds for the
     term, with the same roundings, so sums kept by these exact differences
-    equal the kernel's whole-side sums. A new term starts at 0, and an
+    equal its sums. ``price`` and ``threshold`` are fractions ``(num, den)``
+    in lowest terms (:func:`_fraction`). A new term starts at 0, and an
     emptied one (amount 0) ends at 0. Overflow is left to the caller: the
     intermediate sums of an update in which several assets move are not the
     ``Dec`` loop's, so on True it values the positions with
@@ -325,38 +273,24 @@ def revalue(terms, price, threshold=None) -> bool:
     return over
 
 
-class _FractionLookup:
-    """``(lookup(key).raw, 10**18)`` behind ``[key]``: the kernel's
-    fraction of a value read once, left unreduced. The kernel reads an
-    oracle's prices or a parameter set's thresholds through it, so their
-    missing-entry errors are raised in the kernel's order."""
-
-    __slots__ = ("_lookup",)
-
-    def __init__(self, lookup):
-        self._lookup = lookup
-
-    def __getitem__(self, key) -> tuple:
-        return self._lookup(key).raw, SCALE
-
-
-def _raw_terms(amounts: Mapping[Asset, Dec]):
-    return [(asset, amount.raw) for asset, amount in amounts.items()]
-
-
 def priced_total(amounts: Mapping[Asset, Dec], oracle: OracleSnapshot) -> int:
     """Scaled-int USD value of native ``amounts``: the sum of amount*price,
     each product rounded half-even as ``Dec`` multiplication rounds it."""
-    return sum_side(_raw_terms(amounts), _FractionLookup(oracle.price))[0]
+    total = 0
+    for asset, amount in amounts.items():
+        total = _checked(total + _mul(amount.raw, oracle.price(asset).raw))
+    return total
 
 
 def value_sums(position: Position, oracle: OracleSnapshot, params: RiskParams) -> tuple:
-    """Scaled-int ``(c, bc, d)`` of a position at the snapshot: both sides
-    through the kernel :func:`sum_side`, collateral first."""
-    prices = _FractionLookup(oracle.price)
-    thresholds = _FractionLookup(params.threshold)
-    c, bc = sum_side(_raw_terms(position.collateral), prices, thresholds)
-    return c, bc, sum_side(_raw_terms(position.debt), prices)[0]
+    """Scaled-int ``(c, bc, d)`` of a position at the snapshot, collateral
+    first: the ``Dec`` loop on raws."""
+    c = bc = 0
+    for asset, amount in position.collateral.items():
+        value = _mul(amount.raw, oracle.price(asset).raw)
+        c = _checked(c + value)
+        bc += _mul(value, params.threshold(asset).raw)
+    return c, bc, priced_total(position.debt, oracle)
 
 
 def position_values(position: Position, oracle: OracleSnapshot, params: RiskParams) -> PositionValues:

@@ -37,10 +37,9 @@ Engine rules, in order of application per block:
   changes. A ``Scenario`` given any other mapping converts it to a
   ``StepSeries`` once, reading it block by block, with a change at each
   block whose snapshot is not the block before's object.
-* Re-pricing goes by snapshot identity first: a block whose snapshot is the
-  one priced last costs nothing. A distinct snapshot, as in a programmatic
-  ``Scenario`` or after an override that repeats a price, is compared by
-  its raw prices, so equal prices still move nothing.
+* A re-pricing compares the snapshot's raw prices with the ones priced
+  last, so a snapshot with equal prices, as in a programmatic ``Scenario``
+  or after an override that repeats a price, moves nothing.
 * Valuation runs on a slot-indexed raw book. The assets the positions
   reference are numbered once (slots); a run keeps the block's raw prices by
   slot, for the price comparison, and the kernel's fractions in lowest terms
@@ -61,9 +60,9 @@ Engine rules, in order of application per block:
   is built from the book only for ``EventLog.final_positions``, and only
   for an owner whose balances changed. A re-pricing that takes a sum to
   2**255 values the positions again with ``value_sums``, in scenario order,
-  so an overflow raises the kernel's message. Validation guarantees a price
-  for every slot and a threshold for every collateral slot, so no lookup on
-  this path can fail.
+  so an overflow raises the ``Dec`` loop's message. Validation guarantees a
+  price for every slot and a threshold for every collateral slot, so no
+  lookup on this path can fail.
 * Fixed-spread agents act only when the net profit (gross minus gas and
   flash fee) is strictly positive. The net profit follows from the repay
   amount alone, so a call is sent only when it is profitable; that is also
@@ -96,6 +95,13 @@ Engine rules, in order of application per block:
   landed in the block under ``one_liquidation_per_block``, or on one that
   is healthy or holds no collateral by then. A fixed-spread call runs on the
   raw ``(c, bc, d)`` that the gate hands its visit.
+* A two-step agent plans on the whole position: ``_optimal_repays`` gets
+  its aggregate ``c`` and ``d`` and the LT of the collateral asset the call
+  seizes (the largest by value), the paper's single-LT closed form. On a
+  position with several collateral assets it therefore plans as if all of
+  ``c`` carried that LT. When the seized asset's LT is above the others',
+  ``LT*c >= d`` can hold while ``bc < d``: the plan is refused as healthy
+  and the agent makes no call, where a close-factor agent liquidates.
 * With ``one_liquidation_per_block`` set, at most one liquidation lands per
   position per block, so a two-step agent's second call executes in the
   next block (re-capped, and its asset pair re-chosen, against the
@@ -526,16 +532,13 @@ class _Run:
     def _reprice(self, oracle) -> None:
         """Take the block's raw prices and re-value the terms of each slot
         whose price moved, its holders' alone (``core.revalue``); at block 0
-        every slot moves. A block that shares the snapshot priced last costs
-        nothing.
+        every slot moves.
 
         When a sum reached 2**255 on the way, every position is valued whole
         by ``value_sums``, in scenario order, so the first one out of range
-        raises the kernel's own message. Only a side that holds a moved slot
-        can be out of range: a balance change only lowers a side's value.
+        raises the ``Dec`` loop's own message. Only a side that holds a moved
+        slot can be out of range: a balance change only lowers a side's value.
         """
-        if oracle is self.oracle:
-            return
         self.oracle = oracle
         prices = [oracle.prices[asset].raw for asset in self.assets]
         if prices != self.prices:

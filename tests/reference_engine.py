@@ -50,9 +50,10 @@ from liqlab.strategy import StrategyPlan
 
 # -- valuation as a Dec loop -----------------------------------------------------
 #
-# The library values a position through its scaled-integer kernel
-# (``core.sum_side``), which the engine shares. This is the seed's ``Dec``
-# loop, so the reference shares no valuation arithmetic with the engine.
+# The library values a position on scaled integers: ``core.value_sums`` is
+# this loop on raws, and the engine keeps its sums by ``core.revalue``. This
+# is the seed's ``Dec`` loop, so the reference shares no valuation
+# arithmetic with the engine.
 
 
 def position_values(position, oracle, params) -> PositionValues:

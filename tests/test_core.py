@@ -21,8 +21,8 @@ from liqlab import (
     is_liquidatable,
     position_values,
 )
-from liqlab.core import _fraction, sum_side, value_sums
-from liqlab.errors import MissingPriceError, MissingThresholdError
+from liqlab.core import _fraction, priced_total, revalue, value_sums
+from liqlab.errors import LiqlabError, MissingPriceError, MissingThresholdError
 from liqlab.fixedpoint import _BOUND, SCALE
 
 ETH = Asset("ETH")
@@ -255,42 +255,47 @@ def test_health_factor_invariant_under_uniform_price_scaling(
     assert hf_base == hf_scaled
 
 
-def _dec_loop_sums(position, oracle, params):
-    """Raw (c, bc, d) summed with plain Dec arithmetic, or "overflow" and the
-    error's message."""
+def _caught(valuation, *args):
+    """``valuation(*args)``, or the type and message of the ``OverflowError``
+    or ``LiqlabError`` it raises."""
     try:
-        c = bc = d = Dec(0)
-        for asset, amount in position.collateral.items():
-            value = amount * oracle.price(asset)
-            c = c + value
-            bc = bc + value * params.threshold(asset)
-        for asset, amount in position.debt.items():
-            d = d + amount * oracle.price(asset)
-    except OverflowError as exc:
-        return "overflow", str(exc)
+        return valuation(*args)
+    except (OverflowError, LiqlabError) as exc:
+        return type(exc), str(exc)
+
+
+def _dec_loop(position, oracle, params):
+    """Raw (c, bc, d) summed with plain Dec arithmetic."""
+    c = bc = d = Dec(0)
+    for asset, amount in position.collateral.items():
+        value = amount * oracle.price(asset)
+        c = c + value
+        bc = bc + value * params.threshold(asset)
+    for asset, amount in position.debt.items():
+        d = d + amount * oracle.price(asset)
     return c.raw, bc.raw, d.raw
 
 
-def _kernel_sums(position, oracle, params):
-    try:
-        return value_sums(position, oracle, params)
-    except OverflowError as exc:
-        return "overflow", str(exc)
+def _dec_loop_sums(position, oracle, params):
+    return _caught(_dec_loop, position, oracle, params)
 
 
-def _reduced_kernel_sums(position, oracle, params):
-    """The kernel on prices and thresholds in lowest terms, as the scenario
-    engine reads them (``value_sums`` passes them unreduced)."""
-    prices = {asset: _fraction(price.raw) for asset, price in oracle.prices.items()}
-    thresholds = {asset: _fraction(lt.raw) for asset, lt in params.lt.items()}
-    try:
-        c, bc = sum_side(
-            [(a, amount.raw) for a, amount in position.collateral.items()], prices, thresholds
+def _revalued_sums(position, oracle, params):
+    """The engine's kernel on the position: one ``revalue`` term per balance,
+    at prices and thresholds in lowest terms, as a run's first re-pricing
+    values it. Its raw ``(c, bc, d)`` and whether ``revalue`` reported a sum
+    at 2**255 or more."""
+    sums = [0, 0, 0]
+    over = False
+    for asset, amount in position.collateral.items():
+        over |= revalue(
+            [[sums, amount.raw, 0, 0]],
+            _fraction(oracle.price(asset).raw),
+            _fraction(params.threshold(asset).raw),
         )
-        d = sum_side([(a, amount.raw) for a, amount in position.debt.items()], prices)[0]
-    except OverflowError as exc:
-        return "overflow", str(exc)
-    return c, bc, d
+    for asset, amount in position.debt.items():
+        over |= revalue([[sums, amount.raw, 0]], _fraction(oracle.price(asset).raw))
+    return tuple(sums), over
 
 
 def _book(col, debt):
@@ -316,9 +321,13 @@ def _book(col, debt):
 def _assert_kernel_is_the_dec_loop(col, debt):
     position, oracle, params = _book(col, debt)
     expected = _dec_loop_sums(position, oracle, params)
-    assert _kernel_sums(position, oracle, params) == expected
-    assert _reduced_kernel_sums(position, oracle, params) == expected
-    if expected[0] != "overflow":
+    assert _caught(value_sums, position, oracle, params) == expected
+    sums, over = _revalued_sums(position, oracle, params)
+    # revalue reports where the Dec loop overflows and leaves the raising to
+    # its caller
+    assert over == (expected[0] is OverflowError)
+    if not over:
+        assert sums == expected
         values = position_values(position, oracle, params)
         assert (values.c.raw, values.bc.raw, values.d.raw) == expected
 
@@ -441,6 +450,10 @@ def _near_the_bound(draw):
     [(Dec.from_raw(_BOUND - 2), Dec(1), Dec("0.5")), (Dec.from_raw(1), Dec(1), Dec("0.5"))],
     [(Dec.from_raw(1), Dec(1)), (Dec.from_raw(_BOUND - 1), Dec(1))],
 ])
+@example([  # c lands on 2**255 and overflows
+    [(Dec.from_raw(_BOUND - 1), Dec(1), Dec("0.5")), (Dec.from_raw(1), Dec(1), Dec("0.5"))],
+    [(Dec.from_raw(1), Dec(1))],
+])
 def test_kernel_checks_sums_near_2_255_as_the_dec_loop_does(sides):
     _assert_kernel_is_the_dec_loop(*sides)
 
@@ -485,3 +498,39 @@ class TestValuationOverflow:
         params = RiskParams(lt={ETH: Dec("0.8"), DAI: Dec("0.8")}, ls=Dec(0), cf=Dec("0.5"))
         with pytest.raises(OverflowError):
             position_values(position, oracle, params)
+
+
+def _priced_debt(position, oracle, params):
+    """``priced_total`` of the debt side, in ``value_sums``' shape."""
+    return 0, 0, priced_total(position.debt, oracle)
+
+
+@pytest.mark.parametrize("valuation, collateral, debt, prices, lt, error, named", [
+    # the first asset's threshold is looked up before the second's price
+    (value_sums, {ETH: Dec(1), DAI: Dec(1)}, {}, {ETH: Dec(1)}, {},
+     MissingThresholdError, "ETH"),
+    # the first asset's value is checked before its threshold is looked up
+    (value_sums, {ETH: TestValuationOverflow.HUGE}, {}, {ETH: Dec(3500)}, {}, OverflowError, None),
+    # so is the sum: two values of 2**254 raw reach 2**255 before the
+    # second asset's threshold is looked up
+    (value_sums, {ETH: Dec.from_raw(2**254), DAI: Dec.from_raw(2**254)}, {},
+     {ETH: Dec(1), DAI: Dec(1)}, {ETH: Dec("0.8")}, OverflowError, None),
+    # collateral is priced before debt
+    (value_sums, {ETH: Dec(1)}, {USDC: Dec(1)}, {}, {ETH: Dec("0.8")},
+     MissingPriceError, "ETH"),
+    # the first amount's value is checked before the second is priced
+    (_priced_debt, {}, {ETH: TestValuationOverflow.HUGE, USDC: Dec(1)}, {ETH: Dec(3500)}, {},
+     OverflowError, None),
+], ids=["threshold-then-price", "overflow-then-threshold", "sum-overflow-then-threshold",
+        "collateral-then-debt", "priced-total-overflow-then-price"])
+def test_valuation_looks_up_and_checks_in_the_dec_loops_order(
+    valuation, collateral, debt, prices, lt, error, named
+):
+    position = Position("p", collateral=collateral, debt=debt)
+    oracle = OracleSnapshot(prices=prices)
+    params = RiskParams(lt=lt, ls=Dec(0), cf=Dec("0.5"))
+    expected = _dec_loop_sums(position, oracle, params)
+    assert _caught(valuation, position, oracle, params) == expected
+    assert expected[0] is error
+    if named is not None:
+        assert repr(named) in expected[1]

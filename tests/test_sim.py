@@ -155,6 +155,41 @@ class TestTwoStepScenario:
         (position,) = log.final_positions
         assert position.collateral == {Asset("WBTC", decimals=8): Dec("0.02")}
 
+    @pytest.mark.parametrize("policy, repaid", [
+        ("up-to-close-factor", ["500", "250"]),
+        ("optimal-two-step", []),
+    ])
+    def test_two_step_plans_with_the_seized_assets_lt_on_the_whole_collateral(
+        self, policy, repaid
+    ):
+        # HF = (0.8 * 1000 + 0.1 * 900) / 1000 = 0.89, but the two-step plan
+        # weighs all of c = 1900 at ETH's LT: 0.8 * 1900 = 1520 >= d = 1000,
+        # so it is refused as healthy and that agent makes no call
+        doc = {
+            "assets": [
+                {"symbol": "ETH"},
+                {"symbol": "DAI"},
+                {"symbol": "USDC", "decimals": 6},
+            ],
+            "params": {"lt": {"ETH": "0.8", "DAI": "0.1"}, "ls": "0.05", "cf": "0.5"},
+            "positions": [
+                {
+                    "owner": "p",
+                    "collateral": {"ETH": "1", "DAI": "900"},
+                    "debt": {"USDC": "1000"},
+                }
+            ],
+            "price_path": {"0": {"ETH": "1000", "DAI": "1", "USDC": "1"}},
+            "agents": [{"id": "agent", "policy": policy}],
+            "blocks": 2,
+        }
+        scenario = load_scenario(doc)
+        values = position_values(scenario.positions[0], scenario.price_path[0], scenario.params)
+        assert values.bc / values.d == Dec("0.89")
+        log = run_scenario(scenario)
+        assert [e.repaid_usd for e in log.events] == [Dec(r) for r in repaid]
+        assert [e.block for e in log.events] == list(range(len(repaid)))
+
     def test_flash_revert_leaves_positions_untouched(self):
         # a 10% flash fee dwarfs the 8% spread, so no call is profitable or sent
         scenario = replace(
