@@ -19,16 +19,11 @@ expressions' raws.
 
 from __future__ import annotations
 
-import re
-
 DIGITS = 18
 SCALE = 10**DIGITS
 _BOUND = 2**255  # |raw| must stay strictly below this, mirroring int256
 # a raw of more digits than 2**255 has is out of range
 _RAW_DIGITS = len(str(_BOUND))
-# an optional sign, then ASCII digits with an optional point followed by
-# digits; the lookahead asks for at least one digit
-_DECIMAL = re.compile(r"([+-]?)(?=\.?[0-9])([0-9]*)(?:\.([0-9]+))?")
 
 
 def _round_div(n: int, d: int) -> int:
@@ -76,14 +71,21 @@ def _parse(text: str) -> int:
     digit. Leading zeros are allowed. A value past 2**255 raw is an
     ``OverflowError``, raised without converting a digit string longer than
     2**255's, so no input meets the interpreter's int-string limit.
+
+    The text is split at its first point and its sign taken off; the rest
+    must be ASCII digits (``str.isdigit`` alone also accepts ``²`` and
+    ``٣``), with digits after a point if there is one, and before it if
+    there is none. The digits are converted by one ``int`` call.
     """
-    match = _DECIMAL.fullmatch(text.strip())
-    if match is None:
+    whole, point, frac = text.strip().partition(".")
+    sign = whole[:1]
+    if sign == "-" or sign == "+":
+        whole = whole[1:]
+    digits = whole + frac.ljust(DIGITS, "0")
+    if not ((frac if point else whole) and digits.isascii() and digits.isdigit()):
         raise ValueError(f"not a decimal string: {text!r}")
-    sign, whole, frac = match.groups("")
     if len(frac) > DIGITS:
         raise ValueError(f"more than {DIGITS} fractional digits: {text!r}")
-    digits = whole + frac.ljust(DIGITS, "0")
     if len(digits) >= _RAW_DIGITS:  # only so long a number can be out of range
         digits = digits.lstrip("0") or "0"
         if len(digits) > _RAW_DIGITS:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -27,7 +28,7 @@ from .core import (
 )
 from .errors import EmptyPathError, PathLengthMismatchError, ZeroDebtError
 from .fixed_spread import max_repay
-from .fixedpoint import SCALE, Dec, ZERO, _round_div
+from .fixedpoint import SCALE, Dec, ZERO, _div, _round_div
 
 
 @dataclass(frozen=True)
@@ -92,16 +93,32 @@ def _liquidatable_collateral(exposures: list, declines: list) -> list:
     ``core`` module docstring). For an exposure that does not owe the target,
     ``bc - R(target_bc * k) < d`` (R: that rounding) holds from some decline
     on: ``target_bc >= 0`` and R does not decrease, so the adjusted capacity
-    does not rise as ``k`` does. Bisection finds that first decline exactly.
-    An exposure that also owes the target loses debt as well as capacity,
-    so it is tested at every decline. Each exposure's term is at least 0
-    (every decline is at most 1), so checking each total alone, in decline
-    order, raises ``OverflowError`` whenever a running ``Dec`` sum would
-    have.
+    does not rise as ``k`` does. Bisection finds that first decline exactly,
+    and the exposure counts at every decline from there to the last: the
+    totals are suffix sums.
+
+    Let ``common`` be the least common multiple of the reduced
+    denominators (a divisor of 10**18). When it divides ``target_value``,
+    every term ``target_value * num / den`` is the exact integer
+    ``(target_value // common) * (common // den) * num``, so the exposure
+    adds its ``c`` and ``target_value // common`` once, at its first
+    decline, and each total is ``c`` summed minus those units summed times
+    the decline's multiplier. Otherwise each decline rounds the whole
+    ``target_value`` on its own: half-even ties depend on the parity of the
+    whole quotient, so rounding a remainder alone would not do. An exposure
+    that also owes the target loses debt as well as capacity, so it is
+    tested, and rounded, at every decline. Each exposure's term is at least
+    0 (every decline is at most 1), so checking each total alone, in
+    decline order, raises ``OverflowError`` whenever a running ``Dec`` sum
+    would have.
     """
     n = len(declines)
     totals = [0] * n
     fractions = [_fraction(k) for k in declines]
+    common = math.lcm(*(den for _, den in fractions))
+    # what exact exposures add to every total from their first decline on
+    c_from = [0] * (n + 1)
+    units_from = [0] * (n + 1)
     for c, bc, d, target_value, target_bc, target_debt in exposures:
         if target_debt is None:
             first, last = 0, n
@@ -112,6 +129,11 @@ def _liquidatable_collateral(exposures: list, declines: list) -> list:
                     last = mid
                 else:
                     first = mid + 1
+            units, rest = divmod(target_value, common)
+            if not rest:
+                c_from[first] += c
+                units_from[first] += units
+                continue
             hits = range(first, n)
         else:
             hits = [
@@ -126,6 +148,11 @@ def _liquidatable_collateral(exposures: list, declines: list) -> list:
             if rest > den or (rest == den and value & 1):
                 value += 1
             totals[i] += c - value
+    c_sum = units_sum = 0
+    for i, (num, den) in enumerate(fractions):
+        c_sum += c_from[i]
+        units_sum += units_from[i]
+        totals[i] += c_sum - units_sum * (common // den * num)
     return [Dec.from_raw(total) for total in totals]
 
 
@@ -166,12 +193,17 @@ def sensitivity_curve(
     that :func:`sensitivity` runs on one decline, with the same roundings.
     The declines do not decrease with ``k``, so the sweep finds by bisection
     the first step at which a borrower that does not owe the target becomes
-    liquidatable; it tests a borrower that owes the target at every step.
+    liquidatable, and adds it to every step from there on as a suffix sum:
+    once, when the declines multiply its target value exactly (as when
+    ``steps`` divides 10**10 and the target's price and amount have at most
+    2 and 6 decimals, as on the bench), else rounding at each of those
+    steps. It tests a borrower that owes the target at every step.
     """
     if steps < 2:
         raise ValueError(f"steps must be >= 2: {steps}")
     exposures = _target_exposures(borrowers, target, oracle, params)
-    declines = [Dec(k) / Dec(steps) for k in range(steps + 1)]
+    scaled = Dec(steps).raw  # raises where Dec(k) / Dec(steps) would
+    declines = [Dec.from_raw(_div(k * SCALE, scaled)) for k in range(steps + 1)]
     totals = _liquidatable_collateral(exposures, [decline.raw for decline in declines])
     return [
         SensitivityPoint(decline_pct=decline, liquidatable_collateral_usd=total)

@@ -1044,19 +1044,22 @@ def _identifier(entry: dict, key: str, where=()) -> str:
     return value
 
 
-def _amounts(raw, assets, where) -> dict:
-    """A ``{symbol: decimal}`` object as ``{Asset: Dec}``, each symbol
-    resolved through ``assets`` (symbol -> Asset)."""
-    amounts = {}
+def _amounts(raw, assets, where, amounts: dict) -> bool:
+    """Parse a ``{symbol: decimal}`` object into ``amounts`` as ``{Asset:
+    Dec}``, each symbol resolved through ``assets`` (symbol -> Asset), and
+    return whether every amount it parsed is positive: every entry is
+    parsed before the caller checks one."""
+    positive = True
     for sym, value in _shaped(raw, dict, where).items():
         asset = assets.get(sym)
         if asset is None:
             raise InvalidScenarioError(f"{_name(where)}.{sym}", f"unknown asset {sym!r}")
         try:
-            amounts[asset] = Dec(value)
+            amount = amounts[asset] = Dec(value)
         except (ValueError, TypeError, OverflowError):
             _dec_field(value, f"{_name(where)}.{sym}")  # raises, naming the field
-    return amounts
+        positive = positive and amount.raw > 0
+    return positive
 
 
 def _built(where, cls, *args, **kwargs):
@@ -1135,10 +1138,12 @@ def load_scenario(source) -> Scenario:
     params_doc = doc.get("params")
     if not isinstance(params_doc, dict):
         raise InvalidScenarioError("params", "missing or not an object")
+    lt = {}
+    _amounts(params_doc.get("lt", {}), assets, "params.lt", lt)
     params = _built(
         "params",
         RiskParams,
-        lt=_amounts(params_doc.get("lt", {}), assets, "params.lt"),
+        lt=lt,
         ls=_dec_field(params_doc.get("ls", "0"), "params.ls"),
         cf=_dec_field(params_doc.get("cf", "1"), "params.cf"),
         cf_per_debt_asset=_boolean(
@@ -1150,8 +1155,9 @@ def load_scenario(source) -> Scenario:
     for i, entry in enumerate(_shaped(doc.get("positions", []), list, "positions")):
         entry = _shaped(entry, dict, ("positions", i))
         owner = _identifier(entry, "owner", ("positions", i))
-        collateral = _amounts(entry.get("collateral", {}), assets, ("positions", i, "collateral"))
-        debt = _amounts(entry.get("debt", {}), assets, ("positions", i, "debt"))
+        collateral, debt = {}, {}
+        _amounts(entry.get("collateral", {}), assets, ("positions", i, "collateral"), collateral)
+        _amounts(entry.get("debt", {}), assets, ("positions", i, "debt"), debt)
         positions.append(_built(("positions", i), Position, owner, collateral, debt))
 
     blocks = _integer(doc.get("blocks"), "blocks")  # Scenario rejects blocks < 0
@@ -1181,12 +1187,11 @@ def load_scenario(source) -> Scenario:
     current = {}
     for block in sorted(moves):
         key = moves[block]  # a present null is parsed, and is not an object
-        overrides = _amounts(path_doc[key], assets, ("price_path", key))
+        overrides = _shaped(path_doc[key], dict, ("price_path", key))
         if overrides or not starts:  # block 0 comes first
-            current.update(overrides)
-            # the snapshot copies current; the inherited prices passed at an
-            # earlier block, so only the overrides need a check
-            if all(price.raw > 0 for price in overrides.values()):
+            # the overrides are parsed straight into current; the inherited
+            # prices passed at an earlier block, so only they need a check
+            if _amounts(overrides, assets, ("price_path", key), current):
                 snapshots.append(OracleSnapshot._of_checked(current))
             else:  # raises, naming the first bad price in current's order
                 _built(("price_path", key), OracleSnapshot, current)

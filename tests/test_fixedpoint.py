@@ -226,6 +226,19 @@ decimal_texts = st.builds(
 @example("-" + "5" * 77)
 @example("1" * 100)
 @example("\u3000+.5\n")
+# what a parser without a regex can get wrong: int() reads "1_0", isdigit()
+# accepts "²" and "٣", and a point, a sign or a split needs digits around it
+@example("1_0")
+@example("\u00b2")
+@example("\u0663.5")
+@example("5.")
+@example(".")
+@example("+")
+@example("-.")
+@example("+-1")
+@example("1.2.3")
+@example("0x1f")
+@example(" .5\t")
 def test_parser_matches_the_reference(text):
     expected = _reference_outcome(text)
     actual = _outcome(lambda t: Dec(t).raw, text)

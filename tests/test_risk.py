@@ -27,7 +27,7 @@ from liqlab.errors import (
     ZeroDebtError,
 )
 from liqlab.fixedpoint import SCALE, _round_div
-from liqlab.risk import _target_exposures
+from liqlab.risk import _liquidatable_collateral, _target_exposures
 
 from test_acceptance import _brute_force_lc, _random_portfolio
 
@@ -237,6 +237,54 @@ def test_curve_equals_sensitivity_at_each_step(steps, book):
         assert point.liquidatable_collateral_usd == sensitivity(
             positions, TARGET, decline, oracle, params
         ) == _per_decline_lc(exposures, decline)
+
+
+def decimals(places, low, high):
+    """Decimals of ``places`` fractional digits, from ``low`` to ``high`` units
+    of the last digit."""
+    return st.integers(low, high).map(lambda units: Dec.from_raw(units * (SCALE // 10**places)))
+
+
+@st.composite
+def cent_exposures(draw):
+    """The exposures of a book priced as the bench prices it: 2-decimal
+    prices and thresholds, 6-decimal amounts. Every target value is then a
+    multiple of 10**10, so of the denominators' lcm for every step count
+    that divides 10**10: the sweep's exact path. Crossings lie anywhere in
+    [0, 1], and some holders also owe TARGET."""
+    price = draw(decimals(2, 1, 10**7))
+    oracle = OracleSnapshot(prices={TARGET: price, OTHER: Dec(1)})
+    lt = draw(decimals(2, 1, 99))
+    params = RiskParams(lt={TARGET: lt, OTHER: Dec("0.5")}, ls=Dec(0), cf=Dec("0.5"))
+    positions = []
+    for i in range(draw(st.integers(1, 8))):
+        collateral = {TARGET: draw(decimals(6, 1, 10**12)), OTHER: draw(decimals(6, 0, 10**12))}
+        capacity = position_values(Position("", collateral), oracle, params).bc
+        crossing = Dec.from_raw(draw(st.integers(0, SCALE)))
+        debt = capacity - collateral[TARGET] * price * lt * crossing
+        debt = {OTHER: Dec.from_raw(debt.raw - debt.raw % 10**12)}
+        if draw(st.integers(0, 3)) == 0:
+            debt[TARGET] = draw(decimals(6, 1, 10**12))
+        positions.append(Position(f"b{i}", collateral, debt))
+    return _target_exposures(positions, TARGET, oracle, params)
+
+
+@settings(max_examples=150, deadline=None)
+@given(exposures=cent_exposures(), steps=st.sampled_from((2, 7, 30, 100)))
+@example(  # an odd target value at decline 1/2: a half-even tie on the rounded path
+    exposures=[(
+        966931340084276953881792, 790113403339912172355472, 786750264029535054295403,
+        139150192546212914844915, 42061425405740872529917, None,
+    )],
+    steps=2,
+)
+def test_cent_priced_sweep_equals_the_per_decline_loop(exposures, steps):
+    # 2 and 100 divide 10**10, so their totals are suffix sums of exact
+    # terms; most declines k/7 and k/30 are rounded, so most terms are too
+    declines = [Dec(k) / Dec(steps) for k in range(steps + 1)]
+    assert _liquidatable_collateral(exposures, [x.raw for x in declines]) == [
+        _per_decline_lc(exposures, x) for x in declines
+    ]
 
 
 class TestRiskScanOverflow:

@@ -1708,6 +1708,26 @@ class TestSnapshotValidation:
             f"invalid scenario: price_path.4: oracle price for {named} must be > 0"
         )
 
+    @pytest.mark.parametrize(
+        "override, field, problem",
+        [
+            ({"DAI": "-1", "WBTC": "x"}, "price_path.4.WBTC", "not a decimal string: 'x'"),
+            ({"WBTC": "x", "DAI": "-1"}, "price_path.4.WBTC", "not a decimal string: 'x'"),
+            ({"ETH": "0", "GEM": "1"}, "price_path.4.GEM", "unknown asset 'GEM'"),
+        ],
+    )
+    def test_every_override_is_parsed_before_any_price_is_checked(
+        self, override, field, problem
+    ):
+        # a bad decimal or an unknown asset anywhere in the block's overrides
+        # is reported before a non-positive price, whichever comes first
+        doc = sparse_wbtc_doc(blocks=6)
+        doc["assets"].append({"symbol": "DAI"})
+        doc["price_path"]["4"] = override
+        with pytest.raises(InvalidScenarioError) as info:
+            load_scenario(doc)
+        assert (info.value.field, info.value.problem) == (field, problem)
+
     def test_inherited_prices_stay_in_the_snapshot(self):
         doc = sparse_wbtc_doc(blocks=6)
         doc["assets"].append({"symbol": "DAI"})

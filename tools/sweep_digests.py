@@ -9,12 +9,21 @@ the scripted bids reach them, so those runs end in the script's
 ``InvalidScenarioError``; the sweep therefore also runs each of them with the
 auction bidder's script emptied, so auctions open and expire with no bids.
 Every curve of those runs has 20 or 100 steps, both divisors of 10**18, so
-none of their declines is rounded; the fixtures and crash-cascade seeds 0-19
-are therefore run once more with curves at 7 and 30 steps. Every price and
-threshold those generators and fixtures write has at most 2 fractional
-digits, so each reduces to a fraction whose denominator is at most 100; the
-fixtures and crash-cascade seeds 0-4 are therefore also run with every price
-and threshold given 8 and 18 seeded fractional digits (682 runs in all).
+none of their declines is rounded, and every target value they meet is a
+multiple of the declines' denominators, so every borrower takes the
+sensitivity sweep's exact path (``risk._liquidatable_collateral``); the
+fixtures and crash-cascade seeds 0-19 are therefore run once more with
+curves at 7 and 30 steps, whose rounded declines send the sweep down its
+rounded path (all but the 4% of borrowers whose target value is a whole
+number of dollars). Every price and threshold those generators and
+fixtures write has at most 2 fractional digits, so each reduces to a
+fraction whose denominator is at most 100; the fixtures and crash-cascade
+seeds 0-4 are therefore also run with every price and threshold given 8
+and 18 seeded fractional digits (682 runs in all). Their target values
+take the rounded path at 7 steps, and at 20 and 100 steps the exact path
+with 8 digits and, for all but 2 of 203 borrowers, the rounded path with
+18. No borrower in the sweep owes
+its curve's target; the tier-1 tests cover that path.
 Each run's digest covers the event log as CSV and JSONL, the collateral volume series
 and the final positions, or the error that ended the run. For crash-cascade
 runs and the fixtures it also covers the sensitivity curve and the bad-debt
