@@ -19,11 +19,13 @@ number of dollars). Every price and threshold those generators and
 fixtures write has at most 2 fractional digits, so each reduces to a
 fraction whose denominator is at most 100; the fixtures and crash-cascade
 seeds 0-4 are therefore also run with every price and threshold given 8
-and 18 seeded fractional digits (682 runs in all). Their target values
+and 18 seeded fractional digits. Their target values
 take the rounded path at 7 steps, and at 20 and 100 steps the exact path
 with 8 digits and, for all but 2 of 203 borrowers, the rounded path with
-18. No borrower in the sweep owes
-its curve's target; the tier-1 tests cover that path.
+18. No borrower in those runs owes its curve's target, so crash-cascade
+seeds 0-4 run once more with every other ETH holder also owing 3% of its
+ETH in ETH (``_owing_doc``), with curves at 100 and 7 steps: 200 of their
+400 exposures take the sweep's per-step path for owers (687 runs in all).
 Each run's digest covers the event log as CSV and JSONL, the collateral volume series
 and the final positions, or the error that ended the run. For crash-cascade
 runs and the fixtures it also covers the sensitivity curve and the bad-debt
@@ -69,6 +71,8 @@ FIXTURE_FEE = "10"
 ROUNDED_STEPS = (7, 30)  # k/steps is rounded to 18 digits for most k
 FINE_SEEDS = range(5)
 FINE_DIGITS = (8, 18)  # fractional digits of every price and threshold
+OWING_SEEDS = range(5)
+OWED_PCT = 3  # of its target collateral, owed in the target by every other holder
 
 
 def _outcome(fn) -> str:
@@ -184,6 +188,12 @@ def runs():
                      for steps in (workload.shape.steps, ROUNDED_STEPS[0])]
             key = f"crash-cascade/seed{seed:02d}/fine{digits}"
             yield key, _fine_doc(workload.scenario, digits, random.Random(key)), scans
+    for seed in OWING_SEEDS:
+        workload = workloads.crash_cascade(seed)
+        scans = [(workload.target, steps, workload.fee, workload.scan_block)
+                 for steps in (workload.shape.steps, ROUNDED_STEPS[0])]
+        yield (f"crash-cascade/seed{seed:02d}/owes-target",
+               _owing_doc(workload.scenario, workload.target), scans)
 
 
 def _fine(value: str, digits: int, rng) -> str:
@@ -204,6 +214,18 @@ def _fine_doc(doc: dict, digits: int, rng) -> dict:
     params["lt"] = {sym: _fine(lt, digits, rng) for sym, lt in params["lt"].items()}
     for key, overrides in doc["price_path"].items():
         doc["price_path"][key] = {sym: _fine(p, digits, rng) for sym, p in overrides.items()}
+    return doc
+
+
+def _owing_doc(doc: dict, target: str) -> dict:
+    """A copy of ``doc`` in which every other position holding ``target`` as
+    collateral also owes ``OWED_PCT`` percent of that amount of it, floored
+    to 6 fractional digits (the generators' amount digits)."""
+    doc = copy.deepcopy(doc)
+    holders = [p for p in doc["positions"] if target in p.get("collateral", {})]
+    for position in holders[1::2]:
+        units = int(Decimal(position["collateral"][target]).scaleb(6)) * OWED_PCT // 100
+        position["debt"] = dict(position["debt"], **{target: workloads.dec(units, 6)})
     return doc
 
 
