@@ -12,6 +12,13 @@ the first dent bid must undercut the whole lot. Termination happens when the
 auction length has elapsed since initiation or the bid duration has elapsed
 since the last bid, whichever is observed; when both hold at once the
 auction-length reason is reported.
+
+An ``Auction`` stores each fact once: the lot, the tab, the clock, the best
+tend and dent bids and, once it is over, its ``termination_reason``. The
+rest is derived: ``phase`` is DENT once the best tend bid equals the tab,
+and ``last_bid_time`` is the time of ``best_bid``, since every accepted bid
+becomes the best. An auction is terminated exactly when it has a
+``termination_reason``; it then takes no more bids and can be finalized.
 """
 
 from __future__ import annotations
@@ -37,8 +44,6 @@ from .fixedpoint import Dec, ONE, ZERO
 class Phase(enum.Enum):
     TEND = "tend"
     DENT = "dent"
-    TERMINATED = "terminated"
-    FINALIZED = "finalized"
 
 
 class TerminationReason(enum.Enum):
@@ -82,17 +87,26 @@ class Auction:
     tab_debt: Dec
     config: AuctionConfig
     start_time: int
-    phase: Phase = Phase.TEND
-    last_bid_time: Optional[int] = None
     best_tend: Optional[Bid] = None
     best_dent: Optional[Bid] = None
-    history: tuple = ()
     termination_reason: Optional[TerminationReason] = None
+
+    @property
+    def phase(self) -> Phase:
+        """DENT once a tend bid has reached the tab, else TEND."""
+        tend = self.best_tend
+        return Phase.DENT if tend is not None and tend.amount == self.tab_debt else Phase.TEND
 
     @property
     def best_bid(self) -> Optional[Bid]:
         """The currently winning bid: the best dent bid once one exists."""
         return self.best_dent if self.best_dent is not None else self.best_tend
+
+    @property
+    def last_bid_time(self) -> Optional[int]:
+        """The time of the last accepted bid, which is always ``best_bid``."""
+        bid = self.best_bid
+        return None if bid is None else bid.time
 
 
 @dataclass(frozen=True)
@@ -105,7 +119,6 @@ class Settlement:
     collateral_value_usd: Dec
     borrower_refund_usd: Dec
     winner_profit_usd: Dec
-    auction: Auction
 
 
 def start_auction(values: PositionValues, config: AuctionConfig, now: int) -> Auction:
@@ -151,8 +164,8 @@ def place_bid(auction: Auction, bid: Bid) -> Auction:
     conditions), so a bid dated before the auction start or the last bid is
     rejected outright.
     """
-    if auction.phase in (Phase.TERMINATED, Phase.FINALIZED):
-        raise AuctionClosedError(f"auction is {auction.phase.value}")
+    if auction.termination_reason is not None:
+        raise AuctionClosedError("auction is terminated")
     floor_time = auction.start_time if auction.last_bid_time is None else auction.last_bid_time
     if bid.time < floor_time:
         raise ValueError(
@@ -174,14 +187,7 @@ def place_bid(auction: Auction, bid: Bid) -> Auction:
                     f"tend bid {bid.amount} must exceed {floor} "
                     f"(previous {auction.best_tend.amount} plus increment)"
                 )
-        next_phase = Phase.DENT if bid.amount == auction.tab_debt else Phase.TEND
-        return replace(
-            auction,
-            phase=next_phase,
-            best_tend=bid,
-            last_bid_time=bid.time,
-            history=auction.history + (bid,),
-        )
+        return replace(auction, best_tend=bid)
 
     # dent phase: the implicit baseline is the whole lot accepted by the
     # tend winner, so the first dent bid must already undercut the lot
@@ -198,22 +204,18 @@ def place_bid(auction: Auction, bid: Bid) -> Auction:
             f"dent bid {bid.amount} must undercut {ceiling} "
             f"(baseline {baseline} minus increment)"
         )
-    return replace(
-        auction,
-        best_dent=bid,
-        last_bid_time=bid.time,
-        history=auction.history + (bid,),
-    )
+    return replace(auction, best_dent=bid)
 
 
 def apply_termination(auction: Auction, now: int) -> Auction:
-    """Transition to the terminated phase; raises NotTerminatedError while open."""
-    if auction.phase in (Phase.TERMINATED, Phase.FINALIZED):
+    """Record why the auction is over at ``now``; raises NotTerminatedError
+    while it is open. A terminated auction is returned as it is."""
+    if auction.termination_reason is not None:
         return auction
     reason = check_termination(auction, now)
     if reason is None:
         raise NotTerminatedError("auction is still open")
-    return replace(auction, phase=Phase.TERMINATED, termination_reason=reason)
+    return replace(auction, termination_reason=reason)
 
 
 def finalize(auction: Auction, oracle_values: PositionValues) -> Settlement:
@@ -225,38 +227,32 @@ def finalize(auction: Auction, oracle_values: PositionValues) -> Settlement:
 
     Tend ending: the winner pays their bid and takes the whole lot. Dent
     ending: the winner pays the full tab and takes their committed share
-    ``c_win``; the rest of the lot is refunded to the borrower.
+    ``c_win``, the whole lot when no dent bid came; the rest of the lot is
+    refunded to the borrower.
     """
-    if auction.phase is not Phase.TERMINATED:
+    if auction.termination_reason is None:
         raise NotTerminatedError(
             f"finalize requires a terminated auction, got {auction.phase.value}"
         )
-    if auction.best_bid is None:
+    winner = auction.best_bid
+    if winner is None:
         raise NoBidsError("auction expired with no bids; nothing to settle")
 
+    # the best tend bid is what the winner pays: the tab once it is in dent
+    paid = auction.best_tend.amount
     lot_now = oracle_values.c
-    if auction.best_dent is None:
-        winner = auction.best_tend
-        paid = winner.amount
-        received = lot_now
-        refund = ZERO
-        ended_in = Phase.TEND
-    else:
-        winner = auction.best_dent
-        paid = auction.tab_debt
+    received = lot_now
+    if auction.best_dent is not None:
         # the winner takes the committed fraction c_win / lot of the
         # collateral, valued at finalize time; fused mul/div keeps the
         # unchanged-price case exact
         received = Dec.mul_div(lot_now, winner.amount, auction.lot_collateral)
-        refund = lot_now - received
-        ended_in = Phase.DENT
 
     return Settlement(
         winner=winner.bidder,
-        ended_in=ended_in,
+        ended_in=auction.phase,
         paid_usd=paid,
         collateral_value_usd=received,
-        borrower_refund_usd=refund,
+        borrower_refund_usd=lot_now - received,
         winner_profit_usd=received - paid,
-        auction=replace(auction, phase=Phase.FINALIZED),
     )

@@ -6,7 +6,7 @@ strings, and outputs carry no timestamps unless ``--stamp`` is given, so
 identical inputs produce byte-identical outputs. Exit codes: 0 success,
 1 validation error, 2 I/O error (an unreadable file, including one that is
 not UTF-8 and JSON that is malformed or nested too deeply to decode; the
-message names the file).
+message names the file) or running out of memory.
 Diagnostics go to stderr only; set LIQLAB_LOG={error|info|debug} to control
 verbosity; at debug, ``simulate`` also logs the wall time of each
 scenario's load, run and serialize phases.
@@ -360,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--d", type=_dec, required=True, help="debt tab value USD")
     replay.add_argument("--auction-length", type=int, required=True, help="seconds")
     replay.add_argument("--bid-duration", type=int, required=True, help="seconds")
-    replay.add_argument("--min-increment", type=_dec, default=Dec("0.03"))
+    replay.add_argument("--min-increment", type=_dec, default=AuctionConfig.min_increment)
     replay.add_argument("--start", type=int, default=0, help="auction start time")
     replay.add_argument("--script", required=True, help="bid script JSON file")
     replay.add_argument(
@@ -430,6 +430,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

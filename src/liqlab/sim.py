@@ -147,7 +147,6 @@ from .auction import (
     Bid,
     Phase,
     apply_termination,
-    check_termination,
     deadline,
     finalize,
     place_bid,
@@ -306,9 +305,7 @@ class Scenario:
     price_path: Mapping[int, OracleSnapshot]
     agents: tuple
     blocks: int
-    auction_config: AuctionConfig = AuctionConfig(
-        auction_length=6, bid_duration=5, min_increment=Dec("0.03")
-    )
+    auction_config: AuctionConfig = AuctionConfig(auction_length=6, bid_duration=5)
     gas_fee_usd: Dec = ZERO
     flash_fee_rate: Dec = ZERO
     one_liquidation_per_block: bool = False
@@ -862,7 +859,7 @@ class _Run:
             return
         for owner in list(self.open_auctions):
             auction = self.open_auctions[owner]
-            if check_termination(auction, block) is None:
+            if deadline(auction) > block:
                 continue
             auction = apply_termination(auction, block)
             del self.open_auctions[owner]
@@ -1225,17 +1222,20 @@ def load_scenario(source) -> Scenario:
         agents.append(AgentPolicy(agent_id=agent_id, kind=kind, script=tuple(script)))
 
     auction_doc = _shaped(doc.get("auction_config", {}), dict, "auction_config")
+    default = Scenario.auction_config  # the field's default; a missing key keeps its value
     auction_length = _integer(
-        auction_doc.get("auction_length", 6), "auction_config.auction_length"
+        auction_doc.get("auction_length", default.auction_length), "auction_config.auction_length"
     )
-    bid_duration = _integer(auction_doc.get("bid_duration", 5), "auction_config.bid_duration")
+    bid_duration = _integer(
+        auction_doc.get("bid_duration", default.bid_duration), "auction_config.bid_duration"
+    )
     auction_config = _built(
         "auction_config",
         AuctionConfig,
         auction_length=auction_length,
         bid_duration=bid_duration,
         min_increment=_dec_field(
-            auction_doc.get("min_increment", "0.03"), "auction_config.min_increment"
+            auction_doc.get("min_increment", default.min_increment), "auction_config.min_increment"
         ),
     )
 

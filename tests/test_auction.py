@@ -62,8 +62,7 @@ class TestTendPhase:
         auction = start_auction(LIQUIDATABLE, CONFIG, now=0)
         auction = run_script(auction, [("a", "40", 0), ("b", "80", 60), ("a", "100", 120)])
         assert auction.phase is Phase.DENT
-        assert auction.best_bid.amount == Dec(100)
-        assert len(auction.history) == 3
+        assert auction.best_bid == Bid("a", Dec(100), 120)
         assert auction.last_bid_time == 120
 
     def test_decreasing_tend_bid_rejected(self):
@@ -154,8 +153,11 @@ class TestTermination:
         with pytest.raises(NotTerminatedError):
             apply_termination(auction, 60)
         terminated = apply_termination(auction, 6 * HOUR)
-        assert terminated.phase is Phase.TERMINATED
         assert terminated.termination_reason is TerminationReason.AUCTION_LENGTH
+        assert terminated.phase is Phase.TEND
+        assert apply_termination(terminated, 6 * HOUR + 1) is terminated
+        with pytest.raises(AuctionClosedError, match="^auction is terminated$"):
+            place_bid(terminated, Bid("a", Dec(40), 6 * HOUR))
 
 
 @settings(max_examples=300, deadline=None)
@@ -173,15 +175,29 @@ def test_deadline_is_the_first_time_the_auction_is_over(
     config = AuctionConfig(auction_length=auction_length, bid_duration=bid_duration)
     auction = start_auction(LIQUIDATABLE, config, now=start)
     now = start
+    accepted = []
     for step, amount in bids:
         now += step
+        bid = Bid("a", Dec(amount), now)
         try:
-            auction = place_bid(auction, Bid("a", Dec(amount), now))
+            auction = place_bid(auction, bid)
         except LiqlabError:
             continue
-    note(f"history {[(b.amount, b.time) for b in auction.history]}")
+        accepted.append(bid)
+    note(f"accepted {[(b.amount, b.time) for b in accepted]}")
+    # every accepted bid becomes the best, and only a tend bid of the whole
+    # tab opens the dent phase, where a later bid may equal the tab again
+    last = accepted[-1] if accepted else None
+    assert auction.best_bid == last
+    assert auction.last_bid_time == (None if last is None else last.time)
+    reached = any(b.amount == auction.tab_debt for b in accepted)
+    assert auction.phase is (Phase.DENT if reached else Phase.TEND)
     end = deadline(auction)
-    assert end > (start if auction.last_bid_time is None else auction.last_bid_time)
+    if last is None:
+        assert end == start + auction_length
+    else:
+        assert end == min(start + auction_length, last.time + bid_duration)
+    assert end > (start if last is None else last.time)
     for t in range(start - 2, end):
         assert check_termination(auction, t) is None
     assert check_termination(auction, end) is not None
@@ -195,6 +211,8 @@ class TestFinalize:
             [("a", "40", 0), ("b", "80", 60), ("a", "100", 120), ("c", "105", 180), ("b", "95", 240)],
         )
         auction = apply_termination(auction, 240 + 5 * HOUR)
+        assert auction.termination_reason is TerminationReason.BID_DURATION
+        assert auction.phase is Phase.DENT
         settlement = finalize(auction, LIQUIDATABLE)
         assert settlement.ended_in is Phase.DENT
         assert settlement.winner == "b"
@@ -202,14 +220,14 @@ class TestFinalize:
         assert settlement.collateral_value_usd == Dec(95)
         assert settlement.borrower_refund_usd == Dec(15)
         assert settlement.winner_profit_usd == Dec(-5)
-        assert settlement.auction.phase is Phase.FINALIZED
 
     def test_tend_settlement(self):
         # the auction can terminate in the tend phase
         auction = start_auction(LIQUIDATABLE, CONFIG, now=0)
         auction = run_script(auction, [("a", "40", 0), ("b", "80", 60)])
         auction = apply_termination(auction, 6 * HOUR)
-        assert auction.phase is Phase.TERMINATED
+        assert auction.termination_reason is TerminationReason.AUCTION_LENGTH
+        assert auction.phase is Phase.TEND
         settlement = finalize(auction, LIQUIDATABLE)
         assert settlement.ended_in is Phase.TEND
         assert settlement.winner == "b"
@@ -217,6 +235,20 @@ class TestFinalize:
         assert settlement.collateral_value_usd == Dec(110)
         assert settlement.borrower_refund_usd == Dec(0)
         assert settlement.winner_profit_usd == Dec(30)
+
+    def test_a_tab_bid_with_no_dent_bid_ends_in_dent_with_the_whole_lot(self):
+        auction = start_auction(LIQUIDATABLE, CONFIG, now=0)
+        auction = run_script(auction, [("a", "40", 0), ("b", "100", 60)])
+        auction = apply_termination(auction, 60 + 5 * HOUR)
+        assert auction.termination_reason is TerminationReason.BID_DURATION
+        moved = PositionValues(c=Dec(99), d=Dec(100), bc=Dec("79.2"))
+        settlement = finalize(auction, moved)
+        assert settlement.ended_in is Phase.DENT
+        assert settlement.winner == "b"
+        assert settlement.paid_usd == Dec(100)
+        assert settlement.collateral_value_usd == Dec(99)
+        assert settlement.borrower_refund_usd == Dec(0)
+        assert settlement.winner_profit_usd == Dec(-1)
 
     def test_price_drop_during_auction_creates_a_loss(self):
         auction = start_auction(LIQUIDATABLE, CONFIG, now=0)
@@ -255,15 +287,17 @@ def test_histories_stay_monotonic_on_random_valid_scripts():
         auction = start_auction(LIQUIDATABLE, CONFIG, now=0)
         time = 0
         amount = Dec(rng.randint(1, 20))
+        tend_amounts = []
         while True:
             try:
                 auction = place_bid(auction, Bid("x", amount, time))
             except BidExceedsTabError:
                 break
+            tend_amounts.append(amount)
             time += rng.randint(1, 30)
             amount = amount * Dec("1.031") + Dec(1)
             if amount > auction.tab_debt * Dec(2):
                 break
-        tend_amounts = [b.amount for b in auction.history]
         assert tend_amounts == sorted(tend_amounts)
-        assert all(b.amount <= auction.tab_debt for b in auction.history)
+        assert all(amount <= auction.tab_debt for amount in tend_amounts)
+        assert auction.best_tend.amount == tend_amounts[-1]

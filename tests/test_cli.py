@@ -288,6 +288,15 @@ class TestSensitivityCommand:
     def test_unknown_asset(self, capsys):
         assert main(["sensitivity", "--scenario", ETH_DROP, "--asset", "BTC"]) == 1
 
+    def test_running_out_of_memory_is_a_one_line_error(self, monkeypatch, capsys):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(liqlab.cli, "sensitivity_curve", exhausted)
+        argv = ["sensitivity", "--scenario", ETH_DROP, "--asset", "ETH", "--steps", "100000000"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: out of memory\n")
+
 
 class TestAuctionReplayCommand:
     def test_dent_settlement(self, capsys):
@@ -301,14 +310,45 @@ class TestAuctionReplayCommand:
             ]
         )
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "terminated,auction-length" in out
-        assert "ended_in,dent" in out
-        assert "winner,bob" in out
-        assert "paid_usd,100" in out
-        assert "collateral_value_usd,95" in out
-        assert "borrower_refund_usd,15" in out
-        assert "winner_profit_usd,-5" in out
+        assert capsys.readouterr().out == (
+            "field,value\n"
+            "terminated,auction-length\n"
+            "ended_in,dent\n"
+            "winner,bob\n"
+            "paid_usd,100\n"
+            "collateral_value_usd,95\n"
+            "borrower_refund_usd,15\n"
+            "winner_profit_usd,-5\n"
+        )
+
+    def test_tend_ending_by_bid_duration(self, tmp_path, capsys):
+        script = tmp_path / "tend.json"
+        script.write_text(json.dumps([
+            {"time": 0, "bidder": "alice", "amount": "40"},
+            {"time": 1800, "bidder": "bob", "amount": "80"},
+        ]))
+        # the last bid at 1800 ends the auction at 5400, before its length
+        rc = main(
+            [
+                "auction-replay",
+                "--c", "110", "--d", "100",
+                "--auction-length", "21600",
+                "--bid-duration", "3600",
+                "--script", str(script),
+                "--finalize-time", "5400",
+            ]
+        )
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            "field,value\n"
+            "terminated,bid-duration\n"
+            "ended_in,tend\n"
+            "winner,bob\n"
+            "paid_usd,80\n"
+            "collateral_value_usd,110\n"
+            "borrower_refund_usd,0\n"
+            "winner_profit_usd,30\n"
+        )
 
     def test_final_lot_value_marks_the_settlement(self, capsys):
         rc = main(

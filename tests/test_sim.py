@@ -14,6 +14,7 @@ import liqlab.sim
 from liqlab import (
     AgentPolicy,
     Asset,
+    AuctionConfig,
     BadDebtKind,
     Dec,
     Mechanism,
@@ -442,6 +443,19 @@ class TestScenarioLoader:
         assert (info.value.field, info.value.problem) == (
             field, "missing or not a non-empty string"
         )
+
+    @pytest.mark.parametrize("clock, expected", [
+        (None, Scenario.auction_config),
+        ({}, Scenario.auction_config),
+        ({"bid_duration": 3}, AuctionConfig(6, 3)),
+        ({"auction_length": 9, "min_increment": "0"}, AuctionConfig(9, 5, Dec(0))),
+    ])
+    def test_missing_auction_clock_keys_take_the_scenario_default(self, clock, expected):
+        doc = self.base_doc()
+        if clock is not None:
+            doc["auction_config"] = clock
+        assert load_scenario(doc).auction_config == expected
+        assert Scenario.auction_config == AuctionConfig(6, 5, Dec("0.03"))
 
     def test_scenario_is_validated_on_construction(self):
         scenario = load_scenario(self.base_doc())
@@ -1416,6 +1430,11 @@ class TestSettlementBook:
         # fraction of each collateral balance
         (*_VAULT, [(0, "alice", "109"), (1, "bob", "77.7")], {"2": {"A": "1.13"}},
          ({"A": "13.604518466453096026", "B": "9.118938322559249652"}, {})),
+        # a tend bid of the whole tab with no dent bid after it ends in the
+        # dent phase: the winner takes the whole lot and the debt is
+        # cleared, although Y's rise makes it worth 112 by the settlement
+        (*_VAULT, [(0, "alice", "40"), (1, "bob", "109")], {"3": {"Y": "1.4"}},
+         ({}, {})),
         # dent on a lot that is worth nothing by the settlement: 0.4 A and
         # 0.3 B at 10**-18 each round to 0, so the refund is 0 and so is the
         # lot's value, the settlement's total
@@ -1423,7 +1442,7 @@ class TestSettlementBook:
          [(0, "alice", "89"), (1, "bob", "0.5")],
          {"2": {"A": "0.000000000000000001", "B": "0.000000000000000001"}},
          ({}, {})),
-    ], ids=["tend", "tend-past-the-debt", "dent", "dent-worthless-lot"])
+    ], ids=["tend", "tend-past-the-debt", "dent", "dent-without-dent-bids", "dent-worthless-lot"])
     def test_a_settlement_writes_the_book(
         self, monkeypatch, collateral, debt, bids, moves, final
     ):
@@ -2065,7 +2084,7 @@ class TestIdleBlocks:
 
     def test_a_scripted_bid_at_a_quiet_block_lands(self, monkeypatch):
         acted = _count_run_calls(monkeypatch, "_act_auction_bidder")
-        checked = _count_calls(monkeypatch, "check_termination")
+        terminated = _count_calls(monkeypatch, "apply_termination")
         bid = {"time": 10, "bidder": "bob", "amount": "45", "borrower": "vault"}
         doc = _vault_auction_doc([bid], blocks=20, auction_length=50, bid_duration=5)
         log = run_scenario(load_scenario(doc))
@@ -2077,10 +2096,10 @@ class TestIdleBlocks:
         assert log.events[0].repaid_usd == Dec(45)
         assert log.events[0].gross_profit_usd == Dec(55)
         # a block runs when the block before it changed something, or for
-        # the bid, or for the deadline; the engine checks for termination
-        # only at the deadline
+        # the bid, or for the deadline; the engine terminates the auction
+        # once, at the deadline
         assert acted == [0, 1, 10, 11, 15, 16]
-        assert [args[1] for args in checked] == [15]
+        assert [args[1] for args in terminated] == [15]
 
     def test_a_pending_second_call_runs_in_the_next_block(self):
         doc = json.loads((FIXTURES / "two_step.json").read_text(encoding="utf-8"))
