@@ -1,6 +1,6 @@
 """A tier-1 slice of the byte-identical output sweep.
 
-``tools/sweep_digests.py`` (loaded read-only) defines 687 runs and
+``tools/sweep_digests.py`` (loaded read-only) defines 693 runs and
 ``tools/sweep_digests.txt`` records one digest per run; the full sweep runs
 in CI. Here every run of a fixture and of seed 0 must reproduce its recorded
 digest, and on each of those runs that completes every fixed-spread event
@@ -40,8 +40,8 @@ SLICE = [run for run in SWEEP.runs() if run[0].startswith("fixture/") or "/seed0
 
 
 def test_the_slice_covers_the_fixtures_and_seed_0():
-    assert len(SLICE) == 48
-    assert len(RECORDED) == 687
+    assert len(SLICE) == 50
+    assert len(RECORDED) == 693
 
 
 @pytest.mark.parametrize("key, doc, scans", SLICE, ids=[run[0] for run in SLICE])

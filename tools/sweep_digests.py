@@ -25,7 +25,11 @@ with 8 digits and, for all but 2 of 203 borrowers, the rounded path with
 18. No borrower in those runs owes its curve's target, so crash-cascade
 seeds 0-4 run once more with every other ETH holder also owing 3% of its
 ETH in ETH (``_owing_doc``), with curves at 100 and 7 steps: 200 of their
-400 exposures take the sweep's per-step path for owers (687 runs in all).
+400 exposures take the sweep's per-step path for owers. The auction fixture
+and calm-market seeds 0-4 run once more with their debt asset (DAI, USDC)
+priced at 1.02 from block 3 on, so auctions that start before then settle
+with their debt worth more than the tab (keys ending ``/debt-rises``; 693
+runs in all).
 Each run's digest covers the event log as CSV and JSONL, the collateral volume series
 and the final positions, or the error that ended the run. For crash-cascade
 runs and the fixtures it also covers the sensitivity curve and the bad-debt
@@ -73,6 +77,8 @@ FINE_SEEDS = range(5)
 FINE_DIGITS = (8, 18)  # fractional digits of every price and threshold
 OWING_SEEDS = range(5)
 OWED_PCT = 3  # of its target collateral, owed in the target by every other holder
+RISING_SEEDS = range(5)
+RISE_BLOCK, RISEN_PRICE = "3", "1.02"  # a debt asset's price from then on
 
 
 def _outcome(fn) -> str:
@@ -194,6 +200,12 @@ def runs():
                  for steps in (workload.shape.steps, ROUNDED_STEPS[0])]
         yield (f"crash-cascade/seed{seed:02d}/owes-target",
                _owing_doc(workload.scenario, workload.target), scans)
+    doc, _ = _fixture("auction")
+    yield "fixture/auction/debt-rises", _rising_doc(doc, "DAI"), []
+    for seed in RISING_SEEDS:
+        workload = workloads.calm_market(seed)
+        yield (f"calm-market/seed{seed:02d}/debt-rises",
+               _rising_doc(workload.scenario, "USDC"), [])
 
 
 def _fine(value: str, digits: int, rng) -> str:
@@ -226,6 +238,16 @@ def _owing_doc(doc: dict, target: str) -> dict:
     for position in holders[1::2]:
         units = int(Decimal(position["collateral"][target]).scaleb(6)) * OWED_PCT // 100
         position["debt"] = dict(position["debt"], **{target: workloads.dec(units, 6)})
+    return doc
+
+
+def _rising_doc(doc: dict, debt: str) -> dict:
+    """A copy of ``doc`` in which ``debt`` is priced at ``RISEN_PRICE`` from
+    block ``RISE_BLOCK`` on, so an auction that starts before then settles
+    with its debt worth more than its tab."""
+    doc = copy.deepcopy(doc)
+    path = doc["price_path"]
+    path[RISE_BLOCK] = dict(path.get(RISE_BLOCK, {}), **{debt: RISEN_PRICE})
     return doc
 
 
