@@ -143,11 +143,7 @@ def _liquidatable_collateral(exposures: list, declines: list) -> list:
             ]
         for i in hits:
             num, den = fractions[i]
-            value, rest = divmod(target_value * num, den)
-            rest += rest
-            if rest > den or (rest == den and value & 1):
-                value += 1
-            totals[i] += c - value
+            totals[i] += c - _round_div(target_value * num, den)
     c_sum = units_sum = 0
     for i, (num, den) in enumerate(fractions):
         c_sum += c_from[i]

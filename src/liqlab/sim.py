@@ -54,13 +54,13 @@ Engine rules, in order of application per block:
   a whole valuation does, and adds the new value less the old to the
   owner's sums, so the sums are exactly ``value_sums``'. A landed call
   subtracts the repaid and seized native amounts from its two terms, and an
-  auction settlement empties one side and scales the other
-  (``_Run._settle``); each re-rounds the term it changes and drops one
-  that reaches zero, as ``Position`` drops a zero balance. A ``Position``
-  is built from the book only for ``EventLog.final_positions``, and only
-  for an owner whose balances changed. A re-pricing that takes a sum to
-  2**255 values the positions again with ``value_sums``, in scenario order,
-  so an overflow raises the ``Dec`` loop's message. Validation guarantees a
+  auction settlement scales every term of both sides (``_Run._settle``);
+  each re-rounds the term it changes and drops one that reaches zero, as
+  ``Position`` drops a zero balance. A ``Position`` is built from the book
+  only for ``EventLog.final_positions``, and only for an owner whose
+  balances changed. A re-pricing that takes a sum to 2**255 values the
+  positions again with ``value_sums``, in scenario order, so an overflow
+  raises the ``Dec`` loop's message. Validation guarantees a
   price for every slot and a threshold for every collateral slot, so no
   lookup on this path can fail.
 * Fixed-spread agents act only when the net profit (gross minus gas and
@@ -108,9 +108,13 @@ Engine rules, in order of application per block:
   then-current state). Without the rule the second call follows at once
   on the first call's asset pair.
 * Open auctions are checked for termination after agents act; settled
-  auctions update the borrower position (tend: whole lot seized, debt
-  reduced proportionally by the payment; dent: debt cleared, collateral
-  scaled down to the refund fraction) and are logged as auction events.
+  auctions are logged as auction events and update the borrower position
+  by one rule for both endings, at settlement-time values: each collateral
+  balance keeps the refund's share ``refund/c`` of itself, and each debt
+  balance the unpaid share ``(d - paid)/d``. A tend ending refunds nothing,
+  so the whole lot is seized; a dent ending pays the tab, so the debt is
+  cleared unless its value rose above the tab during the auction, and then
+  the unpaid share stays owed.
   An auction ends at its ``auction.deadline``: the auction length after its
   start or the bid duration after its last bid, whichever comes first.
 * A block in which nothing can change is idle: it keeps the previous
@@ -145,7 +149,6 @@ from typing import Optional, Sequence
 from .auction import (
     AuctionConfig,
     Bid,
-    Phase,
     apply_termination,
     deadline,
     finalize,
@@ -599,29 +602,26 @@ class _Run:
         """Apply a finalized auction to the owner's balances in the book; its
         raw ``(c, bc, d)`` as of the settlement are ``sums``.
 
-        Tend ending: the whole lot is seized and each debt balance is scaled
-        by ``kept/total``, with ``kept = d - paid`` and ``total = d``. Dent
-        ending: the debt is cleared and each collateral balance is scaled by
-        ``kept = refund`` over ``total = c``. Each scaled amount is
-        ``amount*kept/total`` rounded once, half-even, as ``Dec.mul_div``
-        rounds it; ``kept <= total``, so it is at most ``amount`` and stays
-        in range. A ``kept <= 0`` empties the side, and that also covers a
-        zero ``total``: a tend pays more than zero, and a dent's refund is
-        at most ``c``. The side's balances go through ``_take``, which drops
-        a balance that reaches zero, as ``Position`` drops one.
+        Both endings follow one rule: each collateral balance keeps
+        ``kept/total`` of itself with ``kept = refund`` and ``total = c``, and
+        each debt balance with ``kept = d - paid`` and ``total = d``. Each
+        kept amount is ``amount*kept/total`` rounded once, half-even, as
+        ``Dec.mul_div`` rounds it; ``kept <= total``, so it is at most
+        ``amount`` and stays in range. A ``kept <= 0`` empties the side (a
+        tend ending refunds 0, a dent ending whose debt is worth the tab or
+        less pays all of it), and that also covers a zero ``total``: the
+        refund is at most ``c`` and the payment at least 0. The balances go
+        through ``_take``, which drops a balance that reaches zero, as
+        ``Position`` drops one.
         """
         c, _, d = sums
-        if settlement.ended_in is Phase.TEND:
-            emptied, scaled, kept, total = 0, 1, d - settlement.paid_usd.raw, d
-        else:
-            emptied, scaled, kept, total = 1, 0, settlement.borrower_refund_usd.raw, c
+        sides = (settlement.borrower_refund_usd.raw, c), (d - settlement.paid_usd.raw, d)
         book = self.terms[owner]
-        for slot, term in list(book[emptied].items()):
-            self._take(owner, emptied, slot, term[1])
-        for slot, term in list(book[scaled].items()):
-            amount = term[1]
-            left = _round_div(amount * kept, total) if kept > 0 else 0
-            self._take(owner, scaled, slot, amount - left)
+        for side, (kept, total) in enumerate(sides):
+            for slot, term in list(book[side].items()):
+                amount = term[1]
+                left = _round_div(amount * kept, total) if kept > 0 else 0
+                self._take(owner, side, slot, amount - left)
         self._changed(owner)
 
     def _sums(self, owner) -> list:

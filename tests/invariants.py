@@ -5,15 +5,36 @@ it values each position afresh from the book, with ``core.value_sums`` at
 the block's snapshot, and asserts that the sums the engine keeps by deltas
 are those, and that the scan's total is their re-sum. After the run it
 asserts that the log records that total at each block that scanned, and
-keeps it until the next one. It reads the run's state through the class it
-extends, so the engine exposes nothing for it.
+keeps it until the next one. At each auction settlement it asserts that
+the collateral left is worth the refund and the debt left is worth what the
+winner did not pay, ``max(d - paid, 0)``, each within the rounding of its
+balances: one rounding of each kept amount and one of its value, so
+``1 + ceil(price / 2)`` raw units per balance, with the price in USD per
+whole unit. It reads the run's state through the class it extends, so the
+engine exposes nothing for it.
+
+``check_run`` adds the per-event checks to a checked run of a scenario
+document. Run as a script, it checks every run of the output sweep
+(``tools/sweep_digests.py``):
+
+    PYTHONPATH=src python3 tests/invariants.py
 """
 
 from __future__ import annotations
 
-from liqlab import Dec
+import importlib.util
+import sys
+from pathlib import Path
+
+from liqlab import Dec, Mechanism, load_scenario
 from liqlab.core import value_sums
+from liqlab.errors import LiqlabError
+from liqlab.fixedpoint import SCALE
 from liqlab.sim import EventLog, StepSeries, _Run
+
+from helpers import assert_fixed_spread_arithmetic
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
 class CheckedRun(_Run):
@@ -33,6 +54,18 @@ class CheckedRun(_Run):
         assert total == fresh
         self.scanned = fresh
         return total
+
+    def _settle(self, owner, settlement, sums) -> None:
+        # the sums are live: read the debt before the book changes
+        d = sums[2]
+        slack = [
+            sum(1 + -(-self.prices[slot] // (2 * SCALE)) for slot in balances)
+            for balances in self.terms[owner][:2]
+        ]
+        super()._settle(owner, settlement, sums)
+        c_left, _, d_left = sums
+        assert abs(c_left - settlement.borrower_refund_usd.raw) <= slack[0], owner
+        assert abs(d_left - max(d - settlement.paid_usd.raw, 0)) <= slack[1], owner
 
     def _settle_auctions(self, block):
         # every block that scans goes on to its settlements
@@ -54,3 +87,50 @@ class CheckedRun(_Run):
 def run_checked(scenario) -> EventLog:
     """``run_scenario(scenario)``, checking the invariants above."""
     return CheckedRun(scenario).run()
+
+
+def check_run(doc):
+    """Load ``doc`` and run it under ``CheckedRun``; when it completes, assert
+    that every fixed-spread event carries its own arithmetic and that every
+    auction event seizes something, and return the log. A document or run
+    that ends in a ``LiqlabError`` returns None: the sweep's digest records
+    the error."""
+    try:
+        scenario = load_scenario(doc)
+        log = run_checked(scenario)
+    except LiqlabError:
+        return None
+    for ev in log.events:
+        if ev.mechanism is Mechanism.FIXED_SPREAD:
+            assert_fixed_spread_arithmetic(ev, scenario)
+        else:
+            assert ev.seized_usd > Dec(0)
+    return log
+
+
+def load_sweep():
+    """``tools/sweep_digests.py``, loaded as a module."""
+    spec = importlib.util.spec_from_file_location("sweep_digests", TOOLS / "sweep_digests.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def main() -> int:
+    completed = events = 0
+    runs = list(load_sweep().runs())
+    for key, doc, _ in runs:
+        try:
+            log = check_run(doc)
+        except AssertionError:
+            print(f"invariant broken on {key}", file=sys.stderr)
+            raise
+        if log is not None:
+            completed += 1
+            events += len(log.events)
+    print(f"{len(runs)} sweep runs checked: {completed} completed, {events} events")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -32,7 +32,6 @@ from liqlab import (
     place_bid,
     start_auction,
 )
-from liqlab.auction import Phase
 from liqlab.errors import (
     CloseFactorExceededError,
     CollateralShortfallError,
@@ -463,25 +462,18 @@ class _Run:
 def _apply_settlement(position: Position, settlement, values_now) -> Position:
     """Apply an auction settlement to the borrower's balances.
 
-    Tend ending: the whole lot is seized and the debt shrinks by the payment,
-    spread proportionally over the debt assets. Dent ending: the debt is
-    cleared and each collateral balance is scaled down to the refunded
-    fraction of the lot's current value.
+    Each collateral balance keeps the refund's share of the lot's current
+    value, and each debt balance the unpaid share of the debt's; a share of
+    zero or less empties the side.
     """
-    if settlement.ended_in is Phase.TEND:
-        remaining = values_now.d - settlement.paid_usd
-        if remaining < ZERO:
-            remaining = ZERO
-        new_debt = {}
-        if values_now.d > ZERO and remaining > ZERO:
-            for asset, amount in position.debt.items():
-                new_debt[asset] = Dec.mul_div(amount, remaining, values_now.d)
-        return Position(owner=position.owner, collateral={}, debt=new_debt)
 
-    new_collateral = {}
-    if values_now.c > ZERO and settlement.borrower_refund_usd > ZERO:
-        for asset, amount in position.collateral.items():
-            new_collateral[asset] = Dec.mul_div(
-                amount, settlement.borrower_refund_usd, values_now.c
-            )
-    return Position(owner=position.owner, collateral=new_collateral, debt={})
+    def keep(balances, kept, total):
+        if kept <= ZERO:
+            return {}
+        return {asset: Dec.mul_div(amount, kept, total) for asset, amount in balances.items()}
+
+    return Position(
+        owner=position.owner,
+        collateral=keep(position.collateral, settlement.borrower_refund_usd, values_now.c),
+        debt=keep(position.debt, values_now.d - settlement.paid_usd, values_now.d),
+    )

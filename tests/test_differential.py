@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from hypothesis import event, given, settings, strategies as st
 
-from liqlab import Dec, Mechanism, load_scenario, position_values, run_scenario
+from liqlab import Dec, Mechanism, load_scenario, position_values
+from liqlab.auction import Phase
 from liqlab.errors import LiqlabError
 from liqlab.sim import _Run, cannot_clear_fees
 
@@ -181,16 +182,29 @@ def _outcome(run, scenario):
     return log.to_csv(), log.to_jsonl(), log.collateral_volume_by_block, log.final_positions
 
 
+class _Settling(_Run):
+    """The engine's run (``run_scenario``), noting whether a dent ending
+    settled a debt worth more than its tab."""
+
+    debt_rose = False
+
+    def _settle(self, owner, settlement, sums) -> None:
+        self.debt_rose |= settlement.ended_in is Phase.DENT and sums[2] > settlement.paid_usd.raw
+        super()._settle(owner, settlement, sums)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_scenarios())
 def test_engine_matches_the_reference(scenario):
     expected = _outcome(reference_engine.run_reference, scenario)
-    actual = _outcome(run_scenario, scenario)
+    run = _Settling(scenario)
+    actual = _outcome(lambda _: run.run(), scenario)
     if len(expected) == 2:
         event(f"error {expected[0].__name__}")
     else:
         event("completed with events" if expected[1] else "completed without events")
         event(f"auction events: {expected[0].count(',auction,') > 0}")
+        event(f"dent ending owing more than the tab: {run.debt_rose}")
     assert actual == expected
 
 

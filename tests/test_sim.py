@@ -39,6 +39,7 @@ from liqlab.errors import InvalidScenarioError, ZeroVolumeError
 from liqlab.sim import StepSeries, cannot_clear_fees, fee_window
 
 from helpers import TOL9, rel_close
+from invariants import run_checked
 import reference_engine
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -1413,8 +1414,9 @@ _VAULT = ({"A": "60.123456789012345678", "B": "40.3"}, {"X": "70", "Y": "30"})
 
 class TestSettlementBook:
     """An auction settlement writes the engine's book; every case ends at
-    block 4, three blocks after the last bid, and matches the reference
-    engine's ``Dec`` port of the settlement."""
+    block 4, three blocks after the last bid, matches the reference
+    engine's ``Dec`` port of the settlement and keeps ``CheckedRun``'s
+    settlement invariant."""
 
     @pytest.mark.parametrize("collateral, debt, bids, moves, final", [
         # tend: the lot goes for 70 of the 109.3 debt; each debt balance
@@ -1431,10 +1433,17 @@ class TestSettlementBook:
         (*_VAULT, [(0, "alice", "109"), (1, "bob", "77.7")], {"2": {"A": "1.13"}},
          ({"A": "13.604518466453096026", "B": "9.118938322559249652"}, {})),
         # a tend bid of the whole tab with no dent bid after it ends in the
-        # dent phase: the winner takes the whole lot and the debt is
-        # cleared, although Y's rise makes it worth 112 by the settlement
+        # dent phase: the winner takes the whole lot and pays the tab of 109,
+        # but Y's rise makes the debt worth 112 by the settlement, so each
+        # debt balance keeps the unpaid 3/112 of itself
         (*_VAULT, [(0, "alice", "40"), (1, "bob", "109")], {"3": {"Y": "1.4"}},
-         ({}, {})),
+         ({}, {"X": "1.875", "Y": "0.803571428571428571"})),
+        # dent with a dent bid whose debt rose: the borrower keeps the
+        # refunded fraction of each collateral balance, as in "dent", and
+        # the unpaid 3/112 of each debt balance
+        (*_VAULT, [(0, "alice", "109"), (1, "bob", "77.7")], {"3": {"Y": "1.4"}},
+         ({"A": "13.604518466453096026", "B": "9.118938322559249652"},
+          {"X": "1.875", "Y": "0.803571428571428571"})),
         # dent on a lot that is worth nothing by the settlement: 0.4 A and
         # 0.3 B at 10**-18 each round to 0, so the refund is 0 and so is the
         # lot's value, the settlement's total
@@ -1442,7 +1451,8 @@ class TestSettlementBook:
          [(0, "alice", "89"), (1, "bob", "0.5")],
          {"2": {"A": "0.000000000000000001", "B": "0.000000000000000001"}},
          ({}, {})),
-    ], ids=["tend", "tend-past-the-debt", "dent", "dent-without-dent-bids", "dent-worthless-lot"])
+    ], ids=["tend", "tend-past-the-debt", "dent", "dent-without-dent-bids", "dent-debt-rose",
+            "dent-worthless-lot"])
     def test_a_settlement_writes_the_book(
         self, monkeypatch, collateral, debt, bids, moves, final
     ):
@@ -1467,6 +1477,7 @@ class TestSettlementBook:
         assert len(positions) == 1
         monkeypatch.undo()
         assert _assert_engine_equals_reference(scenario) == log
+        assert run_checked(scenario) == log
         assert [(e.block, e.borrower, e.mechanism) for e in log.events] == [
             (4, "vault", Mechanism.AUCTION)
         ]
