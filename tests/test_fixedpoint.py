@@ -1,4 +1,5 @@
 import json
+import operator
 import sys
 from pathlib import Path
 
@@ -106,6 +107,98 @@ class TestComparisons:
         assert Dec(5) == 5
         assert hash(Dec(5)) == hash(5)
         assert Dec("5.5") != 5
+
+
+X = Dec("1.5")
+BINARY = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
+    ">": operator.gt, ">=": operator.ge,
+}
+FLOAT_REFUSED = (TypeError, "floats are not exact; convert to Dec explicitly")
+
+
+def _pairs(*outcomes):
+    """One operand's (``X op operand``, ``operand op X``) outcomes, in
+    ``BINARY`` order; a lone outcome holds for every operator and order."""
+    if len(outcomes) == 1:
+        outcomes = [(outcomes[0], outcomes[0])] * len(BINARY)
+    return dict(zip(BINARY, outcomes))
+
+
+# the operand rule: a Dec or an int, not a bool; a float is refused; any
+# other type is left to Python, so == is False and < is a TypeError; an int
+# past the range overflows
+_FOREIGN = _pairs(
+    *[(TypeError, TypeError)] * 4, (False, False), (True, True), *[(TypeError, TypeError)] * 4
+)
+OPERAND_TABLE = [
+    (Dec("-2.25"), _pairs(
+        (Dec("-0.75"), Dec("-0.75")), (Dec("3.75"), Dec("-3.75")),
+        (Dec("-3.375"), Dec("-3.375")), (Dec("-0.666666666666666667"), Dec("-1.5")),
+        (False, False), (True, True), (False, True), (False, True), (True, False), (True, False),
+    )),
+    (0, _pairs(
+        (Dec("1.5"), Dec("1.5")), (Dec("1.5"), Dec("-1.5")), (Dec(0), Dec(0)),
+        (ZeroDivisionError, Dec(0)),
+        (False, False), (True, True), (False, True), (False, True), (True, False), (True, False),
+    )),
+    (3, _pairs(
+        (Dec("4.5"), Dec("4.5")), (Dec("-1.5"), Dec("1.5")), (Dec("4.5"), Dec("4.5")),
+        (Dec("0.5"), Dec(2)),
+        (False, False), (True, True), (True, False), (True, False), (False, True), (False, True),
+    )),
+    (2**250, _pairs(OverflowError)),
+    (True, _FOREIGN),
+    (0.5, _pairs(FLOAT_REFUSED)),
+    ("1", _FOREIGN),
+    (None, _FOREIGN),
+]
+
+
+def _assert_outcome(compute, expected):
+    if isinstance(expected, (Dec, bool)):
+        result = compute()
+        assert type(result) is type(expected) and result == expected
+        return
+    kind, message = expected if isinstance(expected, tuple) else (expected, None)
+    with pytest.raises(kind) as info:
+        compute()
+    assert message is None or str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "operand, symbol, forward, reflected",
+    [(operand, symbol, *pair) for operand, pairs in OPERAND_TABLE for symbol, pair in pairs.items()],
+    ids=[f"{'2**250' if type(operand) is int and operand > 3 else repr(operand)} {symbol}"
+         for operand, pairs in OPERAND_TABLE for symbol in pairs],
+)
+def test_operand_rule(operand, symbol, forward, reflected):
+    op = BINARY[symbol]
+    _assert_outcome(lambda: op(X, operand), forward)
+    _assert_outcome(lambda: op(operand, X), reflected)
+
+
+def test_unary_operators():
+    _assert_outcome(lambda: -X, Dec("-1.5"))
+    _assert_outcome(lambda: +X, X)
+    _assert_outcome(lambda: +Dec("-2.25"), Dec("-2.25"))
+    _assert_outcome(lambda: abs(X), X)
+    _assert_outcome(lambda: abs(Dec("-2.25")), Dec("2.25"))
+    _assert_outcome(lambda: -Dec.from_raw(1 - 2**255), Dec.from_raw(2**255 - 1))
+
+
+@pytest.mark.parametrize("value, expected", [
+    (Dec("-2.25"), Dec("-2.25")),
+    (3, Dec("3")),
+    (2**250, OverflowError),
+    (True, (TypeError, "cannot construct Dec from bool")),
+    (0.5, (TypeError, "floats are not exact; construct Dec from str or int")),
+    (None, (TypeError, "cannot construct Dec from NoneType")),
+    (b"1", (TypeError, "cannot construct Dec from bytes")),
+])
+def test_construction_rule(value, expected):
+    _assert_outcome(lambda: Dec(value), expected)
 
 
 small_raws = st.integers(min_value=-(10**24), max_value=10**24)
