@@ -11,10 +11,12 @@ exceeding it raises ``OverflowError`` instead of wrapping.
 Floats are rejected everywhere: they are not exact and would silently
 poison downstream results. Construct from ``int``, ``str``, or ``Dec``.
 
-Multiplication and division are ``_mul`` and ``_div`` on the scaled
-integers; the ``Dec`` operators only convert types around them, so hot
-paths that work on the scaled integers call them and get the ``Dec``
-expressions' raws.
+The operand rule lives in ``_coerce`` alone: an operand of arithmetic or a
+comparison is a ``Dec`` or an ``int`` (not a ``bool``), a ``float`` is a
+``TypeError``, and any other type is left to Python. The ``Dec`` operators
+only apply ``_mul``, ``_div``, ``+`` or ``-`` to the scaled integers
+``_coerce`` returns, so hot paths that work on the scaled integers call
+``_mul`` and ``_div`` themselves and get the ``Dec`` expressions' raws.
 """
 
 from __future__ import annotations
@@ -99,6 +101,19 @@ def _parse(text: str) -> int:
     return -raw if sign == "-" else raw
 
 
+def _coerce(other):
+    """The raw of an arithmetic or comparison operand: a ``Dec``'s own, or an
+    ``int``'s scaled and checked. A ``float`` is refused; any other type,
+    ``bool`` included, is ``NotImplemented``, left to Python."""
+    if isinstance(other, Dec):
+        return other._raw
+    if isinstance(other, int) and not isinstance(other, bool):
+        return _checked(other * SCALE)
+    if isinstance(other, float):
+        raise TypeError("floats are not exact; convert to Dec explicitly")
+    return NotImplemented
+
+
 class Dec:
     """An exact decimal number with 18 fractional digits."""
 
@@ -107,16 +122,13 @@ class Dec:
     def __init__(self, value: "Dec | int | str" = 0):
         if isinstance(value, str):  # the loader's and the CLI's case
             self._raw = _parse(value)
-        elif isinstance(value, Dec):
-            self._raw = value._raw
-        elif isinstance(value, bool):
-            raise TypeError("cannot construct Dec from bool")
-        elif isinstance(value, int):
-            self._raw = _checked(value * SCALE)
         elif isinstance(value, float):
             raise TypeError("floats are not exact; construct Dec from str or int")
         else:
-            raise TypeError(f"cannot construct Dec from {type(value).__name__}")
+            raw = _coerce(value)
+            if raw is NotImplemented:
+                raise TypeError(f"cannot construct Dec from {type(value).__name__}")
+            self._raw = raw
 
     @classmethod
     def from_raw(cls, raw: int) -> "Dec":
@@ -140,61 +152,35 @@ class Dec:
             n, d = -n, -d
         return cls.from_raw(_round_div(n, d))
 
-    # -- coercion ------------------------------------------------------------
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, Dec):
-            return other
-        if isinstance(other, bool):
-            return NotImplemented
-        if isinstance(other, int):
-            return Dec(other)
-        if isinstance(other, float):
-            raise TypeError("floats are not exact; convert to Dec explicitly")
-        return NotImplemented
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Dec.from_raw(self._raw + other._raw)
+        raw = _coerce(other)
+        return NotImplemented if raw is NotImplemented else Dec.from_raw(self._raw + raw)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Dec.from_raw(self._raw - other._raw)
+        raw = _coerce(other)
+        return NotImplemented if raw is NotImplemented else Dec.from_raw(self._raw - raw)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Dec.from_raw(other._raw - self._raw)
+        raw = _coerce(other)
+        return NotImplemented if raw is NotImplemented else Dec.from_raw(raw - self._raw)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Dec.from_raw(_mul(self._raw, other._raw))
+        raw = _coerce(other)
+        return NotImplemented if raw is NotImplemented else Dec.from_raw(_mul(self._raw, raw))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Dec.from_raw(_div(self._raw, other._raw))
+        raw = _coerce(other)
+        return NotImplemented if raw is NotImplemented else Dec.from_raw(_div(self._raw, raw))
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other.__truediv__(self)
+        raw = _coerce(other)
+        return NotImplemented if raw is NotImplemented else Dec.from_raw(_div(raw, self._raw))
 
     def __neg__(self):
         return Dec.from_raw(-self._raw)
@@ -208,39 +194,24 @@ class Dec:
     # -- comparisons ---------------------------------------------------------
 
     def __eq__(self, other):
-        if type(other) is not Dec:
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        return self._raw == other._raw
+        raw = other._raw if type(other) is Dec else _coerce(other)
+        return NotImplemented if raw is NotImplemented else self._raw == raw
 
     def __lt__(self, other):
-        if type(other) is not Dec:
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        return self._raw < other._raw
+        raw = other._raw if type(other) is Dec else _coerce(other)
+        return NotImplemented if raw is NotImplemented else self._raw < raw
 
     def __le__(self, other):
-        if type(other) is not Dec:
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        return self._raw <= other._raw
+        raw = other._raw if type(other) is Dec else _coerce(other)
+        return NotImplemented if raw is NotImplemented else self._raw <= raw
 
     def __gt__(self, other):
-        if type(other) is not Dec:
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        return self._raw > other._raw
+        raw = other._raw if type(other) is Dec else _coerce(other)
+        return NotImplemented if raw is NotImplemented else self._raw > raw
 
     def __ge__(self, other):
-        if type(other) is not Dec:
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        return self._raw >= other._raw
+        raw = other._raw if type(other) is Dec else _coerce(other)
+        return NotImplemented if raw is NotImplemented else self._raw >= raw
 
     def __hash__(self):
         # integral values hash like the matching int, so Dec(5) == 5 stays safe
