@@ -169,8 +169,9 @@ def _assert_outcome(compute, expected):
 
 @pytest.mark.parametrize(
     "operand, symbol, forward, reflected",
-    [(operand, symbol, *pair) for operand, pairs in OPERAND_TABLE for symbol, pair in pairs.items()],
-    ids=[f"{'2**250' if type(operand) is int and operand > 3 else repr(operand)} {symbol}"
+    [(operand, symbol, *pair)
+     for operand, pairs in OPERAND_TABLE for symbol, pair in pairs.items()],
+    ids=[f"{'2**250' if type(operand) is int and operand > 2**64 else repr(operand)} {symbol}"
          for operand, pairs in OPERAND_TABLE for symbol in pairs],
 )
 def test_operand_rule(operand, symbol, forward, reflected):
