@@ -228,6 +228,8 @@ def _cmd_bad_debt_scan(args) -> int:
     if oracle is None:
         print(f"error: scenario has no block {args.block}", file=sys.stderr)
         return 1
+    if args.fee < ZERO:  # checked here, since a book with no debt classifies nothing
+        raise ValueError(f"fee must be >= 0: {args.fee}")
     records = []
     for position in scenario.positions:
         if not position.debt:

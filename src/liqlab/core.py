@@ -192,6 +192,16 @@ class Position:
         object.__setattr__(self, "collateral", _clean_amounts("collateral", self.collateral))
         object.__setattr__(self, "debt", _clean_amounts("debt", self.debt))
 
+    @classmethod
+    def _of_checked(cls, owner: str, collateral: dict, debt: dict) -> "Position":
+        """A position that holds the dicts ``collateral`` and ``debt``
+        themselves, which the caller has already checked to hold only
+        positive amounts, built without checking or copying them again: it
+        equals ``Position(owner, collateral, debt)``."""
+        position = object.__new__(cls)
+        position.__dict__.update(owner=owner, collateral=collateral, debt=debt)
+        return position
+
 
 @dataclass(frozen=True)
 class PositionValues:

@@ -167,7 +167,7 @@ from .core import (
 )
 from .errors import InvalidScenarioError, LiqlabError, NestingTooDeepError, ZeroVolumeError
 from .fixed_spread import _least_debt, _liquidation_call, _max_repay
-from .fixedpoint import _BOUND, SCALE, Dec, ZERO, _checked, _div, _mul, _round_div
+from .fixedpoint import _BOUND, SCALE, Dec, ZERO, _checked, _div, _mul, _parse, _round_div
 from .strategy import _optimal_repays
 
 
@@ -417,11 +417,12 @@ def validate_scenario(scenario: Scenario) -> None:
 
 
 def _referenced_assets(positions) -> dict:
-    """The assets the positions hold or owe, in order of first mention."""
+    """The assets the positions hold or owe, as keys in order of first
+    mention; the values are amounts of them, which callers do not read."""
     referenced = {}
     for position in positions:
-        referenced.update(dict.fromkeys(position.collateral))
-        referenced.update(dict.fromkeys(position.debt))
+        referenced.update(position.collateral)
+        referenced.update(position.debt)
     return referenced
 
 
@@ -1045,17 +1046,33 @@ def _amounts(raw, assets, where, amounts: dict) -> bool:
     """Parse a ``{symbol: decimal}`` object into ``amounts`` as ``{Asset:
     Dec}``, each symbol resolved through ``assets`` (symbol -> Asset), and
     return whether every amount it parsed is positive: every entry is
-    parsed before the caller checks one."""
+    parsed before the caller checks one.
+
+    This is each amount's only check on the way to a ``Position`` or an
+    ``OracleSnapshot`` whose amounts all came out positive: the caller
+    builds it with ``_of_checked``. A string, the usual case, is parsed by
+    ``fixedpoint._parse`` straight into a new ``Dec``, its sign read from
+    the raw; any other value goes through ``Dec(value)``, so a JSON integer
+    is accepted and every other type refused with ``Dec``'s message. The
+    field name, such as ``positions[3].debt.DAI``, is built only to raise.
+    """
+    if not isinstance(raw, dict):
+        _shaped(raw, dict, where)  # raises
     positive = True
-    for sym, value in _shaped(raw, dict, where).items():
+    for sym, value in raw.items():
         asset = assets.get(sym)
         if asset is None:
             raise InvalidScenarioError(f"{_name(where)}.{sym}", f"unknown asset {sym!r}")
         try:
-            amount = amounts[asset] = Dec(value)
+            if isinstance(value, str):
+                amount = object.__new__(Dec)
+                amount._raw = _parse(value)
+            else:
+                amount = Dec(value)
         except (ValueError, TypeError, OverflowError):
             _dec_field(value, f"{_name(where)}.{sym}")  # raises, naming the field
-        positive = positive and amount.raw > 0
+        amounts[asset] = amount
+        positive = positive and amount._raw > 0
     return positive
 
 
@@ -1110,6 +1127,13 @@ def load_scenario(source) -> Scenario:
     it was set; a bad one is reported as ``OracleSnapshot`` reports it,
     naming the first bad price in the order of the block's merged prices.
 
+    Each amount is checked once, where ``_amounts`` parses it. A position
+    whose collateral and debt amounts all parsed positive is built by
+    ``Position._of_checked``, and every snapshot by
+    ``OracleSnapshot._of_checked``, neither checking again. A position that
+    holds a zero or negative amount goes through ``Position``, which drops
+    a zero and reports a negative amount, collateral first.
+
     A file of malformed JSON raises ``json.JSONDecodeError``, and one nested
     deeper than the JSON decoder can follow a NestingTooDeepError.
 
@@ -1153,9 +1177,14 @@ def load_scenario(source) -> Scenario:
         entry = _shaped(entry, dict, ("positions", i))
         owner = _identifier(entry, "owner", ("positions", i))
         collateral, debt = {}, {}
-        _amounts(entry.get("collateral", {}), assets, ("positions", i, "collateral"), collateral)
-        _amounts(entry.get("debt", {}), assets, ("positions", i, "debt"), debt)
-        positions.append(_built(("positions", i), Position, owner, collateral, debt))
+        # both sides are parsed before either is checked, collateral first
+        positive = _amounts(
+            entry.get("collateral", {}), assets, ("positions", i, "collateral"), collateral
+        )
+        if _amounts(entry.get("debt", {}), assets, ("positions", i, "debt"), debt) and positive:
+            positions.append(Position._of_checked(owner, collateral, debt))
+        else:  # drops a zero amount, raises on a negative one
+            positions.append(_built(("positions", i), Position, owner, collateral, debt))
 
     blocks = _integer(doc.get("blocks"), "blocks")  # Scenario rejects blocks < 0
 
@@ -1184,8 +1213,9 @@ def load_scenario(source) -> Scenario:
     current = {}
     for block in sorted(moves):
         key = moves[block]  # a present null is parsed, and is not an object
-        overrides = _shaped(path_doc[key], dict, ("price_path", key))
-        if overrides or not starts:  # block 0 comes first
+        overrides = path_doc[key]
+        # block 0 comes first; _amounts refuses anything but an object
+        if overrides or not starts or not isinstance(overrides, dict):
             # the overrides are parsed straight into current; the inherited
             # prices passed at an earlier block, so only they need a check
             if _amounts(overrides, assets, ("price_path", key), current):

@@ -531,6 +531,21 @@ class TestBadDebtScanCommand:
         assert rc == 1
         assert capsys.readouterr().err == f"error: scenario has no block {block}\n"
 
+    @pytest.mark.parametrize("owes", [True, False], ids=["book-with-debt", "book-without-debt"])
+    def test_a_negative_fee_is_an_error_on_any_book(self, scenario, capsys, owes):
+        if not owes:
+            doc = json.loads(Path(scenario).read_text())
+            for position in doc["positions"]:
+                position.pop("debt", None)
+            Path(scenario).write_text(json.dumps(doc))
+        rc = main(["bad-debt-scan", "--scenario", scenario, "--fee", "-1"])
+        assert rc == 1
+        assert capsys.readouterr() == ("", "error: fee must be >= 0: -1\n")
+        # the block is checked first, as before
+        rc = main(["bad-debt-scan", "--scenario", scenario, "--fee", "-1", "--block", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: scenario has no block 1\n"
+
     def test_json_output(self, scenario, capsys):
         rc = main(["bad-debt-scan", "--scenario", scenario, "--fee", "100", "--json"])
         assert rc == 0

@@ -1682,6 +1682,102 @@ class TestSharedSnapshots:
         assert counts[1] == counts[0]
 
 
+# -- each amount checked once ------------------------------------------------
+
+_AMOUNT_FIELD = "positions[0].{side}.{symbol}"
+# (key, value, outcome) in place of one side of the worked example's
+# position; the key None stands for that side's own asset. The outcome is
+# the amount kept (None: dropped), or the error's (field, problem), as the
+# loader reported them before strings were parsed straight into Dec
+_ONE_AMOUNT = {
+    "str": (None, "1.5", Dec("1.5")),
+    "str-zero": (None, "0", None),
+    "str-negative": (None, "-1", ("positions[0]", "negative {side} amount for {symbol}: -1")),
+    "int": (None, 5, Dec(5)),
+    "int-zero": (None, 0, None),
+    "float": (None, 1.5, (_AMOUNT_FIELD, "decimals must be strings, not floats")),
+    "bool": (None, True, (_AMOUNT_FIELD, "cannot construct Dec from bool")),
+    "null": (None, None, (_AMOUNT_FIELD, "cannot construct Dec from NoneType")),
+    "list": (None, [], (_AMOUNT_FIELD, "cannot construct Dec from list")),
+    "exponent": (None, "1e5", (_AMOUNT_FIELD, "not a decimal string: '1e5'")),
+    "19-digits": (None, "0." + "1" * 19, (
+        _AMOUNT_FIELD, "more than 18 fractional digits: '0.1111111111111111111'"
+    )),
+    "str-past-2**255": (None, "1" + "0" * 59, (
+        _AMOUNT_FIELD, "fixed-point magnitude exceeds 2**255: integer part of 60 digits"
+    )),
+    "int-past-2**255": (None, 2**255, (
+        _AMOUNT_FIELD, f"fixed-point magnitude exceeds 2**255: {2**255 * SCALE}"
+    )),
+    "unknown-symbol": ("BTC", "1", (_AMOUNT_FIELD, "unknown asset 'BTC'")),
+}
+
+
+@pytest.mark.parametrize("side, asset", [("collateral", ETH), ("debt", USDC)])
+@pytest.mark.parametrize("key, value, outcome", _ONE_AMOUNT.values(), ids=_ONE_AMOUNT)
+def test_one_amount_loads_as_the_public_constructors_build_it(side, asset, key, value, outcome):
+    doc = json.loads(json.dumps(FIXTURE_DOCS["eth_price_drop"]))
+    symbol = key or asset.symbol
+    doc["positions"][0][side] = {symbol: value}
+    if isinstance(outcome, tuple):
+        with pytest.raises(InvalidScenarioError) as raised:
+            load_scenario(doc)
+        field, problem = (part.format(side=side, symbol=symbol) for part in outcome)
+        assert (raised.value.field, raised.value.problem) == (field, problem)
+        return
+    amounts = {"collateral": {ETH: Dec(3)}, "debt": {USDC: Dec(8400)}}
+    amounts[side] = {asset: Dec(value)}
+    built = Position("borrower-1", **amounts)
+    loaded = load_scenario(doc).positions[0]
+    assert loaded == built
+    assert getattr(loaded, side) == ({} if outcome is None else {asset: outcome})
+    assert all(type(amount) is Dec for amount in getattr(loaded, side).values())
+
+
+# (position, side, symbol, amount) zeros added to a book of three positions;
+# USDC has no threshold, so a zero USDC collateral must be dropped
+@pytest.mark.parametrize("zeros, rechecked", [
+    ([], 0),
+    ([(0, "collateral", "USDC", "0"), (0, "debt", "ETH", 0)], 1),
+    ([(0, "collateral", "USDC", "0"), (2, "debt", "ETH", "0.0")], 2),
+], ids=["all-positive", "two-zeros-in-one-position", "zeros-in-two-positions"])
+def test_only_a_position_holding_a_zero_goes_through_its_constructor(
+    monkeypatch, zeros, rechecked
+):
+    doc = sparse_wbtc_doc()
+    doc["positions"].append({"owner": "idle", "collateral": {"ETH": "1", "WBTC": "2"}})
+    for i, side, symbol, amount in zeros:
+        doc["positions"][i].setdefault(side, {})[symbol] = amount
+    built = _counting(monkeypatch, Position, "__post_init__")
+    scenario = load_scenario(doc)
+    assert len(built) == rechecked
+    assets = {asset.symbol: asset for asset in scenario.assets}
+    assert scenario.positions == tuple(
+        Position(entry["owner"], *(
+            {assets[symbol]: Dec(amount) for symbol, amount in entry.get(side, {}).items()}
+            for side in ("collateral", "debt")
+        ))
+        for entry in doc["positions"]
+    )
+
+
+def test_a_negative_amount_goes_through_its_constructor(monkeypatch):
+    doc = sparse_wbtc_doc()
+    doc["positions"][1]["debt"]["ETH"] = "-1"
+    built = _counting(monkeypatch, Position, "__post_init__")
+    with pytest.raises(InvalidScenarioError) as raised:
+        load_scenario(doc)
+    assert str(raised.value) == (
+        "invalid scenario: positions[1]: negative debt amount for ETH: -1"
+    )
+    assert len(built) == 1
+
+
+def test_step_series_repr():
+    series = StepSeries([0, 3], [Dec(1), Dec(2)], 5)
+    assert repr(series) == "StepSeries([0, 3], [Dec('1'), Dec('2')], last=5)"
+
+
 class TestSnapshotValidation:
     def test_unpriced_asset_is_reported_at_block_zero(self):
         doc = sparse_wbtc_doc(blocks=6)
