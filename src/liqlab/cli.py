@@ -7,6 +7,10 @@ identical inputs produce byte-identical outputs. Exit codes: 0 success,
 1 validation error, 2 I/O error (an unreadable file, including one that is
 not UTF-8 and JSON that is malformed or nested too deeply to decode; the
 message names the file) or running out of memory.
+Failures are reported in one place: a command handler raises, and ``main``
+alone writes the one ``error: …`` line on stderr and picks the exit code.
+Only argparse's flag errors print their own line, after the usage line;
+``validate-params``' ``invalid: …`` line is its verdict, not a failure.
 Diagnostics go to stderr only; set LIQLAB_LOG={error|info|debug} to control
 verbosity; at debug, ``simulate`` also logs the wall time of each
 scenario's load, run and serialize phases.
@@ -141,9 +145,12 @@ def _parse_lt_entries(entries):
 
 
 def _cmd_validate_params(args) -> int:
+    """The verdict on the parameters: ``valid`` on stdout and exit 0, or
+    ``invalid: <reason>`` on stderr and exit 1. An invalid set is the answer
+    asked for, not a failure, so it is printed here rather than raised."""
     try:
         params = RiskParams(lt=_parse_lt_entries(args.lt), ls=args.ls, cf=args.cf)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return 1
     print("valid")
@@ -171,11 +178,9 @@ def _run_one_scenario(path: str, as_json: bool) -> str:
 def _cmd_simulate(args) -> int:
     paths = args.scenario
     if args.out is not None and args.out_dir is not None:
-        print("error: --out and --out-dir cannot be used together", file=sys.stderr)
-        return 1
+        raise ValueError("--out and --out-dir cannot be used together")
     if len(paths) > 1 and not args.out_dir:
-        print("error: multiple scenarios require --out-dir", file=sys.stderr)
-        return 1
+        raise ValueError("multiple scenarios require --out-dir")
     if len(paths) == 1 and not args.out_dir:
         text = _run_one_scenario(paths[0], args.json)
         _emit(_stamp_line(args.stamp) + text, args.out)
@@ -185,11 +190,7 @@ def _cmd_simulate(args) -> int:
     for path in paths:
         name = Path(path).stem + suffix
         if name in targets:
-            print(
-                f"error: scenarios {targets[name]} and {path} would both write {name}",
-                file=sys.stderr,
-            )
-            return 1
+            raise ValueError(f"scenarios {targets[name]} and {path} would both write {name}")
         targets[name] = path
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -208,12 +209,10 @@ def _cmd_sensitivity(args) -> int:
     scenario = load_scenario(args.scenario)
     by_symbol = {asset.symbol: asset for asset in scenario.assets}
     if args.asset not in by_symbol:
-        print(f"error: unknown asset {args.asset!r}", file=sys.stderr)
-        return 1
+        raise ValueError(f"unknown asset {args.asset!r}")
     oracle = scenario.price_path.get(args.block)
     if oracle is None:
-        print(f"error: scenario has no block {args.block}", file=sys.stderr)
-        return 1
+        raise ValueError(f"scenario has no block {args.block}")
     points = sensitivity_curve(
         scenario.positions, by_symbol[args.asset], args.steps, oracle, scenario.params
     )
@@ -226,8 +225,7 @@ def _cmd_bad_debt_scan(args) -> int:
     scenario = load_scenario(args.scenario)
     oracle = scenario.price_path.get(args.block)
     if oracle is None:
-        print(f"error: scenario has no block {args.block}", file=sys.stderr)
-        return 1
+        raise ValueError(f"scenario has no block {args.block}")
     if args.fee < ZERO:  # checked here, since a book with no debt classifies nothing
         raise ValueError(f"fee must be >= 0: {args.fee}")
     records = []
@@ -254,8 +252,7 @@ def _cmd_classify_path(args) -> int:
                 try:
                     prices.append(Dec(text))
                 except (ValueError, OverflowError) as exc:
-                    print(f"error: {args.input}:{lineno}: {exc}", file=sys.stderr)
-                    return 1
+                    raise ValueError(f"{args.input}:{lineno}: {exc}") from exc
         except UnicodeDecodeError as exc:
             exc.reason += f" in {args.input}"
             raise
@@ -280,8 +277,7 @@ def _cmd_auction_replay(args) -> int:
     )
     script = _read_json(args.script)
     if not isinstance(script, list):
-        print("error: bid script must be a JSON array", file=sys.stderr)
-        return 1
+        raise ValueError("bid script must be a JSON array")
     for i, entry in enumerate(script):
         # the scenario loader's rules for a scripted bid's time and bidder
         try:
@@ -290,11 +286,9 @@ def _cmd_auction_replay(args) -> int:
             bidder = _identifier(entry, "bidder")
             bid = Bid(bidder=bidder, amount=Dec(entry["amount"]), time=time)
         except InvalidScenarioError as exc:
-            print(f"error: script[{i}]: {exc.field} {exc.problem}", file=sys.stderr)
-            return 1
+            raise ValueError(f"script[{i}]: {exc.field} {exc.problem}") from exc
         except (KeyError, ValueError, TypeError, OverflowError) as exc:
-            print(f"error: script[{i}]: {exc}", file=sys.stderr)
-            return 1
+            raise ValueError(f"script[{i}]: {exc}") from exc
         auction = place_bid(auction, bid)
     finalize_time = args.finalize_time
     if finalize_time is None:
@@ -421,13 +415,12 @@ def main(argv=None) -> int:
         return int(exit_.code or 0)
     try:
         return args.handler(args)
+    # unreadable input first: NestingTooDeepError is a LiqlabError, and
+    # JSONDecodeError and UnicodeDecodeError are ValueErrors
     except (json.JSONDecodeError, NestingTooDeepError, UnicodeDecodeError) as exc:
         print(f"error: unreadable input: {exc}", file=sys.stderr)
         return 2
-    except LiqlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+    except (LiqlabError, ValueError, ZeroDivisionError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

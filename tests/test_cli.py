@@ -70,6 +70,14 @@ class TestValidateParamsCommand:
     def test_out_of_range_threshold_rejected(self, capsys):
         assert main(["validate-params", "--lt", "1.2", "--ls", "0.1"]) == 1
 
+    @pytest.mark.parametrize("value, reason", [
+        ("abc", "not a decimal string: 'abc'"),
+        ("9" * 80, "fixed-point magnitude exceeds 2**255: integer part of 80 digits"),
+    ], ids=["not-a-decimal", "past-2-255"])
+    def test_a_threshold_that_is_no_dec_is_an_invalid_verdict(self, capsys, value, reason):
+        assert main(["validate-params", "--lt", f"ETH={value}", "--ls", "0.1"]) == 1
+        assert capsys.readouterr() == ("", f"invalid: {reason}\n")
+
 
 class TestSimulateCommand:
     def test_writes_golden_event_log(self, tmp_path, capsys):
@@ -558,6 +566,79 @@ class TestBadDebtScanCommand:
         )
 
 
+_REPLAY = ["auction-replay", "--c", "110", "--d", "100", "--auction-length", "100",
+           "--bid-duration", "50", "--script"]
+
+# every failure a command handler raises for main to report: its argv and
+# its whole stderr, where {tmp} stands for the test's temporary directory
+HANDLER_FAILURES = {
+    "simulate-out-with-out-dir": (
+        ["simulate", "--scenario", ETH_DROP, "--out", "{tmp}/log.csv", "--out-dir", "{tmp}/out"],
+        "error: --out and --out-dir cannot be used together\n",
+    ),
+    "simulate-several-without-out-dir": (
+        ["simulate", "--scenario", ETH_DROP, "--scenario", str(FIXTURES / "two_step.json")],
+        "error: multiple scenarios require --out-dir\n",
+    ),
+    "simulate-one-stem": (
+        ["simulate", "--scenario", "{tmp}/a/x.json", "--scenario", "{tmp}/b/x.json",
+         "--out-dir", "{tmp}/out"],
+        "error: scenarios {tmp}/a/x.json and {tmp}/b/x.json would both write x.csv\n",
+    ),
+    "sensitivity-unknown-asset": (
+        ["sensitivity", "--scenario", ETH_DROP, "--asset", "NOPE"],
+        "error: unknown asset 'NOPE'\n",
+    ),
+    "sensitivity-no-block": (
+        ["sensitivity", "--scenario", ETH_DROP, "--asset", "ETH", "--block", "9"],
+        "error: scenario has no block 9\n",
+    ),
+    "bad-debt-scan-no-block": (
+        ["bad-debt-scan", "--scenario", ETH_DROP, "--fee", "0", "--block", "9"],
+        "error: scenario has no block 9\n",
+    ),
+    "bad-debt-scan-negative-fee": (
+        ["bad-debt-scan", "--scenario", ETH_DROP, "--fee", "-1"],
+        "error: fee must be >= 0: -1\n",
+    ),
+    "classify-path-bad-line": (
+        ["classify-path", "--input", "{tmp}/prices.csv", "--liquidation-price", "100"],
+        "error: {tmp}/prices.csv:2: not a decimal string: 'x'\n",
+    ),
+    "auction-replay-not-an-array": (
+        [*_REPLAY, "{tmp}/object.json"],
+        "error: bid script must be a JSON array\n",
+    ),
+    "auction-replay-bad-time": (
+        [*_REPLAY, "{tmp}/bad-time.json"],
+        "error: script[0]: time must be an integer: 1.9\n",
+    ),
+    "auction-replay-bad-amount": (
+        [*_REPLAY, "{tmp}/bad-amount.json"],
+        "error: script[0]: not a decimal string: 'x'\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, expected", HANDLER_FAILURES.values(), ids=HANDLER_FAILURES)
+def test_a_handler_failure_is_one_error_line(tmp_path, monkeypatch, capsys, argv, expected):
+    for sub, name in (("a", "two_step.json"), ("b", "auction.json")):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "x.json").write_text((FIXTURES / name).read_text())
+    (tmp_path / "prices.csv").write_text("100\nx\n")
+    (tmp_path / "object.json").write_text("{}")
+    (tmp_path / "bad-time.json").write_text('[{"time": 1.9, "bidder": "a", "amount": "40"}]')
+    (tmp_path / "bad-amount.json").write_text('[{"time": 1, "bidder": "a", "amount": "x"}]')
+    runs = []
+    monkeypatch.setattr(liqlab.cli, "_run_one_scenario", lambda *args: runs.append(args))
+    tmp = str(tmp_path)
+    assert main([arg.replace("{tmp}", tmp) for arg in argv]) == 1
+    assert capsys.readouterr() == ("", expected.replace("{tmp}", tmp))
+    # refused before any scenario runs or any output exists
+    assert runs == []
+    assert not (tmp_path / "out").exists() and not (tmp_path / "log.csv").exists()
+
+
 @pytest.mark.parametrize(
     "command",
     [
@@ -702,6 +783,17 @@ class TestParserBehavior:
         out = capsys.readouterr().out
         for flag in ("--c", "--d", "--lt", "--ls", "--cf", "--json", "--out"):
             assert flag in out
+
+
+@pytest.mark.parametrize("argv, code", [
+    (TestStrategyCommand.ARGS, 0),
+    (["sensitivity", "--scenario", ETH_DROP, "--asset", "NOPE"], 1),
+], ids=["strategy", "unknown-asset"])
+def test_run_exits_with_mains_code(monkeypatch, capsys, argv, code):
+    monkeypatch.setattr("sys.argv", ["liqlab", *argv])
+    with pytest.raises(SystemExit) as exit_:
+        liqlab.cli.run()
+    assert exit_.value.code == code
 
 
 class TestRepeatedMainCalls:

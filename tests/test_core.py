@@ -415,6 +415,10 @@ def _half_unit_ties(draw):
 # 5 units at price 0.3 and 0.1: a value of 1.5 units rounds up to 2, 0.5 down to 0
 @example(tie=(Dec.from_raw(5), Dec("0.3"), Dec("0.8")), debt=[])
 @example(tie=(Dec.from_raw(5), Dec("0.1"), Dec("0.8")), debt=[])
+# 5 units owed at price 0.5 and 0.3: a debt of 2.5 units rounds down to 2,
+# 1.5 up to 2
+@example(tie=(Dec.from_raw(5), Dec(1), Dec("0.5")), debt=[(Dec.from_raw(5), Dec("0.5"))])
+@example(tie=(Dec.from_raw(5), Dec(1), Dec("0.5")), debt=[(Dec.from_raw(5), Dec("0.3"))])
 def test_kernel_rounds_half_unit_ties_to_even(tie, debt):
     amount, price, threshold = tie
     _assert_kernel_is_the_dec_loop([tie], debt)

@@ -78,6 +78,16 @@ class TestOptimalRepays:
         assert plan.repay1 == Dec(50)
         assert plan.repay2 == Dec(25)
 
+    def test_r_star_equal_to_the_cap_is_not_clamped(self):
+        # r* = (100 - 0.5*155) / (1 - 0.5*1.1) = 50 is exactly CF*D: the plan
+        # repays one unit less, so the position is still liquidatable for the
+        # second call
+        params = RiskParams(lt={}, ls=Dec("0.1"), cf=Dec("0.5"))
+        plan = optimal_repays(Dec(155), Dec(100), Dec("0.5"), params)
+        assert plan == StrategyPlan(
+            repay1=Dec("49.999999999999999999"), repay2=Dec(25), clamped=False
+        )
+
     def test_closed_form_past_the_dec_range_is_clamped(self):
         # LT one unit under 1 and LS 0: r* = 9e45 / 1e-18 is past 2**255 raw,
         # so far over CF*D = 5e45 that the plan is clamped, not an overflow
