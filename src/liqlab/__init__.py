@@ -23,7 +23,6 @@ from .core import (
 from .fixed_spread import (
     LiquidationCall,
     LiquidationReceipt,
-    check_liquidation_call,
     execute_liquidation_call,
     max_repay,
 )

@@ -39,7 +39,7 @@ from .errors import (
 )
 from .fixedpoint import Dec, ZERO
 from .risk import classify_bad_debt, classify_price_path, sensitivity_curve
-from .sim import _identifier, _integer, _read_json, _shaped, load_scenario, run_scenario
+from .sim import _dec_field, _identifier, _integer, _read_json, _shaped, load_scenario, run_scenario
 from .strategy import mitigation_threshold, optimal_repays, strategy_profits
 
 log = logging.getLogger("liqlab")
@@ -140,7 +140,10 @@ def _parse_lt_entries(entries):
             symbol, _, value = entry.partition("=")
         else:
             symbol, value = f"asset{i}", entry
-        lt[Asset(symbol=symbol)] = Dec(value)
+        asset = Asset(symbol=symbol)
+        if asset in lt:
+            raise ValueError(f"duplicate threshold for asset {symbol}")
+        lt[asset] = Dec(value)
     return lt
 
 
@@ -279,15 +282,16 @@ def _cmd_auction_replay(args) -> int:
     if not isinstance(script, list):
         raise ValueError("bid script must be a JSON array")
     for i, entry in enumerate(script):
-        # the scenario loader's rules for a scripted bid's time and bidder
+        # the scenario loader's rules for a scripted bid's time, bidder and amount
         try:
             entry = _shaped(entry, dict, "entry")
             time = _integer(entry.get("time"), "time")
             bidder = _identifier(entry, "bidder")
-            bid = Bid(bidder=bidder, amount=Dec(entry["amount"]), time=time)
+            amount = _dec_field(entry.get("amount"), "amount")
+            bid = Bid(bidder=bidder, amount=amount, time=time)
         except InvalidScenarioError as exc:
             raise ValueError(f"script[{i}]: {exc.field} {exc.problem}") from exc
-        except (KeyError, ValueError, TypeError, OverflowError) as exc:
+        except ValueError as exc:  # an amount <= 0
             raise ValueError(f"script[{i}]: {exc}") from exc
         auction = place_bid(auction, bid)
     finalize_time = args.finalize_time

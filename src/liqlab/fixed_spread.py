@@ -26,12 +26,10 @@ refusal's message. The scenario engine calls it on its raw book, cached raw
 sums and the block's snapshot, and writes the two new balances into the
 book itself.
 
-:func:`check_liquidation_call` is its ``Dec`` face: given the position's
-values it returns the receipt, with the position after the call, or the
-refusal, so a caller that already holds the values neither re-values the
-position nor catches.
-:func:`execute_liquidation_call` is the raising form: it values the
-position, checks the call and raises the refusal.
+:func:`execute_liquidation_call` is its one ``Dec`` face: it values the
+position, applies the rules and raises the refusal, or returns the receipt
+with the position after the call. A caller that wants the refusal as a
+value catches ``LiqlabError``.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from .core import (
     Position,
     PositionValues,
     RiskParams,
-    position_values,
+    value_sums,
 )
 from .errors import (
     CloseFactorExceededError,
@@ -171,55 +169,6 @@ def _liquidation_call(
     return seized_value, seized_native, repaid_native
 
 
-def check_liquidation_call(
-    position: Position,
-    values: PositionValues,
-    call: LiquidationCall,
-    oracle: OracleSnapshot,
-    params: RiskParams,
-) -> LiquidationReceipt | LiqlabError:
-    """The protocol's answer to one fixed-spread call, without raising.
-
-    ``values`` must be ``position_values(position, oracle, params)``; the
-    caller passes them so a position it has valued already is not valued
-    again. Returns the receipt, or the refusal unraised: a
-    NotLiquidatableError, CloseFactorExceededError, DebtAssetShortfallError
-    or CollateralShortfallError. Any other error (a missing price, say) is
-    raised. The input position is never changed.
-    """
-    repay = call.repay_value_usd
-    debt_asset, collateral_asset = call.debt_asset, call.collateral_asset
-    debt_native = position.debt.get(debt_asset, ZERO).raw
-    available = position.collateral.get(collateral_asset, ZERO).raw
-    outcome = _liquidation_call(
-        position.owner,
-        values.bc.raw,
-        values.d.raw,
-        debt_asset,
-        collateral_asset,
-        debt_native,
-        available,
-        repay.raw,
-        oracle,
-        params,
-    )
-    if isinstance(outcome, LiqlabError):
-        return outcome
-    seized_value, seized_native, repaid_native = outcome
-    new_debt = dict(position.debt)
-    new_debt[debt_asset] = Dec.from_raw(debt_native - repaid_native)
-    new_collateral = dict(position.collateral)
-    new_collateral[collateral_asset] = Dec.from_raw(available - seized_native)
-    position_after = Position(owner=position.owner, collateral=new_collateral, debt=new_debt)
-    return LiquidationReceipt(
-        repaid_value_usd=repay,
-        seized_value_usd=Dec.from_raw(seized_value),
-        seized_native=Dec.from_raw(seized_native),
-        liquidator_profit_usd=Dec.from_raw(seized_value - repay.raw),
-        position_after=position_after,
-    )
-
-
 def execute_liquidation_call(
     position: Position,
     call: LiquidationCall,
@@ -228,13 +177,31 @@ def execute_liquidation_call(
 ) -> LiquidationReceipt:
     """Apply one fixed-spread liquidation call and return the receipt.
 
-    Values the position and raises the refusal that
-    :func:`check_liquidation_call` returns, if any; refusal leaves the input
-    position untouched.
+    Values the position, applies :func:`_liquidation_call` and raises its
+    refusal, if any: a NotLiquidatableError, CloseFactorExceededError,
+    DebtAssetShortfallError or CollateralShortfallError. The input position
+    is never changed; the receipt holds the position after the call.
     """
-    outcome = check_liquidation_call(
-        position, position_values(position, oracle, params), call, oracle, params
+    _, bc, d = value_sums(position, oracle, params)
+    repay = call.repay_value_usd
+    debt_asset, collateral_asset = call.debt_asset, call.collateral_asset
+    debt_native = position.debt.get(debt_asset, ZERO).raw
+    available = position.collateral.get(collateral_asset, ZERO).raw
+    outcome = _liquidation_call(
+        position.owner, bc, d, debt_asset, collateral_asset,
+        debt_native, available, repay.raw, oracle, params,
     )
     if isinstance(outcome, LiqlabError):
         raise outcome
-    return outcome
+    seized_value, seized_native, repaid_native = outcome
+    new_debt = dict(position.debt)
+    new_debt[debt_asset] = Dec.from_raw(debt_native - repaid_native)
+    new_collateral = dict(position.collateral)
+    new_collateral[collateral_asset] = Dec.from_raw(available - seized_native)
+    return LiquidationReceipt(
+        repaid_value_usd=repay,
+        seized_value_usd=Dec.from_raw(seized_value),
+        seized_native=Dec.from_raw(seized_native),
+        liquidator_profit_usd=Dec.from_raw(seized_value - repay.raw),
+        position_after=Position(owner=position.owner, collateral=new_collateral, debt=new_debt),
+    )

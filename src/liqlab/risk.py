@@ -28,7 +28,7 @@ from .core import (
 )
 from .errors import EmptyPathError, PathLengthMismatchError, ZeroDebtError
 from .fixed_spread import max_repay
-from .fixedpoint import SCALE, Dec, ZERO, _div, _round_div
+from .fixedpoint import SCALE, Dec, ZERO, _div, _mul, _round_div
 
 
 @dataclass(frozen=True)
@@ -72,11 +72,11 @@ def _target_exposures(
         if target not in borrower.collateral:
             continue
         c, bc, d = value_sums(borrower, oracle, params)
-        target_value = _round_div(borrower.collateral[target].raw * price, SCALE)
+        target_value = _mul(borrower.collateral[target].raw, price)
         target_debt = None
         if target in borrower.debt:
-            target_debt = _round_div(borrower.debt[target].raw * price, SCALE)
-        target_bc = _round_div(target_value * params.threshold(target).raw, SCALE)
+            target_debt = _mul(borrower.debt[target].raw, price)
+        target_bc = _mul(target_value, params.threshold(target).raw)
         exposures.append((c, bc, d, target_value, target_bc, target_debt))
     return exposures
 

@@ -70,7 +70,7 @@ Engine rules, in order of application per block:
   gas and fee always repays its flash loan. The profitable call is then
   checked against the protocol's rules on its kept raw sums
   (``fixed_spread._liquidation_call``, the rules behind
-  ``check_liquidation_call``); a call the protocol refuses (close-factor
+  ``execute_liquidation_call``); a call the protocol refuses (close-factor
   cap, debt or collateral shortfall) is simply not sent.
 * The fixed-spread step runs on scaled integers end to end: the asset pair,
   the clamped repay, gross, fees and net, the two-step plan

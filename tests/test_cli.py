@@ -78,6 +78,20 @@ class TestValidateParamsCommand:
         assert main(["validate-params", "--lt", f"ETH={value}", "--ls", "0.1"]) == 1
         assert capsys.readouterr() == ("", f"invalid: {reason}\n")
 
+    @pytest.mark.parametrize("lts", [
+        ["ETH=0.9", "ETH=0.5"],
+        ["ETH=0.5", "ETH=0.9"],
+        ["0.5", "asset0=0.5"],
+    ], ids=["invalid-first", "valid-first", "bare-value-name"])
+    def test_a_repeated_symbol_is_an_invalid_verdict_in_either_order(self, capsys, lts):
+        # 0.9*(1+0.2) = 1.08 is invalid and 0.5*(1+0.2) valid; neither wins
+        argv = ["validate-params", "--ls", "0.2"]
+        for lt in lts:
+            argv += ["--lt", lt]
+        assert main(argv) == 1
+        symbol = lts[1].partition("=")[0]
+        assert capsys.readouterr() == ("", f"invalid: duplicate threshold for asset {symbol}\n")
+
 
 class TestSimulateCommand:
     def test_writes_golden_event_log(self, tmp_path, capsys):
@@ -399,13 +413,20 @@ class TestAuctionReplayCommand:
             ({"time": 3, "bidder": ""}, "bidder missing or not a non-empty string"),
             ({"time": 3, "bidder": 7}, "bidder missing or not a non-empty string"),
             (5, "entry must be an object"),
+            # an amount of None is left out of the entry
+            ({"time": 3, "bidder": "a", "amount": None},
+             "amount cannot construct Dec from NoneType"),
+            ({"time": 3, "bidder": "a", "amount": 1.5},
+             "amount decimals must be strings, not floats"),
         ],
     )
     def test_bid_script_entries_follow_the_scenario_rules(
         self, tmp_path, capsys, entry, message
     ):
         if isinstance(entry, dict):
-            entry = dict(entry, amount="40")
+            entry = {"amount": "40", **entry}
+            if entry["amount"] is None:
+                del entry["amount"]
         script = tmp_path / "bids.json"
         script.write_text(json.dumps([entry]))
         rc = main(
@@ -437,7 +458,7 @@ class TestAuctionReplayCommand:
         )
         assert rc == 1
         assert capsys.readouterr().err == (
-            "error: script[1]: fixed-point magnitude exceeds 2**255: "
+            "error: script[1]: amount fixed-point magnitude exceeds 2**255: "
             "integer part of 81 digits\n"
         )
 
@@ -615,7 +636,7 @@ HANDLER_FAILURES = {
     ),
     "auction-replay-bad-amount": (
         [*_REPLAY, "{tmp}/bad-amount.json"],
-        "error: script[0]: not a decimal string: 'x'\n",
+        "error: script[0]: amount not a decimal string: 'x'\n",
     ),
 }
 
