@@ -159,6 +159,17 @@ class TestTermination:
         with pytest.raises(AuctionClosedError, match="^auction is terminated$"):
             place_bid(terminated, Bid("a", Dec(40), 6 * HOUR))
 
+    def test_a_terminated_auction_keeps_its_reason(self):
+        terminated = apply_termination(start_auction(LIQUIDATABLE, CONFIG, now=0), 6 * HOUR)
+        # before its deadline, an open auction would report None
+        assert check_termination(terminated, 0) is TerminationReason.AUCTION_LENGTH
+
+
+def test_a_negative_min_increment_is_refused():
+    with pytest.raises(ValueError) as info:
+        AuctionConfig(auction_length=10, bid_duration=5, min_increment=Dec("-0.01"))
+    assert str(info.value) == "min increment must be >= 0: -0.01"
+
 
 @settings(max_examples=300, deadline=None)
 @given(

@@ -1,6 +1,7 @@
 import argparse
 import concurrent.futures
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -463,6 +464,25 @@ class TestAuctionReplayCommand:
         )
 
 
+    def test_a_bid_amount_of_zero_is_refused(self, tmp_path, capsys):
+        script = tmp_path / "bids.json"
+        script.write_text(json.dumps([{"time": 1, "bidder": "a", "amount": "0"}]))
+        assert main([*_REPLAY, str(script)]) == 1
+        assert capsys.readouterr() == ("", "error: script[0]: bid amount must be > 0: 0\n")
+
+    def test_a_negative_final_lot_value_is_refused(self, capsys):
+        argv = [
+            "auction-replay",
+            "--c", "110", "--d", "100",
+            "--auction-length", "21600",
+            "--bid-duration", "18000",
+            "--script", str(FIXTURES / "dent_bids.json"),
+            "--final-c", "-1",
+        ]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: position values must be non-negative\n")
+
+
 class TestClassifyPathCommand:
     def test_fall_rise_fixture(self, capsys):
         rc = main(
@@ -501,6 +521,12 @@ class TestClassifyPathCommand:
         stamp, rest = capsys.readouterr().out.split("\n", 1)
         assert stamp.startswith("# generated ")
         assert rest == plain
+
+    def test_blank_lines_are_skipped(self, tmp_path, capsys):
+        path = tmp_path / "prices.csv"
+        path.write_text("\n120\n\n  \n80\n\t\n110\n")
+        assert main(["classify-path", "--input", str(path), "--liquidation-price", "100"]) == 0
+        assert capsys.readouterr() == ("rise-fluctuation\n", "")
 
     def test_bad_line_reports_position(self, tmp_path, capsys):
         path = tmp_path / "prices.csv"
@@ -658,6 +684,74 @@ def test_a_handler_failure_is_one_error_line(tmp_path, monkeypatch, capsys, argv
     # refused before any scenario runs or any output exists
     assert runs == []
     assert not (tmp_path / "out").exists() and not (tmp_path / "log.csv").exists()
+
+
+# every command that writes output, with the arguments of one successful run
+OUTPUT_SITES = {
+    "strategy": TestStrategyCommand.ARGS,
+    "sensitivity": ["sensitivity", "--scenario", ETH_DROP, "--asset", "ETH", "--steps", "4"],
+    "bad-debt-scan": ["bad-debt-scan", "--scenario", ETH_DROP, "--fee", "10"],
+    "classify-path": [
+        "classify-path",
+        "--input", str(FIXTURES / "path_fall_rise.csv"),
+        "--liquidation-price", "100",
+    ],
+    "auction-replay": [
+        "auction-replay",
+        "--c", "110", "--d", "100",
+        "--auction-length", "21600",
+        "--bid-duration", "18000",
+        "--script", str(FIXTURES / "dent_bids.json"),
+    ],
+    "simulate": ["simulate", "--scenario", ETH_DROP],
+}
+STAMP_LINE = re.compile(r"# generated \d{4}-\d\d-\d\dT\d\d:\d\d:\d\d(\.\d{6})?\+00:00\n")
+
+
+def _unstamped(text):
+    """``text`` without its first line, which must be a stamp line."""
+    stamp, rest = text.split("\n", 1)
+    assert STAMP_LINE.fullmatch(stamp + "\n"), stamp
+    return rest
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["csv", "json"])
+@pytest.mark.parametrize("argv", OUTPUT_SITES.values(), ids=OUTPUT_SITES)
+def test_every_output_is_written_by_one_rule(tmp_path, capsys, argv, fmt):
+    """``--out FILE`` writes the bytes stdout gets, and ``--stamp`` puts one
+    timestamp line first and changes nothing else, on stdout and in FILE."""
+    argv = [*argv, *fmt]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert plain and not plain.startswith("#")
+    out = tmp_path / "out.txt"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert out.read_bytes() == plain.encode("utf-8")
+    assert main([*argv, "--stamp"]) == 0
+    assert _unstamped(capsys.readouterr().out) == plain
+    assert main([*argv, "--stamp", "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert _unstamped(out.read_text(encoding="utf-8")) == plain
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["csv", "json"])
+def test_every_out_dir_file_gets_its_own_stamp_line(tmp_path, capsys, fmt):
+    scenarios = [ETH_DROP, str(FIXTURES / "two_step.json")]
+    expected = {}
+    for path in scenarios:
+        assert main(["simulate", "--scenario", path, *fmt]) == 0
+        expected[Path(path).stem + (".jsonl" if fmt else ".csv")] = capsys.readouterr().out
+    argv = ["simulate", *fmt]
+    for path in scenarios:
+        argv += ["--scenario", path]
+    for stamp, out_dir in (([], tmp_path / "plain"), (["--stamp"], tmp_path / "stamped")):
+        assert main([*argv, "--out-dir", str(out_dir), *stamp]) == 0
+        assert capsys.readouterr() == ("", "")
+        written = {p.name: p.read_text(encoding="utf-8") for p in out_dir.iterdir()}
+        if stamp:
+            written = {name: _unstamped(text) for name, text in written.items()}
+        assert written == expected
 
 
 @pytest.mark.parametrize(

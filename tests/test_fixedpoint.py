@@ -83,6 +83,14 @@ class TestArithmetic:
         third = Dec(1) / Dec(3)
         assert Dec.mul_div(third, Dec(3), Dec(1)) == Dec.from_raw(third.raw * 3)
 
+    @pytest.mark.parametrize("raw, divisor", [
+        (1, -2), (3, -2), (5, -2), (7, -2),  # ties, to the even neighbour
+        (10**18, -3), (2 * 10**18, -3), (-(10**18), -3), (10**18, -7),
+    ])
+    def test_mul_div_by_a_negative_divisor_is_the_positive_one_negated(self, raw, divisor):
+        a = Dec.from_raw(raw)
+        assert Dec.mul_div(a, Dec(1), Dec(divisor)) == -(a / Dec(-divisor))
+
     def test_overflow_is_an_error(self):
         big = Dec.from_raw(2**254)
         with pytest.raises(OverflowError):

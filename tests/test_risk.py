@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -323,6 +324,11 @@ class TestBadDebt:
         assert verdict.kind is BadDebtKind.TYPE_I
         assert verdict.locked_collateral_usd == Dec(90)
 
+    def test_a_negative_fee_is_refused(self):
+        with pytest.raises(ValueError) as info:
+            self.classify(150, 100, -1)
+        assert str(info.value) == "fee must be >= 0: -1"
+
     def test_excess_below_fee_is_type_two(self):
         verdict = self.classify(150, 100, 100)
         assert verdict.kind is BadDebtKind.TYPE_II
@@ -381,6 +387,13 @@ class TestScanUnprofitable:
         result = self.setup(80)
         assert len(result) == 1
         assert result[0][1] == Dec(80)
+
+    @pytest.mark.parametrize("book", [[], None], ids=["empty-book", "one-position"])
+    def test_a_negative_fee_is_refused_on_any_book(self, book):
+        position, oracle, params = eth_borrower()
+        with pytest.raises(ValueError) as info:
+            scan_unprofitable([position] if book is None else book, Dec("-0.5"), oracle, params)
+        assert str(info.value) == "fee must be >= 0: -0.5"
 
     def test_bonus_covering_fee_is_excluded(self):
         assert self.setup(10) == []
@@ -466,3 +479,76 @@ class TestStablecoinDivergence:
     def test_threshold_validated(self):
         with pytest.raises(ValueError):
             stablecoin_divergence({DAI: [Dec(1)]}, Dec(0))
+
+    @pytest.mark.parametrize("paths", [{}, {DAI: []}], ids=["no-series", "empty-series"])
+    def test_an_empty_series_is_refused(self, paths):
+        with pytest.raises(
+            PathLengthMismatchError, match="^need at least one non-empty price series$"
+        ):
+            stablecoin_divergence(paths, Dec("0.05"))
+
+    @pytest.mark.parametrize("price", ["0", "-0.5"])
+    def test_a_price_of_zero_or_less_is_refused(self, price):
+        paths = {DAI: [Dec(1), Dec(1)], USDC: [Dec(1), Dec(price)]}
+        with pytest.raises(ValueError) as info:
+            stablecoin_divergence(paths, Dec("0.05"))
+        assert str(info.value) == f"prices must be > 0, got {price}"
+
+    def test_a_quotient_past_2_255_overflows(self):
+        paths = {DAI: [Dec.from_raw(1)], USDC: [Dec(1)], USDT: [Dec(10**50)]}
+        with pytest.raises(OverflowError, match=r"exceeds 2\*\*255"):
+            stablecoin_divergence(paths, Dec("0.05"))
+
+
+def _pairwise_divergence(paths, threshold):
+    """The statistic by its definition: per block, the largest
+    ``|p_i - p_j| / min(p_i, p_j)`` over every pair of assets (0 for one
+    asset), and the share of blocks where that is within ``threshold``."""
+    series = list(paths.values())
+    length = len(series[0])
+    max_diff, within = Dec(0), 0
+    for block in range(length):
+        block_max = Dec(0)
+        for a, b in itertools.combinations([s[block] for s in series], 2):
+            low, high = min(a, b), max(a, b)
+            block_max = max(block_max, (high - low) / low)
+        max_diff = max(max_diff, block_max)
+        within += block_max <= threshold
+    return max_diff, Dec(within) / Dec(length)
+
+
+# raws of a few units, where the quotient's rounding decides, and prices
+# near 1 and far from it, drawn from a pool small enough to repeat
+_stable_prices = st.one_of(
+    st.integers(1, 6).map(Dec.from_raw),
+    st.sampled_from(["0.99", "1", "1.000000000000000001", "1.01", "1.5", "3"]).map(Dec),
+    st.integers(1, 10**24).map(Dec.from_raw),
+)
+
+
+@st.composite
+def stable_paths(draw):
+    length = draw(st.integers(1, 5))
+    assets = draw(st.integers(1, 4))
+    return {
+        Asset(f"S{i}"): draw(st.lists(_stable_prices, min_size=length, max_size=length))
+        for i in range(assets)
+    }
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    paths=stable_paths(),
+    threshold=st.one_of(st.integers(1, 4).map(Dec.from_raw), st.sampled_from(
+        [Dec("0.01"), Dec("0.5"), Dec(1), Dec(2)]
+    )),
+)
+@example(paths={DAI: [Dec(1), Dec("1.5")]}, threshold=Dec("0.01"))
+@example(paths={DAI: [Dec(2)] * 3, USDC: [Dec(2)] * 3}, threshold=Dec.from_raw(1))
+@example(
+    paths={DAI: [Dec.from_raw(3)], USDC: [Dec.from_raw(2)], USDT: [Dec.from_raw(1)]},
+    threshold=Dec(2),
+)
+def test_divergence_equals_the_pairwise_definition(paths, threshold):
+    assert stablecoin_divergence(paths, threshold) == _pairwise_divergence(paths, threshold)
+

@@ -301,6 +301,13 @@ class TestProfitVolumeRatio:
                 replace(log, collateral_volume_by_block={0: Dec(0)}), range(0, 1)
             )
 
+    def test_a_block_without_volume_is_rejected(self):
+        log = run_scenario(eth_drop_scenario())
+        thin = replace(log, collateral_volume_by_block={1: Dec(9900)})
+        with pytest.raises(ValueError) as info:
+            profit_volume_ratio(thin, range(0, 2))
+        assert str(info.value) == "no collateral volume recorded for block 0"
+
     def test_empty_period_rejected(self):
         log = run_scenario(eth_drop_scenario())
         with pytest.raises(ValueError):
@@ -570,6 +577,29 @@ class TestScenarioScripts:
             replace(scenario, agents=agents)
         assert info.value.field == "agents[0].script[5].amount"
         assert info.value.problem == "must be > 0: 0"
+
+
+@pytest.mark.parametrize(
+    "change, field, problem",
+    [
+        ({"gas_fee_usd": Dec("-0.01")}, "gas_fee_usd", "must be >= 0: -0.01"),
+        ({"flash_fee_rate": Dec(-1)}, "flash_fee_rate", "must be >= 0: -1"),
+    ],
+    ids=["gas", "flash-fee"],
+)
+def test_a_negative_fee_is_refused(change, field, problem):
+    with pytest.raises(InvalidScenarioError) as info:
+        replace(eth_drop_scenario(), **change)
+    assert (info.value.field, info.value.problem) == (field, problem)
+
+
+def test_duplicate_agent_ids_are_refused():
+    scenario = eth_drop_scenario()
+    (agent,) = scenario.agents
+    twin = replace(agent, kind=PolicyKind.OPTIMAL_TWO_STEP)
+    with pytest.raises(InvalidScenarioError) as info:
+        replace(scenario, agents=(agent, twin))
+    assert (info.value.field, info.value.problem) == ("agents", "duplicate agent identifiers")
 
 
 def test_scripted_bid_against_missing_auction_is_a_scenario_error():
