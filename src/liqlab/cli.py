@@ -3,7 +3,10 @@
 Output goes to stdout as CSV by default; ``--json`` switches the format and
 ``--out`` redirects to a file. All numbers are serialized as decimal
 strings, and outputs carry no timestamps unless ``--stamp`` is given, so
-identical inputs produce byte-identical outputs. Exit codes: 0 success,
+identical inputs produce byte-identical outputs. One writer, ``_write``,
+holds that rule for every output: the ``--stamp`` line first, then the
+text to ``--out``, to each scenario's own file under ``simulate
+--out-dir``, or else to stdout. Exit codes: 0 success,
 1 validation error, 2 I/O error (an unreadable file, including one that is
 not UTF-8 and JSON that is malformed or nested too deeply to decode; the
 message names the file) or running out of memory.
@@ -71,37 +74,35 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _stamp_line(enabled: bool) -> str:
-    if not enabled:
-        return ""
-    now = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    return f"# generated {now}\n"
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
+def _write(args, text: str, path=None) -> None:
+    """Write ``text`` to ``path``, else to ``--out``, else to stdout, with
+    the ``--stamp`` line first when it is asked for."""
+    if args.stamp:
+        now = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        text = f"# generated {now}\n" + text
+    path = path or args.out
+    if path is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        Path(path).write_text(text, encoding="utf-8")
 
 
-def _kv_output(rows, as_json: bool, out: str | None, stamp: bool) -> None:
-    if as_json:
-        text = json.dumps(dict(rows), indent=2) + "\n"
-    else:
-        lines = ["field,value"] + [f"{key},{value}" for key, value in rows]
-        text = "\n".join(lines) + "\n"
-    _emit(_stamp_line(stamp) + text, out)
-
-
-def _records_output(fields, records, as_json: bool, out: str | None, stamp: bool) -> None:
+def _records_output(args, fields, records) -> None:
     """One row per record: CSV under a header line, or a JSON list of objects."""
-    if as_json:
+    if args.json:
         text = json.dumps([dict(zip(fields, record)) for record in records], indent=2) + "\n"
     else:
         lines = [",".join(fields)] + [",".join(record) for record in records]
         text = "\n".join(lines) + "\n"
-    _emit(_stamp_line(stamp) + text, out)
+    _write(args, text)
+
+
+def _kv_output(args, rows) -> None:
+    """One field per row: CSV ``field,value`` rows, or one JSON object."""
+    if args.json:
+        _write(args, json.dumps(dict(rows), indent=2) + "\n")
+    else:
+        _records_output(args, ("field", "value"), rows)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -129,7 +130,7 @@ def _cmd_strategy(args) -> int:
             ("profit_o2", str(mitigation.profit_o2)),
             ("alpha_threshold", str(mitigation.alpha_threshold)),
         ]
-    _kv_output(rows, args.json, args.out, args.stamp)
+    _kv_output(args, rows)
     return 0
 
 
@@ -185,8 +186,7 @@ def _cmd_simulate(args) -> int:
     if len(paths) > 1 and not args.out_dir:
         raise ValueError("multiple scenarios require --out-dir")
     if len(paths) == 1 and not args.out_dir:
-        text = _run_one_scenario(paths[0], args.json)
-        _emit(_stamp_line(args.stamp) + text, args.out)
+        _write(args, _run_one_scenario(paths[0], args.json))
         return 0
     suffix = ".jsonl" if args.json else ".csv"
     targets = {}  # output file name -> the scenario that writes it
@@ -203,8 +203,7 @@ def _cmd_simulate(args) -> int:
             for name, path in targets.items()
         }
         for name, future in futures.items():
-            text = future.result()
-            (out_dir / name).write_text(_stamp_line(args.stamp) + text, encoding="utf-8")
+            _write(args, future.result(), out_dir / name)
     return 0
 
 
@@ -220,7 +219,7 @@ def _cmd_sensitivity(args) -> int:
         scenario.positions, by_symbol[args.asset], args.steps, oracle, scenario.params
     )
     records = [(str(p.decline_pct), str(p.liquidatable_collateral_usd)) for p in points]
-    _records_output(("decline_pct", "lc_usd"), records, args.json, args.out, args.stamp)
+    _records_output(args, ("decline_pct", "lc_usd"), records)
     return 0
 
 
@@ -239,8 +238,7 @@ def _cmd_bad_debt_scan(args) -> int:
         records.append(
             (position.owner, verdict.kind.value, str(verdict.locked_collateral_usd))
         )
-    fields = ("position_id", "class", "locked_usd")
-    _records_output(fields, records, args.json, args.out, args.stamp)
+    _records_output(args, ("position_id", "class", "locked_usd"), records)
     return 0
 
 
@@ -264,7 +262,7 @@ def _cmd_classify_path(args) -> int:
         text = json.dumps({"category": category.value}) + "\n"
     else:
         text = category.value + "\n"
-    _emit(_stamp_line(args.stamp) + text, args.out)
+    _write(args, text)
     return 0
 
 
@@ -309,7 +307,7 @@ def _cmd_auction_replay(args) -> int:
         ("borrower_refund_usd", str(settlement.borrower_refund_usd)),
         ("winner_profit_usd", str(settlement.winner_profit_usd)),
     ]
-    _kv_output(rows, args.json, args.out, args.stamp)
+    _kv_output(args, rows)
     return 0
 
 

@@ -10,7 +10,6 @@ ever accumulates into sums, so results are order-independent.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -295,7 +294,11 @@ def stablecoin_divergence(
     ``threshold``.
 
     Per block the difference is max over asset pairs of |p_i - p_j| divided
-    by the smaller price.
+    by the smaller price, which is ``(max - min) / min`` over the block's
+    prices: ``(high - low) / low`` grows with ``high`` and shrinks as ``low``
+    grows, so no pair's exact quotient exceeds that of (max, min), one of
+    the pairs, and half-even rounding is monotone, so no rounded one does
+    either. One asset gives 0.
     """
     if threshold <= ZERO:
         raise ValueError(f"threshold must be > 0: {threshold}")
@@ -315,12 +318,8 @@ def stablecoin_divergence(
         for price in prices:
             if price <= ZERO:
                 raise ValueError(f"prices must be > 0, got {price}")
-        block_max = ZERO
-        for a, b in itertools.combinations(prices, 2):
-            low, high = (a, b) if a <= b else (b, a)
-            diff = (high - low) / low
-            if diff > block_max:
-                block_max = diff
+        low = min(prices)
+        block_max = (max(prices) - low) / low
         if block_max > max_diff:
             max_diff = block_max
         if block_max <= threshold:

@@ -117,19 +117,17 @@ Engine rules, in order of application per block:
   the unpaid share stays owed.
   An auction ends at its ``auction.deadline``: the auction length after its
   start or the bid duration after its last bid, whichever comes first.
-* A block in which nothing can change is idle: it keeps the previous
-  block's volume and runs no agent and no settlement. A block is idle when
-  it does not re-price, the block before it changed nothing (no position
-  change, auction start, accepted bid or termination), no scripted bid is
-  timed at it and no open auction reaches its deadline at it. Agents that
-  retry the same calls on unchanged state meet the same refusals, so
-  skipping them changes nothing. A pending second call needs no condition
-  of its own: it is due in the block right after its first call landed,
-  and that block follows a position change. Every block that is not idle
-  is therefore a wake-up block: a change of snapshot, the block after any
-  change, a scripted bid's time or ``next_deadline``, the earliest
-  deadline of the open auctions. From a block it finds idle the run jumps
-  straight to the next wake-up block.
+* A run visits only wake-up blocks: a change of snapshot, the block after
+  any change (a position change, auction start, accepted bid or
+  termination), a scripted bid's time and ``next_deadline``, the earliest
+  deadline of the open auctions. On a block that neither re-prices nor
+  follows a change, the run takes the first re-pricing, scripted bid or
+  deadline at or after it, and jumps there if that is later. A block it jumps over is idle: it
+  keeps the previous block's volume and runs no agent and no settlement.
+  Agents that retry the same calls on unchanged state meet the same
+  refusals, so skipping them changes nothing. A pending second call needs
+  no wake-up of its own: it is due in the block right after its first call
+  landed, and that block follows a position change.
 
 Liquidator proceeds are marked to the oracle instantly; gas is a flat USD
 fee per transaction and interest never accrues.
@@ -141,7 +139,7 @@ import dataclasses
 import enum
 import json
 import os
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -917,17 +915,13 @@ class _Run:
                     # every c is >= 0, so checking the total alone catches
                     # any overflow
                     volumes.append(Dec.from_raw(total))
-            elif (
-                changes == self.changes
-                and block < self.next_deadline
-                and block not in self.scripted
-            ):
-                # an idle block, and so is every block before the next one
-                # that re-prices, has a scripted bid or is a deadline
-                block = min(
-                    next_move, self.next_deadline, bid_times[bisect_right(bid_times, block)]
-                )
-                continue
+            elif changes == self.changes:
+                # no change to follow: wake at the first re-pricing, deadline
+                # or scripted bid at or after this block
+                wake = min(next_move, self.next_deadline, bid_times[bisect_left(bid_times, block)])
+                if block < wake:
+                    block = wake
+                    continue
             changes = self.changes
             self.liquidated_this_block = set()
             for agent in scenario.agents:
