@@ -1,7 +1,9 @@
 """Command-line front end: every engine as a batch command with file I/O.
 
 Output goes to stdout as CSV by default; ``--json`` switches the format and
-``--out`` redirects to a file. All numbers are serialized as decimal
+``--out`` redirects to a file. A CSV field that holds a comma, a double
+quote or a line break is quoted, as Python's ``csv`` reads it back
+(``sim._csv``). All numbers are serialized as decimal
 strings, and outputs carry no timestamps unless ``--stamp`` is given, so
 identical inputs produce byte-identical outputs. One writer, ``_write``,
 holds that rule for every output: the ``--stamp`` line first, then the
@@ -12,6 +14,8 @@ not UTF-8 and JSON that is malformed or nested too deeply to decode; the
 message names the file) or running out of memory.
 Failures are reported in one place: a command handler raises, and ``main``
 alone writes the one ``error: …`` line on stderr and picks the exit code.
+A handler that returns without raising exits 0; only ``validate-params``
+returns a code, since its verdict is its exit code.
 Only argparse's flag errors print their own line, after the usage line;
 ``validate-params``' ``invalid: …`` line is its verdict, not a failure.
 Diagnostics go to stderr only; set LIQLAB_LOG={error|info|debug} to control
@@ -42,7 +46,7 @@ from .errors import (
 )
 from .fixedpoint import Dec, ZERO
 from .risk import classify_bad_debt, classify_price_path, sensitivity_curve
-from .sim import _dec_field, _identifier, _integer, _read_json, _shaped, load_scenario, run_scenario
+from .sim import _csv, _dec_field, _identifier, _integer, _read_json, _shaped, load_scenario, run_scenario
 from .strategy import mitigation_threshold, optimal_repays, strategy_profits
 
 log = logging.getLogger("liqlab")
@@ -92,8 +96,7 @@ def _records_output(args, fields, records) -> None:
     if args.json:
         text = json.dumps([dict(zip(fields, record)) for record in records], indent=2) + "\n"
     else:
-        lines = [",".join(fields)] + [",".join(record) for record in records]
-        text = "\n".join(lines) + "\n"
+        text = _csv(fields, records)
     _write(args, text)
 
 
@@ -108,7 +111,7 @@ def _kv_output(args, rows) -> None:
 # -- subcommands ---------------------------------------------------------------
 
 
-def _cmd_strategy(args) -> int:
+def _cmd_strategy(args) -> None:
     params = RiskParams(lt={}, ls=args.ls, cf=args.cf)
     plan = optimal_repays(args.c, args.d, args.lt, params)
     profits = strategy_profits(args.c, args.d, args.lt, params)
@@ -131,7 +134,6 @@ def _cmd_strategy(args) -> int:
             ("alpha_threshold", str(mitigation.alpha_threshold)),
         ]
     _kv_output(args, rows)
-    return 0
 
 
 def _parse_lt_entries(entries):
@@ -179,7 +181,7 @@ def _run_one_scenario(path: str, as_json: bool) -> str:
     return text
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> None:
     paths = args.scenario
     if args.out is not None and args.out_dir is not None:
         raise ValueError("--out and --out-dir cannot be used together")
@@ -187,7 +189,7 @@ def _cmd_simulate(args) -> int:
         raise ValueError("multiple scenarios require --out-dir")
     if len(paths) == 1 and not args.out_dir:
         _write(args, _run_one_scenario(paths[0], args.json))
-        return 0
+        return
     suffix = ".jsonl" if args.json else ".csv"
     targets = {}  # output file name -> the scenario that writes it
     for path in paths:
@@ -204,10 +206,9 @@ def _cmd_simulate(args) -> int:
         }
         for name, future in futures.items():
             _write(args, future.result(), out_dir / name)
-    return 0
 
 
-def _cmd_sensitivity(args) -> int:
+def _cmd_sensitivity(args) -> None:
     scenario = load_scenario(args.scenario)
     by_symbol = {asset.symbol: asset for asset in scenario.assets}
     if args.asset not in by_symbol:
@@ -220,10 +221,9 @@ def _cmd_sensitivity(args) -> int:
     )
     records = [(str(p.decline_pct), str(p.liquidatable_collateral_usd)) for p in points]
     _records_output(args, ("decline_pct", "lc_usd"), records)
-    return 0
 
 
-def _cmd_bad_debt_scan(args) -> int:
+def _cmd_bad_debt_scan(args) -> None:
     scenario = load_scenario(args.scenario)
     oracle = scenario.price_path.get(args.block)
     if oracle is None:
@@ -239,10 +239,9 @@ def _cmd_bad_debt_scan(args) -> int:
             (position.owner, verdict.kind.value, str(verdict.locked_collateral_usd))
         )
     _records_output(args, ("position_id", "class", "locked_usd"), records)
-    return 0
 
 
-def _cmd_classify_path(args) -> int:
+def _cmd_classify_path(args) -> None:
     prices = []
     with open(args.input, "r", encoding="utf-8") as handle:
         try:
@@ -263,10 +262,9 @@ def _cmd_classify_path(args) -> int:
     else:
         text = category.value + "\n"
     _write(args, text)
-    return 0
 
 
-def _cmd_auction_replay(args) -> int:
+def _cmd_auction_replay(args) -> None:
     config = AuctionConfig(
         auction_length=args.auction_length,
         bid_duration=args.bid_duration,
@@ -308,7 +306,6 @@ def _cmd_auction_replay(args) -> int:
         ("winner_profit_usd", str(settlement.winner_profit_usd)),
     ]
     _kv_output(args, rows)
-    return 0
 
 
 # -- parser ----------------------------------------------------------------------
@@ -416,7 +413,7 @@ def main(argv=None) -> int:
     except SystemExit as exit_:  # raised by --help (0) and flag errors (1)
         return int(exit_.code or 0)
     try:
-        return args.handler(args)
+        return args.handler(args) or 0
     # unreadable input first: NestingTooDeepError is a LiqlabError, and
     # JSONDecodeError and UnicodeDecodeError are ValueErrors
     except (json.JSONDecodeError, NestingTooDeepError, UnicodeDecodeError) as exc:

@@ -117,6 +117,8 @@ Engine rules, in order of application per block:
   the unpaid share stays owed.
   An auction ends at its ``auction.deadline``: the auction length after its
   start or the bid duration after its last bid, whichever comes first.
+  Only an auction with a bid is terminated and settled; one that expires
+  unbid is dropped, and its position stays liquidatable.
 * A run visits only wake-up blocks: a change of snapshot, the block after
   any change (a position change, auction start, accepted bid or
   termination), a scripted bid's time and ``next_deadline``, the earliest
@@ -211,6 +213,27 @@ class LiquidationEvent:
 
 
 EVENT_FIELDS = tuple(f.name for f in dataclasses.fields(LiquidationEvent))
+
+
+def _field(text: str) -> str:
+    """``text`` as one CSV field: quoted, its quotes doubled, when it holds
+    a comma, a double quote, CR or LF, and as it is otherwise."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+
+def _csv(fields, rows) -> str:
+    """The header ``fields`` and then one ``\\n``-ended line per row, each
+    row as wide as the header, every field written by ``_field``: as
+    ``csv.writer`` writes it under its default ``\\r\\n`` line ending, so
+    that a field holding a lone CR is quoted too and ``csv.reader`` reads it
+    back. The plain join is checked once, and only a table it would
+    misstate is encoded field by field."""
+    table = [fields, *rows]
+    text = "\n".join([",".join(row) for row in table]) + "\n"
+    if (text.count(",") == len(table) * (len(fields) - 1) and text.count("\n") == len(table)
+            and '"' not in text and "\r" not in text):
+        return text
+    return "".join(",".join(map(_field, row)) + "\n" for row in table)
 
 
 class StepSeries(Mapping):
@@ -323,6 +346,11 @@ class Scenario:
 class EventLog:
     """Everything a scenario run produces, with deterministic serializations.
 
+    ``to_csv`` writes the ``EVENT_FIELDS`` header and one line per event
+    through ``_csv``, which quotes a borrower or liquidator id that holds a
+    comma, a double quote, CR or LF. ``to_jsonl`` writes one JSON object per
+    event, each on its own ``\\n``-ended line, so an empty log is ``""``.
+
     A run's ``collateral_volume_by_block`` is a ``StepSeries`` over blocks
     ``0..blocks``; any mapping is accepted and kept as given.
     """
@@ -350,17 +378,14 @@ class EventLog:
             )
 
     def to_csv(self) -> str:
-        lines = [",".join(EVENT_FIELDS)]
-        lines.extend(",".join(row) for row in self._rows())
-        return "\n".join(lines) + "\n"
+        return _csv(EVENT_FIELDS, self._rows())
 
     def to_jsonl(self) -> str:
-        lines = []
-        for row in self._rows():
-            record = dict(zip(EVENT_FIELDS, row))
-            record["block"] = int(record["block"])
-            lines.append(json.dumps(record, separators=(",", ":")))
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join(
+            json.dumps(dict(zip(EVENT_FIELDS, row), block=int(row[0])), separators=(",", ":"))
+            + "\n"
+            for row in self._rows()
+        )
 
 
 def validate_scenario(scenario: Scenario) -> None:
@@ -514,13 +539,12 @@ class _Run:
         # the earliest deadline among the open auctions, as of the last block
         # that changed an auction
         self.next_deadline = scenario.blocks + 1
-        # block -> agent_id -> its scripted bids at that block; only an
-        # auction bidder has a script (validate_scenario)
+        # (block, agent_id) -> the agent's scripted bids at that block; only
+        # an auction bidder has a script (validate_scenario)
         self.scripted = {}
         for agent in scenario.agents:
             for bid in agent.script:
-                bucket = self.scripted.setdefault(bid.time, {})
-                bucket.setdefault(agent.agent_id, []).append(bid)
+                self.scripted.setdefault((bid.time, agent.agent_id), []).append(bid)
         self.events = []
         self.open_auctions = {}
         self.pending_second = {}  # agent_id -> {owner: planned second repay}
@@ -827,7 +851,7 @@ class _Run:
                 PositionValues.from_sums(sums), self.scenario.auction_config, now=block
             )
             self.changes += 1
-        for scripted in self.scripted.get(block, {}).get(agent.agent_id, ()):
+        for scripted in self.scripted.get((block, agent.agent_id), ()):
             owner = scripted.borrower
             if owner is None:
                 if len(self.open_auctions) != 1:
@@ -856,15 +880,14 @@ class _Run:
         # started or bid on in this block ends after it
         if block < self.next_deadline:
             return
-        for owner in list(self.open_auctions):
-            auction = self.open_auctions[owner]
+        for owner, auction in list(self.open_auctions.items()):
             if deadline(auction) > block:
                 continue
-            auction = apply_termination(auction, block)
             del self.open_auctions[owner]
             self.changes += 1
             if auction.best_bid is None:
-                continue  # expired worthless; position stays liquidatable
+                continue  # expired unbid: nothing to settle; position stays liquidatable
+            auction = apply_termination(auction, block)
             sums = self._sums(owner)
             settlement = finalize(auction, PositionValues.from_sums(sums))
             self._settle(owner, settlement, sums)
@@ -894,7 +917,7 @@ class _Run:
         next_move, snapshot = next(moves)  # block 0
         no_move = end, None
         # the scripted bid times, and ``end`` so that one always follows a block
-        bid_times = sorted({*self.scripted, end})
+        bid_times = sorted({end, *(time for time, _ in self.scripted)})
         # the volume as a step function: the blocks at which it changes, and
         # the raw volume last recorded
         starts, volumes = [], []

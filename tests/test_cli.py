@@ -1,5 +1,7 @@
 import argparse
 import concurrent.futures
+import csv
+import io
 import json
 import re
 from pathlib import Path
@@ -752,6 +754,97 @@ def test_every_out_dir_file_gets_its_own_stamp_line(tmp_path, capsys, fmt):
         if stamp:
             written = {name: _unstamped(text) for name, text in written.items()}
         assert written == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [*OUTPUT_SITES.values(), ["validate-params", "--lt", "ETH=0.8", "--ls", "0.1"]],
+    ids=[*OUTPUT_SITES, "validate-params"],
+)
+def test_each_subcommand_success_returns_the_int_0(capsys, argv):
+    code = main(argv)
+    assert type(code) is int and code == 0
+    assert capsys.readouterr().err == ""
+
+
+# -- CSV quoting -----------------------------------------------------------------
+
+# identifiers that a plain comma join would misstate
+AWKWARD_IDS = {"comma": "x,y", "quote": 'x"y', "lf": "x\ny", "cr": "x\ry", "all": 'x,"y"\r\n'}
+# where an identifier shows up in an output: the command and its column
+QUOTING_SITES = {
+    "simulate-owner": ("simulate", "borrower"),
+    "simulate-agent": ("simulate", "liquidator"),
+    "bad-debt-scan-owner": ("bad-debt-scan", "position_id"),
+    "auction-replay-bidder": ("auction-replay", "winner"),
+}
+
+
+def _awkward_argv(tmp_path, site, ident):
+    """A successful run of the site's command whose output holds ``ident``."""
+    command, _ = QUOTING_SITES[site]
+    if command == "auction-replay":
+        script = json.loads((FIXTURES / "dent_bids.json").read_text())
+        for bid in script:
+            if bid["bidder"] == "bob":  # the winner
+                bid["bidder"] = ident
+        path = tmp_path / "bids.json"
+        path.write_text(json.dumps(script))
+        return [*OUTPUT_SITES[command][:-1], str(path)]
+    doc = json.loads(Path(ETH_DROP).read_text())
+    if site == "simulate-agent":
+        doc["agents"][0]["id"] = ident
+    else:
+        doc["positions"][0]["owner"] = ident
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return [str(path) if arg == ETH_DROP else arg for arg in OUTPUT_SITES[command]]
+
+
+@pytest.mark.parametrize("ident", AWKWARD_IDS.values(), ids=AWKWARD_IDS)
+@pytest.mark.parametrize("site", QUOTING_SITES)
+def test_csv_rows_read_back_whole_with_awkward_identifiers(tmp_path, capsys, site, ident):
+    command, column = QUOTING_SITES[site]
+    argv = _awkward_argv(tmp_path, site, ident)
+    assert main(argv) == 0
+    header, *rows = csv.reader(io.StringIO(capsys.readouterr().out, newline=""))
+    assert rows and all(len(row) == len(header) for row in rows)
+    assert main([*argv, "--json"]) == 0
+    text = capsys.readouterr().out
+    if command == "auction-replay":  # field,value rows, or one JSON object
+        from_csv = [dict(rows)]
+        from_json = [json.loads(text)]
+    else:
+        from_csv = [dict(zip(header, row)) for row in rows]
+        records = map(json.loads, text.splitlines()) if command == "simulate" else json.loads(text)
+        from_json = [{key: str(value) for key, value in record.items()} for record in records]
+    assert from_json[0][column] == ident
+    assert from_csv == from_json
+
+
+def _csv_writer_text(table):
+    """``table`` as ``csv.writer`` writes it under its default ``\\r\\n``
+    line ending, which quotes a field that holds CR or LF, each line then
+    ended by ``\\n``."""
+    text = ""
+    for row in table:
+        out = io.StringIO()
+        csv.writer(out).writerow(row)
+        text += out.getvalue().removesuffix("\r\n") + "\n"
+    return text
+
+
+_CSV_FIELDS = st.text(alphabet='ab ,"\r\né', min_size=1, max_size=4)
+
+
+@settings(max_examples=500, deadline=None)
+@given(width=st.integers(1, 4), data=st.data())
+def test_csv_encodes_as_the_csv_module_writes_and_reads(width, data):
+    row = st.lists(_CSV_FIELDS, min_size=width, max_size=width)
+    table = [data.draw(row), *data.draw(st.lists(row, max_size=5))]
+    text = liqlab.sim._csv(table[0], iter(table[1:]))
+    assert text == _csv_writer_text(table)
+    assert list(csv.reader(io.StringIO(text, newline=""))) == table
 
 
 @pytest.mark.parametrize(

@@ -36,7 +36,7 @@ from liqlab import (
 )
 from liqlab.core import value_sums
 from liqlab.errors import InvalidScenarioError, ZeroVolumeError
-from liqlab.sim import StepSeries, cannot_clear_fees, fee_window
+from liqlab.sim import EventLog, StepSeries, cannot_clear_fees, fee_window
 
 from helpers import TOL9, rel_close
 from invariants import run_checked
@@ -253,6 +253,23 @@ class TestDeterminism:
             log = run_scenario(load_scenario(str(FIXTURES / f"{name}.json")))
             assert outputs[0][f"{name}.csv"] == log.to_csv().encode()
             assert outputs[0][f"{name}.jsonl"] == log.to_jsonl().encode()
+
+
+class TestJsonl:
+    def test_an_empty_log_is_empty_text(self):
+        assert EventLog(events=(), collateral_volume_by_block={}, final_positions=()).to_jsonl() == ""
+
+    @pytest.mark.parametrize("name", ["eth_price_drop.json", "two_step.json", "auction.json"])
+    def test_each_event_is_one_line_ending_in_one_newline(self, name):
+        log = run_scenario(load_scenario(str(FIXTURES / name)))
+        text = log.to_jsonl()
+        lines = text.splitlines(keepends=True)
+        assert len(lines) == len(log.events) > 0
+        for line, event in zip(lines, log.events):
+            assert line.endswith("}\n")
+            record = json.loads(line)
+            assert record["block"] == event.block
+            assert record["borrower"] == event.borrower
 
 
 @pytest.mark.parametrize(
@@ -2218,6 +2235,14 @@ class TestIdleBlocks:
         assert log.events == ()
         # each auction expires at its start plus the length of 5
         assert opened == [0, 6, 12]
+
+    def test_an_auction_expiring_unbid_is_dropped_without_a_termination(self, monkeypatch):
+        terminated = _count_calls(monkeypatch, "apply_termination")
+        log = run_scenario(load_scenario(_vault_auction_doc(blocks=12)))
+        assert log.events == ()
+        # the auctions opened at 0 and 6 expire unbid at 5 and 11: nothing
+        # is settled, so nothing is terminated
+        assert terminated == []
 
     def test_a_scripted_bid_at_a_quiet_block_lands(self, monkeypatch):
         acted = _count_run_calls(monkeypatch, "_act_auction_bidder")
