@@ -218,22 +218,17 @@ EVENT_FIELDS = tuple(f.name for f in dataclasses.fields(LiquidationEvent))
 def _field(text: str) -> str:
     """``text`` as one CSV field: quoted, its quotes doubled, when it holds
     a comma, a double quote, CR or LF, and as it is otherwise."""
-    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _csv(fields, rows) -> str:
-    """The header ``fields`` and then one ``\\n``-ended line per row, each
-    row as wide as the header, every field written by ``_field``: as
-    ``csv.writer`` writes it under its default ``\\r\\n`` line ending, so
-    that a field holding a lone CR is quoted too and ``csv.reader`` reads it
-    back. The plain join is checked once, and only a table it would
-    misstate is encoded field by field."""
-    table = [fields, *rows]
-    text = "\n".join([",".join(row) for row in table]) + "\n"
-    if (text.count(",") == len(table) * (len(fields) - 1) and text.count("\n") == len(table)
-            and '"' not in text and "\r" not in text):
-        return text
-    return "".join(",".join(map(_field, row)) + "\n" for row in table)
+    """The header ``fields`` and then one ``\\n``-ended line per row, every
+    field written by ``_field``: as ``csv.writer`` writes it under its
+    default ``\\r\\n`` line ending, so that a field holding a lone CR is
+    quoted too and ``csv.reader`` reads it back."""
+    return "".join(",".join(map(_field, row)) + "\n" for row in [fields, *rows])
 
 
 class StepSeries(Mapping):
@@ -381,11 +376,12 @@ class EventLog:
         return _csv(EVENT_FIELDS, self._rows())
 
     def to_jsonl(self) -> str:
-        return "".join(
-            json.dumps(dict(zip(EVENT_FIELDS, row), block=int(row[0])), separators=(",", ":"))
-            + "\n"
-            for row in self._rows()
-        )
+        text = ""
+        for row in self._rows():
+            record = dict(zip(EVENT_FIELDS, row))
+            record["block"] = int(record["block"])
+            text += json.dumps(record, separators=(",", ":")) + "\n"
+        return text
 
 
 def validate_scenario(scenario: Scenario) -> None:

@@ -756,17 +756,6 @@ def test_every_out_dir_file_gets_its_own_stamp_line(tmp_path, capsys, fmt):
         assert written == expected
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [*OUTPUT_SITES.values(), ["validate-params", "--lt", "ETH=0.8", "--ls", "0.1"]],
-    ids=[*OUTPUT_SITES, "validate-params"],
-)
-def test_each_subcommand_success_returns_the_int_0(capsys, argv):
-    code = main(argv)
-    assert type(code) is int and code == 0
-    assert capsys.readouterr().err == ""
-
-
 # -- CSV quoting -----------------------------------------------------------------
 
 # identifiers that a plain comma join would misstate
