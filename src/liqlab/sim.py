@@ -120,16 +120,24 @@ Engine rules, in order of application per block:
   Only an auction with a bid is terminated and settled; one that expires
   unbid is dropped, and its position stays liquidatable.
 * A run visits only wake-up blocks: a change of snapshot, the block after
-  any change (a position change, auction start, accepted bid or
-  termination), a scripted bid's time and ``next_deadline``, the earliest
-  deadline of the open auctions. On a block that neither re-prices nor
-  follows a change, the run takes the first re-pricing, scripted bid or
-  deadline at or after it, and jumps there if that is later. A block it jumps over is idle: it
-  keeps the previous block's volume and runs no agent and no settlement.
-  Agents that retry the same calls on unchanged state meet the same
-  refusals, so skipping them changes nothing. A pending second call needs
-  no wake-up of its own: it is due in the block right after its first call
-  landed, and that block follows a position change.
+  a position change (a landed call or a settlement), a scripted bid's time
+  and ``next_deadline``, a lower bound on the deadlines of the open
+  auctions. A start or an accepted bid lowers that bound to its auction's
+  deadline; a block that reaches the bound resets it to the earliest
+  deadline still open, or to the next block when an auction expired unbid,
+  so that the bidder may reopen it and fixed-spread agents act on it. On a
+  block that neither re-prices nor follows a position change, the run takes
+  the first re-pricing, scripted bid or deadline at or after it, and jumps
+  there if that is later. A block it jumps over is idle: it keeps the
+  previous block's volume and runs no agent and no settlement. Agents that
+  retry the same calls on unchanged state meet the same refusals, so
+  skipping them changes nothing. The block after an auction's start or bid
+  needs no wake-up either: agents visit only the positions found
+  liquidatable at the block's scan, every agent skips one with an open
+  auction, and the bidder opens one on each position it may act on. A
+  pending second call needs no wake-up of its own: it is due in the block
+  right after its first call landed, and that block follows a position
+  change.
 
 Liquidator proceeds are marked to the oracle instantly; gas is a flat USD
 fee per transaction and interest never accrues.
@@ -529,11 +537,12 @@ class _Run:
         self.liquidatable = []
         self.fixed_spread_targets = []
         self.stale = True
-        # bumped by every change of auction state: a start, an accepted bid
-        # and a termination; a position change sets ``stale`` instead
-        self.changes = 0
-        # the earliest deadline among the open auctions, as of the last block
-        # that changed an auction
+        # a lower bound on the deadlines of the open auctions: a start or an
+        # accepted bid lowers it to its auction's deadline, and
+        # _settle_auctions, once the block reaches it, resets it to the
+        # earliest deadline still open (or the next block, after an auction
+        # expired unbid); a later bid may move a deadline past it, and then
+        # that block settles nothing
         self.next_deadline = scenario.blocks + 1
         # (block, agent_id) -> the agent's scripted bids at that block; only
         # an auction bidder has a script (validate_scenario)
@@ -843,10 +852,10 @@ class _Run:
             sums = self._actionable(owner)
             if sums is None:
                 continue
-            self.open_auctions[owner] = start_auction(
+            auction = self.open_auctions[owner] = start_auction(
                 PositionValues.from_sums(sums), self.scenario.auction_config, now=block
             )
-            self.changes += 1
+            self.next_deadline = min(self.next_deadline, deadline(auction))
         for scripted in self.scripted.get((block, agent.agent_id), ()):
             owner = scripted.borrower
             if owner is None:
@@ -863,26 +872,31 @@ class _Run:
                 )
             bid = Bid(bidder=scripted.bidder, amount=scripted.amount, time=scripted.time)
             try:
-                self.open_auctions[owner] = place_bid(self.open_auctions[owner], bid)
+                auction = self.open_auctions[owner] = place_bid(self.open_auctions[owner], bid)
             except LiqlabError as exc:
                 raise InvalidScenarioError(
                     "agents.script",
                     f"bid at time {scripted.time} by {scripted.bidder!r} refused: {exc}",
                 ) from None
-            self.changes += 1
+            self.next_deadline = min(self.next_deadline, deadline(auction))
 
     def _settle_auctions(self, block):
-        # next_deadline bounds the auctions open at the block's start, and one
-        # started or bid on in this block ends after it
+        # no open auction ends before next_deadline
         if block < self.next_deadline:
             return
+        self.next_deadline = self.scenario.blocks + 1
         for owner, auction in list(self.open_auctions.items()):
-            if deadline(auction) > block:
+            ends = deadline(auction)
+            if ends > block:
+                self.next_deadline = min(self.next_deadline, ends)
                 continue
             del self.open_auctions[owner]
-            self.changes += 1
             if auction.best_bid is None:
-                continue  # expired unbid: nothing to settle; position stays liquidatable
+                # expired unbid: nothing to settle, and the position stays
+                # liquidatable; the next block runs, so the bidder may reopen
+                # it and fixed-spread agents act on it
+                self.next_deadline = block + 1
+                continue
             auction = apply_termination(auction, block)
             sums = self._sums(owner)
             settlement = finalize(auction, PositionValues.from_sums(sums))
@@ -918,7 +932,6 @@ class _Run:
         # the raw volume last recorded
         starts, volumes = [], []
         total = None
-        changes = None  # self.changes at the start of the last block run
         block = 0
         while block < end:
             if block == next_move:
@@ -934,14 +947,13 @@ class _Run:
                     # every c is >= 0, so checking the total alone catches
                     # any overflow
                     volumes.append(Dec.from_raw(total))
-            elif changes == self.changes:
-                # no change to follow: wake at the first re-pricing, deadline
-                # or scripted bid at or after this block
+            else:
+                # no position change to follow: wake at the first re-pricing,
+                # deadline or scripted bid at or after this block
                 wake = min(next_move, self.next_deadline, bid_times[bisect_left(bid_times, block)])
                 if block < wake:
                     block = wake
                     continue
-            changes = self.changes
             self.liquidated_this_block = set()
             for agent in scenario.agents:
                 if agent.kind is PolicyKind.UP_TO_CLOSE_FACTOR:
@@ -951,10 +963,6 @@ class _Run:
                 else:
                     self._act_auction_bidder(agent, block)
             self._settle_auctions(block)
-            if changes != self.changes:
-                self.next_deadline = min(
-                    map(deadline, self.open_auctions.values()), default=end
-                )
             block += 1
         return EventLog(
             events=tuple(self.events),

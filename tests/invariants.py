@@ -13,8 +13,13 @@ balances: one rounding of each kept amount and one of its value, so
 whole unit. It reads the run's state through the class it extends, so the
 engine exposes nothing for it.
 
+``EveryBlockRun`` is the engine's run with its block clock stopped: it
+visits every block from 0 to the horizon, where the engine jumps over the
+blocks in which it finds that nothing can happen.
+
 ``check_run`` adds the per-event checks to a checked run of a scenario
-document. Run as a script, it checks every run of the output sweep
+document, and asserts that ``EveryBlockRun`` gives the same log, or the same
+error. Run as a script, it checks every run of the output sweep
 (``tools/sweep_digests.py``):
 
     PYTHONPATH=src python3 tests/invariants.py
@@ -84,21 +89,43 @@ class CheckedRun(_Run):
         return log
 
 
+class EveryBlockRun(_Run):
+    def _settle_auctions(self, block):
+        super()._settle_auctions(block)
+        # a bound at the next block wakes it, so every block runs its agents
+        # and checks each open auction's deadline
+        self.next_deadline = block + 1
+
+
 def run_checked(scenario) -> EventLog:
     """``run_scenario(scenario)``, checking the invariants above."""
     return CheckedRun(scenario).run()
 
 
+def _outcome(run_class, scenario):
+    """The run's log, or the type and message of the ``LiqlabError`` that
+    ended it."""
+    try:
+        return run_class(scenario).run()
+    except LiqlabError as exc:
+        return type(exc), str(exc)
+
+
 def check_run(doc):
-    """Load ``doc`` and run it under ``CheckedRun``; when it completes, assert
-    that every fixed-spread event carries its own arithmetic and that every
-    auction event seizes something, and return the log. A document or run
-    that ends in a ``LiqlabError`` returns None: the sweep's digest records
-    the error."""
+    """Load ``doc`` and run it under ``CheckedRun``, and assert that
+    ``EveryBlockRun`` gives the same events, volume series and final
+    positions, or the same error; when it completes, assert that every
+    fixed-spread event carries its own arithmetic and that every auction
+    event seizes something, and return the log. A document or run that ends
+    in a ``LiqlabError`` returns None: the sweep's digest records the
+    error."""
     try:
         scenario = load_scenario(doc)
-        log = run_checked(scenario)
     except LiqlabError:
+        return None
+    log = _outcome(CheckedRun, scenario)
+    assert _outcome(EveryBlockRun, scenario) == log
+    if not isinstance(log, EventLog):
         return None
     for ev in log.events:
         if ev.mechanism is Mechanism.FIXED_SPREAD:

@@ -165,6 +165,16 @@ class TestTermination:
         assert check_termination(terminated, 0) is TerminationReason.AUCTION_LENGTH
 
 
+@pytest.mark.parametrize(
+    "auction_length, bid_duration, message",
+    [(0, 5, "auction length must be > 0: 0"), (10, 0, "bid duration must be > 0: 0")],
+)
+def test_a_clock_of_zero_is_refused(auction_length, bid_duration, message):
+    with pytest.raises(ValueError) as info:
+        AuctionConfig(auction_length=auction_length, bid_duration=bid_duration)
+    assert str(info.value) == message
+
+
 def test_a_negative_min_increment_is_refused():
     with pytest.raises(ValueError) as info:
         AuctionConfig(auction_length=10, bid_duration=5, min_increment=Dec("-0.01"))

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import liqlab.cli
 import liqlab.sim
 from liqlab.cli import build_parser, main
-from liqlab.errors import NestingTooDeepError
+from liqlab.errors import InvalidScenarioError, NestingTooDeepError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 ETH_DROP = str(FIXTURES / "eth_price_drop.json")
@@ -223,6 +223,16 @@ class TestSimulateCommand:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["simulate", "--scenario", str(bad)]) == 2
+
+    def test_a_document_that_is_not_an_object_is_refused(self, tmp_path, capsys):
+        bad = tmp_path / "list.json"
+        bad.write_text("[]")
+        message = "invalid scenario: <root>: scenario document must be a JSON object"
+        with pytest.raises(InvalidScenarioError) as info:
+            liqlab.sim.load_scenario(bad)
+        assert str(info.value) == message
+        assert main(["simulate", "--scenario", str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_schema_violation_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -173,6 +173,11 @@ class TestRatios:
         assert hf == Dec("0.999415261670402495")
         assert health_factor(PositionValues(Dec(50), Dec(0), Dec(40))) is None
 
+    def test_borrowing_capacity_above_collateral_is_refused(self):
+        with pytest.raises(ValueError) as info:
+            PositionValues(c=Dec(1), d=Dec(0), bc=Dec(2))
+        assert str(info.value) == "borrowing capacity outside [0, c]: bc=2, c=1"
+
     def test_is_liquidatable_boundaries(self):
         assert is_liquidatable(PositionValues(c=Dec(9900), d=Dec(8400), bc=Dec(7920)))
         assert not is_liquidatable(PositionValues(c=Dec(200), d=Dec(100), bc=Dec(100)))

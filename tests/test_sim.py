@@ -1122,6 +1122,31 @@ def test_the_fee_window_is_where_a_call_can_clear_its_fees(cf, margin, gas, d):
             assert (lo <= debt < hi) == (not cannot_clear_fees(debt, cf, margin, gas)), debt
 
 
+def test_a_call_at_the_fee_window_s_least_debt_lands():
+    # at the least debt value at which some call can clear its fees, the call
+    # at the close-factor cap nets one raw unit: its gross and its flash fee
+    # round apart
+    doc = {
+        "assets": [{"symbol": "ETH"}, {"symbol": "USDC"}],
+        "params": {"lt": {"ETH": "0.8"}, "ls": "0.15", "cf": "0.5"},
+        "positions": [
+            {"owner": "edge", "collateral": {"ETH": "0.6"},
+             "debt": {"USDC": "53.691275167785234899"}}
+        ],
+        "price_path": {"0": {"ETH": "100", "USDC": "1"}},
+        "agents": [{"id": "cf", "policy": "up-to-close-factor"}],
+        "gas_fee_usd": "4",
+        "flash_fee_rate": "0.001",
+        "blocks": 0,
+    }
+    scenario = load_scenario(doc)
+    lo, _ = fee_window(SCALE // 2, Dec("0.149").raw, Dec(4).raw * SCALE)
+    assert lo == Dec("53.691275167785234899").raw
+    assert [(e.borrower, e.net_profit_usd) for e in run_scenario(scenario).events] == [
+        ("edge", Dec.from_raw(1))
+    ]
+
+
 def _whale_doc(gas):
     """LS 0 and LT one unit under 1: the two-step plan's closed-form first
     repay for this debt is 9e45 / 1e-18, past the Dec range."""
@@ -2257,10 +2282,11 @@ class TestIdleBlocks:
         ]
         assert log.events[0].repaid_usd == Dec(45)
         assert log.events[0].gross_profit_usd == Dec(55)
-        # a block runs when the block before it changed something, or for
-        # the bid, or for the deadline; the engine terminates the auction
-        # once, at the deadline
-        assert acted == [0, 1, 10, 11, 15, 16]
+        # a block runs for the bid, for the deadline, or when the block
+        # before it changed a position, as the settlement at 15 does; the
+        # auction's start at 0 and the bid at 10 wake no block of their own.
+        # The engine terminates the auction once, at the deadline
+        assert acted == [0, 10, 15, 16]
         assert [args[1] for args in terminated] == [15]
 
     def test_a_pending_second_call_runs_in_the_next_block(self):
