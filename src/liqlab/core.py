@@ -51,29 +51,28 @@ from .fixedpoint import SCALE, Dec, ZERO, ONE, _BOUND, _checked, _mul
 
 @dataclass(frozen=True)
 class Asset:
-    """A currency identified by symbol; ``decimals`` is native-unit metadata.
+    """A currency, identified by its symbol alone: every amount is read in
+    native units with 18 decimal places, so no rule reads a token's own
+    decimals.
 
     Assets key every balance, price and threshold mapping, so the hash of
-    ``(symbol, decimals)`` is computed once, on construction. A pickled
-    asset is rebuilt from its fields, so its hash is that of the process
-    that loads it.
+    the symbol is computed once, on construction. A pickled asset is
+    rebuilt from its symbol, so its hash is that of the process that loads
+    it.
     """
 
     symbol: str
-    decimals: int = 18
 
     def __post_init__(self):
         if not self.symbol:
             raise ValueError("asset symbol must be non-empty")
-        if not 0 <= self.decimals <= 18:
-            raise ValueError(f"asset decimals out of range [0, 18]: {self.decimals}")
-        object.__setattr__(self, "_hash", hash((self.symbol, self.decimals)))
+        object.__setattr__(self, "_hash", hash(self.symbol))
 
     def __hash__(self):
         return self._hash
 
     def __reduce__(self):
-        return (Asset, (self.symbol, self.decimals))
+        return (Asset, (self.symbol,))
 
 
 @dataclass(frozen=True)

@@ -502,7 +502,6 @@ class _Run:
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self.order = [p.owner for p in scenario.positions]
         # the raw book: asset -> slot for every referenced asset, and the
         # thresholds and the block's prices by slot
         self.assets = list(_referenced_assets(scenario.positions))
@@ -527,7 +526,7 @@ class _Run:
         # positions that hold or owe the slot's asset
         self.holders = tuple([{} for _ in self.assets] for _ in range(2))
         # owner -> its book entry (see _compile), the run's record of every
-        # position; landed calls and settlements write it
+        # position, in scenario order; landed calls and settlements write it
         self.terms = {p.owner: self._compile(p) for p in scenario.positions}
         # owner -> its loaded Position until its balances first change
         self.positions = {p.owner: p for p in scenario.positions}
@@ -580,7 +579,7 @@ class _Run:
             self.prices = prices
             self.stale = True
             if over:
-                for owner in self.order:
+                for owner in self.terms:
                     value_sums(self._position(owner), oracle, self.scenario.params)
 
     def _compile(self, position: Position) -> list:
@@ -694,8 +693,8 @@ class _Run:
         self.liquidatable = liquidatable = []
         self.fixed_spread_targets = targets = []
         total = 0
-        for owner in self.order:
-            c, bc, d = terms[owner][2]
+        for owner, entry in terms.items():
+            c, bc, d = entry[2]
             total += c
             if c and bc < d:
                 liquidatable.append(owner)
@@ -967,7 +966,7 @@ class _Run:
         return EventLog(
             events=tuple(self.events),
             collateral_volume_by_block=StepSeries(starts, volumes, scenario.blocks),
-            final_positions=tuple(self._position(owner) for owner in self.order),
+            final_positions=tuple(self._position(owner) for owner in self.terms),
         )
 
 
@@ -1133,7 +1132,9 @@ def load_scenario(source) -> Scenario:
     """Build a Scenario from a JSON document: a parsed ``dict``, or the path
     (``str`` or ``os.PathLike``) of a UTF-8 JSON file.
 
-    Decimals are strings. ``price_path`` may be sparse: blocks after 0
+    Decimals are strings. An asset is its symbol: an ``assets[].decimals``
+    key is ignored, whatever its value, as is any other key the loader does
+    not read. ``price_path`` may be sparse: blocks after 0
     inherit any price they do not override (block 0 must price every asset
     the positions reference). Its keys are block numbers in plain decimal,
     as ``str(block)`` writes them; any other key (``"1.0"``, ``"01"``, ``"-1"``,
@@ -1174,8 +1175,7 @@ def load_scenario(source) -> Scenario:
         symbol = _identifier(entry, "symbol", ("assets", i))
         if symbol in assets:
             raise InvalidScenarioError(f"assets[{i}].symbol", f"duplicate symbol {symbol!r}")
-        decimals = _integer(entry.get("decimals", 18), ("assets", i, "decimals"))
-        assets[symbol] = _built(("assets", i, "decimals"), Asset, symbol, decimals)
+        assets[symbol] = Asset(symbol)
 
     params_doc = doc.get("params")
     if not isinstance(params_doc, dict):

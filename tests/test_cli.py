@@ -262,7 +262,6 @@ class TestSimulateCommand:
                 ("auction_config",),
                 {"auction_length": float("inf")},
             ),
-            ("assets[0].decimals", ("assets", 0, "decimals"), float("inf")),
         ],
     )
     def test_malformed_shape_names_the_field(self, tmp_path, capsys, field, path, value):
@@ -296,6 +295,24 @@ class TestSimulateCommand:
         assert main(["simulate", "--scenario", ETH_DROP]) == 0
         first, second = capsys.readouterr().out.split("block,", 2)[1:]
         assert first == second
+
+    @pytest.mark.parametrize("decimals", ["removed", 6, 19, -1, "x", 1.5, None, []])
+    def test_asset_decimals_key_is_ignored(self, tmp_path, decimals):
+        # an asset is its symbol: whatever an asset's decimals key holds, or
+        # without one, the document loads to the same scenario and log
+        doc = json.loads(Path(ETH_DROP).read_text())
+        for entry in doc["assets"]:
+            if decimals == "removed":
+                entry.pop("decimals", None)
+            else:
+                entry["decimals"] = decimals
+        scenario = tmp_path / "decimals.json"
+        scenario.write_text(json.dumps(doc))
+        assert liqlab.sim.load_scenario(scenario) == liqlab.sim.load_scenario(ETH_DROP)
+        outputs = tmp_path / "decimals.csv", tmp_path / "fixture.csv"
+        for source, out in zip((str(scenario), ETH_DROP), outputs):
+            assert main(["simulate", "--scenario", source, "--out", str(out)]) == 0
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
 
 
 class TestSensitivityCommand:

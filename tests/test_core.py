@@ -26,30 +26,27 @@ from liqlab.errors import LiqlabError, MissingPriceError, MissingThresholdError
 from liqlab.fixedpoint import _BOUND, SCALE
 
 ETH = Asset("ETH")
-USDC = Asset("USDC", decimals=6)
+USDC = Asset("USDC")
 DAI = Asset("DAI")
 
 
 def test_asset_validation():
-    with pytest.raises(ValueError):
-        Asset("ETH", decimals=19)
     with pytest.raises(ValueError):
         Asset("")
 
 
 class TestAssetIdentity:
     def test_equal_assets_hash_equal(self):
-        assert Asset("ETH") == Asset("ETH", decimals=18)
-        assert hash(Asset("ETH")) == hash(Asset("ETH", decimals=18))
-        assert hash(Asset("ETH")) == hash(("ETH", 18))
-        assert Asset("ETH") != Asset("ETH", decimals=6)
-        assert {Asset("USDC", decimals=6): 1}[USDC] == 1
+        # an asset is its symbol
+        assert hash(Asset("ETH")) == hash("ETH")
+        assert Asset("ETH") != Asset("WETH")
+        assert {Asset("USDC"): 1}[USDC] == 1
 
     def test_fields_and_repr_are_unchanged(self):
-        assert [f.name for f in dataclasses.fields(ETH)] == ["symbol", "decimals"]
-        assert repr(USDC) == "Asset(symbol='USDC', decimals=6)"
-        assert dataclasses.replace(ETH, decimals=8) == Asset("ETH", decimals=8)
-        assert hash(dataclasses.replace(ETH, decimals=8)) == hash(Asset("ETH", 8))
+        assert [f.name for f in dataclasses.fields(ETH)] == ["symbol"]
+        assert repr(USDC) == "Asset(symbol='USDC')"
+        assert dataclasses.replace(ETH, symbol="WETH") == Asset("WETH")
+        assert hash(dataclasses.replace(ETH, symbol="WETH")) == hash(Asset("WETH"))
         assert sorted([USDC, ETH, DAI], key=lambda a: a.symbol) == [DAI, ETH, USDC]
         with pytest.raises(dataclasses.FrozenInstanceError):
             ETH.symbol = "WETH"
@@ -62,7 +59,7 @@ class TestAssetIdentity:
         write = (
             "import pickle, sys\n"
             "from liqlab import Asset, Dec\n"
-            "prices = {Asset('ETH'): Dec(3000), Asset('USDC', 6): Dec(1)}\n"
+            "prices = {Asset('ETH'): Dec(3000), Asset('USDC'): Dec(1)}\n"
             "open(sys.argv[1], 'wb').write(pickle.dumps((Asset('ETH'), prices)))\n"
         )
         read = (
@@ -71,7 +68,7 @@ class TestAssetIdentity:
             "eth, prices = pickle.loads(open(sys.argv[1], 'rb').read())\n"
             "assert hash(eth) == hash(Asset('ETH'))\n"
             "assert prices[Asset('ETH')] == Dec(3000)\n"
-            "assert prices[Asset('USDC', 6)] == Dec(1)\n"
+            "assert prices[Asset('USDC')] == Dec(1)\n"
             "assert prices[eth] == Dec(3000)\n"
             "assert {Asset('ETH'): 'fresh'}[eth] == 'fresh'\n"
         )

@@ -31,7 +31,7 @@ import reference_engine
 from helpers import RAW_BOUND, answer, random_valid_instance, raw_magnitudes
 
 ETH = Asset("ETH")
-USDC = Asset("USDC", decimals=6)
+USDC = Asset("USDC")
 COL = Asset("COL")
 DEB = Asset("DEB")
 SLIVER = Asset("SLIVER")

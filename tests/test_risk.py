@@ -33,9 +33,9 @@ from liqlab.risk import _liquidatable_collateral, _target_exposures
 from test_acceptance import _brute_force_lc, _random_portfolio
 
 ETH = Asset("ETH")
-USDC = Asset("USDC", decimals=6)
+USDC = Asset("USDC")
 DAI = Asset("DAI")
-USDT = Asset("USDT", decimals=6)
+USDT = Asset("USDT")
 
 
 def eth_borrower():

@@ -45,7 +45,7 @@ import reference_engine
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 ETH = Asset("ETH")
-USDC = Asset("USDC", decimals=6)
+USDC = Asset("USDC")
 
 
 def _set_leaf(doc, path, value):
@@ -155,7 +155,7 @@ class TestTwoStepScenario:
         assert second.repaid_usd == Dec("337.690631808278866667")
         assert second.seized_usd == Dec("364.705882352941176")
         (position,) = log.final_positions
-        assert position.collateral == {Asset("WBTC", decimals=8): Dec("0.02")}
+        assert position.collateral == {Asset("WBTC"): Dec("0.02")}
 
     @pytest.mark.parametrize("policy, repaid", [
         ("up-to-close-factor", ["500", "250"]),
@@ -501,8 +501,6 @@ class TestScenarioLoader:
             ("auction_config.auction_length", ("auction_config", "auction_length"), 1.5),
             ("auction_config.bid_duration", ("auction_config", "bid_duration"), 3.0),
             ("agents[0].script[0].time", ("agents", 0, "script", 0, "time"), True),
-            ("assets[0].decimals", ("assets", 0, "decimals"), True),
-            ("assets[0].decimals", ("assets", 0, "decimals"), 18.0),
             ("blocks", ("blocks",), False),
         ],
     )
@@ -780,7 +778,7 @@ def _rerounded(monkeypatch):
     monkeypatch.setattr(liqlab.sim, "revalue", counting)
 
     def rerounded():
-        owner_of = {id(run._sums(owner)): owner for run in runs for owner in run.order}
+        owner_of = {id(run._sums(owner)): owner for run in runs for owner in run.terms}
         return [(owner_of[id(sums)], side) for sums, side in terms]
 
     return rerounded
@@ -1249,7 +1247,7 @@ class TestUnprofitableSkip:
         def recording(self):
             volume = real_scan(self)
             skipped = [o for o in self.liquidatable if o not in self.fixed_spread_targets]
-            positions_now = [self._position(owner) for owner in self.order]
+            positions_now = [self._position(owner) for owner in self.terms]
             scans.append((oracles[-1], positions_now, skipped))
             return volume
 
@@ -1309,7 +1307,7 @@ class TestUnprofitableSkip:
 
 # -- the slot-indexed raw book against fresh valuations ----------------------
 
-_BOOK_ASSETS = (Asset("A"), Asset("B", decimals=8), Asset("D", decimals=6))  # D: debt only
+_BOOK_ASSETS = (Asset("A"), Asset("B"), Asset("D"))  # D: debt only
 _BOOK_PARAMS = RiskParams(
     lt={_BOOK_ASSETS[0]: Dec("0.8"), _BOOK_ASSETS[1]: Dec("0.7")}, ls=Dec("0.1"), cf=Dec("0.5")
 )
@@ -1675,7 +1673,7 @@ def test_a_sum_past_2_255_only_midway_through_a_repricing_is_no_error():
 
 # -- one oracle snapshot per price change ------------------------------------
 
-WBTC = Asset("WBTC", decimals=8)
+WBTC = Asset("WBTC")
 
 
 class TestSharedSnapshots:

@@ -5,10 +5,11 @@
 in CI. Here every run of a fixture and of seed 0 must reproduce its recorded
 digest and pass ``invariants.check_run``: it runs under
 ``invariants.CheckedRun``, which checks the sums the engine keeps after
-every scan and the book each auction settlement leaves, and when it
-completes every fixed-spread event must carry its own arithmetic and every
-auction event must seize something. CI runs ``check_run`` on every run of
-the sweep.
+every scan, the health each fixed-spread call leaves and the book each
+auction settlement leaves, and the naive reference engine must give the
+same log or error; when it completes every fixed-spread event must carry
+its own arithmetic and every auction event must seize something. CI runs
+``check_run`` on every run of the sweep.
 """
 
 from __future__ import annotations
