@@ -36,7 +36,7 @@ import sys
 import time
 from pathlib import Path
 
-from .auction import Auction, AuctionConfig, Bid, apply_termination, finalize, place_bid
+from .auction import AuctionConfig, apply_termination, finalize, place_bid, start_auction
 from .core import Asset, PositionValues, RiskParams
 from .errors import (
     InvalidScenarioError,
@@ -46,7 +46,7 @@ from .errors import (
 )
 from .fixedpoint import Dec, ZERO
 from .risk import classify_bad_debt, classify_price_path, sensitivity_curve
-from .sim import _csv, _dec_field, _identifier, _integer, _read_json, _shaped, load_scenario, run_scenario
+from .sim import _csv, _read_json, _scripted_bid, _shaped, load_scenario, run_scenario
 from .strategy import mitigation_threshold, optimal_repays, strategy_profits
 
 log = logging.getLogger("liqlab")
@@ -270,21 +270,15 @@ def _cmd_auction_replay(args) -> None:
         bid_duration=args.bid_duration,
         min_increment=args.min_increment,
     )
-    # constructed directly: a replay assumes the position was eligible
-    auction = Auction(
-        lot_collateral=args.c, tab_debt=args.d, config=config, start_time=args.start
-    )
+    # bc = 0: a replay assumes the position was eligible
+    auction = start_auction(PositionValues(c=args.c, d=args.d, bc=ZERO), config, now=args.start)
     script = _read_json(args.script)
     if not isinstance(script, list):
         raise ValueError("bid script must be a JSON array")
     for i, entry in enumerate(script):
-        # the scenario loader's rules for a scripted bid's time, bidder and amount
+        # read as the scenario loader reads a script entry
         try:
-            entry = _shaped(entry, dict, "entry")
-            time = _integer(entry.get("time"), "time")
-            bidder = _identifier(entry, "bidder")
-            amount = _dec_field(entry.get("amount"), "amount")
-            bid = Bid(bidder=bidder, amount=amount, time=time)
+            bid = _scripted_bid(_shaped(entry, dict, "entry"), ())
         except InvalidScenarioError as exc:
             raise ValueError(f"script[{i}]: {exc.field} {exc.problem}") from exc
         except ValueError as exc:  # an amount <= 0

@@ -23,7 +23,8 @@ class MissingThresholdError(LiqlabError):
 
 
 class InvalidParamsError(LiqlabError):
-    """Risk parameters fail the validity prerequisite."""
+    """Risk parameters fail the validity prerequisite, or the closed-form
+    strategy is handed a negative position value."""
 
 
 class NotLiquidatableError(LiqlabError):

@@ -191,12 +191,12 @@ class PolicyKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class ScriptedBid:
-    """One entry of an auction bid script; amount is phase-agnostic."""
+class ScriptedBid(Bid):
+    """One entry of an auction bid script: a ``Bid`` (so its amount is
+    positive, and a debt or a collateral value by the auction's phase) plus
+    the ``borrower`` whose auction it bids on, which may be None while only
+    one auction is open. The engine hands it to ``place_bid`` as it is."""
 
-    time: int
-    bidder: str
-    amount: Dec
     borrower: Optional[str] = None
 
 
@@ -418,10 +418,6 @@ def validate_scenario(scenario: Scenario) -> None:
             if bid.time < 0:
                 raise InvalidScenarioError(
                     f"agents[{i}].script[{j}].time", f"must be >= 0: {bid.time}"
-                )
-            if bid.amount <= ZERO:
-                raise InvalidScenarioError(
-                    f"agents[{i}].script[{j}].amount", f"must be > 0: {bid.amount}"
                 )
 
     referenced = sorted(_referenced_assets(scenario.positions), key=lambda a: a.symbol)
@@ -855,13 +851,13 @@ class _Run:
                 PositionValues.from_sums(sums), self.scenario.auction_config, now=block
             )
             self.next_deadline = min(self.next_deadline, deadline(auction))
-        for scripted in self.scripted.get((block, agent.agent_id), ()):
-            owner = scripted.borrower
+        for bid in self.scripted.get((block, agent.agent_id), ()):
+            owner = bid.borrower
             if owner is None:
                 if len(self.open_auctions) != 1:
                     raise InvalidScenarioError(
                         "agents.script",
-                        f"bid at time {scripted.time} names no borrower while "
+                        f"bid at time {bid.time} names no borrower while "
                         f"{len(self.open_auctions)} auctions are open",
                     )
                 owner = next(iter(self.open_auctions))
@@ -869,13 +865,12 @@ class _Run:
                 raise InvalidScenarioError(
                     "agents.script", f"no open auction for borrower {owner!r}"
                 )
-            bid = Bid(bidder=scripted.bidder, amount=scripted.amount, time=scripted.time)
             try:
                 auction = self.open_auctions[owner] = place_bid(self.open_auctions[owner], bid)
             except LiqlabError as exc:
                 raise InvalidScenarioError(
                     "agents.script",
-                    f"bid at time {scripted.time} by {scripted.bidder!r} refused: {exc}",
+                    f"bid at time {bid.time} by {bid.bidder!r} refused: {exc}",
                 ) from None
             self.next_deadline = min(self.next_deadline, deadline(auction))
 
@@ -1096,6 +1091,22 @@ def _amounts(raw, assets, where, amounts: dict) -> bool:
     return positive
 
 
+def _scripted_bid(entry: dict, where) -> ScriptedBid:
+    """A bid script entry as a ``ScriptedBid``: its ``time``, ``bidder``,
+    ``amount`` and optional ``borrower``, read in that order, each field
+    named under the path ``where`` (by its key alone when ``where`` is
+    empty). A field of the wrong type is an InvalidScenarioError; an amount
+    of 0 or less is ``Bid``'s ValueError. The scenario loader and
+    ``liqlab auction-replay`` both read a script entry here."""
+    time = _integer(entry.get("time"), (*where, "time"))
+    bidder = _identifier(entry, "bidder", where)
+    amount = _dec_field(entry.get("amount"), (*where, "amount"))
+    borrower = entry.get("borrower")
+    if borrower is not None:
+        borrower = _identifier(entry, "borrower", where)
+    return ScriptedBid(bidder=bidder, amount=amount, time=time, borrower=borrower)
+
+
 def _built(where, cls, *args, **kwargs):
     """``cls(*args, **kwargs)``, its ValueError raised as an
     InvalidScenarioError at ``where``."""
@@ -1159,11 +1170,13 @@ def load_scenario(source) -> Scenario:
     A file of malformed JSON raises ``json.JSONDecodeError``, and one nested
     deeper than the JSON decoder can follow a NestingTooDeepError.
 
-    The ``Scenario`` refuses, once the whole document is parsed, a
-    ``script`` on an agent that is not an ``auction-bidder``, a bid timed
-    before block 0 and a bid amount of 0 or less (``validate_scenario``). A
-    bid timed past ``blocks`` is allowed and ignored, as a ``price_path``
-    key past ``blocks`` is.
+    Each script entry is read by ``_scripted_bid``, and a bid amount of 0 or
+    less is refused where the entry is parsed, at ``agents[i].script[j]``,
+    as ``Bid`` states it. The ``Scenario`` refuses, once the whole document
+    is parsed, a ``script`` on an agent that is not an ``auction-bidder``
+    and a bid timed before block 0 (``validate_scenario``). A bid timed
+    past ``blocks`` is allowed and ignored, as a ``price_path`` key past
+    ``blocks`` is.
     """
     doc = source if isinstance(source, dict) else _read_json(source)
     if not isinstance(doc, dict):
@@ -1260,16 +1273,7 @@ def load_scenario(source) -> Scenario:
         raw_script = _shaped(entry.get("script", []), list, ("agents", i, "script"))
         for j, raw_bid in enumerate(raw_script):
             where = ("agents", i, "script", j)
-            raw_bid = _shaped(raw_bid, dict, where)
-            time = _integer(raw_bid.get("time"), (*where, "time"))
-            bidder = _identifier(raw_bid, "bidder", where)
-            amount = _dec_field(raw_bid.get("amount"), (*where, "amount"))
-            borrower = raw_bid.get("borrower")
-            if borrower is not None:
-                borrower = _identifier(raw_bid, "borrower", where)
-            script.append(
-                ScriptedBid(time=time, bidder=bidder, amount=amount, borrower=borrower)
-            )
+            script.append(_built(where, _scripted_bid, _shaped(raw_bid, dict, where), where))
         agents.append(AgentPolicy(agent_id=agent_id, kind=kind, script=tuple(script)))
 
     auction_doc = _shaped(doc.get("auction_config", {}), dict, "auction_config")

@@ -24,8 +24,11 @@ is zero when CF = 1 and grows as CR falls toward 1.
 The plan is computed on scaled integers (``Dec.raw``) by
 ``_optimal_repays``, which rounds half-even and checks against 2**255
 exactly where, and in the order in which, the ``Dec`` expressions above
-would; :func:`optimal_repays` is its ``Dec`` face, and the scenario engine
-calls it on its cached raw sums.
+would. :func:`optimal_repays` is its ``Dec`` face, and the one place the
+caller's inputs are checked: LT in (0, 1), LT*(1+LS) < 1 and non-negative
+C and D. The scenario engine calls the raw core on its cached raw sums,
+whose LT comes from a validated ``RiskParams``, so a plan there checks
+nothing again.
 """
 
 from __future__ import annotations
@@ -92,18 +95,16 @@ class TwoStepResult(NamedTuple):
 def _optimal_repays(c: int, d: int, lt: int, params: RiskParams):
     """:func:`optimal_repays` on scaled integers: the raw ``(repay1, repay2,
     clamped)`` for raw values ``c``, ``d`` and threshold ``lt``, or the
-    ``LiqlabError`` refusal, unraised.
+    NotLiquidatableError refusal, unraised.
 
-    Every intermediate is rounded and checked as its ``Dec`` expression in
-    the formulas above is; a refusal's message is built only when it is
+    The inputs are taken as valid: ``c`` and ``d`` non-negative, ``0 < lt <
+    SCALE`` and LT*(1+LS) < 1, as the engine's come from a ``RiskParams``
+    and its kept sums, and as :func:`optimal_repays` checks them. Every
+    intermediate is rounded and checked as its ``Dec`` expression in the
+    formulas above is; a refusal's message is built only when it is
     returned.
     """
-    if not 0 < lt < SCALE:
-        return InvalidParamsError(f"liquidation threshold outside (0, 1): {Dec.from_raw(lt)}")
     product = _spread_product(lt, params.ls.raw)
-    if product >= SCALE:
-        reason = spread_prerequisite("the collateral threshold", Dec.from_raw(lt), params.ls)
-        return InvalidParamsError(reason)
     lt_c = _mul(lt, c)
     if not lt_c < d:
         return NotLiquidatableError(
@@ -126,10 +127,18 @@ def _optimal_repays(c: int, d: int, lt: int, params: RiskParams):
 def optimal_repays(c: Dec, d: Dec, lt: Dec, params: RiskParams) -> StrategyPlan:
     """Closed-form two-step repay amounts for a position worth (c, d).
 
-    ``lt`` comes from the caller, not from ``params``, so it is checked here:
-    InvalidParamsError unless 0 < LT < 1 and LT*(1+LS) < 1. A healthy
+    ``lt``, ``c`` and ``d`` come from the caller, not from ``params``, so
+    they are checked here, once, in this order: InvalidParamsError unless
+    0 < LT < 1, LT*(1+LS) < 1, and c and d are non-negative. A healthy
     position (LT*C >= D) is a NotLiquidatableError.
     """
+    if not ZERO < lt < ONE:
+        raise InvalidParamsError(f"liquidation threshold outside (0, 1): {lt}")
+    reason = spread_prerequisite("the collateral threshold", lt, params.ls)
+    if reason is not None:
+        raise InvalidParamsError(reason)
+    if c < ZERO or d < ZERO:
+        raise InvalidParamsError(f"position values must be non-negative: c={c}, d={d}")
     plan = _optimal_repays(c.raw, d.raw, lt.raw, params)
     if isinstance(plan, LiqlabError):
         raise plan

@@ -161,6 +161,8 @@ def optimal_repays(c: Dec, d: Dec, lt: Dec, params) -> StrategyPlan:
     reason = spread_prerequisite("the collateral threshold", lt, params.ls)
     if reason is not None:
         raise InvalidParamsError(reason)
+    if c < ZERO or d < ZERO:
+        raise InvalidParamsError(f"position values must be non-negative: c={c}, d={d}")
     if not lt * c < d:
         raise NotLiquidatableError(f"position is healthy: LT*C = {lt * c} >= D = {d}")
     numerator = d - lt * c

@@ -448,6 +448,8 @@ class TestAuctionReplayCommand:
              "amount cannot construct Dec from NoneType"),
             ({"time": 3, "bidder": "a", "amount": 1.5},
              "amount decimals must be strings, not floats"),
+            ({"time": 3, "bidder": "a", "borrower": 5},
+             "borrower missing or not a non-empty string"),
         ],
     )
     def test_bid_script_entries_follow_the_scenario_rules(
@@ -498,6 +500,19 @@ class TestAuctionReplayCommand:
         script.write_text(json.dumps([{"time": 1, "bidder": "a", "amount": "0"}]))
         assert main([*_REPLAY, str(script)]) == 1
         assert capsys.readouterr() == ("", "error: script[0]: bid amount must be > 0: 0\n")
+
+    def test_a_string_borrower_leaves_the_output_unchanged(self, tmp_path, capsys):
+        argv = [
+            "auction-replay", "--c", "110", "--d", "100",
+            "--auction-length", "21600", "--bid-duration", "18000", "--script",
+        ]
+        assert main([*argv, str(FIXTURES / "dent_bids.json")]) == 0
+        expected = capsys.readouterr()
+        entries = json.loads((FIXTURES / "dent_bids.json").read_text())
+        script = tmp_path / "bids.json"
+        script.write_text(json.dumps([{**entry, "borrower": "vault-1"} for entry in entries]))
+        assert main([*argv, str(script)]) == 0
+        assert capsys.readouterr() == expected
 
     def test_a_negative_final_lot_value_is_refused(self, capsys):
         argv = [
@@ -692,6 +707,24 @@ HANDLER_FAILURES = {
     "auction-replay-bad-amount": (
         [*_REPLAY, "{tmp}/bad-amount.json"],
         "error: script[0]: amount not a decimal string: 'x'\n",
+    ),
+    "strategy-negative-values": (
+        ["strategy", "--c", "-1000", "--d", "-100", "--lt", "0.75", "--ls", "0.08",
+         "--cf", "0.5"],
+        "error: position values must be non-negative: c=-1000, d=-100\n",
+    ),
+    # the auction opens before the script is read, so before any bid
+    "auction-replay-negative-tab": (
+        ["auction-replay", "--c", "110", "--d", "-100", *_REPLAY[5:], "{tmp}/bad-amount.json"],
+        "error: position values must be non-negative\n",
+    ),
+    "auction-replay-negative-lot": (
+        ["auction-replay", "--c", "-5", "--d", "100", *_REPLAY[5:], "{tmp}/bad-amount.json"],
+        "error: position values must be non-negative\n",
+    ),
+    "auction-replay-no-tab": (
+        ["auction-replay", "--c", "110", "--d", "0", *_REPLAY[5:], "{tmp}/bad-amount.json"],
+        "error: cannot auction a healthy position (bc=0, d=0)\n",
     ),
 }
 

@@ -4,7 +4,7 @@ import pickle
 import random
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -16,6 +16,7 @@ from liqlab import (
     Asset,
     AuctionConfig,
     BadDebtKind,
+    Bid,
     Dec,
     Mechanism,
     OracleSnapshot,
@@ -491,9 +492,21 @@ class TestScenarioLoader:
     def test_scripted_bid_amount_must_be_positive(self, amount):
         doc = json.loads((FIXTURES / "auction.json").read_text())
         doc["agents"][0]["script"][0]["amount"] = amount
-        with pytest.raises(InvalidScenarioError, match=f"must be > 0: {amount}") as info:
+        with pytest.raises(InvalidScenarioError) as info:
             load_scenario(doc)
-        assert info.value.field == "agents[0].script[0].amount"
+        assert info.value.field == "agents[0].script[0]"
+        assert info.value.problem == f"bid amount must be > 0: {amount}"
+
+    def test_a_scripted_amount_is_refused_where_its_entry_is_parsed(self):
+        # the agents come before auction_config, so the amount is reported
+        doc = json.loads((FIXTURES / "auction.json").read_text())
+        doc["agents"][0]["script"][0]["amount"] = "0"
+        doc["auction_config"] = []
+        with pytest.raises(InvalidScenarioError) as info:
+            load_scenario(doc)
+        assert (info.value.field, info.value.problem) == (
+            "agents[0].script[0]", "bid amount must be > 0: 0"
+        )
 
     @pytest.mark.parametrize(
         "field, path, value",
@@ -587,11 +600,27 @@ class TestScenarioScripts:
 
     @pytest.mark.parametrize("time", [4, 10**6], ids=["in-horizon", "past-horizon"])
     def test_a_bid_amount_of_zero_is_refused(self, time):
-        scenario, agents = self._with_bid(ScriptedBid(time=time, bidder="x", amount=Dec(0)))
-        with pytest.raises(InvalidScenarioError) as info:
-            replace(scenario, agents=agents)
-        assert info.value.field == "agents[0].script[5].amount"
-        assert info.value.problem == "must be > 0: 0"
+        # a ScriptedBid is a Bid, so one with no positive amount cannot exist
+        with pytest.raises(ValueError) as info:
+            ScriptedBid(time=time, bidder="x", amount=Dec(0))
+        assert str(info.value) == "bid amount must be > 0: 0"
+
+
+def test_a_scripted_bid_is_a_bid_plus_its_borrower():
+    bid = ScriptedBid(bidder="x", amount=Dec(5), time=3, borrower="vault-1")
+    assert isinstance(bid, Bid)
+    assert [field.name for field in fields(ScriptedBid)] == [
+        "bidder", "amount", "time", "borrower"
+    ]
+    assert ScriptedBid(bidder="x", amount=Dec(5), time=3).borrower is None
+
+
+def test_the_engine_hands_place_bid_the_scripted_bid_itself(monkeypatch):
+    scenario = load_scenario(str(FIXTURES / "auction.json"))
+    placed = _count_calls(monkeypatch, "place_bid")
+    run_scenario(scenario)
+    (keeper,) = scenario.agents
+    assert [id(bid) for _, bid in placed] == [id(bid) for bid in keeper.script]
 
 
 @pytest.mark.parametrize(

@@ -109,6 +109,19 @@ class TestOptimalRepays:
         with pytest.raises(InvalidParamsError):
             optimal_repays(Dec(103), Dec(100), Dec("0.95"), params)
 
+    @pytest.mark.parametrize("c, d", [(-1000, -100), (-1, 100), (125, -1)])
+    def test_negative_position_values_refused(self, c, d):
+        with pytest.raises(InvalidParamsError) as info:
+            optimal_repays(Dec(c), Dec(d), Dec("0.75"), SMALL_PARAMS)
+        assert str(info.value) == f"position values must be non-negative: c={c}, d={d}"
+
+    def test_the_threshold_is_checked_before_the_values(self):
+        with pytest.raises(InvalidParamsError, match="outside"):
+            optimal_repays(Dec(-1), Dec(-1), Dec(1), SMALL_PARAMS)
+        params = RiskParams(lt={}, ls=Dec("0.10"), cf=Dec("0.5"))
+        with pytest.raises(InvalidParamsError, match=r"LT\*\(1\+LS\)"):
+            optimal_repays(Dec(-1), Dec(-1), Dec("0.95"), params)
+
 
 class TestStrategyProfits:
     def test_small_instance_profits(self):
